@@ -9,7 +9,10 @@ is
 
 with G(x) the n-by-p matrix of constraint gradients and Q the domain's
 projective mapping.  The p-by-p core is formed densely and pseudo-inverted
-with an SVD cutoff, so p is assumed small.
+with an SVD cutoff, so p is assumed small.  The generic map keeps the core's
+parts for the last point it saw, keyed by the exact bytes of x, so `value`
+and `vjp` at one point share a single build; any other point, including the
+same array mutated in place, builds afresh.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ class ConstraintMap:
 
     jac_t_apply(x, v) returns G(x) v (columns of G are constraint gradients);
     jac_apply(x, d) returns G(x)^T d; hess_apply(x, lam, d), when present,
-    returns sum_i lam_i * Hess(c_i)(x) d.
+    returns sum_i lam_i * Hess(c_i)(x) d; jac_columns(x), when present,
+    returns the whole n-by-p G(x) and must equal the stack of
+    jac_t_apply(x, e_i) bit for bit.
     """
 
     p: int
@@ -60,12 +65,15 @@ class ConstraintMap:
     jac_t_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    jac_columns: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def jac_matrix(self, x):
         """Materialize G(x) as an n-by-p array, one column per constraint."""
         x = np.asarray(x, dtype=float)
         if self.p == 0:
             return np.zeros((x.size, 0))
+        if self.jac_columns is not None:
+            return self.jac_columns(x)
         cols = [self.jac_t_apply(x, e) for e in np.eye(self.p)]
         return np.column_stack(cols)
 
@@ -151,45 +159,73 @@ def build_aq(domain, cmap, sigma=1.0, mode="auto"):
         raise CapabilityError("generic_analytic needs cmap.hess_apply; "
                               "use mode='generic_fd' instead")
 
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        _, _, QG, _, u = _aq_value_parts(domain, cmap, sigma, x)
-        return x - QG @ u
-
+    amap = _GenericMap(domain, cmap, sigma)
     if mode == "generic_analytic":
-
-        def vjp(x, w):
-            return _aq_vjp_analytic_impl(domain, cmap, sigma, x, w)
-
+        vjp = amap.vjp
     else:
 
-        def vjp(x, w, _value=value):
-            return _fd_vjp(_value, x, w)
+        def vjp(x, w):
+            return _fd_vjp(amap.value, x, w)
 
-    return DissolvingMap(value=value, vjp=vjp, mode=mode, sigma=float(sigma))
+    return DissolvingMap(value=amap.value, vjp=vjp, mode=mode, sigma=float(sigma))
 
 
-def _aq_vjp_analytic_impl(domain, cmap, sigma, x, w):
-    # product rule across Q G, the pseudo-inverted core, and c; exact
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    c, G, QG, core_pinv, u = _aq_value_parts(domain, cmap, sigma, x)
-    Qw = domain._q(x, w)
-    a = core_pinv @ (G.T @ Qw)
-    Gu = G @ u
-    Ga = G @ a
-    QGu = domain._q(x, Gu)
-    QGa = domain._q(x, Ga)
-    Gc = cmap.jac_t_apply(x, c)
-    hess = cmap.hess_apply
-    grad_phi = (domain._dq_form(x, Gu, w)
-                + hess(x, u, Qw)
-                + Ga
-                - hess(x, a, QGu)
-                - domain._dq_form(x, Gu, Ga)
-                - hess(x, u, QGa)
-                - 2.0 * sigma * float(a @ u) * Gc)
-    return w - grad_phi
+class _GenericMap:
+    """The generic A(x) and its analytic vjp, sharing one cached point.
+
+    The slot holds the exact bytes of the last finite x with its value parts
+    (c, G, QG, core_pinv, u) and, once a vjp has run there, the w-free vjp
+    parts (G u, Q(x) G u, G(x) c).  Bytes, not identity or a tolerance, key
+    the slot, so a caller that mutates x in place gets fresh parts.
+    """
+
+    def __init__(self, domain, cmap, sigma):
+        self.domain = domain
+        self.cmap = cmap
+        self.sigma = sigma
+        self._slot = (None, None, None)  # key, value parts, vjp parts
+
+    def _entry(self, x):
+        key = x.tobytes()
+        slot = self._slot
+        if slot[0] != key:
+            slot = (key, _aq_value_parts(self.domain, self.cmap, self.sigma, x), None)
+            # equal bytes do not make a NaN point equal to itself: never store one
+            if np.isfinite(x).all():
+                self._slot = slot
+        return slot
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        _, _, QG, _, u = self._entry(x)[1]
+        return x - QG @ u
+
+    def vjp(self, x, w):
+        # product rule across Q G, the pseudo-inverted core, and c; exact
+        x = np.asarray(x, dtype=float)
+        w = np.asarray(w, dtype=float)
+        slot = self._entry(x)
+        key, parts, extra = slot
+        c, G, _, core_pinv, u = parts
+        domain, hess = self.domain, self.cmap.hess_apply
+        if extra is None:
+            Gu = G @ u
+            extra = (Gu, domain._q(x, Gu), self.cmap.jac_t_apply(x, c))
+            if self._slot is slot:
+                self._slot = (key, parts, extra)
+        Gu, QGu, Gc = extra
+        Qw = domain._q(x, w)
+        a = core_pinv @ (G.T @ Qw)
+        Ga = G @ a
+        QGa = domain._q(x, Ga)
+        grad_phi = (domain._dq_form(x, Gu, w)
+                    + hess(x, u, Qw)
+                    + Ga
+                    - hess(x, a, QGu)
+                    - domain._dq_form(x, Gu, Ga)
+                    - hess(x, u, QGa)
+                    - 2.0 * self.sigma * float(a @ u) * Gc)
+        return w - grad_phi
 
 
 def aq_vjp_analytic(amap, x, w):

@@ -274,6 +274,21 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
         out[ye] = -np.sum(v[:k])
         return out
 
+    def jac_columns(x):
+        # column i is jac_t(x, e_i), with the same operations in the same
+        # order: the zero start, the group term, then the Frobenius term
+        P, _, _ = _split_fpca(x, n, k, d)
+        G = np.zeros((dim, k + 1))
+        frob_zero = 0.0 * P
+        for i in range(k):
+            GP = (0.0 + (-2.0 / m_sizes[i]) * (AtA[i] @ P)) + frob_zero
+            G[:pe, i] = GP.reshape(-1, order="F")
+        G[:pe, k] = (0.0 + 2.0 * P).reshape(-1, order="F")
+        G[pe:ye, :k] = np.eye(k)
+        G[ye, :k] = -1.0
+        G[ye, k] = -0.0
+        return G
+
     def jac(x, dd):
         P, _, _ = _split_fpca(x, n, k, d)
         DP, dy, dz = _split_fpca(dd, n, k, d)
@@ -295,7 +310,7 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
         return out
 
     cmap = ConstraintMap(p=k + 1, value=c_value, jac_t_apply=jac_t,
-                         jac_apply=jac, hess_apply=hess)
+                         jac_apply=jac, hess_apply=hess, jac_columns=jac_columns)
     domain = Product([SpectralBall(n, d), NonnegOrthant(k),
                       Box([-np.inf], [np.inf])])
     amap = build_aq(domain, cmap, sigma=sigma, mode="generic_analytic")

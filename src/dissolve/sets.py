@@ -175,6 +175,10 @@ class Box(ConvexSet):
         self.upper = upper
         self._lo_fin = np.isfinite(lower)
         self._up_fin = np.isfinite(upper)
+        # which bounds shape the weights of Q: both, lower only, upper only
+        self._both = self._lo_fin & self._up_fin
+        self._lo_only = self._lo_fin & ~self._up_fin
+        self._up_only = ~self._lo_fin & self._up_fin
 
     @property
     def n(self):
@@ -187,9 +191,7 @@ class Box(ConvexSet):
     def _weights(self, x):
         # smooth weights vanishing exactly on active bounds, positive inside
         w = np.ones_like(x)
-        both = self._lo_fin & self._up_fin
-        lo = self._lo_fin & ~self._up_fin
-        up = ~self._lo_fin & self._up_fin
+        both, lo, up = self._both, self._lo_only, self._up_only
         w[both] = (x[both] - self.lower[both]) * (self.upper[both] - x[both])
         w[lo] = x[lo] - self.lower[lo]
         w[up] = self.upper[up] - x[up]
@@ -197,9 +199,7 @@ class Box(ConvexSet):
 
     def _weights_deriv(self, x):
         dw = np.zeros_like(x)
-        both = self._lo_fin & self._up_fin
-        lo = self._lo_fin & ~self._up_fin
-        up = ~self._lo_fin & self._up_fin
+        both, lo, up = self._both, self._lo_only, self._up_only
         dw[both] = self.lower[both] + self.upper[both] - 2.0 * x[both]
         dw[lo] = 1.0
         dw[up] = -1.0

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dissolve import mappings
+from dissolve.diagnostics import assumption_a_check
 from dissolve.mappings import (
     CapabilityError,
     ConstraintMap,
+    _aq_value_parts,
     aq_vjp_analytic,
     aq_vjp_fd,
     build_aq,
@@ -13,7 +16,7 @@ from dissolve.mappings import (
     h_grad,
     h_value,
 )
-from dissolve.sets import NonnegOrthant, NormBall
+from dissolve.sets import Box, NonnegOrthant, NormBall
 from dissolve.problems import (
     feasible_points,
     gen_fpca,
@@ -306,6 +309,120 @@ def test_matrix_closed_forms_fix_feasible_points_and_differentiate():
     y = np.abs(rng.standard_normal(m * s2))
     w = rng.standard_normal(m * s2)
     assert np.linalg.norm(om.vjp(y, w) - aq_vjp_fd(om, y, w)) <= 1e-6
+
+
+# ---------------------------------------------------------------- point cache
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def fresh(prob):
+    """A new generic map over the same problem: empty cache."""
+    return build_aq(prob.domain, prob.cmap, sigma=prob.amap.sigma, mode=prob.amap.mode)
+
+
+def reference_value(prob, x):
+    _, _, QG, _, u = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, x)
+    return x - QG @ u
+
+
+def count_pinv(monkeypatch):
+    calls = []
+    pinv = mappings.np.linalg.pinv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(mappings.np.linalg, "pinv", counting)
+    return calls
+
+
+CACHED_FAMILIES = [(gen_qpb, (8,), 0.05), (gen_fpca, (5, 2, 2), 0.4)]
+
+
+@pytest.mark.parametrize("gen,dims,scale", CACHED_FAMILIES)
+def test_point_cache_revisits_match_fresh_maps(gen, dims, scale):
+    inst, prob = gen(*dims, seed=0)
+    x, y = near_feasible_points(inst, 2, seed=4, scale=scale)
+    w = np.random.default_rng(6).standard_normal(prob.n)
+    amap = prob.amap
+    for z in (x, y, x):
+        assert same_bits(amap.value(z), reference_value(prob, z))
+        assert same_bits(amap.value(z), fresh(prob).value(z))
+        assert same_bits(amap.vjp(z, w), fresh(prob).vjp(z, w))
+        assert same_bits(amap.vjp(z, 2.0 * w), fresh(prob).vjp(z, 2.0 * w))
+
+
+@pytest.mark.parametrize("gen,dims,scale", CACHED_FAMILIES)
+def test_point_cache_sees_in_place_mutation(gen, dims, scale):
+    inst, prob = gen(*dims, seed=0)
+    x = near_feasible_points(inst, 1, seed=5, scale=scale)[0].copy()
+    w = np.random.default_rng(7).standard_normal(prob.n)
+    amap = prob.amap
+    amap.value(x)
+    amap.vjp(x, w)
+    x[0] += 1e-3
+    assert same_bits(amap.vjp(x, w), fresh(prob).vjp(x, w))
+    x[-1] -= 1e-3
+    assert same_bits(amap.value(x), reference_value(prob, x))
+
+
+@pytest.mark.parametrize("gen,dims,scale", CACHED_FAMILIES)
+def test_point_cache_rebuilds_non_finite_points(gen, dims, scale, monkeypatch):
+    inst, prob = gen(*dims, seed=0)
+    x = near_feasible_points(inst, 1, seed=5, scale=scale)[0].copy()
+    x[0] = np.nan
+    calls = count_pinv(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            prob.amap.value(x)
+    assert len(calls) == 2
+
+
+def test_point_cache_never_serves_a_nan_point(monkeypatch):
+    # c reads x[0] only and x[1] is free, so the core stays finite while
+    # A(x) carries the NaN through
+    cmap = ConstraintMap(
+        p=1,
+        value=lambda x: np.array([x[0] - 0.5]),
+        jac_t_apply=lambda x, v: np.array([v[0], 0.0]),
+        jac_apply=lambda x, d: np.array([d[0]]),
+        hess_apply=lambda x, lam, d: np.zeros(2),
+    )
+    amap = build_aq(Box([-np.inf] * 2, [np.inf] * 2), cmap)
+    x = np.array([0.2, np.nan])
+    calls = count_pinv(monkeypatch)
+    first = amap.value(x)
+    assert same_bits(amap.value(x), first)
+    assert np.isnan(first[1]) and len(calls) == 2
+
+
+def test_fpca_batched_jacobian_matches_column_loop():
+    _, prob = gen_fpca(6, 3, 2, seed=1)
+    cmap = prob.cmap
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        x = rng.standard_normal(prob.n)
+        loop = np.column_stack([cmap.jac_t_apply(x, e) for e in np.eye(cmap.p)])
+        assert same_bits(cmap.jac_matrix(x), loop)
+
+
+def test_one_core_build_per_point(monkeypatch):
+    inst, prob = gen_fpca(4, 2, 3, seed=0)
+    x = feasible_points(inst, 1, seed=2)[0]
+    calls = count_pinv(monkeypatch)
+    assumption_a_check(prob.amap, prob.cmap, prob.domain, [x])
+    assert len(calls) == 1
+
+    inst, prob = gen_qpb(8, seed=0)
+    x = near_feasible_points(inst, 1, seed=3)[0]
+    calls.clear()
+    h_value(prob, x)
+    h_grad(prob, x)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- penalty
