@@ -11,6 +11,7 @@ from .sets import (
     NonnegOrthant,
     NormBall,
     Product,
+    ProjectionNotConverged,
     PsdCone,
     PsdSpectralBall,
     SecondOrderCone,

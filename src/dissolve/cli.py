@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import diagnostics, problems, solvers
-from .mappings import DissolvingMap
 
 CSV_COLUMNS = ["family", "n", "extra_dims", "rho", "seed", "solver", "beta",
                "fval", "feas", "stat", "iters", "time_s", "status"]
@@ -195,20 +194,10 @@ def cmd_bench(args):
     return 0
 
 
-def _faulty_map(amap):
-    # test hook: shift the map by a constant, which breaks the fixed points
-    return DissolvingMap(value=lambda x: amap.value(x) + 1e-3,
-                         vjp=amap.vjp, mode=amap.mode, sigma=amap.sigma)
-
-
 def cmd_check(args):
     seed = args.seed if args.seed is not None else _default_seed()
     dims = _dims_from_args(args)
     inst, prob = problems.gen_instance(args.family, seed=seed, **dims)
-    if args.inject_fault:
-        import dataclasses
-
-        prob = dataclasses.replace(prob, amap=_faulty_map(prob.amap))
     pts_grad = problems.near_feasible_points(inst, args.grad_points, seed=seed + 1)
     pts_struct = problems.feasible_points(inst, args.struct_points, seed=seed + 2)
 
@@ -299,7 +288,6 @@ def build_parser():
     pc.add_argument("--struct-points", type=int, default=50)
     pc.add_argument("--probe-samples", type=int, default=100)
     pc.add_argument("--json", action="store_true")
-    pc.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     pc.set_defaults(func=cmd_check)
 
     pd = sub.add_parser("dump-instance", help="write one instance as JSON")

@@ -9,10 +9,13 @@ is
 
 with G(x) the n-by-p matrix of constraint gradients and Q the domain's
 projective mapping.  The p-by-p core is formed densely and pseudo-inverted
-with an SVD cutoff, so p is assumed small.  The generic map keeps the core's
-parts for the last point it saw, keyed by the exact bytes of x, so `value`
-and `vjp` at one point share a single build; any other point, including the
-same array mutated in place, builds afresh.
+with an SVD cutoff, so p is assumed small.  A build applies Q(x) to all p
+columns of G in one `_q_cols` call.  The generic map keeps the core's parts
+for the last point it saw, keyed by the exact bytes of x, so `value` and
+`vjp` at one point share a single build; any other point, including the same
+array mutated in place, builds afresh.  `h_value` and `h_grad` take c(x) and
+G(x) c(x) from that point too, when the map was built over the problem's
+constraint map; otherwise they evaluate the constraint map themselves.
 """
 
 from __future__ import annotations
@@ -91,12 +94,19 @@ def empty_constraint_map(n):
 
 @dataclass(frozen=True)
 class DissolvingMap:
-    """A(x) plus its transposed-Jacobian-vector product vjp(x, w) = gradA(x) w."""
+    """A(x) plus its transposed-Jacobian-vector product vjp(x, w) = gradA(x) w.
+
+    point_parts(cmap, x), set only by `build_aq`, returns (c(x), G(x) c(x))
+    as the map's last build computed them, G c being None until a vjp ran
+    there; it returns None, and builds nothing, when x is not the map's last
+    point or cmap is not the constraint map the map was built over.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
     vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mode: str  # closed_form | generic_analytic | generic_fd
     sigma: Optional[float] = None
+    point_parts: Optional[Callable[[ConstraintMap, np.ndarray], Optional[tuple]]] = None
 
 
 @dataclass(frozen=True)
@@ -126,8 +136,7 @@ def _aq_value_parts(domain, cmap, sigma, x):
     x = np.asarray(x, dtype=float)
     c = cmap.value(x)
     G = cmap.jac_matrix(x)
-    QG = np.column_stack([domain._q(x, G[:, j]) for j in range(cmap.p)]) \
-        if cmap.p else np.zeros((x.size, 0))
+    QG = domain._q_cols(x, G)
     core = _sym(G.T @ QG) + sigma * float(c @ c) * np.eye(cmap.p)
     core_pinv = np.linalg.pinv(core, rcond=PINV_RCOND)
     u = core_pinv @ c
@@ -167,7 +176,8 @@ def build_aq(domain, cmap, sigma=1.0, mode="auto"):
         def vjp(x, w):
             return _fd_vjp(amap.value, x, w)
 
-    return DissolvingMap(value=amap.value, vjp=vjp, mode=mode, sigma=float(sigma))
+    return DissolvingMap(value=amap.value, vjp=vjp, mode=mode, sigma=float(sigma),
+                         point_parts=amap.point_parts)
 
 
 class _GenericMap:
@@ -199,6 +209,12 @@ class _GenericMap:
         x = np.asarray(x, dtype=float)
         _, _, QG, _, u = self._entry(x)[1]
         return x - QG @ u
+
+    def point_parts(self, cmap, x):
+        key, parts, extra = self._slot
+        if cmap is not self.cmap or key != x.tobytes():
+            return None
+        return parts[0], None if extra is None else extra[2]
 
     def vjp(self, x, w):
         # product rule across Q G, the pseudo-inverted core, and c; exact
@@ -337,6 +353,13 @@ def closed_form_map(kind, **params):
     return DissolvingMap(value=value, vjp=vjp, mode="closed_form", sigma=None)
 
 
+def _penalty_parts(prob, x):
+    """(c(x), G(x) c(x) or None): from the map's point when it holds x,
+    else c from the constraint map."""
+    parts = None if prob.amap.point_parts is None else prob.amap.point_parts(prob.cmap, x)
+    return (prob.cmap.value(x), None) if parts is None else parts
+
+
 def h_value(prob, x):
     """Penalty objective f(A(x)) + (beta/2)||c(x)||^2.
 
@@ -345,8 +368,9 @@ def h_value(prob, x):
     on.
     """
     x = np.asarray(x, dtype=float)
-    c = prob.cmap.value(x)
-    return float(prob.f_value(prob.amap.value(x)) + 0.5 * prob.beta * (c @ c))
+    fa = prob.f_value(prob.amap.value(x))
+    c, _ = _penalty_parts(prob, x)
+    return float(fa + 0.5 * prob.beta * (c @ c))
 
 
 def h_grad(prob, x):
@@ -355,5 +379,8 @@ def h_grad(prob, x):
     gf = np.asarray(prob.f_grad(prob.amap.value(x)), dtype=float)
     out = prob.amap.vjp(x, gf)
     if prob.cmap.p and prob.beta != 0.0:
-        out = out + prob.beta * prob.cmap.jac_t_apply(x, prob.cmap.value(x))
+        c, Gc = _penalty_parts(prob, x)
+        if Gc is None:
+            Gc = prob.cmap.jac_t_apply(x, c)
+        out = out + prob.beta * Gc
     return out

@@ -218,12 +218,6 @@ def _fpca_layout(n, k, d):
     return n * d, n * d + k  # end of P block, end of y block
 
 
-def _split_fpca(x, n, k, d):
-    pe, ye = _fpca_layout(n, k, d)
-    P = x[:pe].reshape((n, d), order="F")
-    return P, x[pe:ye], x[ye]
-
-
 def fpca_objective(P, data):
     """max over groups of the normalized reconstruction gap."""
     vals = [(data["hat_sq"][i] - np.linalg.norm(data["A"][i] @ P, "fro") ** 2)
@@ -244,6 +238,10 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
     AtA = [A.T @ A for A in A_list]
     pe, ye = _fpca_layout(n, k, d)
     dim = ye + 1
+    # per-group scalars as Python floats: the same doubles, cheaper to combine
+    hat = [float(h) for h in hat_sq]
+    msz = [float(m) for m in m_sizes]
+    g2 = [-2.0 / m for m in msz]
 
     def f_value(x):
         return float(x[ye])
@@ -254,20 +252,24 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
         return g
 
     def c_value(x):
-        P, y, z = _split_fpca(x, n, k, d)
+        P = x[:pe].reshape((n, d), order="F")
+        y = x[pe:ye].tolist()
+        z = float(x[ye])
         out = np.empty(k + 1)
         for i in range(k):
-            out[i] = (hat_sq[i] - np.sum((A_list[i] @ P) ** 2)) / m_sizes[i] + y[i] - z
-        out[k] = np.sum(P * P) - d
+            M = A_list[i] @ P
+            out[i] = (hat[i] - (M * M).sum()) / msz[i] + y[i] - z
+        out[k] = (P * P).sum() - d
         return out
 
     def jac_t(x, v):
-        P, _, _ = _split_fpca(x, n, k, d)
+        P = x[:pe].reshape((n, d), order="F")
+        vl = v.tolist()
         GP = np.zeros((n, d))
         for i in range(k):
-            if v[i] != 0.0:
-                GP += v[i] * (-2.0 / m_sizes[i]) * (AtA[i] @ P)
-        GP += v[k] * 2.0 * P
+            if vl[i] != 0.0:
+                GP += vl[i] * g2[i] * (AtA[i] @ P)
+        GP += vl[k] * 2.0 * P
         out = np.zeros(dim)
         out[:pe] = GP.reshape(-1, order="F")
         out[pe:ye] = v[:k]
@@ -277,11 +279,11 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
     def jac_columns(x):
         # column i is jac_t(x, e_i), with the same operations in the same
         # order: the zero start, the group term, then the Frobenius term
-        P, _, _ = _split_fpca(x, n, k, d)
+        P = x[:pe].reshape((n, d), order="F")
         G = np.zeros((dim, k + 1))
         frob_zero = 0.0 * P
         for i in range(k):
-            GP = (0.0 + (-2.0 / m_sizes[i]) * (AtA[i] @ P)) + frob_zero
+            GP = (0.0 + g2[i] * (AtA[i] @ P)) + frob_zero
             G[:pe, i] = GP.reshape(-1, order="F")
         G[:pe, k] = (0.0 + 2.0 * P).reshape(-1, order="F")
         G[pe:ye, :k] = np.eye(k)
@@ -290,21 +292,24 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
         return G
 
     def jac(x, dd):
-        P, _, _ = _split_fpca(x, n, k, d)
-        DP, dy, dz = _split_fpca(dd, n, k, d)
+        P = x[:pe].reshape((n, d), order="F")
+        DP = dd[:pe].reshape((n, d), order="F")
+        dy = dd[pe:ye].tolist()
+        dz = float(dd[ye])
         out = np.empty(k + 1)
         for i in range(k):
-            out[i] = (-2.0 / m_sizes[i]) * np.sum((AtA[i] @ P) * DP) + dy[i] - dz
-        out[k] = 2.0 * np.sum(P * DP)
+            out[i] = g2[i] * ((AtA[i] @ P) * DP).sum() + dy[i] - dz
+        out[k] = 2.0 * (P * DP).sum()
         return out
 
     def hess(x, lam, dd):
-        DP, _, _ = _split_fpca(dd, n, k, d)
+        DP = dd[:pe].reshape((n, d), order="F")
+        ll = lam.tolist()
         HP = np.zeros((n, d))
         for i in range(k):
-            if lam[i] != 0.0:
-                HP += lam[i] * (-2.0 / m_sizes[i]) * (AtA[i] @ DP)
-        HP += lam[k] * 2.0 * DP
+            if ll[i] != 0.0:
+                HP += ll[i] * g2[i] * (AtA[i] @ DP)
+        HP += ll[k] * 2.0 * DP
         out = np.zeros(dim)
         out[:pe] = HP.reshape(-1, order="F")
         return out

@@ -15,11 +15,14 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq, nnls
 
 DEFAULT_TOL = 1e-8
+HILDRETH_MAX_SWEEPS = 100_000  # sweep cap of LinearInequalities.project
 
 __all__ = [
     "DEFAULT_TOL",
+    "HILDRETH_MAX_SWEEPS",
     "DimensionMismatch",
     "DomainViolation",
+    "ProjectionNotConverged",
     "ConvexSet",
     "Box",
     "NonnegOrthant",
@@ -41,6 +44,10 @@ class DimensionMismatch(ValueError):
 
 class DomainViolation(ValueError):
     """Point lies outside the set beyond the membership tolerance."""
+
+
+class ProjectionNotConverged(RuntimeError):
+    """An iterative projection hit its sweep cap before its tolerance."""
 
 
 def _vec(x, n, name="x"):
@@ -79,6 +86,13 @@ class ConvexSet:
 
     def _q(self, x, v):
         raise NotImplementedError
+
+    def _q_cols(self, x, V):
+        """Q(x) applied to each column of the n-by-m V; equals the column
+        stack of _q(x, V[:, j]) bit for bit."""
+        if V.shape[1] == 0:
+            return np.zeros((x.size, 0))
+        return np.column_stack([self._q(x, V[:, j]) for j in range(V.shape[1])])
 
     def _dq(self, x, d, v):
         raise NotImplementedError
@@ -179,6 +193,9 @@ class Box(ConvexSet):
         self._both = self._lo_fin & self._up_fin
         self._lo_only = self._lo_fin & ~self._up_fin
         self._up_only = ~self._lo_fin & self._up_fin
+        # whole-box patterns whose weights need no masks
+        self._orthant = bool(self._lo_only.all())
+        self._free = not (self._lo_fin.any() or self._up_fin.any())
 
     @property
     def n(self):
@@ -190,6 +207,10 @@ class Box(ConvexSet):
 
     def _weights(self, x):
         # smooth weights vanishing exactly on active bounds, positive inside
+        if self._orthant:
+            return x - self.lower
+        if self._free:
+            return np.ones_like(x)
         w = np.ones_like(x)
         both, lo, up = self._both, self._lo_only, self._up_only
         w[both] = (x[both] - self.lower[both]) * (self.upper[both] - x[both])
@@ -198,6 +219,10 @@ class Box(ConvexSet):
         return w
 
     def _weights_deriv(self, x):
+        if self._orthant:
+            return np.ones_like(x)
+        if self._free:
+            return np.zeros_like(x)
         dw = np.zeros_like(x)
         both, lo, up = self._both, self._lo_only, self._up_only
         dw[both] = self.lower[both] + self.upper[both] - 2.0 * x[both]
@@ -207,6 +232,9 @@ class Box(ConvexSet):
 
     def _q(self, x, v):
         return self._weights(x) * v
+
+    def _q_cols(self, x, V):
+        return self._weights(x)[:, None] * V
 
     def _dq(self, x, d, v):
         return self._weights_deriv(x) * d * v
@@ -422,18 +450,19 @@ class Simplex(ConvexSet):
         supp = x > tol
         z_in = z[supp]
         z_out = np.sort(z[~supp])[::-1]
-        best_t = None
         base = float(np.sum(z_in))
         m = z_in.size
-        for k in range(z_out.size + 1):
-            t = (base + float(np.sum(z_out[:k]))) / (m + k)
-            upper_ok = k == 0 or z_out[k - 1] > t - 1e-15
-            lower_ok = k == z_out.size or z_out[k] <= t + 1e-15
-            if upper_ok and lower_ok:
-                best_t = t
-                break
-        if best_t is None:  # numerical tie fallback
-            best_t = base / max(m, 1)
+        # t_k averages the support with the k largest off-support values; the
+        # answer is the first k whose split is consistent on both sides
+        ks = np.arange(z_out.size + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (base + np.concatenate([[0.0], np.cumsum(z_out)])) / (m + ks)
+        ok = np.ones(ks.size, dtype=bool)
+        ok[1:] &= z_out > t[1:] - 1e-15
+        ok[:-1] &= z_out <= t[:-1] + 1e-15
+        hits = np.flatnonzero(ok)
+        # numerical tie fallback
+        best_t = float(t[hits[0]]) if hits.size else base / max(m, 1)
         out = np.minimum(z, best_t)
         out[supp] = best_t
         return out
@@ -549,6 +578,14 @@ class SpectralBall(ConvexSet):
         X = _mat(x, self._shape())
         Y = _mat(v, self._shape())
         return _flat(Y - X @ _sym(X.T @ Y))
+
+    def _q_cols(self, x, V):
+        X = _mat(x, self._shape())
+        cols = []
+        for j in range(V.shape[1]):
+            Y = _mat(V[:, j], self._shape())
+            cols.append(_flat(Y - X @ _sym(X.T @ Y)))
+        return np.column_stack(cols) if cols else np.zeros((x.size, 0))
 
     def _dq(self, x, d, v):
         X = _mat(x, self._shape())
@@ -752,7 +789,7 @@ class LinearInequalities(ConvexSet):
         lam = np.zeros(self.m)
         diag = np.diag(G)
         scale = 1.0 + np.linalg.norm(x)
-        for _ in range(100_000):
+        for _ in range(HILDRETH_MAX_SWEEPS):
             shift = 0.0
             for i in range(self.m):
                 gi = G[i] @ lam - h[i]
@@ -761,6 +798,10 @@ class LinearInequalities(ConvexSet):
                 lam[i] = new
             if shift <= 1e-15 * scale:
                 break
+        else:
+            raise ProjectionNotConverged(
+                f"linear-inequality projection stopped after {HILDRETH_MAX_SWEEPS} "
+                f"sweeps with a final shift of {shift:.3e} > {1e-15 * scale:.3e}")
         return x - self.A @ lam
 
     def _slack(self, x):
@@ -830,6 +871,10 @@ class Product(ConvexSet):
     def _q(self, x, v):
         return self._assemble([f._q(bx, bv) for f, bx, bv in
                                zip(self.factors, self._blocks(x), self._blocks(v))])
+
+    def _q_cols(self, x, V):
+        return np.concatenate([f._q_cols(bx, bV) for f, bx, bV in
+                               zip(self.factors, self._blocks(x), self._blocks(V))])
 
     def _dq(self, x, d, v):
         return self._assemble([f._dq(bx, bd, bv) for f, bx, bd, bv in

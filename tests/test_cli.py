@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from dissolve import cli
 from dissolve.cli import CSV_COLUMNS, main
+from dissolve.mappings import DissolvingMap
 from dissolve.problems import ProblemInstance, reference_small_oracle
 
 
@@ -179,10 +182,21 @@ def test_check_families(capsys):
     assert "FAIL  assumption_a_check" in out
 
 
-def test_check_fault_injection_names_failing_check(capsys):
+def test_check_fault_injection_names_failing_check(capsys, monkeypatch):
+    # a map shifted by a constant no longer fixes the feasible points
+    gen_instance = cli.problems.gen_instance
+
+    def faulty(*args, **kwargs):
+        inst, prob = gen_instance(*args, **kwargs)
+        amap = prob.amap
+        shifted = DissolvingMap(value=lambda x: amap.value(x) + 1e-3,
+                                vjp=amap.vjp, mode=amap.mode, sigma=amap.sigma)
+        return inst, dataclasses.replace(prob, amap=shifted)
+
+    monkeypatch.setattr(cli.problems, "gen_instance", faulty)
     rc = main(["check", "--family", "npca", "--n", "15", "--cols", "8",
                "--seed", "0", "--struct-points", "5", "--grad-points", "5",
-               "--probe-samples", "20", "--inject-fault"])
+               "--probe-samples", "20"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL  assumption_a_check" in out

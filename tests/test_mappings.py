@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from dissolve.diagnostics import assumption_a_check
 from dissolve.mappings import (
     CapabilityError,
     ConstraintMap,
+    PenaltyProblem,
     _aq_value_parts,
     aq_vjp_analytic,
     aq_vjp_fd,
@@ -422,6 +425,160 @@ def test_one_core_build_per_point(monkeypatch):
     calls.clear()
     h_value(prob, x)
     h_grad(prob, x)
+    assert len(calls) == 1
+
+
+def parent_fpca_oracles(data):
+    """fpca's constraint oracles as plain per-group formulas, for bit-for-bit
+    comparison with the problem's leaner ones."""
+    A_list, hat_sq, m_sizes, d = data["A"], data["hat_sq"], data["m"], data["d"]
+    k, n = len(A_list), A_list[0].shape[1]
+    AtA = [A.T @ A for A in A_list]
+    pe, ye = n * d, n * d + k
+
+    def split(x):
+        return x[:pe].reshape((n, d), order="F"), x[pe:ye], x[ye]
+
+    def c_value(x):
+        P, y, z = split(x)
+        out = np.empty(k + 1)
+        for i in range(k):
+            out[i] = (hat_sq[i] - np.sum((A_list[i] @ P) ** 2)) / m_sizes[i] + y[i] - z
+        out[k] = np.sum(P * P) - d
+        return out
+
+    def jac_t(x, v):
+        P, _, _ = split(x)
+        GP = np.zeros((n, d))
+        for i in range(k):
+            if v[i] != 0.0:
+                GP += v[i] * (-2.0 / m_sizes[i]) * (AtA[i] @ P)
+        GP += v[k] * 2.0 * P
+        out = np.zeros(ye + 1)
+        out[:pe] = GP.reshape(-1, order="F")
+        out[pe:ye] = v[:k]
+        out[ye] = -np.sum(v[:k])
+        return out
+
+    def jac(x, dd):
+        P, _, _ = split(x)
+        DP, dy, dz = split(dd)
+        out = np.empty(k + 1)
+        for i in range(k):
+            out[i] = (-2.0 / m_sizes[i]) * np.sum((AtA[i] @ P) * DP) + dy[i] - dz
+        out[k] = 2.0 * np.sum(P * DP)
+        return out
+
+    def hess(x, lam, dd):
+        DP, _, _ = split(dd)
+        HP = np.zeros((n, d))
+        for i in range(k):
+            if lam[i] != 0.0:
+                HP += lam[i] * (-2.0 / m_sizes[i]) * (AtA[i] @ DP)
+        HP += lam[k] * 2.0 * DP
+        out = np.zeros(ye + 1)
+        out[:pe] = HP.reshape(-1, order="F")
+        return out
+
+    return c_value, jac_t, jac, hess
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 3), (7, 3, 2), (5, 1, 1)])
+def test_fpca_oracles_match_plain_formulas(dims):
+    inst, prob = gen_fpca(*dims, seed=2)
+    c_value, jac_t, jac, hess = parent_fpca_oracles(inst.data)
+    cmap = prob.cmap
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        x = rng.standard_normal(prob.n)
+        dd = rng.standard_normal(prob.n)
+        v = rng.standard_normal(cmap.p)
+        lam = rng.standard_normal(cmap.p)
+        if trial % 2:
+            # zero and signed-zero weights take the skip branch
+            v[0], lam[-1], v[-1], lam[0] = 0.0, -0.0, -0.0, 0.0
+        assert same_bits(cmap.value(x), c_value(x))
+        assert same_bits(cmap.jac_t_apply(x, v), jac_t(x, v))
+        assert same_bits(cmap.jac_apply(x, dd), jac(x, dd))
+        assert same_bits(cmap.hess_apply(x, lam, dd), hess(x, lam, dd))
+
+
+def counting_problem(prob):
+    """prob over a constraint map that counts its value and G v calls, with
+    the generic map rebuilt over that map."""
+    calls = {"value": 0, "jac_t": []}
+    cm = prob.cmap
+
+    def value(x):
+        calls["value"] += 1
+        return cm.value(x)
+
+    def jac_t_apply(x, v):
+        calls["jac_t"].append(np.array(v))
+        return cm.jac_t_apply(x, v)
+
+    cmap = dataclasses.replace(cm, value=value, jac_t_apply=jac_t_apply)
+    amap = build_aq(prob.domain, cmap, sigma=prob.amap.sigma, mode=prob.amap.mode)
+    return dataclasses.replace(prob, cmap=cmap, amap=amap), calls
+
+
+def test_penalty_reads_c_from_the_map_point():
+    inst, prob = gen_qpb(8, seed=0)
+    x = near_feasible_points(inst, 1, seed=3)[0]
+    counted, calls = counting_problem(prob)
+    h_value(counted, x)
+    assert calls["value"] == 1
+
+    inst, prob = gen_fpca(4, 2, 3, seed=0)
+    x = near_feasible_points(inst, 1, seed=1, scale=0.4)[0]
+    counted, calls = counting_problem(prob)
+    h_value(counted, x)
+    h_grad(counted, x)
+    assert calls["value"] == 1
+    assert len(calls["jac_t"]) == 1
+    assert same_bits(calls["jac_t"][0], prob.cmap.value(x))
+
+
+@pytest.mark.parametrize("mode", ["generic_analytic", "generic_fd"])
+@pytest.mark.parametrize("gen,dims,scale", CACHED_FAMILIES)
+def test_penalty_from_the_map_point_matches_direct_formulas(gen, dims, scale, mode):
+    # the finite-difference vjp moves the map to other points before h_grad
+    # asks for c there
+    inst, prob = gen(*dims, seed=0)
+    cmap = prob.cmap
+    prob = dataclasses.replace(prob, amap=build_aq(prob.domain, cmap,
+                                                   sigma=prob.amap.sigma, mode=mode))
+    for x in near_feasible_points(inst, 3, seed=9, scale=scale):
+        c = cmap.value(x)
+        amap = fresh(prob)
+        hv = float(prob.f_value(amap.value(x)) + 0.5 * prob.beta * (c @ c))
+        hg = amap.vjp(x, prob.f_grad(amap.value(x))) + prob.beta * cmap.jac_t_apply(x, c)
+        assert h_value(prob, x) == hv
+        assert same_bits(h_grad(prob, x), hg)
+        # a map built over another constraint map is not asked for c
+        other = PenaltyProblem(f_value=prob.f_value, f_grad=prob.f_grad,
+                               cmap=dataclasses.replace(cmap), amap=amap,
+                               domain=prob.domain, beta=prob.beta)
+        assert amap.point_parts(other.cmap, x) is None
+        assert h_value(other, x) == hv
+        assert same_bits(h_grad(other, x), hg)
+
+
+def test_penalty_at_a_non_finite_point_builds_once(monkeypatch):
+    cmap = ConstraintMap(
+        p=1,
+        value=lambda x: np.array([x[0] - 0.5]),
+        jac_t_apply=lambda x, v: np.array([v[0], 0.0]),
+        jac_apply=lambda x, d: np.array([d[0]]),
+        hess_apply=lambda x, lam, d: np.zeros(2),
+    )
+    domain = Box([-np.inf] * 2, [np.inf] * 2)
+    prob = PenaltyProblem(f_value=lambda y: float(y @ y), f_grad=lambda y: 2.0 * y,
+                          cmap=cmap, amap=build_aq(domain, cmap), domain=domain,
+                          beta=3.0)
+    x = np.array([0.2, np.nan])
+    calls = count_pinv(monkeypatch)
+    assert np.isnan(h_value(prob, x))
     assert len(calls) == 1
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dissolve import sets
 from dissolve.sets import (
     Box,
     DimensionMismatch,
@@ -11,6 +12,7 @@ from dissolve.sets import (
     LinearInequalities,
     NonnegOrthant,
     NormBall,
+    ProjectionNotConverged,
     Product,
     PsdCone,
     SecondOrderCone,
@@ -96,6 +98,20 @@ def test_projection_nonexpansive_and_idempotent(seed):
 # ---------------------------------------------------------------- contains
 
 
+def test_linear_inequality_projection_raises_at_sweep_cap(monkeypatch):
+    # two violated, non-orthogonal constraints: the first sweep moves both
+    # multipliers, so only a later sweep can confirm convergence
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    poly = LinearInequalities(A, np.zeros(2))
+    x = np.array([1.0, 1.0])
+    p = poly.project(x)
+    assert np.all(A.T @ p <= 1e-12)
+    monkeypatch.setattr(sets, "HILDRETH_MAX_SWEEPS", 1)
+    with pytest.raises(ProjectionNotConverged, match="final shift"):
+        poly.project(x)
+    assert issubclass(ProjectionNotConverged, RuntimeError)
+
+
 def test_contains_examples():
     assert Simplex(3).contains([1 / 3, 1 / 3, 1 / 3], tol=0.0)
     assert not NormBall(2).contains([1 + 1e-3, 0.0], tol=1e-6)
@@ -168,6 +184,53 @@ def test_q_symmetric_psd_on_samples(catalog):
             Q = domain.q_matrix(x)
             assert np.abs(Q - Q.T).max() <= 1e-12
             assert np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() >= -1e-10
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spread", [0.1, 3.0])  # interior, then boundary contact
+def test_q_cols_matches_column_stack_of_q(catalog, spread):
+    rng = np.random.default_rng(29)
+    for domain in catalog:
+        for m in (1, 2, 5):
+            x = sample_point(domain, rng, spread)
+            # a row block of a wider matrix, as the generic map passes it
+            V = rng.standard_normal((domain.n + 2, m))[1:-1]
+            stack = np.column_stack([domain._q(x, V[:, j]) for j in range(m)])
+            assert same_bits(domain._q_cols(x, V), stack), (domain.kind, m)
+        assert domain._q_cols(x, np.zeros((domain.n, 0))).shape == (domain.n, 0)
+
+
+def masked_weights(box, x):
+    lo_fin, up_fin = np.isfinite(box.lower), np.isfinite(box.upper)
+    both, lo, up = lo_fin & up_fin, lo_fin & ~up_fin, ~lo_fin & up_fin
+    w = np.ones_like(x)
+    w[both] = (x[both] - box.lower[both]) * (box.upper[both] - x[both])
+    w[lo] = x[lo] - box.lower[lo]
+    w[up] = box.upper[up] - x[up]
+    dw = np.zeros_like(x)
+    dw[both] = box.lower[both] + box.upper[both] - 2.0 * x[both]
+    dw[lo] = 1.0
+    dw[up] = -1.0
+    return w, dw
+
+
+def test_box_weights_match_masked_formulas():
+    inf = np.inf
+    boxes = [NonnegOrthant(5),
+             Box([-1.0, 2.0, 0.0, -3.0, 0.5], [inf] * 5),
+             Box([-inf] * 5, [inf] * 5),
+             Box([-1.0, 0.0, -inf, -inf, 0.0], [1.5, inf, 2.0, inf, 0.0])]
+    rng = np.random.default_rng(31)
+    for box in boxes:
+        points = [np.array([-0.0, 0.0, -0.0, 1.0, -0.0])]
+        points += [box.project(rng.standard_normal(5)) for _ in range(5)]
+        for x in points:
+            w, dw = masked_weights(box, x)
+            assert same_bits(box._weights(x), w)
+            assert same_bits(box._weights_deriv(x), dw)
 
 
 def _null_space(Q, tol=1e-8):
@@ -249,6 +312,44 @@ def test_simplex_normal_cone_projection_kkt_conditions():
         assert np.all(p[~on] <= p[on].max() + 1e-12)
         assert abs(np.sum(z - p)) <= 1e-10
         assert np.all((z - p)[~on] >= -1e-12)
+
+
+def simplex_normal_cone_loop(x, z, tol=1e-8):
+    # the quadratic reference: try every count k of off-support values
+    supp = x > tol
+    z_in = z[supp]
+    z_out = np.sort(z[~supp])[::-1]
+    best_t = None
+    base = float(np.sum(z_in))
+    m = z_in.size
+    for k in range(z_out.size + 1):
+        t = (base + float(np.sum(z_out[:k]))) / (m + k)
+        upper_ok = k == 0 or z_out[k - 1] > t - 1e-15
+        lower_ok = k == z_out.size or z_out[k] <= t + 1e-15
+        if upper_ok and lower_ok:
+            best_t = t
+            break
+    if best_t is None:
+        best_t = base / max(m, 1)
+    out = np.minimum(z, best_t)
+    out[supp] = best_t
+    return out
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_simplex_normal_cone_projection_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 201))
+    supp = rng.random(n) < rng.uniform(0.02, 0.9)
+    supp[rng.integers(n)] = True
+    x = np.where(supp, rng.random(n) + 0.01, 0.0)
+    x /= x.sum()
+    # integer draws make ties among the off-support values
+    z = (rng.integers(-3, 4, n).astype(float) if seed % 3 == 0
+         else 3.0 * rng.standard_normal(n))
+    got = Simplex(n).normal_cone_project(x, z)
+    assert np.abs(got - simplex_normal_cone_loop(x, z)).max() <= 1e-12
 
 
 def test_normal_cone_projection_interior_is_zero():
