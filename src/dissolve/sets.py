@@ -579,14 +579,6 @@ class SpectralBall(ConvexSet):
         Y = _mat(v, self._shape())
         return _flat(Y - X @ _sym(X.T @ Y))
 
-    def _q_cols(self, x, V):
-        X = _mat(x, self._shape())
-        cols = []
-        for j in range(V.shape[1]):
-            Y = _mat(V[:, j], self._shape())
-            cols.append(_flat(Y - X @ _sym(X.T @ Y)))
-        return np.column_stack(cols) if cols else np.zeros((x.size, 0))
-
     def _dq(self, x, d, v):
         X = _mat(x, self._shape())
         D = _mat(d, self._shape())
