@@ -45,24 +45,24 @@ def _extra_dims(family, dims):
     return ""
 
 
+def _step_rule(solver_name):
+    return "fixed" if solver_name == "pg" else "bb_nonmonotone"
+
+
 def _solver_config(args, family):
     tol = FAMILY_TOLS[family]
     return solvers.SolverConfig(
         tol_stat=args.tol_stat if args.tol_stat is not None else tol,
         tol_feas=args.tol_feas if args.tol_feas is not None else tol,
         max_iter=args.max_iter,
-        step_rule="fixed" if args.solver == "pg" else "bb_nonmonotone",
+        step_rule=_step_rule(args.solver),
         eta=args.eta,
     )
 
 
-def _run_single(family, dims, seed, beta, solver_name, config):
+def _run_single(family, dims, seed, beta, config):
     inst, prob = problems.gen_instance(family, seed=seed, beta=beta, **dims)
-    if solver_name == "pg":
-        result = solvers.projected_gradient(prob, inst.x0, config)
-    else:
-        result = solvers.pg_bb(prob, inst.x0, config)
-    return inst, prob, result
+    return inst, prob, solvers.solve(prob, inst.x0, config)
 
 
 def _row(family, dims, seed, solver_name, beta, result):
@@ -105,17 +105,13 @@ def cmd_solve(args):
         dims = {k: inst.data[k] for k in ("n", "m_cols", "k", "d", "rho",
                                           "edge_density") if k in inst.data}
         prob = problems.build_problem(inst, beta=args.beta)
-        config = _solver_config(args, family)
-        result = (solvers.projected_gradient(prob, inst.x0, config)
-                  if args.solver == "pg" else solvers.pg_bb(prob, inst.x0, config))
-        beta = prob.beta
+        result = solvers.solve(prob, inst.x0, _solver_config(args, family))
     else:
         family = args.family
         dims = _dims_from_args(args)
-        config = _solver_config(args, family)
         inst, prob, result = _run_single(family, dims, seed, args.beta,
-                                         args.solver, config)
-        beta = prob.beta
+                                         _solver_config(args, family))
+    beta = prob.beta
 
     if args.dump_instance:
         inst.dump(args.dump_instance)
@@ -137,11 +133,11 @@ def cmd_solve(args):
 def _bench_task(payload):
     family, dims, seed, beta_grid, solver_name, max_iter = payload
     tol = FAMILY_TOLS[family]
-    config = solvers.SolverConfig(tol_stat=tol, tol_feas=tol, max_iter=max_iter)
+    config = solvers.SolverConfig(tol_stat=tol, tol_feas=tol, max_iter=max_iter,
+                                  step_rule=_step_rule(solver_name))
     best = None
     for beta in beta_grid:
-        inst, prob, result = _run_single(family, dims, seed, beta, solver_name,
-                                         config)
+        inst, prob, result = _run_single(family, dims, seed, beta, config)
         feasible = result.feas <= tol
         key = (0 if feasible else 1, result.f_val if feasible else result.feas)
         if best is None or key < best[0]:

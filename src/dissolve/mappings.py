@@ -16,13 +16,21 @@ for the last point it saw, keyed by the exact bytes of x, so `value` and
 array mutated in place, builds afresh.  `h_value` and `h_grad` take c(x) and
 G(x) c(x) from that point too, when the map was built over the problem's
 constraint map; otherwise they evaluate the constraint map themselves.
+
+A `PenaltyProblem` keeps a one-slot point record, (bytes of x, A(x), c(x)),
+for the last finite x that `h_value` evaluated.  `h_grad` at those bytes,
+and the solvers' feasibility and final objective, read A(x) and c(x) from it
+instead of evaluating them again.  The solvers still call `h_value` and
+`h_grad` by name for every evaluation, so wrappers that replace those names
+see each one.  Closed-form objectives may memoize likewise: npca's `f` and
+its gradient share B^T x for the last finite point.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,6 +127,10 @@ class PenaltyProblem:
     amap: DissolvingMap
     domain: ConvexSet
     beta: float
+    # one slot, (bytes of x, A(x), c(x)), for the last finite x that h_value
+    # evaluated; a problem made by with_beta or dataclasses.replace starts empty
+    _record: list = field(default_factory=lambda: [None], init=False,
+                          compare=False, repr=False)
 
     def __post_init__(self):
         if self.beta < 0:
@@ -127,6 +139,14 @@ class PenaltyProblem:
     @property
     def n(self):
         return self.domain.n
+
+    def point(self, x):
+        """(A(x), c(x)) as h_value last evaluated them, when x has the exact
+        bytes of that point; None otherwise.  x must be a float array."""
+        rec = self._record[0]
+        if rec is None or rec[0] != x.tobytes():
+            return None
+        return rec[1], rec[2]
 
     def with_beta(self, beta):
         return dataclasses.replace(self, beta=float(beta))
@@ -353,33 +373,43 @@ def closed_form_map(kind, **params):
     return DissolvingMap(value=value, vjp=vjp, mode="closed_form", sigma=None)
 
 
-def _penalty_parts(prob, x):
-    """(c(x), G(x) c(x) or None): from the map's point when it holds x,
-    else c from the constraint map."""
+def _penalty_parts(prob, x, c=None):
+    """(c(x), G(x) c(x) or None): c as given, else from the map's point when
+    it holds x, else from the constraint map; G c from the map's point only."""
     parts = None if prob.amap.point_parts is None else prob.amap.point_parts(prob.cmap, x)
-    return (prob.cmap.value(x), None) if parts is None else parts
+    if parts is None:
+        return (prob.cmap.value(x) if c is None else c), None
+    return (parts[0] if c is None else c), parts[1]
 
 
 def h_value(prob, x):
     """Penalty objective f(A(x)) + (beta/2)||c(x)||^2.
 
-    Callers are expected to supply x in the domain (within tolerance); the
-    smooth formulas extend off the set, which finite-difference oracles rely
-    on.
+    A finite x becomes the problem's point record, which `h_grad` and the
+    solvers read instead of evaluating A(x) and c(x) again.  Callers are
+    expected to supply x in the domain (within tolerance); the smooth
+    formulas extend off the set, which finite-difference oracles rely on.
     """
     x = np.asarray(x, dtype=float)
-    fa = prob.f_value(prob.amap.value(x))
+    a = prob.amap.value(x)
+    fa = prob.f_value(a)
     c, _ = _penalty_parts(prob, x)
+    if np.isfinite(x).all():
+        prob._record[0] = (x.tobytes(), a, c)
     return float(fa + 0.5 * prob.beta * (c @ c))
 
 
 def h_grad(prob, x):
-    """Gradient of the penalty objective: gradA(x) gradf(A(x)) + beta*G(x)c(x)."""
+    """Gradient of the penalty objective: gradA(x) gradf(A(x)) + beta*G(x)c(x).
+
+    At the point h_value recorded last, A(x) and c(x) come from the record.
+    """
     x = np.asarray(x, dtype=float)
-    gf = np.asarray(prob.f_grad(prob.amap.value(x)), dtype=float)
-    out = prob.amap.vjp(x, gf)
+    rec = prob.point(x)
+    a = prob.amap.value(x) if rec is None else rec[0]
+    out = prob.amap.vjp(x, np.asarray(prob.f_grad(a), dtype=float))
     if prob.cmap.p and prob.beta != 0.0:
-        c, Gc = _penalty_parts(prob, x)
+        c, Gc = _penalty_parts(prob, x, None if rec is None else rec[1])
         if Gc is None:
             Gc = prob.cmap.jac_t_apply(x, c)
         out = out + prob.beta * Gc

@@ -117,12 +117,25 @@ def build_npca_problem(B, rho, beta=None):
     n = B.shape[0]
     rho = float(rho)
 
-    def f_value(x):
+    # B^T x for the last finite x, keyed by its exact bytes: f and its
+    # gradient at one point share one product
+    memo = [(None, None)]
+
+    def bt(x):
+        key = x.tobytes()
+        if memo[0][0] == key:
+            return memo[0][1]
         bx = B.T @ x
-        return -0.5 * float(bx @ bx) + rho * float(np.sum(x))
+        if np.isfinite(x).all():
+            memo[0] = (key, bx)
+        return bx
+
+    def f_value(x):
+        bx = bt(x)
+        return -0.5 * float(bx @ bx) + rho * float(x.sum())
 
     def f_grad(x):
-        return -(B @ (B.T @ x)) + rho
+        return -(B @ bt(x)) + rho
 
     cmap = ConstraintMap(
         p=1,

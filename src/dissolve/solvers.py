@@ -8,6 +8,7 @@ by projecting after each step.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -80,33 +81,60 @@ class SolveResult:
     trace: list = field(default_factory=list)  # rows (h, feas, stat, step)
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D array, bit for bit what np.linalg.norm gives."""
+    return math.sqrt(float(v @ v))
+
+
+def _pg_residual(prob, x, g):
+    """Normalized projected-gradient residual ||x - P(x - g)|| / (1 + ||x||)."""
+    return _norm(x - prob.domain.project(x - g)) / (1.0 + _norm(x))
+
+
 def stationarity_measure(prob, x):
-    """Normalized projected-gradient residual ||x - P(x - grad h(x))|| / (1 + ||x||)."""
+    """Normalized projected-gradient residual ||x - P(x - grad h(x))|| / (1 + ||x||).
+
+    The solvers report the same number as `SolveResult.stat` and in the trace.
+    """
     x = np.asarray(x, dtype=float)
-    g = h_grad(prob, x)
-    step = prob.domain.project(x - g)
-    return float(np.linalg.norm(x - step) / (1.0 + np.linalg.norm(x)))
+    return _pg_residual(prob, x, h_grad(prob, x))
 
 
 def feasibility_measure(prob, x):
-    """Equality violation ||c(P(x))|| at the projection of x onto the domain."""
+    """Equality violation ||c(P(x))|| at the projection of x onto the domain.
+
+    `SolveResult.feas` and the trace report ||c(x)|| at the iterate itself;
+    the two agree on the domain, where every iterate lies.
+    """
     xp = prob.domain.project(np.asarray(x, dtype=float))
-    return float(np.linalg.norm(prob.cmap.value(xp)))
+    return _norm(prob.cmap.value(xp))
+
+
+def _finite(hval, g):
+    return math.isfinite(hval) and np.isfinite(g).all()
 
 
 def _metrics(prob, x, g):
-    proj = prob.domain.project(x - g)
-    stat = float(np.linalg.norm(x - proj) / (1.0 + np.linalg.norm(x)))
-    feas = float(np.linalg.norm(prob.cmap.value(x)))
-    return stat, feas
+    """(stationarity, ||c(x)||) at an iterate x whose gradient is g; c(x)
+    comes from the problem's point record when it holds x."""
+    rec = prob.point(x)
+    c = prob.cmap.value(x) if rec is None else rec[1]
+    return _pg_residual(prob, x, g), _norm(c)
 
 
-def _result(prob, x, hval, iters, t0, status, trace):
-    stat, feas = _metrics(prob, x, h_grad(prob, x)) if np.all(np.isfinite(x)) \
-        else (float("nan"), float("nan"))
+def _result(prob, x, hval, iters, t0, status, trace, metrics=None):
+    """The outcome at x.  (stat, feas) is `metrics` when the caller has it,
+    else evaluated at x when x is finite; A(x) for f(A(x)) comes from the
+    point record when it holds x."""
+    if metrics is None:
+        metrics = (_metrics(prob, x, h_grad(prob, x)) if np.isfinite(x).all()
+                   else (float("nan"), float("nan")))
+    stat, feas = metrics
+    rec = prob.point(x)
+    a = prob.amap.value(x) if rec is None else rec[0]
     return SolveResult(
         x_final=x,
-        f_val=float(prob.f_value(prob.amap.value(x))),
+        f_val=float(prob.f_value(a)),
         h_val=float(hval),
         feas=feas,
         stat=stat,
@@ -148,7 +176,7 @@ def projected_gradient(prob, x0, config=None):
     trace = []
     hval = h_value(prob, x)
     g = h_grad(prob, x)
-    if not (np.isfinite(hval) and np.all(np.isfinite(g))):
+    if not _finite(hval, g):
         trace.append((hval, float("nan"), float("nan"), 0.0))
         return _result(prob, x, hval, 0, t0, NUMERICAL_FAILURE, trace)
 
@@ -157,13 +185,13 @@ def projected_gradient(prob, x0, config=None):
         stat, feas = _metrics(prob, x, g)
         trace.append((hval, feas, stat, eta if k else 0.0))
         if stat <= config.tol_stat and feas <= config.tol_feas:
-            return _result(prob, x, hval, k, t0, CONVERGED, trace)
+            return _result(prob, x, hval, k, t0, CONVERGED, trace, metrics=(stat, feas))
         if k >= config.max_iter:
-            return _result(prob, x, hval, k, t0, MAX_ITER, trace)
+            return _result(prob, x, hval, k, t0, MAX_ITER, trace, metrics=(stat, feas))
         x = prob.domain.project(x - eta * g)
         hval = h_value(prob, x)
         g = h_grad(prob, x)
-        if not (np.isfinite(hval) and np.all(np.isfinite(g))):
+        if not _finite(hval, g):
             trace.append((hval, float("nan"), float("nan"), eta))
             return _result(prob, x, hval, k + 1, t0, NUMERICAL_FAILURE, trace)
         k += 1
@@ -178,7 +206,7 @@ def pg_bb(prob, x0, config=None):
 
     hval = h_value(live, x)
     g = h_grad(live, x)
-    if not (np.isfinite(hval) and np.all(np.isfinite(g))):
+    if not _finite(hval, g):
         return _result(live, x, hval, 0, t0, NUMERICAL_FAILURE,
                        [(hval, float("nan"), float("nan"), 0.0)])
 
@@ -187,8 +215,8 @@ def pg_bb(prob, x0, config=None):
     # the penalty objective can be unbounded below far from the feasible set,
     # and an uncapped first step can clear the barrier around it
     alpha = min(1.0,
-                1.0 / max(np.max(np.abs(g)), 1e-16),
-                0.1 * (1.0 + np.linalg.norm(x)) / max(np.linalg.norm(g), 1e-16))
+                1.0 / max(float(np.abs(g).max()), 1e-16),
+                0.1 * (1.0 + _norm(x)) / max(_norm(g), 1e-16))
     trace = []
     best_h, best_x = hval, x.copy()
     feas_marker = None
@@ -199,9 +227,9 @@ def pg_bb(prob, x0, config=None):
         stat, feas = _metrics(live, x, g)
         trace.append((hval, feas, stat, accepted_step))
         if stat <= config.tol_stat and feas <= config.tol_feas:
-            return _result(live, x, hval, k, t0, CONVERGED, trace)
+            return _result(live, x, hval, k, t0, CONVERGED, trace, metrics=(stat, feas))
         if k >= config.max_iter:
-            return _result(live, x, hval, k, t0, MAX_ITER, trace)
+            return _result(live, x, hval, k, t0, MAX_ITER, trace, metrics=(stat, feas))
 
         # optional continuation: bump beta when feasibility stalls
         if config.beta_schedule == "continuation" and k % config.stall_window == 0:
@@ -214,15 +242,15 @@ def pg_bb(prob, x0, config=None):
             feas_marker = feas
 
         h_ref = max(memory)
-        a = float(np.clip(alpha, config.bb_min, config.bb_max))
-        step_cap = config.max_step_scale * (1.0 + float(np.linalg.norm(x)))
+        a = float(min(max(alpha, config.bb_min), config.bb_max))
+        step_cap = config.max_step_scale * (1.0 + _norm(x))
         accepted = False
         for _ in range(config.max_backtracks + 1):
             x_trial = live.domain.project(x - a * g)
             d = x_trial - x
-            if float(np.linalg.norm(d)) <= step_cap:
+            if _norm(d) <= step_cap:
                 h_trial = h_value(live, x_trial)
-                if np.isfinite(h_trial) and h_trial <= h_ref + config.armijo_c * float(g @ d):
+                if math.isfinite(h_trial) and h_trial <= h_ref + config.armijo_c * float(g @ d):
                     accepted = True
                     break
             a *= config.backtrack_factor
@@ -232,10 +260,10 @@ def pg_bb(prob, x0, config=None):
             return _result(live, best_x, best_h, k + 1, t0, LINE_SEARCH_FAILURE, trace)
 
         g_new = h_grad(live, x_trial)
-        if not np.all(np.isfinite(g_new)):
+        if not np.isfinite(g_new).all():
             trace.append((h_trial, float("nan"), float("nan"), a))
             return _result(live, x_trial, h_trial, k + 1, t0, NUMERICAL_FAILURE, trace)
-        s = x_trial - x
+        s = d
         y = g_new - g
         sy = float(s @ y)
         if sy > 0.0:
@@ -243,9 +271,8 @@ def pg_bb(prob, x0, config=None):
         else:
             # nonpositive curvature: fall back to the local spectral scale
             # rather than bb_max, which would allow barrier-clearing steps
-            ny = float(np.linalg.norm(y))
-            alpha = min(config.bb_max,
-                        float(np.linalg.norm(s)) / ny if ny > 0.0 else config.bb_max)
+            ny = _norm(y)
+            alpha = min(config.bb_max, _norm(s) / ny if ny > 0.0 else config.bb_max)
         x, g, hval = x_trial, g_new, h_trial
         accepted_step = a
         memory.append(hval)

@@ -212,3 +212,26 @@ def test_check_json_output(capsys):
     assert names == ["grad_check", "assumption_a_check", "pi_sigma",
                      "local_error_bound_probe"]
     assert all(r["passed"] for r in reports)
+
+
+def test_solve_and_bench_run_through_solvers_solve(tmp_path, monkeypatch):
+    rules = []
+    solve = cli.solvers.solve
+
+    def recording(prob, x0, config):
+        rules.append(config.step_rule)
+        return solve(prob, x0, config)
+
+    monkeypatch.setattr(cli.solvers, "solve", recording)
+    inst_path = tmp_path / "inst.json"
+    base = ["--family", "npca", "--n", "10", "--cols", "5", "--seed", "0"]
+    assert main(["solve", *base, "--dump-instance", str(inst_path)]) == 0
+    assert main(["solve", "--instance", str(inst_path), "--solver", "pg"]) == 0
+    assert rules == ["bb_nonmonotone", "fixed"]
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--family", "npca", "--n", "10", "--cols", "5",
+                 "--seeds", "0", "--solver", "pg", "--jobs", "1",
+                 "--csv", str(csv_path)]) == 0
+    assert rules[2:] == ["fixed"]
+    row = read_rows(csv_path)[0]
+    assert row["solver"] == "pg" and row["status"] == "converged"

@@ -634,3 +634,126 @@ def test_h_grad_exact_at_boundary_active_iterate():
     P = res.x_final[:30].reshape((10, 3), order="F")
     assert np.linalg.svd(P, compute_uv=False).max() >= 1.0 - 1e-12
     assert grad_check(prob, [res.x_final]).passed
+
+
+# ---------------------------------------------------------------- point record
+
+
+RECORD_FAMILIES = [(gen_npca, (12, 6), 0.05)] + CACHED_FAMILIES
+
+
+def nan_point_problem():
+    """A generic map whose core stays finite at [0.2, nan]: c reads x[0] only."""
+    cmap = ConstraintMap(
+        p=1,
+        value=lambda x: np.array([x[0] - 0.5]),
+        jac_t_apply=lambda x, v: np.array([v[0], 0.0]),
+        jac_apply=lambda x, d: np.array([d[0]]),
+        hess_apply=lambda x, lam, d: np.zeros(2),
+    )
+    domain = Box([-np.inf] * 2, [np.inf] * 2)
+    return PenaltyProblem(f_value=lambda y: float(y @ y), f_grad=lambda y: 2.0 * y,
+                          cmap=cmap, amap=build_aq(domain, cmap), domain=domain,
+                          beta=3.0)
+
+
+@pytest.mark.parametrize("gen,dims,scale", RECORD_FAMILIES)
+def test_h_grad_after_h_value_matches_a_fresh_problem(gen, dims, scale):
+    inst, prob = gen(*dims, seed=0)
+    x, y = (p.copy() for p in near_feasible_points(inst, 2, seed=5, scale=scale))
+    for z in (x, y, x):
+        h_value(prob, z)
+        assert prob.point(z) is not None
+        assert same_bits(h_grad(prob, z), h_grad(gen(*dims, seed=0)[1], z))
+    # the record holds x's old bytes: the mutated array misses it
+    h_value(prob, x)
+    x[0] += 1e-3
+    assert prob.point(x) is None
+    assert same_bits(h_grad(prob, x), h_grad(gen(*dims, seed=0)[1], x))
+    x[-1] -= 1e-3
+    assert h_value(prob, x) == h_value(gen(*dims, seed=0)[1], x)
+    assert same_bits(h_grad(prob, x), h_grad(gen(*dims, seed=0)[1], x))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_npca(12, 6, seed=0)[1], nan_point_problem])
+def test_point_record_never_stores_a_nan_point(make):
+    prob = make()
+    x = np.full(prob.n, 0.25)
+    h_value(prob, x)
+    bad = x.copy()
+    bad[1] = np.nan
+    assert np.isnan(h_value(prob, bad))
+    assert prob.point(bad) is None
+    assert prob.point(x) is not None  # still the last finite point
+    assert same_bits(h_grad(prob, bad), h_grad(make(), bad))
+    assert same_bits(h_grad(prob, x), h_grad(make(), x))
+
+
+def test_point_record_starts_empty_and_stays_out_of_equality():
+    inst, prob = gen_npca(12, 6, seed=0)
+    x = inst.x0
+    twin = dataclasses.replace(prob)
+    h_value(prob, x)
+    assert prob.point(x) is not None
+    assert twin.point(x) is None
+    assert prob.with_beta(3.0).point(x) is None
+    assert dataclasses.replace(prob).point(x) is None
+    assert dataclasses.replace(prob, beta=prob.beta).point(x) is None
+    assert twin == prob and hash(twin) == hash(prob)
+    assert "_record" not in repr(prob)
+
+
+def counted_calls(prob):
+    """prob with A(x) and c(x) counting their calls; a generic map is rebuilt
+    over the counting constraint map so that its builds are counted too."""
+    calls = {"A": 0, "c": 0}
+    cm, am = prob.cmap, prob.amap
+
+    def c_value(x):
+        calls["c"] += 1
+        return cm.value(x)
+
+    cmap = dataclasses.replace(cm, value=c_value)
+    if am.mode != "closed_form":
+        am = build_aq(prob.domain, cmap, sigma=am.sigma, mode=am.mode)
+    a_value = am.value
+
+    def value(x):
+        calls["A"] += 1
+        return a_value(x)
+
+    amap = dataclasses.replace(am, value=value)
+    return dataclasses.replace(prob, cmap=cmap, amap=amap), calls
+
+
+def test_npca_solve_evaluates_each_point_once(monkeypatch):
+    from dissolve import solvers
+
+    inst, prob = gen_npca(60, 10, rho=0.1, seed=0)
+    plain = solvers.pg_bb(prob, inst.x0)
+    counted, calls = counted_calls(prob)
+    h_calls = []
+    value = solvers.h_value
+
+    def counting_h_value(p, x):
+        h_calls.append(1)
+        return value(p, x)
+
+    monkeypatch.setattr(solvers, "h_value", counting_h_value)
+    res = solvers.pg_bb(counted, inst.x0)
+    assert res.status == "converged" and res.iters > 10
+    assert calls["A"] <= len(h_calls) + 1
+    assert calls["c"] <= len(h_calls) + 1
+    assert same_bits(res.x_final, plain.x_final) and res.trace == plain.trace
+    assert (res.f_val, res.feas, res.stat) == (plain.f_val, plain.feas, plain.stat)
+
+
+def test_fpca_penalty_pair_evaluates_each_part_once(monkeypatch):
+    inst, prob = gen_fpca(4, 2, 3, seed=0)
+    x = near_feasible_points(inst, 1, seed=1, scale=0.4)[0]
+    counted, calls = counted_calls(prob)
+    builds = count_pinv(monkeypatch)
+    h_value(counted, x)
+    h_grad(counted, x)
+    assert calls == {"A": 1, "c": 1}
+    assert len(builds) == 1

@@ -63,6 +63,42 @@ def test_npca_solver_reaches_tolerances():
     assert res.feas <= 1e-6 and res.stat <= 1e-6
 
 
+def test_npca_objective_matches_plain_formulas():
+    # f and its gradient share B^T x through a one-point memo; every order of
+    # calls, revisits and in-place mutation must give the plain formulas' bits
+    inst, prob = gen_npca(40, 8, rho=0.3, seed=2)
+    B, rho = inst.data["B"], inst.data["rho"]
+
+    def f_value(x):
+        bx = B.T @ x
+        return -0.5 * float(bx @ bx) + rho * float(np.sum(x))
+
+    def f_grad(x):
+        return -(B @ (B.T @ x)) + rho
+
+    rng = np.random.default_rng(3)
+    # magnitudes over twelve decades make any other summation order show
+    x, y = rng.random(40), rng.standard_normal(40) * 10.0 ** rng.integers(-6, 6, 40)
+    w = 1e-6 * rng.standard_normal(40) * 10.0 ** rng.integers(-8, 0, 40)  # f ~ rho sum(w)
+    for z in (x, y, w, x, y):
+        assert prob.f_value(z) == f_value(z)
+        assert prob.f_grad(z).tobytes() == f_grad(z).tobytes()
+        assert prob.f_grad(z).tobytes() == f_grad(z).tobytes()
+        assert prob.f_value(z) == f_value(z)
+    for _ in range(3):
+        prob.f_value(x)
+        x[5] += 0.125
+        assert prob.f_grad(x).tobytes() == f_grad(x).tobytes()
+        x[0] -= 0.5
+        assert prob.f_value(x) == f_value(x)
+    x[2] = np.nan
+    for _ in range(2):
+        assert np.isnan(prob.f_value(x))
+        assert prob.f_grad(x).tobytes() == f_grad(x).tobytes()
+    x[2] = 0.5
+    assert prob.f_value(x) == f_value(x)
+
+
 # ---------------------------------------------------------------- qpb
 
 

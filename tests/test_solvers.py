@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dissolve import solvers
 from dissolve.mappings import (
     ConstraintMap,
     PenaltyProblem,
@@ -11,6 +14,7 @@ from dissolve.mappings import (
 from dissolve.sets import Box, NonnegOrthant, NormBall
 from dissolve.solvers import (
     SolverConfig,
+    _norm,
     estimate_grad_lipschitz,
     feasibility_measure,
     kkt_residual_original,
@@ -239,6 +243,62 @@ def test_feasibility_measure_cases():
         feasibility_measure(prob, 5.0 * x))
     x_feas = d - np.array([1.0, 0.0])  # inside the ball, on the shifted sphere
     assert feasibility_measure(prob, x_feas) <= 1e-12
+
+
+def test_reported_feasibility_is_at_the_iterate_measure_at_its_projection():
+    # SolveResult.feas and the trace report ||c(x)||; feasibility_measure
+    # reports ||c(P(x))||; stat is stationarity_measure's number
+    inst, prob = gen_qpb(12, seed=3)
+    res = pg_bb(prob, inst.x0, SolverConfig(max_iter=5))
+    x = res.x_final
+    assert res.status == "max_iter"
+    assert res.feas == float(np.linalg.norm(prob.cmap.value(x)))
+    assert res.stat == stationarity_measure(prob, x)
+    assert res.trace[-1][1:3] == (res.feas, res.stat)
+    assert feasibility_measure(prob, x) == float(
+        np.linalg.norm(prob.cmap.value(prob.domain.project(x))))
+    y = 3.0 * x / np.linalg.norm(x)  # off the ball: the two numbers part
+    assert feasibility_measure(prob, y) == float(
+        np.linalg.norm(prob.cmap.value(prob.domain.project(y))))
+    assert feasibility_measure(prob, y) != float(np.linalg.norm(prob.cmap.value(y)))
+
+
+@pytest.mark.parametrize("rule,eta,max_iter,status", [
+    ("fixed", None, 5000, "converged"), ("fixed", 0.01, 40, "max_iter"),
+    ("bb_nonmonotone", None, 5000, "converged"), ("bb_nonmonotone", None, 20, "max_iter"),
+])
+def test_result_reuses_the_final_point(rule, eta, max_iter, status, monkeypatch):
+    # one gradient at x0 and one per step, none again for the returned point,
+    # whose A(x) comes from the last h_value
+    inst, prob = gen_npca(20, 8, seed=1)
+    cfg = SolverConfig(step_rule=rule, eta=eta, max_iter=max_iter)
+    plain = solve(prob, inst.x0, cfg)
+    calls = {"h_value": 0, "h_grad": 0, "A": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("h_value", "h_grad"):
+        monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+    amap = dataclasses.replace(prob.amap, value=counting("A", prob.amap.value))
+    # the step estimate of the fixed rule evaluates gradients of its own
+    res = solve(dataclasses.replace(prob, amap=amap), inst.x0,
+                dataclasses.replace(cfg, eta=eta or plain.trace[1][3]))
+    assert res.status == status
+    assert calls["h_grad"] == res.iters + 1
+    assert calls["A"] == calls["h_value"]
+    assert (res.f_val, res.feas, res.stat, res.trace) == (
+        plain.f_val, plain.feas, plain.stat, plain.trace)
+
+
+@given(st.lists(st.floats(min_value=-1e150, max_value=1e150), max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_norm_matches_numpy_bit_for_bit(values):
+    v = np.array(values, dtype=float)
+    assert _norm(v) == float(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------- kkt residual
