@@ -6,13 +6,16 @@ projective mapping Q(x) (a smooth, symmetric, positive-semidefinite operator
 whose null space spans the normal cone), and differentiate Q along a
 direction.  Matrix-shaped sets act on column-major flattened vectors; JSON
 serialization uses row-major nested lists.
+
+This module imports numpy only.  scipy is imported on first use, by the
+lq-ball projection for exponents other than 1, 2 and inf (`brentq`) and by
+`LinearInequalities.normal_cone_project` (`nnls`), so `import dissolve` and
+every other set leave it unloaded.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq, nnls
 
 DEFAULT_TOL = 1e-8
 HILDRETH_MAX_SWEEPS = 100_000  # sweep cap of LinearInequalities.project
@@ -377,6 +380,7 @@ class NormBall(ConvexSet):
 
 def _lq_ball_shrink(a, u, q):
     """Solve the lq-ball projection in magnitudes: t + lam*q*t^(q-1) = a, sum t^q = u^q."""
+    from scipy.optimize import brentq
 
     def magnitudes(lam):
         lo = np.zeros_like(a)
@@ -824,6 +828,8 @@ class LinearInequalities(ConvexSet):
         active = self.b - self.A.T @ x <= tol * (1.0 + np.abs(self.b))
         if not np.any(active):
             return np.zeros_like(z)
+        from scipy.optimize import nnls
+
         Aact = self.A[:, active]
         lam, _ = nnls(Aact, z)
         return Aact @ lam
@@ -879,7 +885,10 @@ class Product(ConvexSet):
                                    self._blocks(w))])
 
     def affine_hull_projector(self):
-        return block_diag(*[f.affine_hull_projector() for f in self.factors])
+        P = np.zeros((self.n, self.n))
+        for f, lo, hi in zip(self.factors, self._offsets, self._offsets[1:]):
+            P[lo:hi, lo:hi] = f.affine_hull_projector()
+        return P
 
     def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
         x = _vec(x, self.n)
@@ -892,29 +901,25 @@ class Product(ConvexSet):
         return {"factors": [f.to_json() for f in self.factors]}
 
 
+_DECODERS = {
+    "box": lambda o: Box(_bounds_from_json(o["lower"], -np.inf),
+                         _bounds_from_json(o["upper"], np.inf)),
+    "nonneg_orthant": lambda o: NonnegOrthant(o["n"]),
+    "norm_ball": lambda o: NormBall(o["n"], o["radius"], o["exponent"]),
+    "simplex": lambda o: Simplex(o["n"]),
+    "second_order_cone": lambda o: SecondOrderCone(o["n"]),
+    "spectral_ball": lambda o: SpectralBall(o["m"], o["s"]),
+    "psd_cone": lambda o: PsdCone(o["s"]),
+    "psd_spectral_ball": lambda o: PsdSpectralBall(o["s"]),
+    "linear_inequalities": lambda o: LinearInequalities(np.array(o["A"], dtype=float),
+                                                        np.array(o["b"], dtype=float)),
+    "product": lambda o: Product([set_from_json(f) for f in o["factors"]]),
+}
+
+
 def set_from_json(obj):
     """Rebuild a descriptor from its JSON dict form."""
     kind = obj["kind"]
-    if kind == "box":
-        return Box(_bounds_from_json(obj["lower"], -np.inf),
-                   _bounds_from_json(obj["upper"], np.inf))
-    if kind == "nonneg_orthant":
-        return NonnegOrthant(obj["n"])
-    if kind == "norm_ball":
-        return NormBall(obj["n"], obj["radius"], obj["exponent"])
-    if kind == "simplex":
-        return Simplex(obj["n"])
-    if kind == "second_order_cone":
-        return SecondOrderCone(obj["n"])
-    if kind == "spectral_ball":
-        return SpectralBall(obj["m"], obj["s"])
-    if kind == "psd_cone":
-        return PsdCone(obj["s"])
-    if kind == "psd_spectral_ball":
-        return PsdSpectralBall(obj["s"])
-    if kind == "linear_inequalities":
-        return LinearInequalities(np.array(obj["A"], dtype=float),
-                                  np.array(obj["b"], dtype=float))
-    if kind == "product":
-        return Product([set_from_json(f) for f in obj["factors"]])
-    raise ValueError(f"unknown set kind {kind!r}")
+    if kind not in _DECODERS:
+        raise ValueError(f"unknown set kind {kind!r}")
+    return _DECODERS[kind](obj)

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,17 @@ from dissolve.sets import (
     Simplex,
     SpectralBall,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports dissolve from src; return its stdout."""
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def orthonormal_columns(n, m, seed=0):

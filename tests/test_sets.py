@@ -21,7 +21,7 @@ from dissolve.sets import (
     set_from_json,
 )
 
-from conftest import make_catalog, sample_point, sample_smooth_point
+from conftest import make_catalog, run_fresh, sample_point, sample_smooth_point
 
 
 # ---------------------------------------------------------------- projection
@@ -95,6 +95,26 @@ def test_projection_nonexpansive_and_idempotent(seed):
         assert np.linalg.norm(domain.project(pa) - pa) <= 1e-9
 
 
+# brentq (lq ball, q = 4) and nnls (polyhedral normal cone) are imported on
+# first call; printed as hex bytes in this process and in a fresh one
+LAZY_SCIPY_CALLS = """
+import numpy as np
+from dissolve.sets import LinearInequalities, NormBall
+rng = np.random.default_rng(29)
+ball = NormBall(6, 1.0, exponent=4.0)
+A, x = rng.standard_normal((5, 3)), rng.standard_normal(5)
+poly = LinearInequalities(A, A.T @ x)  # every constraint active at x
+outs = [ball.project(3.0 * rng.standard_normal(6)),
+        poly.normal_cone_project(x, rng.standard_normal(5))]
+print(" ".join(o.tobytes().hex() for o in outs))
+"""
+
+
+def test_lazy_scipy_calls_match_a_fresh_interpreter(capsys):
+    exec(LAZY_SCIPY_CALLS, {})
+    assert run_fresh(LAZY_SCIPY_CALLS) == capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- contains
 
 
@@ -144,6 +164,26 @@ def test_affine_hull_projector_idempotent_symmetric(catalog):
         P = domain.affine_hull_projector()
         assert np.abs(P - P.T).max() <= 1e-12
         assert np.abs(P @ P - P).max() <= 1e-12
+
+
+def scipy_block_diag(domain):
+    from scipy.linalg import block_diag
+
+    if isinstance(domain, Product):
+        return block_diag(*[scipy_block_diag(f) for f in domain.factors])
+    return domain.affine_hull_projector()
+
+
+@pytest.mark.parametrize("prod", [
+    Product([SpectralBall(4, 3), NonnegOrthant(2), Box([-np.inf], [np.inf])]),
+    Product([Product([Simplex(3), Box([0.0], [1.0])]), Simplex(2), PsdCone(2)]),
+    Product([Box([0.0], [1.0]), Simplex(4)]),
+], ids=["fpca", "nested", "simplex"])
+def test_product_affine_hull_projector_equals_block_diag(prod):
+    expected = scipy_block_diag(prod)
+    got = prod.affine_hull_projector()
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- Q mapping
