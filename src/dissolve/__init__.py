@@ -37,8 +37,6 @@ from .solvers import (
     SolverConfig,
     feasibility_measure,
     kkt_residual_original,
-    pg_bb,
-    projected_gradient,
     solve,
     stationarity_measure,
 )

@@ -22,42 +22,27 @@ from . import diagnostics, problems, solvers
 CSV_COLUMNS = ["family", "n", "extra_dims", "rho", "seed", "solver", "beta",
                "fval", "feas", "stat", "iters", "time_s", "status"]
 
-FAMILY_TOLS = {"npca": 1e-6, "qpb": 1e-6, "fpca": 1e-4}
-
 
 def _default_seed():
     return int(os.environ.get("DISSOLVE_SEED", "0"))
 
 
-def _dims_from_args(args):
-    if args.family == "npca":
-        return {"n": args.n, "m_cols": args.cols, "rho": args.rho}
-    if args.family == "qpb":
-        return {"n": args.n, "edge_density": args.edge_density}
-    return {"n": args.n, "k": args.k, "d": args.d}
+def _dims_from_args(args, **override):
+    """The family's generator dims from its CLI options, with `override` on top."""
+    dims = {key: getattr(args, dest)
+            for key, dest in problems.FAMILIES[args.family].cli_dims.items()}
+    dims.update((k, v) for k, v in override.items() if k in dims)
+    return dims
 
 
-def _extra_dims(family, dims):
-    if family == "npca":
-        return f"cols={dims['m_cols']}"
-    if family == "fpca":
-        return f"k={dims['k']};d={dims['d']}"
-    return ""
-
-
-def _step_rule(solver_name):
-    return "fixed" if solver_name == "pg" else "bb_nonmonotone"
-
-
-def _solver_config(args, family):
-    tol = FAMILY_TOLS[family]
+def _solver_config(family, solver_name, max_iter, tol_stat=None, tol_feas=None, eta=None):
+    """The config of `--solver solver_name`, at the family's tolerance by default."""
+    tol = problems.FAMILIES[family].tol
     return solvers.SolverConfig(
-        tol_stat=args.tol_stat if args.tol_stat is not None else tol,
-        tol_feas=args.tol_feas if args.tol_feas is not None else tol,
-        max_iter=args.max_iter,
-        step_rule=_step_rule(args.solver),
-        eta=args.eta,
-    )
+        tol_stat=tol_stat if tol_stat is not None else tol,
+        tol_feas=tol_feas if tol_feas is not None else tol,
+        max_iter=max_iter, eta=eta,
+        step_rule="fixed" if solver_name == "pg" else "bb_nonmonotone")
 
 
 def _run_single(family, dims, seed, beta, config):
@@ -69,7 +54,7 @@ def _row(family, dims, seed, solver_name, beta, result):
     return {
         "family": family,
         "n": dims["n"],
-        "extra_dims": _extra_dims(family, dims),
+        "extra_dims": problems.FAMILIES[family].extra_dims.format(**dims),
         "rho": dims.get("rho", 0.0),
         "seed": seed,
         "solver": solver_name,
@@ -99,18 +84,18 @@ def cmd_solve(args):
         print("error: --family is required unless --instance is given",
               file=sys.stderr)
         return 2
-    if args.instance:
-        inst = problems.ProblemInstance.load(args.instance)
-        family = inst.family
-        dims = {k: inst.data[k] for k in ("n", "m_cols", "k", "d", "rho",
-                                          "edge_density") if k in inst.data}
-        prob = problems.build_problem(inst, beta=args.beta)
-        result = solvers.solve(prob, inst.x0, _solver_config(args, family))
-    else:
-        family = args.family
+    inst = problems.ProblemInstance.load(args.instance) if args.instance else None
+    family = args.family if inst is None else inst.family
+    config = _solver_config(family, args.solver, args.max_iter, args.tol_stat,
+                            args.tol_feas, args.eta)
+    if inst is None:
         dims = _dims_from_args(args)
-        inst, prob, result = _run_single(family, dims, seed, args.beta,
-                                         _solver_config(args, family))
+        inst, prob, result = _run_single(family, dims, seed, args.beta, config)
+    else:
+        dims = {k: inst.data[k] for k in problems.FAMILIES[family].cli_dims
+                if k in inst.data}
+        prob = problems.build_problem(inst, beta=args.beta)
+        result = solvers.solve(prob, inst.x0, config)
     beta = prob.beta
 
     if args.dump_instance:
@@ -132,13 +117,11 @@ def cmd_solve(args):
 
 def _bench_task(payload):
     family, dims, seed, beta_grid, solver_name, max_iter = payload
-    tol = FAMILY_TOLS[family]
-    config = solvers.SolverConfig(tol_stat=tol, tol_feas=tol, max_iter=max_iter,
-                                  step_rule=_step_rule(solver_name))
+    config = _solver_config(family, solver_name, max_iter)
     best = None
     for beta in beta_grid:
         inst, prob, result = _run_single(family, dims, seed, beta, config)
-        feasible = result.feas <= tol
+        feasible = result.feas <= config.tol_feas
         key = (0 if feasible else 1, result.f_val if feasible else result.feas)
         if best is None or key < best[0]:
             best = (key, beta, result)
@@ -148,35 +131,20 @@ def _bench_task(payload):
 
 def _int_list(text, default=None):
     items = [s for s in (text or "").split(",") if s.strip()]
-    if not items:
-        return default if default is not None else []
-    return [int(s) for s in items]
+    return [int(s) for s in items] if items else (default or [])
 
 
 def cmd_bench(args):
     seeds = _int_list(args.seeds, default=[_default_seed()])
     ns = _int_list(args.n)
+    family = problems.FAMILIES[args.family]
     rhos = ([float(s) for s in args.rho.split(",") if s.strip()]
-            if args.family == "npca" else [0.0])
-    if args.beta is not None:
-        beta_grid = [args.beta]
-    elif args.family == "fpca":
-        beta_grid = list(problems.FPCA_BETA_GRID)
-    else:
-        beta_grid = [problems.DEFAULT_BETA[args.family]]
+            if "rho" in family.cli_dims else [None])
+    beta_grid = [args.beta] if args.beta is not None else list(family.beta_grid)
 
-    tasks = []
-    for n in ns:
-        for rho in rhos:
-            for seed in seeds:
-                if args.family == "npca":
-                    dims = {"n": n, "m_cols": args.cols, "rho": rho}
-                elif args.family == "qpb":
-                    dims = {"n": n, "edge_density": args.edge_density}
-                else:
-                    dims = {"n": n, "k": args.k, "d": args.d}
-                tasks.append((args.family, dims, seed, beta_grid, args.solver,
-                              args.max_iter))
+    tasks = [(args.family, _dims_from_args(args, n=n, rho=rho), seed, beta_grid,
+              args.solver, args.max_iter)
+             for n in ns for rho in rhos for seed in seeds]
 
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
@@ -192,6 +160,9 @@ def cmd_bench(args):
 
 def cmd_check(args):
     seed = args.seed if args.seed is not None else _default_seed()
+    if min(args.grad_points, args.struct_points, args.probe_samples) < 1:
+        raise ValueError("--grad-points, --struct-points and --probe-samples "
+                         "must be at least 1")
     dims = _dims_from_args(args)
     inst, prob = problems.gen_instance(args.family, seed=seed, **dims)
     pts_grad = problems.near_feasible_points(inst, args.grad_points, seed=seed + 1)
@@ -230,15 +201,24 @@ def cmd_dump_instance(args):
     return 0
 
 
+def _used_by(dest):
+    """The families that read CLI option `dest`, for its help text."""
+    return ", ".join(name for name, fam in problems.FAMILIES.items()
+                     if dest in fam.cli_dims.values())
+
+
 def _add_dim_flags(p, family_required=True):
     p.add_argument("--family", required=family_required,
-                   choices=("npca", "qpb", "fpca"))
+                   choices=tuple(problems.FAMILIES))
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--cols", type=int, default=25, help="npca column count")
-    p.add_argument("--rho", type=float, default=0.0, help="npca sparsity charge")
-    p.add_argument("--edge-density", type=float, default=0.5, help="qpb graph density")
-    p.add_argument("--k", type=int, default=2, help="fpca group count")
-    p.add_argument("--d", type=int, default=3, help="fpca target rank")
+    p.add_argument("--cols", type=int, default=25,
+                   help=f"column count ({_used_by('cols')})")
+    p.add_argument("--rho", type=float, default=0.0,
+                   help=f"sparsity charge ({_used_by('rho')})")
+    p.add_argument("--edge-density", type=float, default=0.5,
+                   help=f"graph density ({_used_by('edge_density')})")
+    p.add_argument("--k", type=int, default=2, help=f"group count ({_used_by('k')})")
+    p.add_argument("--d", type=int, default=3, help=f"target rank ({_used_by('d')})")
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to env DISSOLVE_SEED or 0")
 
@@ -262,16 +242,16 @@ def build_parser():
     ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("bench", help="run a matrix of instances into a CSV table")
-    pb.add_argument("--family", required=True, choices=("npca", "qpb", "fpca"))
+    pb.add_argument("--family", required=True, choices=tuple(problems.FAMILIES))
     pb.add_argument("--n", required=True, help="comma list of sizes")
     pb.add_argument("--cols", type=int, default=50)
-    pb.add_argument("--rho", default="0.0", help="comma list (npca)")
+    pb.add_argument("--rho", default="0.0", help=f"comma list ({_used_by('rho')})")
     pb.add_argument("--edge-density", type=float, default=0.5)
     pb.add_argument("--k", type=int, default=2)
     pb.add_argument("--d", type=int, default=3)
     pb.add_argument("--seeds", default=None, help="comma list")
     pb.add_argument("--beta", type=float, default=None,
-                    help="fixed beta (fpca defaults to a grid)")
+                    help="fixed beta (defaults to the family's grid)")
     pb.add_argument("--solver", choices=("pgbb", "pg"), default="pgbb")
     pb.add_argument("--max-iter", type=int, default=20000)
     pb.add_argument("--jobs", type=int, default=None)

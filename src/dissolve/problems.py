@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,8 +30,10 @@ logger = logging.getLogger("dissolve")
 
 __all__ = [
     "ProblemInstance",
-    "DEFAULT_BETA",
+    "Family",
+    "FAMILIES",
     "FPCA_BETA_GRID",
+    "gen_instance",
     "gen_npca",
     "gen_qpb",
     "gen_fpca",
@@ -42,10 +46,7 @@ __all__ = [
     "fpca_objective",
 ]
 
-DEFAULT_BETA = {"npca": 100.0, "qpb": 10.0, "fpca": 1.0}
 FPCA_BETA_GRID = (0.1, 1.0, 10.0)
-
-_FAMILY_SUBSEED = {"npca": 11, "qpb": 22, "fpca": 33}
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,14 @@ class ProblemInstance:
 
     @staticmethod
     def from_json(obj):
-        family = obj["family"]
+        fam = get_family(obj["family"])
         data = dict(obj["data"])
-        if family == "npca":
-            data["B"] = np.array(data["B"], dtype=float)
-        elif family == "qpb":
-            data["Qmat"] = np.array(data["Qmat"], dtype=float)
-            data["qvec"] = np.array(data["qvec"], dtype=float)
-            data["d"] = np.array(data["d"], dtype=float)
-        elif family == "fpca":
-            data["A"] = [np.array(A, dtype=float) for A in data["A"]]
-            data["hat_sq"] = np.array(data["hat_sq"], dtype=float)
-            data["m"] = np.array(data["m"], dtype=float)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        for key in fam.arrays:
+            data[key] = np.array(data[key], dtype=float)
+        for key in fam.array_lists:
+            data[key] = [np.array(v, dtype=float) for v in data[key]]
         return ProblemInstance(
-            family=family,
+            family=obj["family"],
             seed=int(obj["seed"]),
             x0=np.array(obj["x0"], dtype=float),
             data=data,
@@ -106,7 +99,7 @@ class ProblemInstance:
 
 
 def _rng(family, seed, tensor):
-    return np.random.default_rng([int(seed), _FAMILY_SUBSEED[family], int(tensor)])
+    return np.random.default_rng([int(seed), FAMILIES[family].subseed, int(tensor)])
 
 
 # ---------------------------------------------------------------- npca
@@ -147,12 +140,14 @@ def build_npca_problem(B, rho, beta=None):
     domain = NonnegOrthant(n)
     amap = closed_form_map("sphere_nonneg", H=None)
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
-                          domain=domain, beta=DEFAULT_BETA["npca"] if beta is None else beta)
+                          domain=domain, beta=FAMILIES["npca"].beta if beta is None else beta)
 
 
 def gen_npca(n, m_cols, rho=0.0, seed=0, beta=None):
     """Data matrix rescaled so its spectral norm equals its column count;
     start from the normalized absolute value of a Gaussian vector."""
+    if n < 1 or m_cols < 1 or not math.isfinite(rho):
+        raise ValueError(f"npca needs n, m_cols >= 1, finite rho; got {n}, {m_cols}, {rho}")
     B = _rng("npca", seed, 0).standard_normal((n, m_cols))
     B *= m_cols / np.linalg.norm(B, 2)
     g = _rng("npca", seed, 1).standard_normal(n)
@@ -189,22 +184,23 @@ def build_qpb_problem(Qmat, qvec, beta=None, sigma=1.0):
     domain = NormBall(n, radius=1.0, exponent=2.0)
     amap = build_aq(domain, cmap, sigma=sigma, mode="generic_analytic")
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
-                          domain=domain, beta=DEFAULT_BETA["qpb"] if beta is None else beta)
+                          domain=domain, beta=FAMILIES["qpb"].beta if beta is None else beta)
 
 
 def gen_qpb(n, edge_density=0.5, seed=0, beta=None):
     """Laplacian of a random graph, negated and Frobenius-normalized; the
     linear term is a normalized uniform vector."""
-    attempt = 0
-    while True:
-        rng = _rng("qpb", seed, attempt)
-        iu = np.triu_indices(n, 1)
-        edges = rng.random(iu[0].size) < edge_density
+    if n < 2 or not 0.0 < edge_density <= 1.0:
+        raise ValueError(f"qpb needs n >= 2, edge_density in (0, 1]; got {n}, {edge_density}")
+    iu = np.triu_indices(n, 1)
+    for attempt in range(100):  # sub-seeds stay below the linear term's 1000
+        edges = _rng("qpb", seed, attempt).random(iu[0].size) < edge_density
         if edges.any():
             break
         logger.warning("qpb seed %s produced an empty graph; regenerating "
                        "with sub-seed %s", seed, attempt + 1)
-        attempt += 1
+    else:
+        raise ValueError(f"qpb seed {seed} drew no edge in 100 graphs")
     adj = np.zeros((n, n))
     adj[iu[0][edges], iu[1][edges]] = 1.0
     adj = adj + adj.T
@@ -227,10 +223,6 @@ def gen_qpb(n, edge_density=0.5, seed=0, beta=None):
 # ---------------------------------------------------------------- fpca
 
 
-def _fpca_layout(n, k, d):
-    return n * d, n * d + k  # end of P block, end of y block
-
-
 def fpca_objective(P, data):
     """max over groups of the normalized reconstruction gap."""
     vals = [(data["hat_sq"][i] - np.linalg.norm(data["A"][i] @ P, "fro") ** 2)
@@ -249,7 +241,7 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
         hat_sq = np.array([np.sum(np.linalg.svd(A, compute_uv=False)[:d] ** 2)
                            for A in A_list])
     AtA = [A.T @ A for A in A_list]
-    pe, ye = _fpca_layout(n, k, d)
+    pe, ye = n * d, n * d + k  # end of the P block, end of the y block
     dim = ye + 1
     # per-group scalars as Python floats: the same doubles, cheaper to combine
     hat = [float(h) for h in hat_sq]
@@ -333,13 +325,15 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
                       Box([-np.inf], [np.inf])])
     amap = build_aq(domain, cmap, sigma=sigma, mode="generic_analytic")
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
-                          domain=domain, beta=DEFAULT_BETA["fpca"] if beta is None else beta)
+                          domain=domain, beta=FAMILIES["fpca"].beta if beta is None else beta)
 
 
 def gen_fpca(n, k, d, seed=0, beta=None):
     """Square standard-normal group matrices; the start point scales a random
     matrix to Frobenius norm sqrt(d) and is pulled into the spectral ball
     (logged) when its top singular value exceeds one."""
+    if min(n, k, d) < 1 or d > n:
+        raise ValueError(f"fpca needs n, k, d >= 1, d <= n; got n={n}, k={k}, d={d}")
     A_list = [_rng("fpca", seed, i).standard_normal((n, n)) for i in range(k)]
     hat_sq = np.array([np.sum(np.linalg.svd(A, compute_uv=False)[:d] ** 2)
                        for A in A_list])
@@ -368,76 +362,106 @@ def gen_fpca(n, k, d, seed=0, beta=None):
 # ---------------------------------------------------------------- shared
 
 
+def _npca_feasible(data, rng):
+    g = np.abs(rng.standard_normal(data["n"]))
+    return g / np.linalg.norm(g)
+
+
+def _qpb_feasible(data, rng):
+    n = data["n"]
+    d = np.zeros(n)
+    d[0] = 0.5
+    for _ in range(200):  # rejection keeps the ball constraint
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        if np.linalg.norm(d + u) <= 1.0:
+            return d + u
+    # the feasible cap needs u_1 <= -1/4, which a uniform sphere direction
+    # almost never hits at large n; build it directly
+    s = 0.25 + 0.75 * rng.random()
+    w = rng.standard_normal(n - 1)
+    w *= np.sqrt(max(0.0, 1.0 - s * s)) / np.linalg.norm(w)
+    u = np.concatenate([[-s], w])
+    u /= np.linalg.norm(u)
+    x = d + u
+    return x if np.linalg.norm(x) <= 1.0 else None
+
+
+def _fpca_feasible(data, rng):
+    n, k, d = data["n"], data["k"], data["d"]
+    P, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    g = np.array([(data["hat_sq"][i] - np.sum((data["A"][i] @ P) ** 2))
+                  / data["m"][i] for i in range(k)])
+    z = float(np.max(g) + 0.5 + rng.random())
+    y = z - g
+    return np.concatenate([P.reshape(-1, order="F"), y, [z]])
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the library and the CLI know about one benchmark family."""
+
+    generate: Callable      # (**dims, seed=, beta=) -> (instance, problem)
+    build: Callable         # (instance data, beta) -> problem
+    arrays: tuple           # data fields that JSON holds as arrays
+    feasible: Callable      # (data, rng) -> a feasible point, or None to redraw
+    subseed: int            # RNG sub-seed of the generator and the samplers
+    cli_dims: dict          # generator keyword -> CLI option
+    extra_dims: str         # CSV extra_dims column, formatted with the dims
+    tol: float              # CLI tolerance on stationarity and feasibility
+    beta: float             # default penalty weight
+    beta_grid: tuple        # betas `dissolve bench` tries
+    array_lists: tuple = ()  # data fields that JSON holds as lists of arrays
+
+
+FAMILIES = {
+    "npca": Family(
+        generate=gen_npca,
+        build=lambda data, beta: build_npca_problem(data["B"], data["rho"], beta=beta),
+        arrays=("B",), feasible=_npca_feasible, subseed=11,
+        cli_dims={"n": "n", "m_cols": "cols", "rho": "rho"},
+        extra_dims="cols={m_cols}", tol=1e-6, beta=100.0, beta_grid=(100.0,)),
+    "qpb": Family(
+        generate=gen_qpb,
+        build=lambda data, beta: build_qpb_problem(data["Qmat"], data["qvec"], beta=beta),
+        arrays=("Qmat", "qvec", "d"), feasible=_qpb_feasible, subseed=22,
+        cli_dims={"n": "n", "edge_density": "edge_density"},
+        extra_dims="", tol=1e-6, beta=10.0, beta_grid=(10.0,)),
+    "fpca": Family(
+        generate=gen_fpca,
+        build=lambda data, beta: build_fpca_problem(
+            data["A"], data["d"], hat_sq=data["hat_sq"], m_sizes=data["m"], beta=beta),
+        arrays=("hat_sq", "m"), array_lists=("A",), feasible=_fpca_feasible,
+        subseed=33, cli_dims={"n": "n", "k": "k", "d": "d"},
+        extra_dims="k={k};d={d}", tol=1e-4, beta=1.0, beta_grid=FPCA_BETA_GRID),
+}
+
+
+def get_family(name):
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
+
+
 def gen_instance(family, seed=0, beta=None, **dims):
-    if family == "npca":
-        return gen_npca(dims["n"], dims["m_cols"], dims.get("rho", 0.0),
-                        seed=seed, beta=beta)
-    if family == "qpb":
-        return gen_qpb(dims["n"], dims.get("edge_density", 0.5), seed=seed,
-                       beta=beta)
-    if family == "fpca":
-        return gen_fpca(dims["n"], dims["k"], dims["d"], seed=seed, beta=beta)
-    raise ValueError(f"unknown family {family!r}")
+    return get_family(family).generate(seed=seed, beta=beta, **dims)
 
 
 def build_problem(instance, beta=None):
     """Rebuild the penalty problem from a (possibly deserialized) instance."""
-    data = instance.data
-    if instance.family == "npca":
-        return build_npca_problem(data["B"], data["rho"], beta=beta)
-    if instance.family == "qpb":
-        return build_qpb_problem(data["Qmat"], data["qvec"], beta=beta)
-    if instance.family == "fpca":
-        return build_fpca_problem(data["A"], data["d"], hat_sq=data["hat_sq"],
-                                  m_sizes=data["m"], beta=beta)
-    raise ValueError(f"unknown family {instance.family!r}")
+    return get_family(instance.family).build(instance.data, beta)
 
 
 def feasible_points(instance, count, seed=0):
     """Exactly feasible samples for the structural checks, one list per call."""
-    rng = np.random.default_rng([int(seed), 77, _FAMILY_SUBSEED[instance.family]])
-    data = instance.data
+    fam = get_family(instance.family)
+    rng = np.random.default_rng([int(seed), 77, fam.subseed])
     out = []
-    if instance.family == "npca":
-        n = data["n"]
-        while len(out) < count:
-            g = np.abs(rng.standard_normal(n))
-            out.append(g / np.linalg.norm(g))
-    elif instance.family == "qpb":
-        n = data["n"]
-        d = np.zeros(n)
-        d[0] = 0.5
-        while len(out) < count:
-            x = None
-            for _ in range(200):  # rejection keeps the ball constraint
-                u = rng.standard_normal(n)
-                u /= np.linalg.norm(u)
-                if np.linalg.norm(d + u) <= 1.0:
-                    x = d + u
-                    break
-            if x is None:
-                # the feasible cap needs u_1 <= -1/4, which a uniform sphere
-                # direction almost never hits at large n; build it directly
-                s = 0.25 + 0.75 * rng.random()
-                w = rng.standard_normal(n - 1)
-                w *= np.sqrt(max(0.0, 1.0 - s * s)) / np.linalg.norm(w)
-                u = np.concatenate([[-s], w])
-                u /= np.linalg.norm(u)
-                x = d + u
-                if np.linalg.norm(x) > 1.0:
-                    continue
+    while len(out) < count:
+        x = fam.feasible(instance.data, rng)
+        if x is not None:
             out.append(x)
-    elif instance.family == "fpca":
-        n, k, d = data["n"], data["k"], data["d"]
-        while len(out) < count:
-            P, _ = np.linalg.qr(rng.standard_normal((n, d)))
-            g = np.array([(data["hat_sq"][i] - np.sum((data["A"][i] @ P) ** 2))
-                          / data["m"][i] for i in range(k)])
-            z = float(np.max(g) + 0.5 + rng.random())
-            y = z - g
-            out.append(np.concatenate([P.reshape(-1, order="F"), y, [z]]))
-    else:
-        raise ValueError(f"unknown family {instance.family!r}")
     return out
 
 
@@ -449,7 +473,7 @@ def near_feasible_points(instance, count, seed=0, scale=0.05):
     the penalty objective arbitrarily stiff; the perturbation grows
     deterministically until the floor holds.
     """
-    rng = np.random.default_rng([int(seed), 78, _FAMILY_SUBSEED[instance.family]])
+    rng = np.random.default_rng([int(seed), 78, get_family(instance.family).subseed])
     prob = build_problem(instance)
     out = []
     for x in feasible_points(instance, count, seed=seed):

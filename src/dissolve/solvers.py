@@ -1,9 +1,9 @@
 """Projection-based minimization of the penalty objective over the domain.
 
-Two drivers: a fixed-step projected gradient iteration and a projected
-gradient method with a long Barzilai-Borwein steplength safeguarded by a
-non-monotone Armijo line search.  Both keep every iterate inside the domain
-by projecting after each step.
+One projected gradient method, `solve`, with two step rules: a fixed step,
+and a long Barzilai-Borwein steplength safeguarded by a step cap and a
+non-monotone Armijo line search.  Every iterate stays inside the domain by
+projecting after each step.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "SolveResult",
     "stationarity_measure",
     "feasibility_measure",
-    "projected_gradient",
-    "pg_bb",
     "solve",
     "kkt_residual_original",
     "estimate_grad_lipschitz",
@@ -34,6 +32,18 @@ MAX_ITER = "max_iter"
 LINE_SEARCH_FAILURE = "line_search_failure"
 NUMERICAL_FAILURE = "numerical_failure"
 
+BB_MIN, BB_MAX = 1e-10, 1e10
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+# trials moving farther than this fraction of (1 + ||x||) are backtracked;
+# keeps iterates from clearing the barrier around the feasible region when
+# the penalty objective is unbounded below on a noncompact domain
+MAX_STEP_SCALE = 0.25
+# continuation multiplies beta by CONTINUATION_FACTOR when ||c(x)|| fell by
+# less than STALL_RATIO over the last stall window
+CONTINUATION_FACTOR = 10.0
+STALL_RATIO = 0.1
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -42,30 +52,24 @@ class SolverConfig:
     max_iter: int = 5000
     step_rule: str = "bb_nonmonotone"  # or "fixed"
     eta: float | None = None           # fixed step; estimated from x0 when None
-    bb_min: float = 1e-10
-    bb_max: float = 1e10
     nm_memory: int = 10
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     max_backtracks: int = 50
     beta_schedule: str = "fixed"       # or "continuation"
-    continuation_factor: float = 10.0
-    stall_ratio: float = 0.1
     stall_window: int = 100
-    # trials moving farther than this fraction of (1 + ||x||) are backtracked;
-    # keeps iterates from clearing the barrier around the feasible region when
-    # the penalty objective is unbounded below on a noncompact domain
-    max_step_scale: float = 0.25
 
     def __post_init__(self):
-        if self.tol_stat <= 0 or self.tol_feas <= 0:
+        if not (self.tol_stat > 0 and self.tol_feas > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        if self.bb_min > self.bb_max:
-            raise ValueError("bb bounds out of order")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
-            raise ValueError("armijo_c and backtrack_factor must be in (0, 1)")
+        if self.step_rule not in ("fixed", "bb_nonmonotone"):
+            raise ValueError(f"unknown step_rule {self.step_rule!r}")
+        if self.beta_schedule not in ("fixed", "continuation"):
+            raise ValueError(f"unknown beta_schedule {self.beta_schedule!r}")
+        if min(self.nm_memory, self.stall_window, self.max_backtracks + 1) < 1:
+            raise ValueError("nm_memory, stall_window >= 1 and max_backtracks >= 0 needed")
+        if self.step_rule == "fixed" and self.beta_schedule == "continuation":
+            raise ValueError("a fixed step suits one beta: no continuation with it")
 
 
 @dataclass
@@ -132,17 +136,9 @@ def _result(prob, x, hval, iters, t0, status, trace, metrics=None):
     stat, feas = metrics
     rec = prob.point(x)
     a = prob.amap.value(x) if rec is None else rec[0]
-    return SolveResult(
-        x_final=x,
-        f_val=float(prob.f_value(a)),
-        h_val=float(hval),
-        feas=feas,
-        stat=stat,
-        iters=iters,
-        wall_time_s=time.perf_counter() - t0,
-        status=status,
-        trace=trace,
-    )
+    return SolveResult(x_final=x, f_val=float(prob.f_value(a)), h_val=float(hval),
+                       feas=feas, stat=stat, iters=iters,
+                       wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
 
 
 def estimate_grad_lipschitz(prob, x0, iters=20):
@@ -162,47 +158,23 @@ def estimate_grad_lipschitz(prob, x0, iters=20):
     return L
 
 
-def projected_gradient(prob, x0, config=None):
-    """Fixed-step iteration x <- P(x - eta * grad h(x))."""
-    config = config or SolverConfig(step_rule="fixed")
-    if config.step_rule != "fixed":
-        raise ValueError("projected_gradient runs the fixed step rule")
-    t0 = time.perf_counter()
-    x = prob.domain.project(np.asarray(x0, dtype=float))
-    eta = config.eta if config.eta is not None else 1.0 / estimate_grad_lipschitz(prob, x)
-    if eta <= 0:
-        raise ValueError("step size must be positive")
+def solve(prob, x0, config=None):
+    """Projected gradient iteration x <- P(x - a * grad h(x)).
 
-    trace = []
-    hval = h_value(prob, x)
-    g = h_grad(prob, x)
-    if not _finite(hval, g):
-        trace.append((hval, float("nan"), float("nan"), 0.0))
-        return _result(prob, x, hval, 0, t0, NUMERICAL_FAILURE, trace)
-
-    k = 0
-    while True:
-        stat, feas = _metrics(prob, x, g)
-        trace.append((hval, feas, stat, eta if k else 0.0))
-        if stat <= config.tol_stat and feas <= config.tol_feas:
-            return _result(prob, x, hval, k, t0, CONVERGED, trace, metrics=(stat, feas))
-        if k >= config.max_iter:
-            return _result(prob, x, hval, k, t0, MAX_ITER, trace, metrics=(stat, feas))
-        x = prob.domain.project(x - eta * g)
-        hval = h_value(prob, x)
-        g = h_grad(prob, x)
-        if not _finite(hval, g):
-            trace.append((hval, float("nan"), float("nan"), eta))
-            return _result(prob, x, hval, k + 1, t0, NUMERICAL_FAILURE, trace)
-        k += 1
-
-
-def pg_bb(prob, x0, config=None):
-    """Projected gradient with BB steplength and non-monotone Armijo search."""
+    The step `a` is config.eta (estimated from x0 when None) under the fixed
+    rule; under "bb_nonmonotone" it is a clipped BB step, backtracked until
+    the trial moves at most MAX_STEP_SCALE * (1 + ||x||) and passes a
+    non-monotone Armijo test over the last nm_memory values of h.
+    """
     config = config or SolverConfig()
+    bb = config.step_rule == "bb_nonmonotone"
     t0 = time.perf_counter()
     live = prob
     x = live.domain.project(np.asarray(x0, dtype=float))
+    if not bb:
+        a = config.eta if config.eta is not None else 1.0 / estimate_grad_lipschitz(live, x)
+        if not a > 0:
+            raise ValueError("step size must be positive")
 
     hval = h_value(live, x)
     g = h_grad(live, x)
@@ -210,15 +182,16 @@ def pg_bb(prob, x0, config=None):
         return _result(live, x, hval, 0, t0, NUMERICAL_FAILURE,
                        [(hval, float("nan"), float("nan"), 0.0)])
 
-    memory = deque([hval], maxlen=config.nm_memory)
-    # first trial displacement is capped at a fraction of the point scale:
-    # the penalty objective can be unbounded below far from the feasible set,
-    # and an uncapped first step can clear the barrier around it
-    alpha = min(1.0,
-                1.0 / max(float(np.abs(g).max()), 1e-16),
-                0.1 * (1.0 + _norm(x)) / max(_norm(g), 1e-16))
+    if bb:
+        memory = deque([hval], maxlen=config.nm_memory)
+        # first trial displacement is capped at a fraction of the point scale:
+        # the penalty objective can be unbounded below far from the feasible
+        # set, and an uncapped first step can clear the barrier around it
+        alpha = min(1.0,
+                    1.0 / max(float(np.abs(g).max()), 1e-16),
+                    0.1 * (1.0 + _norm(x)) / max(_norm(g), 1e-16))
+        best_h, best_x = hval, x.copy()
     trace = []
-    best_h, best_x = hval, x.copy()
     feas_marker = None
     accepted_step = 0.0
     k = 0
@@ -233,60 +206,54 @@ def pg_bb(prob, x0, config=None):
 
         # optional continuation: bump beta when feasibility stalls
         if config.beta_schedule == "continuation" and k % config.stall_window == 0:
-            if feas_marker is not None and feas > (1.0 - config.stall_ratio) * feas_marker \
+            if feas_marker is not None and feas > (1.0 - STALL_RATIO) * feas_marker \
                     and feas > config.tol_feas:
-                live = live.with_beta(live.beta * config.continuation_factor)
+                live = live.with_beta(live.beta * CONTINUATION_FACTOR)
                 hval = h_value(live, x)
                 g = h_grad(live, x)
                 memory = deque([hval], maxlen=config.nm_memory)
             feas_marker = feas
 
-        h_ref = max(memory)
-        a = float(min(max(alpha, config.bb_min), config.bb_max))
-        step_cap = config.max_step_scale * (1.0 + _norm(x))
-        accepted = False
-        for _ in range(config.max_backtracks + 1):
+        if bb:
+            h_ref = max(memory)
+            a = float(min(max(alpha, BB_MIN), BB_MAX))
+            step_cap = MAX_STEP_SCALE * (1.0 + _norm(x))
+            for _ in range(config.max_backtracks + 1):
+                x_trial = live.domain.project(x - a * g)
+                d = x_trial - x
+                if _norm(d) <= step_cap:
+                    h_trial = h_value(live, x_trial)
+                    if math.isfinite(h_trial) and h_trial <= h_ref + ARMIJO_C * float(g @ d):
+                        break
+                a *= BACKTRACK_FACTOR
+            else:
+                trace.append((best_h, feasibility_measure(live, best_x),
+                              stationarity_measure(live, best_x), a))
+                return _result(live, best_x, best_h, k + 1, t0, LINE_SEARCH_FAILURE, trace)
+        else:
             x_trial = live.domain.project(x - a * g)
-            d = x_trial - x
-            if _norm(d) <= step_cap:
-                h_trial = h_value(live, x_trial)
-                if math.isfinite(h_trial) and h_trial <= h_ref + config.armijo_c * float(g @ d):
-                    accepted = True
-                    break
-            a *= config.backtrack_factor
-        if not accepted:
-            trace.append((best_h, feasibility_measure(live, best_x),
-                          stationarity_measure(live, best_x), a))
-            return _result(live, best_x, best_h, k + 1, t0, LINE_SEARCH_FAILURE, trace)
+            h_trial = h_value(live, x_trial)
 
         g_new = h_grad(live, x_trial)
-        if not np.isfinite(g_new).all():
+        if not _finite(h_trial, g_new):
             trace.append((h_trial, float("nan"), float("nan"), a))
             return _result(live, x_trial, h_trial, k + 1, t0, NUMERICAL_FAILURE, trace)
-        s = d
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 0.0:
-            alpha = float(s @ s) / sy
-        else:
-            # nonpositive curvature: fall back to the local spectral scale
-            # rather than bb_max, which would allow barrier-clearing steps
-            ny = _norm(y)
-            alpha = min(config.bb_max, _norm(s) / ny if ny > 0.0 else config.bb_max)
+        if bb:
+            y = g_new - g
+            sy = float(d @ y)
+            if sy > 0.0:
+                alpha = float(d @ d) / sy
+            else:
+                # nonpositive curvature: fall back to the local spectral scale
+                # rather than BB_MAX, which would allow barrier-clearing steps
+                ny = _norm(y)
+                alpha = min(BB_MAX, _norm(d) / ny if ny > 0.0 else BB_MAX)
+            memory.append(h_trial)
+            if h_trial < best_h:
+                best_h, best_x = h_trial, x_trial.copy()
         x, g, hval = x_trial, g_new, h_trial
         accepted_step = a
-        memory.append(hval)
-        if hval < best_h:
-            best_h, best_x = hval, x.copy()
         k += 1
-
-
-def solve(prob, x0, config=None):
-    """Dispatch on config.step_rule."""
-    config = config or SolverConfig()
-    if config.step_rule == "fixed":
-        return projected_gradient(prob, x0, config)
-    return pg_bb(prob, x0, config)
 
 
 def kkt_residual_original(prob, x, rounds=100, tol_change=1e-12):

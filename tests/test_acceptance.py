@@ -20,7 +20,7 @@ from dissolve.problems import (
     near_feasible_points,
     reference_small_oracle,
 )
-from dissolve.solvers import SolverConfig, kkt_residual_original, pg_bb
+from dissolve.solvers import SolverConfig, kkt_residual_original, solve
 
 from conftest import make_catalog, sample_point, sample_smooth_point
 
@@ -44,7 +44,7 @@ def npca_runs():
     for rho, seed in NPCA_GRID:
         inst, prob = gen_npca(100, 50, rho=rho, seed=seed, beta=100.0)
         t0 = time.perf_counter()
-        res = pg_bb(prob, inst.x0, SolverConfig(max_iter=5000))
+        res = solve(prob, inst.x0, SolverConfig(max_iter=5000))
         out[(rho, seed)] = (prob, res, time.perf_counter() - t0)
     return out
 
@@ -55,12 +55,12 @@ def qpb_runs():
     for seed in QPB_SMALL_SEEDS:
         inst, prob = gen_qpb(2, seed=seed, beta=10.0)
         t0 = time.perf_counter()
-        res = pg_bb(prob, inst.x0, SolverConfig(max_iter=5000))
+        res = solve(prob, inst.x0, SolverConfig(max_iter=5000))
         out[("small", seed)] = (inst, prob, res, time.perf_counter() - t0)
     for n in QPB_LARGE_SIZES:
         inst, prob = gen_qpb(n, seed=0, beta=10.0)
         t0 = time.perf_counter()
-        res = pg_bb(prob, inst.x0, SolverConfig(max_iter=5000))
+        res = solve(prob, inst.x0, SolverConfig(max_iter=5000))
         out[("large", n)] = (inst, prob, res, time.perf_counter() - t0)
     return out
 
@@ -74,7 +74,7 @@ def fpca_runs():
     for beta in FPCA_BETA_GRID:
         inst, prob = gen_fpca(n, k, d, seed=0, beta=beta)
         t0 = time.perf_counter()
-        res = pg_bb(prob, inst.x0, cfg)
+        res = solve(prob, inst.x0, cfg)
         elapsed += time.perf_counter() - t0
         grid[beta] = (prob, res)
     def key(beta):
@@ -226,21 +226,21 @@ def test_criterion_7_determinism(npca_runs, qpb_runs, fpca_runs):
     mismatches = []
     for (rho, seed), (prob, res, _) in npca_runs.items():
         inst2, prob2 = gen_npca(100, 50, rho=rho, seed=seed, beta=100.0)
-        res2 = pg_bb(prob2, inst2.x0, SolverConfig(max_iter=5000))
+        res2 = solve(prob2, inst2.x0, SolverConfig(max_iter=5000))
         if not (res.f_val == res2.f_val and res.feas == res2.feas
                 and res.stat == res2.stat):
             mismatches.append(("npca", rho, seed))
     for seed in QPB_SMALL_SEEDS:
         _, _, res, _ = qpb_runs[("small", seed)]
         inst2, prob2 = gen_qpb(2, seed=seed, beta=10.0)
-        res2 = pg_bb(prob2, inst2.x0, SolverConfig(max_iter=5000))
+        res2 = solve(prob2, inst2.x0, SolverConfig(max_iter=5000))
         if not (res.f_val == res2.f_val and res.feas == res2.feas
                 and res.stat == res2.stat):
             mismatches.append(("qpb", 2, seed))
     for n in QPB_LARGE_SIZES:
         _, _, res, _ = qpb_runs[("large", n)]
         inst2, prob2 = gen_qpb(n, seed=0, beta=10.0)
-        res2 = pg_bb(prob2, inst2.x0, SolverConfig(max_iter=5000))
+        res2 = solve(prob2, inst2.x0, SolverConfig(max_iter=5000))
         if not (res.f_val == res2.f_val and res.feas == res2.feas
                 and res.stat == res2.stat):
             mismatches.append(("qpb", n, 0))
@@ -248,7 +248,7 @@ def test_criterion_7_determinism(npca_runs, qpb_runs, fpca_runs):
     cfg = SolverConfig(tol_stat=1e-4, tol_feas=1e-4, max_iter=20000)
     for beta, (_, res) in grid.items():
         inst2, prob2 = gen_fpca(*FPCA_DIMS, seed=0, beta=beta)
-        res2 = pg_bb(prob2, inst2.x0, cfg)
+        res2 = solve(prob2, inst2.x0, cfg)
         if not (res.f_val == res2.f_val and res.feas == res2.feas
                 and res.stat == res2.stat):
             mismatches.append(("fpca", beta))

@@ -235,3 +235,77 @@ def test_solve_and_bench_run_through_solvers_solve(tmp_path, monkeypatch):
     assert rules[2:] == ["fixed"]
     row = read_rows(csv_path)[0]
     assert row["solver"] == "pg" and row["status"] == "converged"
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "check", "dump-instance"])
+@pytest.mark.parametrize("dims", [
+    ["--family", "npca", "--n", "0"],
+    ["--family", "npca", "--cols", "0"],
+    ["--family", "npca", "--rho", "nan"],
+    ["--family", "qpb", "--n", "1"],
+    ["--family", "qpb", "--n", "0"],
+    ["--family", "qpb", "--edge-density", "0"],
+    ["--family", "qpb", "--edge-density", "1.5"],
+    ["--family", "fpca", "--d", "0"],
+    ["--family", "fpca", "--k", "0"],
+    ["--family", "fpca", "--n", "3", "--d", "5"],
+])
+def test_bad_generator_dims_exit_2_without_files(tmp_path, capsys, command, dims):
+    out = tmp_path / "out"
+    if command == "bench":
+        # bench takes --n and --rho as comma lists
+        dims = [v.replace("nan", "0.1,nan") for v in dims]
+        if "--n" not in dims:
+            dims = [*dims, "--n", "6"]
+        argv = ["bench", *dims, "--seeds", "0", "--jobs", "1", "--csv", str(out)]
+    elif command == "dump-instance":
+        argv = [command, *dims, "--out", str(out)]
+    elif command == "check":
+        argv = [command, *dims]
+    else:
+        argv = [command, *dims, "--csv", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--grad-points", "--struct-points", "--probe-samples"])
+def test_check_rejects_zero_counts(capsys, flag):
+    assert main(["check", "--family", "qpb", "--n", "6", flag, "0"]) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims,extra", [
+    (["--family", "npca", "--n", "10", "--cols", "5"], "cols=5"),
+    (["--family", "qpb", "--n", "6"], ""),
+    (["--family", "fpca", "--n", "8", "--k", "2", "--d", "3"], "k=2;d=3"),
+])
+def test_extra_dims_column_per_family(tmp_path, dims, extra):
+    csv_path = tmp_path / "runs.csv"
+    assert main(["solve", *dims, "--seed", "0", "--csv", str(csv_path)]) == 0
+    assert read_rows(csv_path)[0]["extra_dims"] == extra
+
+
+def test_bench_ignores_rho_for_families_without_it(tmp_path):
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--family", "qpb", "--n", "6,8", "--rho", "0,0.1",
+                 "--seeds", "0,1", "--jobs", "1", "--csv", str(csv_path)]) == 0
+    rows = read_rows(csv_path)
+    assert [(r["n"], r["seed"], r["rho"]) for r in rows] == [
+        ("6", "0", "0.0"), ("6", "1", "0.0"), ("8", "0", "0.0"), ("8", "1", "0.0")]
+
+
+@pytest.mark.parametrize("dims", [
+    ["--family", "qpb", "--n", "9", "--edge-density", "0.4"],
+    ["--family", "fpca", "--n", "6", "--k", "3", "--d", "2"],
+])
+def test_loaded_instance_row_matches_generated_row(tmp_path, dims):
+    inst_path = tmp_path / "inst.json"
+    csv_path = tmp_path / "runs.csv"
+    assert main(["dump-instance", *dims, "--seed", "4", "--out", str(inst_path)]) == 0
+    assert main(["solve", *dims, "--seed", "4", "--csv", str(csv_path)]) == 0
+    assert main(["solve", "--instance", str(inst_path), "--csv", str(csv_path)]) == 0
+    generated, loaded = read_rows(csv_path)
+    for col in CSV_COLUMNS:
+        if col != "time_s":
+            assert generated[col] == loaded[col], col

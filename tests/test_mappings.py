@@ -626,11 +626,11 @@ def test_h_grad_exact_at_boundary_active_iterate():
     # mid-solve fpca iterates sit with spectral values clipped at one and
     # small constraint violations; the analytic gradient must hold there too
     from dissolve.diagnostics import grad_check
-    from dissolve.solvers import SolverConfig, pg_bb
+    from dissolve.solvers import SolverConfig, solve
 
     inst, prob = gen_fpca(10, 2, 3, seed=0, beta=10.0)
     cfg = SolverConfig(tol_stat=1e-4, tol_feas=1e-4, max_iter=300)
-    res = pg_bb(prob, inst.x0, cfg)
+    res = solve(prob, inst.x0, cfg)
     P = res.x_final[:30].reshape((10, 3), order="F")
     assert np.linalg.svd(P, compute_uv=False).max() >= 1.0 - 1e-12
     assert grad_check(prob, [res.x_final]).passed
@@ -730,7 +730,7 @@ def test_npca_solve_evaluates_each_point_once(monkeypatch):
     from dissolve import solvers
 
     inst, prob = gen_npca(60, 10, rho=0.1, seed=0)
-    plain = solvers.pg_bb(prob, inst.x0)
+    plain = solvers.solve(prob, inst.x0)
     counted, calls = counted_calls(prob)
     h_calls = []
     value = solvers.h_value
@@ -740,7 +740,7 @@ def test_npca_solve_evaluates_each_point_once(monkeypatch):
         return value(p, x)
 
     monkeypatch.setattr(solvers, "h_value", counting_h_value)
-    res = solvers.pg_bb(counted, inst.x0)
+    res = solvers.solve(counted, inst.x0)
     assert res.status == "converged" and res.iters > 10
     assert calls["A"] <= len(h_calls) + 1
     assert calls["c"] <= len(h_calls) + 1

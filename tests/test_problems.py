@@ -15,7 +15,7 @@ from dissolve.problems import (
     near_feasible_points,
     reference_small_oracle,
 )
-from dissolve.solvers import pg_bb
+from dissolve.solvers import solve
 
 
 # ---------------------------------------------------------------- npca
@@ -42,7 +42,7 @@ def test_npca_rank_one_analytic_optimum():
                            data={"B": B, "rho": 0.0, "n": 2, "m_cols": 1})
     oracle = reference_small_oracle(inst)
     assert oracle == pytest.approx(-0.5, abs=1e-6)
-    res = pg_bb(prob, inst.x0)
+    res = solve(prob, inst.x0)
     assert res.status == "converged"
     assert res.f_val == pytest.approx(-0.5, abs=1e-6)
     assert np.allclose(res.x_final, [1.0, 0.0], atol=1e-4)
@@ -58,7 +58,7 @@ def test_npca_oracle_scaled_identity():
 
 def test_npca_solver_reaches_tolerances():
     inst, prob = gen_npca(10, 5, seed=0)
-    res = pg_bb(prob, inst.x0)
+    res = solve(prob, inst.x0)
     assert res.status == "converged"
     assert res.feas <= 1e-6 and res.stat <= 1e-6
 
@@ -136,7 +136,7 @@ def test_qpb_indefinite_quadratic():
 
 def test_qpb_oracle_matches_solver():
     inst, prob = gen_qpb(2, seed=0)
-    res = pg_bb(prob, inst.x0)
+    res = solve(prob, inst.x0)
     assert abs(res.f_val - reference_small_oracle(inst)) <= 1e-4
 
 
@@ -212,8 +212,8 @@ def test_instance_json_roundtrip_solves_identically():
         back = ProblemInstance.from_json(json.loads(json.dumps(inst.to_json())))
         assert np.array_equal(back.x0, inst.x0)
         prob2 = build_problem(back)
-        r1 = pg_bb(prob, inst.x0)
-        r2 = pg_bb(prob2, back.x0)
+        r1 = solve(prob, inst.x0)
+        r2 = solve(prob2, back.x0)
         assert r1.f_val == r2.f_val and r1.feas == r2.feas and r1.stat == r2.stat
 
 

@@ -18,8 +18,6 @@ from dissolve.solvers import (
     estimate_grad_lipschitz,
     feasibility_measure,
     kkt_residual_original,
-    pg_bb,
-    projected_gradient,
     solve,
     stationarity_measure,
 )
@@ -64,7 +62,7 @@ def box_quadratic(n, seed=0):
 def test_projected_gradient_one_step_on_quadratic():
     prob = unconstrained_quadratic(2)
     cfg = SolverConfig(step_rule="fixed", eta=1.0, tol_stat=1e-12, tol_feas=1e-12)
-    res = projected_gradient(prob, np.array([1.0, 1.0]), cfg)
+    res = solve(prob, np.array([1.0, 1.0]), cfg)
     assert res.status == "converged"
     assert res.iters == 1
     assert np.allclose(res.x_final, 0.0)
@@ -74,7 +72,7 @@ def test_projected_gradient_one_step_on_quadratic():
 def test_projected_gradient_zero_iterations_at_stationary_point():
     prob = unconstrained_quadratic(3)
     cfg = SolverConfig(step_rule="fixed", eta=0.5)
-    res = projected_gradient(prob, np.zeros(3), cfg)
+    res = solve(prob, np.zeros(3), cfg)
     assert res.status == "converged"
     assert res.iters == 0
     assert len(res.trace) == 1
@@ -85,11 +83,11 @@ def test_projected_gradient_with_estimated_step_on_npca():
     L = estimate_grad_lipschitz(prob, inst.x0)
     assert np.isfinite(L) and L > 0
     cfg = SolverConfig(step_rule="fixed", eta=1.0 / L, max_iter=20000)
-    res = projected_gradient(prob, inst.x0, cfg)
+    res = solve(prob, inst.x0, cfg)
     assert res.status == "converged"
     assert res.feas <= 1e-6 and res.stat <= 1e-6
-    # cross-check against pg_bb reaching the same objective
-    res_bb = pg_bb(prob, inst.x0)
+    # cross-check against the BB rule reaching the same objective
+    res_bb = solve(prob, inst.x0)
     assert res_bb.status == "converged"
     assert abs(res.f_val - res_bb.f_val) <= 1e-6 * max(1.0, abs(res.f_val))
 
@@ -105,9 +103,9 @@ def test_projected_gradient_numerical_failure_status():
     with np.errstate(over="ignore"):
         cfg = SolverConfig(step_rule="fixed", eta=-1.0)
         with pytest.raises(ValueError):
-            projected_gradient(prob, np.array([1.0]), cfg)
+            solve(prob, np.array([1.0]), cfg)
         cfg = SolverConfig(step_rule="fixed", eta=1e6, max_iter=10)
-        res = projected_gradient(prob, np.array([720.0]), cfg)  # exp overflows
+        res = solve(prob, np.array([720.0]), cfg)  # exp overflows
     assert res.status == "numerical_failure"
 
 
@@ -117,7 +115,7 @@ def test_projected_gradient_numerical_failure_status():
 def test_pg_bb_on_box_quadratic():
     prob = box_quadratic(50, seed=0)
     cfg = SolverConfig(tol_stat=1e-10, tol_feas=1e-10, max_iter=200)
-    res = pg_bb(prob, np.full(50, 0.5), cfg)
+    res = solve(prob, np.full(50, 0.5), cfg)
     assert res.status == "converged"
     assert res.stat <= 1e-10
     assert res.iters <= 200
@@ -130,7 +128,7 @@ def test_pg_bb_on_box_quadratic():
 def test_pg_bb_converges_on_random_box_quadratics(seed):
     prob = box_quadratic(10, seed=seed)
     x0 = np.random.default_rng(seed + 1).random(10)
-    res = pg_bb(prob, x0, SolverConfig(tol_stat=1e-9, tol_feas=1e-9, max_iter=500))
+    res = solve(prob, x0, SolverConfig(tol_stat=1e-9, tol_feas=1e-9, max_iter=500))
     assert res.status == "converged"
     assert np.all(res.x_final >= 0.0) and np.all(res.x_final <= 1.0)
     assert len(res.trace) == res.iters + 1
@@ -139,7 +137,7 @@ def test_pg_bb_converges_on_random_box_quadratics(seed):
 def test_pg_bb_qpb_matches_grid_oracle():
     for seed in range(3):
         inst, prob = gen_qpb(2, seed=seed)
-        res = pg_bb(prob, inst.x0)
+        res = solve(prob, inst.x0)
         assert res.status == "converged"
         oracle = reference_small_oracle(inst)
         assert abs(res.f_val - oracle) <= 1e-4
@@ -147,9 +145,9 @@ def test_pg_bb_qpb_matches_grid_oracle():
 
 def test_pg_bb_deterministic_traces():
     inst, prob = gen_npca(30, 15, seed=5)
-    r1 = pg_bb(prob, inst.x0)
+    r1 = solve(prob, inst.x0)
     inst2, prob2 = gen_npca(30, 15, seed=5)
-    r2 = pg_bb(prob2, inst2.x0)
+    r2 = solve(prob2, inst2.x0)
     assert r1.f_val == r2.f_val
     assert r1.feas == r2.feas and r1.stat == r2.stat
     assert r1.iters == r2.iters
@@ -159,7 +157,7 @@ def test_pg_bb_deterministic_traces():
 def test_pg_bb_nonmonotone_reference_never_increases():
     inst, prob = gen_npca(40, 20, seed=1)
     cfg = SolverConfig(nm_memory=10)
-    res = pg_bb(prob, inst.x0, cfg)
+    res = solve(prob, inst.x0, cfg)
     hs = [row[0] for row in res.trace]
     refs = []
     for k in range(len(hs)):
@@ -171,7 +169,7 @@ def test_pg_bb_nonmonotone_reference_never_increases():
 def test_pg_bb_trace_length_and_converged_invariant():
     inst, prob = gen_qpb(20, seed=7)
     cfg = SolverConfig()
-    res = pg_bb(prob, inst.x0, cfg)
+    res = solve(prob, inst.x0, cfg)
     assert res.status == "converged"
     assert len(res.trace) == res.iters + 1
     assert res.stat <= cfg.tol_stat and res.feas <= cfg.tol_feas
@@ -188,7 +186,7 @@ def test_pg_bb_line_search_failure_returns_best_iterate():
         f_grad=lambda x: np.array([-1.0]),  # deliberately reversed
         cmap=cmap, amap=amap, domain=domain, beta=0.0)
     cfg = SolverConfig(max_backtracks=5, max_iter=50)
-    res = pg_bb(prob, np.array([0.5]), cfg)
+    res = solve(prob, np.array([0.5]), cfg)
     assert res.status == "line_search_failure"
     assert res.h_val <= 0.5 + 1e-12
 
@@ -207,8 +205,38 @@ def test_beta_continuation_bumps_penalty_on_stall():
     weak = prob.with_beta(1e-4)
     cfg = SolverConfig(beta_schedule="continuation", stall_window=25,
                        max_iter=3000, tol_stat=1e-8, tol_feas=1e-6)
-    res = pg_bb(weak, inst.x0, cfg)
+    res = solve(weak, inst.x0, cfg)
     assert res.feas <= 1e-4  # continuation pushed feasibility below the weak-beta level
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step_rule": "fxied"},
+    {"beta_schedule": "continuaton"},
+    {"nm_memory": 0},
+    {"stall_window": 0},
+    {"max_backtracks": -1},
+    {"tol_stat": float("nan")},
+    {"tol_feas": float("nan")},
+    {"tol_stat": 0.0},
+    {"max_iter": 0},
+    {"step_rule": "fixed", "beta_schedule": "continuation"},
+])
+def test_solver_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_fields_and_fixed_step_check():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "tol_stat", "tol_feas", "max_iter", "step_rule", "eta", "nm_memory",
+        "max_backtracks", "beta_schedule", "stall_window"]
+    SolverConfig(max_backtracks=0, nm_memory=1, stall_window=1)
+    prob = unconstrained_quadratic(2)
+    # a bad step is rejected when the solve starts, not at construction
+    for eta in (0.0, -1.0, float("nan")):
+        cfg = SolverConfig(step_rule="fixed", eta=eta)
+        with pytest.raises(ValueError):
+            solve(prob, np.ones(2), cfg)
 
 
 # ---------------------------------------------------------------- measures
@@ -249,7 +277,7 @@ def test_reported_feasibility_is_at_the_iterate_measure_at_its_projection():
     # SolveResult.feas and the trace report ||c(x)||; feasibility_measure
     # reports ||c(P(x))||; stat is stationarity_measure's number
     inst, prob = gen_qpb(12, seed=3)
-    res = pg_bb(prob, inst.x0, SolverConfig(max_iter=5))
+    res = solve(prob, inst.x0, SolverConfig(max_iter=5))
     x = res.x_final
     assert res.status == "max_iter"
     assert res.feas == float(np.linalg.norm(prob.cmap.value(x)))
@@ -336,7 +364,7 @@ def test_kkt_residual_matches_exact_bounded_least_squares():
     from scipy.optimize import lsq_linear
 
     inst, prob = gen_qpb(40, seed=0)
-    res = pg_bb(prob, inst.x0)
+    res = solve(prob, inst.x0)
     x = res.x_final
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-9  # this seed exits on the boundary
     g0 = prob.f_grad(x)
@@ -350,7 +378,7 @@ def test_kkt_residual_matches_exact_bounded_least_squares():
 def test_kkt_residual_within_twice_stationarity_at_solutions():
     for seed in range(3):
         inst, prob = gen_npca(50, 25, seed=seed)
-        res = pg_bb(prob, inst.x0)
+        res = solve(prob, inst.x0)
         assert res.status == "converged"
         kkt = kkt_residual_original(prob, res.x_final)
         assert kkt <= 2.0 * res.stat + 1e-8
