@@ -22,6 +22,10 @@ from . import diagnostics, problems, solvers
 CSV_COLUMNS = ["family", "n", "extra_dims", "rho", "seed", "solver", "beta",
                "fval", "feas", "stat", "iters", "time_s", "status"]
 
+# defaults of the dim flags of solve, check and dump-instance; the flags
+# themselves default to None, so that solve can tell a given flag from none
+DIM_DEFAULTS = {"n": 50, "cols": 25, "rho": 0.0, "edge_density": 0.5, "k": 2, "d": 3}
+
 
 def _default_seed():
     return int(os.environ.get("DISSOLVE_SEED", "0"))
@@ -29,8 +33,10 @@ def _default_seed():
 
 def _dims_from_args(args, **override):
     """The family's generator dims from its CLI options, with `override` on top."""
-    dims = {key: getattr(args, dest)
-            for key, dest in problems.FAMILIES[args.family].cli_dims.items()}
+    dims = {}
+    for key, dest in problems.FAMILIES[args.family].cli_dims.items():
+        value = getattr(args, dest)
+        dims[key] = DIM_DEFAULTS[dest] if value is None else value
     dims.update((k, v) for k, v in override.items() if k in dims)
     return dims
 
@@ -84,6 +90,16 @@ def cmd_solve(args):
         print("error: --family is required unless --instance is given",
               file=sys.stderr)
         return 2
+    if args.instance:
+        given = ["--family"] if args.family else []
+        given += ["--" + dest.replace("_", "-") for dest in (*DIM_DEFAULTS, "seed")
+                  if getattr(args, dest) is not None]
+        if given:
+            raise ValueError("--instance takes the family, dims and seed from its "
+                             f"file; drop {', '.join(given)}")
+    if args.eta is not None and args.solver != "pg":
+        raise ValueError("--eta is the fixed step of --solver pg; "
+                         f"--solver {args.solver} takes none")
     inst = problems.ProblemInstance.load(args.instance) if args.instance else None
     family = args.family if inst is None else inst.family
     config = _solver_config(family, args.solver, args.max_iter, args.tol_stat,
@@ -145,6 +161,8 @@ def cmd_bench(args):
     tasks = [(args.family, _dims_from_args(args, n=n, rho=rho), seed, beta_grid,
               args.solver, args.max_iter)
              for n in ns for rho in rhos for seed in seeds]
+    for task in tasks:  # every task's dims before any solve
+        family.check(**task[1])
 
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
@@ -210,15 +228,13 @@ def _used_by(dest):
 def _add_dim_flags(p, family_required=True):
     p.add_argument("--family", required=family_required,
                    choices=tuple(problems.FAMILIES))
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--cols", type=int, default=25,
-                   help=f"column count ({_used_by('cols')})")
-    p.add_argument("--rho", type=float, default=0.0,
-                   help=f"sparsity charge ({_used_by('rho')})")
-    p.add_argument("--edge-density", type=float, default=0.5,
+    p.add_argument("--n", type=int)
+    p.add_argument("--cols", type=int, help=f"column count ({_used_by('cols')})")
+    p.add_argument("--rho", type=float, help=f"sparsity charge ({_used_by('rho')})")
+    p.add_argument("--edge-density", type=float,
                    help=f"graph density ({_used_by('edge_density')})")
-    p.add_argument("--k", type=int, default=2, help=f"group count ({_used_by('k')})")
-    p.add_argument("--d", type=int, default=3, help=f"target rank ({_used_by('d')})")
+    p.add_argument("--k", type=int, help=f"group count ({_used_by('k')})")
+    p.add_argument("--d", type=int, help=f"target rank ({_used_by('d')})")
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to env DISSOLVE_SEED or 0")
 

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .mappings import h_grad, h_value
+from .solvers import _norm
 
 __all__ = [
     "CheckReport",
@@ -57,9 +58,9 @@ def grad_check(prob, points, threshold=1e-6):
         x = np.asarray(x, dtype=float)
         g = h_grad(prob, x)
         gfd = _fd_grad(prob, x)
-        rel = float(np.linalg.norm(g - gfd) / max(1.0, np.linalg.norm(gfd)))
+        rel = _norm(g - gfd) / max(1.0, _norm(gfd))
         worst = max(worst, rel)
-        details.append({"rel_error": rel, "grad_norm": float(np.linalg.norm(gfd))})
+        details.append({"rel_error": rel, "grad_norm": _norm(gfd)})
     return CheckReport.build("grad_check", len(details), worst, threshold, details)
 
 
@@ -100,7 +101,7 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     worst = 0.0
     for x in feasible_points:
         x = np.asarray(x, dtype=float)
-        if np.linalg.norm(cmap.value(x)) > 1e-10 or not domain.contains(x):
+        if _norm(cmap.value(x)) > 1e-10 or not domain.contains(x):
             raise ValueError("assumption_a_check needs exactly feasible points")
         rec = {}
 
@@ -113,15 +114,14 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
             for _ in range(n_lambda):
                 lam = rng.standard_normal(cmap.p)
                 v = amap.vjp(x, cmap.jac_t_apply(x, lam))
-                resid = float(np.linalg.norm(v) / max(1.0, np.linalg.norm(lam)))
+                resid = _norm(v) / max(1.0, _norm(lam))
                 if resid > ker:
                     ker = resid
                     # violations inside span(N(x)) flag a constraint gradient
                     # that is normal to the domain, not a broken map
-                    d_pos = np.linalg.norm(v - domain.normal_cone_project(x, v))
-                    d_neg = np.linalg.norm(v + domain.normal_cone_project(x, -v))
-                    ker_span_dist = float(min(d_pos, d_neg)
-                                          / max(1.0, np.linalg.norm(lam)))
+                    d_pos = _norm(v - domain.normal_cone_project(x, v))
+                    d_neg = _norm(v + domain.normal_cone_project(x, -v))
+                    ker_span_dist = min(d_pos, d_neg) / max(1.0, _norm(lam))
         rec["kernel"] = ker
         rec["kernel_outside_normal_span"] = ker_span_dist
 
@@ -180,14 +180,14 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200,
         worst = 0.0
         for _ in range(n_samples):
             u = P_E @ rng.standard_normal(x.size)
-            nu = np.linalg.norm(u)
+            nu = _norm(u)
             if nu == 0.0:
                 continue
             y = x + radius * rng.random() * u / nu
             c = cmap.value(y)
-            lhs = np.linalg.norm(P_E @ cmap.jac_t_apply(y, c))
-            rhs = 0.5 * pi_val * np.linalg.norm(c)
-            worst = max(worst, float(rhs - lhs))
+            lhs = _norm(P_E @ cmap.jac_t_apply(y, c))
+            rhs = 0.5 * pi_val * _norm(c)
+            worst = max(worst, rhs - lhs)
         return worst
 
     slack = 1e-12 * (1.0 + pi_val)

@@ -10,7 +10,9 @@ fpca -- min-max reformulation of group-fair PCA in variables (P, y, z):
         spectral ball x orthant x free scalar.
 
 All generators are bit-reproducible functions of (dims, seed); tensors draw
-from fixed sub-seeds.
+from fixed sub-seeds.  fpca's constraint value and Jacobian columns take one
+product over the k stacked group matrices, with the per-group arithmetic of
+the Jacobian products, so both are bit-identical to a loop over the groups.
 """
 
 from __future__ import annotations
@@ -143,11 +145,15 @@ def build_npca_problem(B, rho, beta=None):
                           domain=domain, beta=FAMILIES["npca"].beta if beta is None else beta)
 
 
+def _check_npca(n, m_cols, rho=0.0):
+    if n < 1 or m_cols < 1 or not math.isfinite(rho):
+        raise ValueError(f"npca needs n, m_cols >= 1, finite rho; got {n}, {m_cols}, {rho}")
+
+
 def gen_npca(n, m_cols, rho=0.0, seed=0, beta=None):
     """Data matrix rescaled so its spectral norm equals its column count;
     start from the normalized absolute value of a Gaussian vector."""
-    if n < 1 or m_cols < 1 or not math.isfinite(rho):
-        raise ValueError(f"npca needs n, m_cols >= 1, finite rho; got {n}, {m_cols}, {rho}")
+    _check_npca(n, m_cols, rho)
     B = _rng("npca", seed, 0).standard_normal((n, m_cols))
     B *= m_cols / np.linalg.norm(B, 2)
     g = _rng("npca", seed, 1).standard_normal(n)
@@ -187,11 +193,15 @@ def build_qpb_problem(Qmat, qvec, beta=None, sigma=1.0):
                           domain=domain, beta=FAMILIES["qpb"].beta if beta is None else beta)
 
 
+def _check_qpb(n, edge_density=0.5):
+    if n < 2 or not 0.0 < edge_density <= 1.0:
+        raise ValueError(f"qpb needs n >= 2, edge_density in (0, 1]; got {n}, {edge_density}")
+
+
 def gen_qpb(n, edge_density=0.5, seed=0, beta=None):
     """Laplacian of a random graph, negated and Frobenius-normalized; the
     linear term is a normalized uniform vector."""
-    if n < 2 or not 0.0 < edge_density <= 1.0:
-        raise ValueError(f"qpb needs n >= 2, edge_density in (0, 1]; got {n}, {edge_density}")
+    _check_qpb(n, edge_density)
     iu = np.triu_indices(n, 1)
     for attempt in range(100):  # sub-seeds stay below the linear term's 1000
         edges = _rng("qpb", seed, attempt).random(iu[0].size) < edge_density
@@ -243,10 +253,25 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
     AtA = [A.T @ A for A in A_list]
     pe, ye = n * d, n * d + k  # end of the P block, end of the y block
     dim = ye + 1
-    # per-group scalars as Python floats: the same doubles, cheaper to combine
-    hat = [float(h) for h in hat_sq]
-    msz = [float(m) for m in m_sizes]
-    g2 = [-2.0 / m for m in msz]
+    hat = np.array(hat_sq, dtype=float)
+    msz = np.array(m_sizes, dtype=float)
+    # per-group -2/m as Python floats for the loops in jac_t, jac and hess:
+    # the same doubles, cheaper to combine
+    g2 = [-2.0 / m for m in msz.tolist()]
+    # the k groups stacked, so that jac_columns and c_value take one product
+    # over all groups; each slice is the per-group array it was stacked from
+    AtA_stack = np.stack(AtA)
+    g2_col = np.array(g2)[:, None, None]
+    if len({A.shape for A in A_list}) == 1:
+        A_stack = np.stack(A_list)
+
+        def group_sq(P):  # ||A_i P||_F^2 of every group
+            M = A_stack @ P
+            return (M * M).reshape(k, -1).sum(axis=1)
+    else:  # groups of unequal size do not stack
+
+        def group_sq(P):
+            return np.array([(M * M).sum() for M in (A @ P for A in A_list)])
 
     def f_value(x):
         return float(x[ye])
@@ -258,12 +283,8 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
 
     def c_value(x):
         P = x[:pe].reshape((n, d), order="F")
-        y = x[pe:ye].tolist()
-        z = float(x[ye])
         out = np.empty(k + 1)
-        for i in range(k):
-            M = A_list[i] @ P
-            out[i] = (hat[i] - (M * M).sum()) / msz[i] + y[i] - z
+        out[:k] = (hat - group_sq(P)) / msz + x[pe:ye] - x[ye]
         out[k] = (P * P).sum() - d
         return out
 
@@ -286,10 +307,8 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
         # order: the zero start, the group term, then the Frobenius term
         P = x[:pe].reshape((n, d), order="F")
         G = np.zeros((dim, k + 1))
-        frob_zero = 0.0 * P
-        for i in range(k):
-            GP = (0.0 + g2[i] * (AtA[i] @ P)) + frob_zero
-            G[:pe, i] = GP.reshape(-1, order="F")
+        GP = (0.0 + g2_col * (AtA_stack @ P)) + 0.0 * P
+        G[:pe, :k] = GP.transpose(2, 1, 0).reshape(pe, k)
         G[:pe, k] = (0.0 + 2.0 * P).reshape(-1, order="F")
         G[pe:ye, :k] = np.eye(k)
         G[ye, :k] = -1.0
@@ -328,12 +347,16 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
                           domain=domain, beta=FAMILIES["fpca"].beta if beta is None else beta)
 
 
+def _check_fpca(n, k, d):
+    if min(n, k, d) < 1 or d > n:
+        raise ValueError(f"fpca needs n, k, d >= 1, d <= n; got n={n}, k={k}, d={d}")
+
+
 def gen_fpca(n, k, d, seed=0, beta=None):
     """Square standard-normal group matrices; the start point scales a random
     matrix to Frobenius norm sqrt(d) and is pulled into the spectral ball
     (logged) when its top singular value exceeds one."""
-    if min(n, k, d) < 1 or d > n:
-        raise ValueError(f"fpca needs n, k, d >= 1, d <= n; got n={n}, k={k}, d={d}")
+    _check_fpca(n, k, d)
     A_list = [_rng("fpca", seed, i).standard_normal((n, n)) for i in range(k)]
     hat_sq = np.array([np.sum(np.linalg.svd(A, compute_uv=False)[:d] ** 2)
                        for A in A_list])
@@ -402,6 +425,7 @@ class Family:
     """What the library and the CLI know about one benchmark family."""
 
     generate: Callable      # (**dims, seed=, beta=) -> (instance, problem)
+    check: Callable         # (**dims) -> None; raises ValueError as generate does
     build: Callable         # (instance data, beta) -> problem
     arrays: tuple           # data fields that JSON holds as arrays
     feasible: Callable      # (data, rng) -> a feasible point, or None to redraw
@@ -416,19 +440,19 @@ class Family:
 
 FAMILIES = {
     "npca": Family(
-        generate=gen_npca,
+        generate=gen_npca, check=_check_npca,
         build=lambda data, beta: build_npca_problem(data["B"], data["rho"], beta=beta),
         arrays=("B",), feasible=_npca_feasible, subseed=11,
         cli_dims={"n": "n", "m_cols": "cols", "rho": "rho"},
         extra_dims="cols={m_cols}", tol=1e-6, beta=100.0, beta_grid=(100.0,)),
     "qpb": Family(
-        generate=gen_qpb,
+        generate=gen_qpb, check=_check_qpb,
         build=lambda data, beta: build_qpb_problem(data["Qmat"], data["qvec"], beta=beta),
         arrays=("Qmat", "qvec", "d"), feasible=_qpb_feasible, subseed=22,
         cli_dims={"n": "n", "edge_density": "edge_density"},
         extra_dims="", tol=1e-6, beta=10.0, beta_grid=(10.0,)),
     "fpca": Family(
-        generate=gen_fpca,
+        generate=gen_fpca, check=_check_fpca,
         build=lambda data, beta: build_fpca_problem(
             data["A"], data["d"], hat_sq=data["hat_sq"], m_sizes=data["m"], beta=beta),
         arrays=("hat_sq", "m"), array_lists=("A",), feasible=_fpca_feasible,

@@ -7,6 +7,11 @@ whose null space spans the normal cone), and differentiate Q along a
 direction.  Matrix-shaped sets act on column-major flattened vectors; JSON
 serialization uses row-major nested lists.
 
+`_q_cols` applies Q(x) to every column of a matrix, as the dissolving-map
+build needs: a box scales all columns at once, a product splits x and the
+matrix once, and the spectral ball takes one X^T Y and one X S over the
+stack of all columns.  Each equals the column stack of `_q` bit for bit.
+
 This module imports numpy only.  scipy is imported on first use, by the
 lq-ball projection for exponents other than 1, 2 and inf (`brentq`) and by
 `LinearInequalities.normal_cone_project` (`nnls`), so `import dissolve` and
@@ -583,6 +588,17 @@ class SpectralBall(ConvexSet):
         Y = _mat(v, self._shape())
         return _flat(Y - X @ _sym(X.T @ Y))
 
+    def _q_cols(self, x, V):
+        # _q over the (p, m, s) stack of columns: one X^T Y, one X S.  Slice j
+        # is a view with the strides _mat gives V[:, j], so each product takes
+        # the same BLAS path as in _q
+        p = V.shape[1]
+        X = _mat(x, self._shape())
+        Y = V.T.reshape(p, self.s, self.m).transpose(0, 2, 1)
+        M = X.T @ Y
+        R = Y - X @ (0.5 * (M + M.transpose(0, 2, 1)))
+        return np.ascontiguousarray(R.transpose(2, 1, 0).reshape(self.n, p))
+
     def _dq(self, x, d, v):
         X = _mat(x, self._shape())
         D = _mat(d, self._shape())
@@ -848,12 +864,14 @@ class Product(ConvexSet):
         if not factors:
             raise ValueError("product of zero factors")
         self.factors = tuple(factors)
-        dims = [f.n for f in factors]
-        self._offsets = np.concatenate([[0], np.cumsum(dims)])
+        # block bounds as Python ints: slicing with them is cheaper
+        self._offsets = [0]
+        for f in factors:
+            self._offsets.append(self._offsets[-1] + int(f.n))
 
     @property
     def n(self):
-        return int(self._offsets[-1])
+        return self._offsets[-1]
 
     def _blocks(self, x):
         return [x[self._offsets[i]:self._offsets[i + 1]]

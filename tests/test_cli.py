@@ -309,3 +309,42 @@ def test_loaded_instance_row_matches_generated_row(tmp_path, dims):
     for col in CSV_COLUMNS:
         if col != "time_s":
             assert generated[col] == loaded[col], col
+
+
+@pytest.mark.parametrize("solver", [[], ["--solver", "pgbb"]])
+def test_eta_without_fixed_step_solver_exits_2(tmp_path, capsys, solver):
+    csv_path = tmp_path / "runs.csv"
+    base = ["solve", "--family", "npca", "--n", "10", "--cols", "5", "--seed", "0",
+            "--max-iter", "50", "--eta", "0.001", "--csv", str(csv_path)]
+    assert main([*base, *solver]) == 2
+    assert not csv_path.exists()
+    assert "--eta" in capsys.readouterr().err
+    assert main([*base, "--solver", "pg"]) == 0
+    assert read_rows(csv_path)[0]["solver"] == "pg"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--family", "qpb"], ["--n", "9"], ["--cols", "5"], ["--rho", "0.1"],
+    ["--edge-density", "0.4"], ["--k", "2"], ["--d", "3"], ["--seed", "4"],
+])
+def test_instance_with_family_dim_or_seed_flags_exits_2(tmp_path, capsys, extra):
+    inst_path = tmp_path / "inst.json"
+    csv_path = tmp_path / "runs.csv"
+    assert main(["dump-instance", "--family", "qpb", "--n", "9", "--seed", "4",
+                 "--out", str(inst_path)]) == 0
+    assert main(["solve", "--instance", str(inst_path), *extra,
+                 "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
+    assert extra[0] in capsys.readouterr().err
+
+
+def test_bench_checks_every_task_before_solving_any(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.solvers, "solve", lambda *a: calls.append(a))
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--family", "npca", "--n", "10", "--cols", "5",
+                 "--rho", "0.1,nan", "--seeds", "0", "--jobs", "1",
+                 "--csv", str(csv_path)]) == 2
+    assert calls == []
+    assert not csv_path.exists()
+    assert "error:" in capsys.readouterr().err

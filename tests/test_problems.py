@@ -6,6 +6,7 @@ import pytest
 from dissolve.mappings import h_grad
 from dissolve.problems import (
     ProblemInstance,
+    build_fpca_problem,
     build_npca_problem,
     build_problem,
     feasible_points,
@@ -190,6 +191,67 @@ def test_fpca_full_rank_forces_orthogonality():
 
 
 # ---------------------------------------------------------------- shared
+
+
+def fpca_group_loops(A_list, d, hat_sq, m_sizes):
+    """fpca's c(x) and G(x) with one product per group, in the per-group
+    order of operations of the stacked forms."""
+    k, n = len(A_list), A_list[0].shape[1]
+    pe, ye = n * d, n * d + k
+    AtA = [A.T @ A for A in A_list]
+    hat = [float(h) for h in hat_sq]
+    msz = [float(m) for m in m_sizes]
+    g2 = [-2.0 / m for m in msz]
+
+    def c_value(x):
+        P = x[:pe].reshape((n, d), order="F")
+        y = x[pe:ye].tolist()
+        z = float(x[ye])
+        out = np.empty(k + 1)
+        for i in range(k):
+            M = A_list[i] @ P
+            out[i] = (hat[i] - (M * M).sum()) / msz[i] + y[i] - z
+        out[k] = (P * P).sum() - d
+        return out
+
+    def jac_columns(x):
+        P = x[:pe].reshape((n, d), order="F")
+        G = np.zeros((ye + 1, k + 1))
+        frob_zero = 0.0 * P
+        for i in range(k):
+            GP = (0.0 + g2[i] * (AtA[i] @ P)) + frob_zero
+            G[:pe, i] = GP.reshape(-1, order="F")
+        G[:pe, k] = (0.0 + 2.0 * P).reshape(-1, order="F")
+        G[pe:ye, :k] = np.eye(k)
+        G[ye, :k] = -1.0
+        G[ye, k] = -0.0
+        return G
+
+    return c_value, jac_columns
+
+
+@pytest.mark.parametrize("rows", ["equal", "unequal"])
+@pytest.mark.parametrize("n", [4, 30, 100])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fpca_stacked_oracles_match_group_loops(k, n, rows):
+    rng = np.random.default_rng(53)
+    d = 3
+    A_list = [rng.standard_normal((n + (i if rows == "unequal" else 0), n))
+              for i in range(k)]
+    A_list[0][0] = 0.0
+    A_list[-1][:, 1] = -0.0
+    hat_sq = n * rng.random(k)
+    m_sizes = rng.integers(n, 3 * n, size=k).astype(float)
+    cmap = build_fpca_problem(A_list, d, hat_sq=hat_sq, m_sizes=m_sizes).cmap
+    c_loop, jac_loop = fpca_group_loops(A_list, d, hat_sq, m_sizes)
+    for _ in range(3):
+        x = rng.standard_normal(n * d + k + 1)
+        x[:n] = 0.0          # a zero column of P
+        x[n] = -0.0
+        x[n * d] = -0.0      # the first slack
+        assert cmap.value(x).tobytes() == c_loop(x).tobytes()
+        G = cmap.jac_columns(x)
+        assert G.flags.c_contiguous and G.tobytes() == jac_loop(x).tobytes()
 
 
 def test_generators_bit_reproducible():

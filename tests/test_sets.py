@@ -243,6 +243,32 @@ def test_q_cols_matches_column_stack_of_q(catalog, spread):
         assert domain._q_cols(x, np.zeros((domain.n, 0))).shape == (domain.n, 0)
 
 
+@pytest.mark.parametrize("m,s", [(1, 1), (4, 3), (5, 5), (7, 1), (1, 6), (30, 4),
+                                 (100, 12)])
+def test_spectral_ball_stacked_q_cols_is_column_stack_of_q(m, s):
+    # the stacked build must take each column's BLAS path, whatever V's layout
+    rng = np.random.default_rng(37)
+    ball = SpectralBall(m, s)
+    n = ball.n
+    for p in range(9):
+        x = ball.project(rng.standard_normal(n))
+        x[:1] = -0.0
+        layouts = {
+            "C": rng.standard_normal((n, p)),
+            "F": np.asfortranarray(rng.standard_normal((n, p))),
+            "strided": rng.standard_normal((2 * n, 3 * p))[::2, ::3],
+            "row block": rng.standard_normal((n + 3, p))[1:-2],
+        }
+        for name, V in layouts.items():
+            V[:1] = 0.0
+            V[-1:] = -0.0
+            cols = [ball._q(x, V[:, j]) for j in range(p)]
+            stack = np.column_stack(cols) if cols else np.zeros((n, 0))
+            got = ball._q_cols(x, V)
+            assert got.flags.c_contiguous, (name, p)
+            assert same_bits(got, stack), (name, p)
+
+
 def masked_weights(box, x):
     lo_fin, up_fin = np.isfinite(box.lower), np.isfinite(box.upper)
     both, lo, up = lo_fin & up_fin, lo_fin & ~up_fin, ~lo_fin & up_fin
