@@ -24,8 +24,6 @@ from .mappings import (
     ConstraintMap,
     DissolvingMap,
     PenaltyProblem,
-    aq_vjp_analytic,
-    aq_vjp_fd,
     build_aq,
     closed_form_map,
     empty_constraint_map,

@@ -151,6 +151,8 @@ def _int_list(text, default=None):
 
 
 def cmd_bench(args):
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1; got {args.jobs}")
     seeds = _int_list(args.seeds, default=[_default_seed()])
     ns = _int_list(args.n)
     family = problems.FAMILIES[args.family]

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 IDEMPOTENCY_DIM_GUARD = 200  # materializing the Jacobian is O(n) map products
+ASSUMPTION_A_THRESHOLDS = (1e-10, 1e-8, 1e-6)  # fixed point, kernel, idempotency
 
 
 @dataclass
@@ -85,7 +86,7 @@ def _fd_grad(prob, x):
 
 
 def assumption_a_check(amap, cmap, domain, feasible_points,
-                       thresholds=(1e-10, 1e-8, 1e-6), n_lambda=10, seed=0):
+                       thresholds=ASSUMPTION_A_THRESHOLDS, n_lambda=10, seed=0):
     """Structural identities of a dissolving map on the feasible set.
 
     Per point: the fixed-point residual ||A(x) - x||_inf, the Jacobian kernel

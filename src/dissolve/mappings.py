@@ -48,8 +48,6 @@ __all__ = [
     "PenaltyProblem",
     "empty_constraint_map",
     "build_aq",
-    "aq_vjp_analytic",
-    "aq_vjp_fd",
     "closed_form_map",
     "h_value",
     "h_grad",
@@ -133,8 +131,8 @@ class PenaltyProblem:
                           compare=False, repr=False)
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and nonnegative; got {self.beta}")
 
     @property
     def n(self):
@@ -170,8 +168,8 @@ def build_aq(domain, cmap, sigma=1.0, mode="auto"):
     "generic_fd" differentiates A by central differences; "auto" picks the
     analytic route when second-order callbacks exist.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive; got {sigma}")
     if cmap.p == 0:
         return DissolvingMap(value=lambda x: np.asarray(x, dtype=float).copy(),
                              vjp=lambda x, w: np.asarray(w, dtype=float).copy(),
@@ -264,16 +262,8 @@ class _GenericMap:
         return w - grad_phi
 
 
-def aq_vjp_analytic(amap, x, w):
-    """Exact gradA(x) w for maps built with mode='generic_analytic'."""
-    if amap.mode != "generic_analytic":
-        raise CapabilityError(
-            "analytic Jacobian products are only available for "
-            "mode='generic_analytic' maps; use aq_vjp_fd for the rest")
-    return amap.vjp(x, w)
-
-
 def _fd_vjp(value, x, w):
+    """Central-difference gradA(x) w from 2n evaluations of A = value."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x))
@@ -283,11 +273,6 @@ def _fd_vjp(value, x, w):
         step[j] = delta
         out[j] = w @ (value(x + step) - value(x - step)) / (2.0 * delta)
     return out
-
-
-def aq_vjp_fd(amap, x, w):
-    """Central-difference gradA(x) w; 2n evaluations of A."""
-    return _fd_vjp(amap.value, x, w)
 
 
 def closed_form_map(kind, **params):

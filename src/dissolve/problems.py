@@ -167,7 +167,7 @@ def gen_npca(n, m_cols, rho=0.0, seed=0, beta=None):
 # ---------------------------------------------------------------- qpb
 
 
-def build_qpb_problem(Qmat, qvec, beta=None, sigma=1.0):
+def build_qpb_problem(Qmat, qvec, beta=None):
     Qmat = np.asarray(Qmat, dtype=float)
     qvec = np.asarray(qvec, dtype=float)
     n = qvec.size
@@ -188,7 +188,7 @@ def build_qpb_problem(Qmat, qvec, beta=None, sigma=1.0):
         hess_apply=lambda x, lam, dd: 2.0 * lam[0] * dd,
     )
     domain = NormBall(n, radius=1.0, exponent=2.0)
-    amap = build_aq(domain, cmap, sigma=sigma, mode="generic_analytic")
+    amap = build_aq(domain, cmap, mode="generic_analytic")
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
                           domain=domain, beta=FAMILIES["qpb"].beta if beta is None else beta)
 
@@ -240,7 +240,7 @@ def fpca_objective(P, data):
     return float(np.max(vals))
 
 
-def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.0):
+def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
     A_list = [np.asarray(A, dtype=float) for A in A_list]
     k = len(A_list)
     n = A_list[0].shape[1]
@@ -342,7 +342,7 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None, sigma=1.
                          jac_apply=jac, hess_apply=hess, jac_columns=jac_columns)
     domain = Product([SpectralBall(n, d), NonnegOrthant(k),
                       Box([-np.inf], [np.inf])])
-    amap = build_aq(domain, cmap, sigma=sigma, mode="generic_analytic")
+    amap = build_aq(domain, cmap, mode="generic_analytic")
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
                           domain=domain, beta=FAMILIES["fpca"].beta if beta is None else beta)
 
@@ -420,9 +420,44 @@ def _fpca_feasible(data, rng):
     return np.concatenate([P.reshape(-1, order="F"), y, [z]])
 
 
+def _npca_oracle(data):
+    B, rho, n = data["B"], data["rho"], data["n"]
+    if n > 3:
+        raise ValueError("oracle supports npca only up to n = 3")
+    if n == 1:
+        xs = np.ones((1, 1))
+    elif n == 2:
+        theta = np.linspace(0.0, np.pi / 2, 2001)
+        xs = np.vstack([np.cos(theta), np.sin(theta)])
+    else:
+        t1 = np.linspace(0.0, np.pi / 2, 1000)
+        t2 = np.linspace(0.0, np.pi / 2, 1000)
+        T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+        xs = np.vstack([(np.cos(T1)).ravel(),
+                        (np.sin(T1) * np.cos(T2)).ravel(),
+                        (np.sin(T1) * np.sin(T2)).ravel()])
+    vals = -0.5 * np.sum((B.T @ xs) ** 2, axis=0) + rho * np.sum(xs, axis=0)
+    return float(vals.min())
+
+
+def _qpb_oracle(data):
+    if data["n"] != 2:
+        raise ValueError("oracle supports qpb only at n = 2")
+    Qm, qv = data["Qmat"], data["qvec"]
+    # arc of the shifted unit circle inside the unit ball: cos(theta) <= -1/4
+    t0 = np.arccos(-0.25)
+    theta = np.linspace(t0, 2.0 * np.pi - t0, 100_001)
+    xs = np.vstack([0.5 + np.cos(theta), np.sin(theta)])
+    mask = np.sum(xs * xs, axis=0) <= 1.0 + 1e-12
+    xs = xs[:, mask]
+    vals = 0.5 * np.sum(xs * (Qm @ xs), axis=0) + qv @ xs
+    return float(vals.min())
+
+
 @dataclass(frozen=True)
 class Family:
-    """What the library and the CLI know about one benchmark family."""
+    """What the library and the CLI know about one benchmark family: every
+    per-family choice is a field here, so no caller branches on the name."""
 
     generate: Callable      # (**dims, seed=, beta=) -> (instance, problem)
     check: Callable         # (**dims) -> None; raises ValueError as generate does
@@ -435,6 +470,7 @@ class Family:
     tol: float              # CLI tolerance on stationarity and feasibility
     beta: float             # default penalty weight
     beta_grid: tuple        # betas `dissolve bench` tries
+    oracle: Callable | None  # (data) -> brute-force optimum of a tiny instance
     array_lists: tuple = ()  # data fields that JSON holds as lists of arrays
 
 
@@ -442,21 +478,21 @@ FAMILIES = {
     "npca": Family(
         generate=gen_npca, check=_check_npca,
         build=lambda data, beta: build_npca_problem(data["B"], data["rho"], beta=beta),
-        arrays=("B",), feasible=_npca_feasible, subseed=11,
+        arrays=("B",), feasible=_npca_feasible, oracle=_npca_oracle, subseed=11,
         cli_dims={"n": "n", "m_cols": "cols", "rho": "rho"},
         extra_dims="cols={m_cols}", tol=1e-6, beta=100.0, beta_grid=(100.0,)),
     "qpb": Family(
         generate=gen_qpb, check=_check_qpb,
         build=lambda data, beta: build_qpb_problem(data["Qmat"], data["qvec"], beta=beta),
-        arrays=("Qmat", "qvec", "d"), feasible=_qpb_feasible, subseed=22,
-        cli_dims={"n": "n", "edge_density": "edge_density"},
+        arrays=("Qmat", "qvec", "d"), feasible=_qpb_feasible, oracle=_qpb_oracle,
+        subseed=22, cli_dims={"n": "n", "edge_density": "edge_density"},
         extra_dims="", tol=1e-6, beta=10.0, beta_grid=(10.0,)),
     "fpca": Family(
         generate=gen_fpca, check=_check_fpca,
         build=lambda data, beta: build_fpca_problem(
             data["A"], data["d"], hat_sq=data["hat_sq"], m_sizes=data["m"], beta=beta),
         arrays=("hat_sq", "m"), array_lists=("A",), feasible=_fpca_feasible,
-        subseed=33, cli_dims={"n": "n", "k": "k", "d": "d"},
+        oracle=None, subseed=33, cli_dims={"n": "n", "k": "k", "d": "d"},
         extra_dims="k={k};d={d}", tol=1e-4, beta=1.0, beta_grid=FPCA_BETA_GRID),
 }
 
@@ -514,35 +550,7 @@ def near_feasible_points(instance, count, seed=0, scale=0.05):
 
 def reference_small_oracle(instance):
     """Brute-force optimum for tiny instances (npca with n <= 3, qpb with n = 2)."""
-    data = instance.data
-    if instance.family == "npca":
-        B, rho, n = data["B"], data["rho"], data["n"]
-        if n > 3:
-            raise ValueError("oracle supports npca only up to n = 3")
-        if n == 1:
-            xs = np.ones((1, 1))
-        elif n == 2:
-            theta = np.linspace(0.0, np.pi / 2, 2001)
-            xs = np.vstack([np.cos(theta), np.sin(theta)])
-        else:
-            t1 = np.linspace(0.0, np.pi / 2, 1000)
-            t2 = np.linspace(0.0, np.pi / 2, 1000)
-            T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-            xs = np.vstack([(np.cos(T1)).ravel(),
-                            (np.sin(T1) * np.cos(T2)).ravel(),
-                            (np.sin(T1) * np.sin(T2)).ravel()])
-        vals = -0.5 * np.sum((B.T @ xs) ** 2, axis=0) + rho * np.sum(xs, axis=0)
-        return float(vals.min())
-    if instance.family == "qpb":
-        if data["n"] != 2:
-            raise ValueError("oracle supports qpb only at n = 2")
-        Qm, qv = data["Qmat"], data["qvec"]
-        # arc of the shifted unit circle inside the unit ball: cos(theta) <= -1/4
-        t0 = np.arccos(-0.25)
-        theta = np.linspace(t0, 2.0 * np.pi - t0, 100_001)
-        xs = np.vstack([0.5 + np.cos(theta), np.sin(theta)])
-        mask = np.sum(xs * xs, axis=0) <= 1.0 + 1e-12
-        xs = xs[:, mask]
-        vals = 0.5 * np.sum(xs * (Qm @ xs), axis=0) + qv @ xs
-        return float(vals.min())
-    raise ValueError(f"oracle does not cover family {instance.family!r}")
+    oracle = get_family(instance.family).oracle
+    if oracle is None:
+        raise ValueError(f"oracle does not cover family {instance.family!r}")
+    return oracle(instance.data)

@@ -141,9 +141,7 @@ class ConvexSet:
 
     def q_matrix(self, x, validate=True):
         """Materialize Q(x) as a dense n-by-n matrix (cheap only for small n)."""
-        x = self._check_point(x, validate)
-        cols = [self._q(x, e) for e in np.eye(self.n)]
-        return np.column_stack(cols)
+        return self._q_cols(self._check_point(x, validate), np.eye(self.n))
 
     def dq_apply(self, x, d, v, validate=True):
         """Directional derivative of x -> Q(x) v along d:  (DQ(x)[d]) v."""

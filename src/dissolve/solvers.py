@@ -33,16 +33,19 @@ LINE_SEARCH_FAILURE = "line_search_failure"
 NUMERICAL_FAILURE = "numerical_failure"
 
 BB_MIN, BB_MAX = 1e-10, 1e10
+NM_MEMORY = 10
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 50
 # trials moving farther than this fraction of (1 + ||x||) are backtracked;
 # keeps iterates from clearing the barrier around the feasible region when
 # the penalty objective is unbounded below on a noncompact domain
 MAX_STEP_SCALE = 0.25
 # continuation multiplies beta by CONTINUATION_FACTOR when ||c(x)|| fell by
-# less than STALL_RATIO over the last stall window
+# less than STALL_RATIO over the last STALL_WINDOW iterations
 CONTINUATION_FACTOR = 10.0
 STALL_RATIO = 0.1
+STALL_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,7 @@ class SolverConfig:
     max_iter: int = 5000
     step_rule: str = "bb_nonmonotone"  # or "fixed"
     eta: float | None = None           # fixed step; estimated from x0 when None
-    nm_memory: int = 10
-    max_backtracks: int = 50
     beta_schedule: str = "fixed"       # or "continuation"
-    stall_window: int = 100
 
     def __post_init__(self):
         if not (self.tol_stat > 0 and self.tol_feas > 0):
@@ -66,8 +66,6 @@ class SolverConfig:
             raise ValueError(f"unknown step_rule {self.step_rule!r}")
         if self.beta_schedule not in ("fixed", "continuation"):
             raise ValueError(f"unknown beta_schedule {self.beta_schedule!r}")
-        if min(self.nm_memory, self.stall_window, self.max_backtracks + 1) < 1:
-            raise ValueError("nm_memory, stall_window >= 1 and max_backtracks >= 0 needed")
         if self.step_rule == "fixed" and self.beta_schedule == "continuation":
             raise ValueError("a fixed step suits one beta: no continuation with it")
 
@@ -164,7 +162,7 @@ def solve(prob, x0, config=None):
     The step `a` is config.eta (estimated from x0 when None) under the fixed
     rule; under "bb_nonmonotone" it is a clipped BB step, backtracked until
     the trial moves at most MAX_STEP_SCALE * (1 + ||x||) and passes a
-    non-monotone Armijo test over the last nm_memory values of h.
+    non-monotone Armijo test over the last NM_MEMORY values of h.
     """
     config = config or SolverConfig()
     bb = config.step_rule == "bb_nonmonotone"
@@ -183,7 +181,7 @@ def solve(prob, x0, config=None):
                        [(hval, float("nan"), float("nan"), 0.0)])
 
     if bb:
-        memory = deque([hval], maxlen=config.nm_memory)
+        memory = deque([hval], maxlen=NM_MEMORY)
         # first trial displacement is capped at a fraction of the point scale:
         # the penalty objective can be unbounded below far from the feasible
         # set, and an uncapped first step can clear the barrier around it
@@ -205,20 +203,20 @@ def solve(prob, x0, config=None):
             return _result(live, x, hval, k, t0, MAX_ITER, trace, metrics=(stat, feas))
 
         # optional continuation: bump beta when feasibility stalls
-        if config.beta_schedule == "continuation" and k % config.stall_window == 0:
+        if config.beta_schedule == "continuation" and k % STALL_WINDOW == 0:
             if feas_marker is not None and feas > (1.0 - STALL_RATIO) * feas_marker \
                     and feas > config.tol_feas:
                 live = live.with_beta(live.beta * CONTINUATION_FACTOR)
                 hval = h_value(live, x)
                 g = h_grad(live, x)
-                memory = deque([hval], maxlen=config.nm_memory)
+                memory = deque([hval], maxlen=NM_MEMORY)
             feas_marker = feas
 
         if bb:
             h_ref = max(memory)
             a = float(min(max(alpha, BB_MIN), BB_MAX))
             step_cap = MAX_STEP_SCALE * (1.0 + _norm(x))
-            for _ in range(config.max_backtracks + 1):
+            for _ in range(MAX_BACKTRACKS + 1):
                 x_trial = live.domain.project(x - a * g)
                 d = x_trial - x
                 if _norm(d) <= step_cap:

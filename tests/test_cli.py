@@ -269,6 +269,29 @@ def test_bad_generator_dims_exit_2_without_files(tmp_path, capsys, command, dims
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_bad_beta_exits_2_without_rows(tmp_path, capsys, command, beta):
+    out = tmp_path / "out.csv"
+    argv = [command, "--family", "npca", "--n", "10", "--cols", "5",
+            "--beta", beta, "--csv", str(out)]
+    if command == "bench":
+        argv += ["--seeds", "0", "--jobs", "1"]
+    assert main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "beta" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--family", "npca", "--n", "10", "--cols", "5",
+                 "--seeds", "0", "--jobs", jobs, "--csv", str(out)]) == 2
+    assert not out.exists()
+    assert "--jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--grad-points", "--struct-points", "--probe-samples"])
 def test_check_rejects_zero_counts(capsys, flag):
     assert main(["check", "--family", "qpb", "--n", "6", flag, "0"]) == 2

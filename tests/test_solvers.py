@@ -154,16 +154,13 @@ def test_pg_bb_deterministic_traces():
     assert r1.trace == r2.trace  # bitwise identical
 
 
-def test_pg_bb_nonmonotone_reference_never_increases():
+def test_pg_bb_nonmonotone_reference_never_increases(monkeypatch):
     inst, prob = gen_npca(40, 20, seed=1)
-    cfg = SolverConfig(nm_memory=10)
-    res = solve(prob, inst.x0, cfg)
-    hs = [row[0] for row in res.trace]
-    refs = []
-    for k in range(len(hs)):
-        lo = max(0, k - cfg.nm_memory + 1)
-        refs.append(max(hs[lo:k + 1]))
-    assert all(refs[k + 1] <= refs[k] + 1e-12 for k in range(len(refs) - 1))
+    for memory in (10, 5):  # the default, and one the loop must read at call time
+        monkeypatch.setattr(solvers, "NM_MEMORY", memory)
+        hs = [row[0] for row in solve(prob, inst.x0).trace]
+        refs = [max(hs[max(0, k - memory + 1):k + 1]) for k in range(len(hs))]
+        assert all(refs[k + 1] <= refs[k] + 1e-12 for k in range(len(refs) - 1))
 
 
 def test_pg_bb_trace_length_and_converged_invariant():
@@ -175,7 +172,7 @@ def test_pg_bb_trace_length_and_converged_invariant():
     assert res.stat <= cfg.tol_stat and res.feas <= cfg.tol_feas
 
 
-def test_pg_bb_line_search_failure_returns_best_iterate():
+def test_pg_bb_line_search_failure_returns_best_iterate(monkeypatch):
     # an objective whose gradient is wrong (ascent direction) stalls the
     # armijo test immediately
     domain = Box([-1.0], [1.0])
@@ -185,8 +182,8 @@ def test_pg_bb_line_search_failure_returns_best_iterate():
         f_value=lambda x: float(x[0]),
         f_grad=lambda x: np.array([-1.0]),  # deliberately reversed
         cmap=cmap, amap=amap, domain=domain, beta=0.0)
-    cfg = SolverConfig(max_backtracks=5, max_iter=50)
-    res = solve(prob, np.array([0.5]), cfg)
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 5)
+    res = solve(prob, np.array([0.5]), SolverConfig(max_iter=50))
     assert res.status == "line_search_failure"
     assert res.h_val <= 0.5 + 1e-12
 
@@ -200,10 +197,11 @@ def test_solve_dispatch():
     assert res.status == "converged"
 
 
-def test_beta_continuation_bumps_penalty_on_stall():
+def test_beta_continuation_bumps_penalty_on_stall(monkeypatch):
+    monkeypatch.setattr(solvers, "STALL_WINDOW", 25)
     inst, prob = gen_qpb(10, seed=1)
     weak = prob.with_beta(1e-4)
-    cfg = SolverConfig(beta_schedule="continuation", stall_window=25,
+    cfg = SolverConfig(beta_schedule="continuation",
                        max_iter=3000, tol_stat=1e-8, tol_feas=1e-6)
     res = solve(weak, inst.x0, cfg)
     assert res.feas <= 1e-4  # continuation pushed feasibility below the weak-beta level
@@ -212,9 +210,6 @@ def test_beta_continuation_bumps_penalty_on_stall():
 @pytest.mark.parametrize("kwargs", [
     {"step_rule": "fxied"},
     {"beta_schedule": "continuaton"},
-    {"nm_memory": 0},
-    {"stall_window": 0},
-    {"max_backtracks": -1},
     {"tol_stat": float("nan")},
     {"tol_feas": float("nan")},
     {"tol_stat": 0.0},
@@ -228,9 +223,7 @@ def test_solver_config_rejects_bad_values(kwargs):
 
 def test_solver_config_fields_and_fixed_step_check():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "tol_stat", "tol_feas", "max_iter", "step_rule", "eta", "nm_memory",
-        "max_backtracks", "beta_schedule", "stall_window"]
-    SolverConfig(max_backtracks=0, nm_memory=1, stall_window=1)
+        "tol_stat", "tol_feas", "max_iter", "step_rule", "eta", "beta_schedule"]
     prob = unconstrained_quadratic(2)
     # a bad step is rejected when the solve starts, not at construction
     for eta in (0.0, -1.0, float("nan")):
