@@ -210,6 +210,9 @@ def test_beta_continuation_bumps_penalty_on_stall(monkeypatch):
 @pytest.mark.parametrize("kwargs", [
     {"step_rule": "fxied"},
     {"beta_schedule": "continuaton"},
+    {"tol_stat": -1.0},
+    {"tol_feas": 0.0},
+    {"max_iter": -1},
     {"tol_stat": float("nan")},
     {"tol_feas": float("nan")},
     {"tol_stat": 0.0},
