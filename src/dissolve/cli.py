@@ -145,19 +145,21 @@ def _bench_task(payload):
     return _row(family, dims, seed, solver_name, beta, result)
 
 
-def _int_list(text, default=None):
-    items = [s for s in (text or "").split(",") if s.strip()]
-    return [int(s) for s in items] if items else (default or [])
+def _comma_list(text, kind):
+    return [kind(s) for s in text.split(",") if s.strip()]
 
 
 def cmd_bench(args):
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1; got {args.jobs}")
-    seeds = _int_list(args.seeds, default=[_default_seed()])
-    ns = _int_list(args.n)
+    seeds = _comma_list(args.seeds, int) if args.seeds is not None else [_default_seed()]
+    ns = _comma_list(args.n, int)
     family = problems.FAMILIES[args.family]
-    rhos = ([float(s) for s in args.rho.split(",") if s.strip()]
-            if "rho" in family.cli_dims else [None])
+    rhos = _comma_list(args.rho, float) if "rho" in family.cli_dims else [None]
+    empty = [flag for flag, items in (("--n", ns), ("--rho", rhos), ("--seeds", seeds))
+             if not items]
+    if empty:
+        raise ValueError(f"{', '.join(empty)} lists no value, so the grid has no task")
     beta_grid = [args.beta] if args.beta is not None else list(family.beta_grid)
 
     tasks = [(args.family, _dims_from_args(args, n=n, rho=rho), seed, beta_grid,

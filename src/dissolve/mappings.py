@@ -17,20 +17,22 @@ array mutated in place, builds afresh.  `h_value` and `h_grad` take c(x) and
 G(x) c(x) from that point too, when the map was built over the problem's
 constraint map; otherwise they evaluate the constraint map themselves.
 
-A `PenaltyProblem` keeps a one-slot point record, (bytes of x, A(x), c(x)),
-for the last finite x that `h_value` evaluated.  `h_grad` at those bytes,
-and the solvers' feasibility and final objective, read A(x) and c(x) from it
-instead of evaluating them again.  The solvers still call `h_value` and
-`h_grad` by name for every evaluation, so wrappers that replace those names
-see each one.  Closed-form objectives may memoize likewise: npca's `f` and
-its gradient share B^T x for the last finite point.
+`h_value` and `h_grad` also share A(x) and c(x) through a point the caller
+carries: `h_value(prob, x, point)` fills the list `point` with [A(x), c(x)],
+and `h_grad(prob, x, point)` reads both from it instead of evaluating them
+again.  The solve loop holds one such list per iterate, trial and best
+point, and reads the reported feasibility and the final f(A(x)) from them
+too.  The solvers still call `h_value` and `h_grad` by name for every
+evaluation, so wrappers that replace those names see each one.
+Closed-form objectives may memoize as well: npca's `f` and its gradient
+share B^T x for the last finite point.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -125,10 +127,6 @@ class PenaltyProblem:
     amap: DissolvingMap
     domain: ConvexSet
     beta: float
-    # one slot, (bytes of x, A(x), c(x)), for the last finite x that h_value
-    # evaluated; a problem made by with_beta or dataclasses.replace starts empty
-    _record: list = field(default_factory=lambda: [None], init=False,
-                          compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.beta < np.inf:
@@ -137,14 +135,6 @@ class PenaltyProblem:
     @property
     def n(self):
         return self.domain.n
-
-    def point(self, x):
-        """(A(x), c(x)) as h_value last evaluated them, when x has the exact
-        bytes of that point; None otherwise.  x must be a float array."""
-        rec = self._record[0]
-        if rec is None or rec[0] != x.tobytes():
-            return None
-        return rec[1], rec[2]
 
     def with_beta(self, beta):
         return dataclasses.replace(self, beta=float(beta))
@@ -367,34 +357,35 @@ def _penalty_parts(prob, x, c=None):
     return (parts[0] if c is None else c), parts[1]
 
 
-def h_value(prob, x):
+def h_value(prob, x, point=None):
     """Penalty objective f(A(x)) + (beta/2)||c(x)||^2.
 
-    A finite x becomes the problem's point record, which `h_grad` and the
-    solvers read instead of evaluating A(x) and c(x) again.  Callers are
-    expected to supply x in the domain (within tolerance); the smooth
-    formulas extend off the set, which finite-difference oracles rely on.
+    When `point` is a list, it is filled with [A(x), c(x)] for `h_grad` at
+    the same x.  Callers are expected to supply x in the domain (within
+    tolerance); the smooth formulas extend off the set, which
+    finite-difference oracles rely on.
     """
     x = np.asarray(x, dtype=float)
     a = prob.amap.value(x)
     fa = prob.f_value(a)
     c, _ = _penalty_parts(prob, x)
-    if np.isfinite(x).all():
-        prob._record[0] = (x.tobytes(), a, c)
+    if point is not None:
+        point[:] = (a, c)
     return float(fa + 0.5 * prob.beta * (c @ c))
 
 
-def h_grad(prob, x):
+def h_grad(prob, x, point=None):
     """Gradient of the penalty objective: gradA(x) gradf(A(x)) + beta*G(x)c(x).
 
-    At the point h_value recorded last, A(x) and c(x) come from the record.
+    `point`, when given, must be a list that `h_value` filled at this x,
+    unchanged since, for a problem with the same map and constraints (beta
+    may differ); A(x) and c(x) are read from it without a check.
     """
     x = np.asarray(x, dtype=float)
-    rec = prob.point(x)
-    a = prob.amap.value(x) if rec is None else rec[0]
+    a, c = (prob.amap.value(x), None) if point is None else point
     out = prob.amap.vjp(x, np.asarray(prob.f_grad(a), dtype=float))
     if prob.cmap.p and prob.beta != 0.0:
-        c, Gc = _penalty_parts(prob, x, None if rec is None else rec[1])
+        c, Gc = _penalty_parts(prob, x, c)
         if Gc is None:
             Gc = prob.cmap.jac_t_apply(x, c)
         out = out + prob.beta * Gc

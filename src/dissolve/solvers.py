@@ -116,25 +116,21 @@ def _finite(hval, g):
     return math.isfinite(hval) and np.isfinite(g).all()
 
 
-def _metrics(prob, x, g):
-    """(stationarity, ||c(x)||) at an iterate x whose gradient is g; c(x)
-    comes from the problem's point record when it holds x."""
-    rec = prob.point(x)
-    c = prob.cmap.value(x) if rec is None else rec[1]
-    return _pg_residual(prob, x, g), _norm(c)
+def _metrics(prob, x, g, point):
+    """(stationarity, ||c(x)||) at an iterate x whose gradient is g and whose
+    [A(x), c(x)] `h_value` put in `point`."""
+    return _pg_residual(prob, x, g), _norm(point[1])
 
 
-def _result(prob, x, hval, iters, t0, status, trace, metrics=None):
-    """The outcome at x.  (stat, feas) is `metrics` when the caller has it,
-    else evaluated at x when x is finite; A(x) for f(A(x)) comes from the
-    point record when it holds x."""
+def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
+    """The outcome at x, from the loop's gradient g and `point` at x.
+    (stat, feas) is `metrics` when the caller has it, else evaluated from g
+    and `point` when x is finite; f(A(x)) takes A(x) from `point`."""
     if metrics is None:
-        metrics = (_metrics(prob, x, h_grad(prob, x)) if np.isfinite(x).all()
+        metrics = (_metrics(prob, x, g, point) if np.isfinite(x).all()
                    else (float("nan"), float("nan")))
     stat, feas = metrics
-    rec = prob.point(x)
-    a = prob.amap.value(x) if rec is None else rec[0]
-    return SolveResult(x_final=x, f_val=float(prob.f_value(a)), h_val=float(hval),
+    return SolveResult(x_final=x, f_val=float(prob.f_value(point[0])), h_val=float(hval),
                        feas=feas, stat=stat, iters=iters,
                        wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
 
@@ -162,7 +158,10 @@ def solve(prob, x0, config=None):
     The step `a` is config.eta (estimated from x0 when None) under the fixed
     rule; under "bb_nonmonotone" it is a clipped BB step, backtracked until
     the trial moves at most MAX_STEP_SCALE * (1 + ||x||) and passes a
-    non-monotone Armijo test over the last NM_MEMORY values of h.
+    non-monotone Armijo test over the last NM_MEMORY values of h.  The loop
+    carries the [A(x), c(x)] list `h_value` fills for the iterate, the trial
+    and the best iterate, and every exit reads its numbers from those lists
+    and the gradient it holds.
     """
     config = config or SolverConfig()
     bb = config.step_rule == "bb_nonmonotone"
@@ -174,10 +173,11 @@ def solve(prob, x0, config=None):
         if not a > 0:
             raise ValueError("step size must be positive")
 
-    hval = h_value(live, x)
-    g = h_grad(live, x)
+    pt = []
+    hval = h_value(live, x, pt)
+    g = h_grad(live, x, pt)
     if not _finite(hval, g):
-        return _result(live, x, hval, 0, t0, NUMERICAL_FAILURE,
+        return _result(live, x, pt, g, hval, 0, t0, NUMERICAL_FAILURE,
                        [(hval, float("nan"), float("nan"), 0.0)])
 
     if bb:
@@ -188,30 +188,32 @@ def solve(prob, x0, config=None):
         alpha = min(1.0,
                     1.0 / max(float(np.abs(g).max()), 1e-16),
                     0.1 * (1.0 + _norm(x)) / max(_norm(g), 1e-16))
-        best_h, best_x = hval, x.copy()
+        best_h, best_x, best_pt = hval, x.copy(), pt
     trace = []
     feas_marker = None
     accepted_step = 0.0
     k = 0
 
     while True:
-        stat, feas = _metrics(live, x, g)
+        stat, feas = _metrics(live, x, g, pt)
         trace.append((hval, feas, stat, accepted_step))
         if stat <= config.tol_stat and feas <= config.tol_feas:
-            return _result(live, x, hval, k, t0, CONVERGED, trace, metrics=(stat, feas))
+            return _result(live, x, pt, g, hval, k, t0, CONVERGED, trace, (stat, feas))
         if k >= config.max_iter:
-            return _result(live, x, hval, k, t0, MAX_ITER, trace, metrics=(stat, feas))
+            return _result(live, x, pt, g, hval, k, t0, MAX_ITER, trace, (stat, feas))
 
         # optional continuation: bump beta when feasibility stalls
         if config.beta_schedule == "continuation" and k % STALL_WINDOW == 0:
             if feas_marker is not None and feas > (1.0 - STALL_RATIO) * feas_marker \
                     and feas > config.tol_feas:
                 live = live.with_beta(live.beta * CONTINUATION_FACTOR)
+                # A(x) and c(x) do not depend on beta: pt stays x's point
                 hval = h_value(live, x)
-                g = h_grad(live, x)
+                g = h_grad(live, x, pt)
                 memory = deque([hval], maxlen=NM_MEMORY)
             feas_marker = feas
 
+        trial = []
         if bb:
             h_ref = max(memory)
             a = float(min(max(alpha, BB_MIN), BB_MAX))
@@ -220,22 +222,25 @@ def solve(prob, x0, config=None):
                 x_trial = live.domain.project(x - a * g)
                 d = x_trial - x
                 if _norm(d) <= step_cap:
-                    h_trial = h_value(live, x_trial)
+                    h_trial = h_value(live, x_trial, trial)
                     if math.isfinite(h_trial) and h_trial <= h_ref + ARMIJO_C * float(g @ d):
                         break
                 a *= BACKTRACK_FACTOR
             else:
-                trace.append((best_h, feasibility_measure(live, best_x),
-                              stationarity_measure(live, best_x), a))
-                return _result(live, best_x, best_h, k + 1, t0, LINE_SEARCH_FAILURE, trace)
+                g_best = h_grad(live, best_x, best_pt)
+                stat, feas = _metrics(live, best_x, g_best, best_pt)
+                trace.append((best_h, feasibility_measure(live, best_x), stat, a))
+                return _result(live, best_x, best_pt, g_best, best_h, k + 1, t0,
+                               LINE_SEARCH_FAILURE, trace, (stat, feas))
         else:
             x_trial = live.domain.project(x - a * g)
-            h_trial = h_value(live, x_trial)
+            h_trial = h_value(live, x_trial, trial)
 
-        g_new = h_grad(live, x_trial)
+        g_new = h_grad(live, x_trial, trial)
         if not _finite(h_trial, g_new):
             trace.append((h_trial, float("nan"), float("nan"), a))
-            return _result(live, x_trial, h_trial, k + 1, t0, NUMERICAL_FAILURE, trace)
+            return _result(live, x_trial, trial, g_new, h_trial, k + 1, t0,
+                           NUMERICAL_FAILURE, trace)
         if bb:
             y = g_new - g
             sy = float(d @ y)
@@ -248,8 +253,8 @@ def solve(prob, x0, config=None):
                 alpha = min(BB_MAX, _norm(d) / ny if ny > 0.0 else BB_MAX)
             memory.append(h_trial)
             if h_trial < best_h:
-                best_h, best_x = h_trial, x_trial.copy()
-        x, g, hval = x_trial, g_new, h_trial
+                best_h, best_x, best_pt = h_trial, x_trial.copy(), trial
+        x, g, hval, pt = x_trial, g_new, h_trial, trial
         accepted_step = a
         k += 1
 

@@ -1,0 +1,37 @@
+"""Smoke test of the benchmark's traced path.
+
+`perfbench/run.py --trace 1` replaces the names `h_value` and `h_grad` in
+`dissolve.solvers` and `dissolve.diagnostics` and wraps the problem's
+callbacks.  A library change that breaks those lookups shows here at test
+time instead of at benchmark time.  The run happens in a copy of `src/` and
+`perfbench/`, so its span file lands in a temporary directory.
+"""
+
+import json
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["npca", "check-fpca"])
+def test_traced_benchmark_run_reports_every_layer(tmp_path, workload):
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
+    assert missing == []
+    if workload == "npca":
+        assert result["metrics"]["mappings.h_value.calls"]["value"] > 0

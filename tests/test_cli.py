@@ -118,15 +118,6 @@ def test_bench_matrix_and_fpca_beta_grid(tmp_path):
     assert row["extra_dims"] == "k=2;d=2"
 
 
-def test_bench_empty_suite_writes_header_only(tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    rc = main(["bench", "--family", "qpb", "--n", "", "--seeds", "",
-               "--jobs", "1", "--csv", str(csv_path)])
-    assert rc == 0
-    text = csv_path.read_text().strip().splitlines()
-    assert text == [",".join(CSV_COLUMNS)]
-
-
 def test_solver_breakdown_exits_3_with_row_written(tmp_path):
     # a too-weak penalty on this fpca instance descends in z until the line
     # search gives up; the row is still recorded with its status
@@ -290,6 +281,21 @@ def test_bench_rejects_jobs_below_one(tmp_path, capsys, jobs):
                  "--seeds", "0", "--jobs", jobs, "--csv", str(out)]) == 2
     assert not out.exists()
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid,flags", [
+    (["--family", "qpb", "--n", "", "--seeds", ""], ["--n", "--seeds"]),
+    (["--family", "npca", "--n", ","], ["--n"]),
+    (["--family", "npca", "--n", "10", "--rho", ""], ["--rho"]),
+    (["--family", "npca", "--n", "10", "--seeds", ","], ["--seeds"]),
+], ids=["qpb-n-seeds", "npca-n", "npca-rho", "npca-seeds"])
+def test_bench_rejects_an_empty_grid(tmp_path, capsys, grid, flags):
+    # a grid with no task exits 2 and writes no CSV, not even a header
+    out = tmp_path / "bench.csv"
+    assert main(["bench", *grid, "--jobs", "1", "--csv", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and all(f in captured.err for f in flags)
 
 
 @pytest.mark.parametrize("flag", ["--grad-points", "--struct-points", "--probe-samples"])

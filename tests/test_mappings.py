@@ -642,10 +642,10 @@ def test_h_grad_exact_at_boundary_active_iterate():
     assert grad_check(prob, [res.x_final]).passed
 
 
-# ---------------------------------------------------------------- point record
+# ---------------------------------------------------------------- carried point
 
 
-RECORD_FAMILIES = [(gen_npca, (12, 6), 0.05)] + CACHED_FAMILIES
+POINT_FAMILIES = [(gen_npca, (12, 6), 0.05)] + CACHED_FAMILIES
 
 
 def nan_point_problem():
@@ -663,48 +663,51 @@ def nan_point_problem():
                           beta=3.0)
 
 
-@pytest.mark.parametrize("gen,dims,scale", RECORD_FAMILIES)
+@pytest.mark.parametrize("gen,dims,scale", POINT_FAMILIES)
 def test_h_grad_after_h_value_matches_a_fresh_problem(gen, dims, scale):
     inst, prob = gen(*dims, seed=0)
     x, y = (p.copy() for p in near_feasible_points(inst, 2, seed=5, scale=scale))
     for z in (x, y, x):
-        h_value(prob, z)
-        assert prob.point(z) is not None
-        assert same_bits(h_grad(prob, z), h_grad(gen(*dims, seed=0)[1], z))
-    # the record holds x's old bytes: the mutated array misses it
-    h_value(prob, x)
+        point = []
+        h_value(prob, z, point)
+        fresh = gen(*dims, seed=0)[1]
+        assert len(point) == 2
+        assert same_bits(point[0], fresh.amap.value(z))
+        assert same_bits(point[1], fresh.cmap.value(z))
+        assert same_bits(h_grad(prob, z, point), h_grad(gen(*dims, seed=0)[1], z))
+    # without a point, h_grad evaluates A(x) and c(x) itself, and the map
+    # slot that h_value left at x misses the array mutated in place
+    h_value(prob, x, [])
     x[0] += 1e-3
-    assert prob.point(x) is None
     assert same_bits(h_grad(prob, x), h_grad(gen(*dims, seed=0)[1], x))
     x[-1] -= 1e-3
-    assert h_value(prob, x) == h_value(gen(*dims, seed=0)[1], x)
-    assert same_bits(h_grad(prob, x), h_grad(gen(*dims, seed=0)[1], x))
+    point = []
+    assert h_value(prob, x, point) == h_value(gen(*dims, seed=0)[1], x)
+    assert same_bits(h_grad(prob, x, point), h_grad(gen(*dims, seed=0)[1], x))
 
 
 @pytest.mark.parametrize("make", [lambda: gen_npca(12, 6, seed=0)[1], nan_point_problem])
 def test_point_record_never_stores_a_nan_point(make):
+    # a NaN point goes into its own list and leaves x's list as it was
     prob = make()
     x = np.full(prob.n, 0.25)
-    h_value(prob, x)
+    point_x, point_bad = [], []
+    h_value(prob, x, point_x)
     bad = x.copy()
     bad[1] = np.nan
-    assert np.isnan(h_value(prob, bad))
-    assert prob.point(bad) is None
-    assert prob.point(x) is not None  # still the last finite point
-    assert same_bits(h_grad(prob, bad), h_grad(make(), bad))
-    assert same_bits(h_grad(prob, x), h_grad(make(), x))
+    assert np.isnan(h_value(prob, bad, point_bad))
+    assert same_bits(h_grad(prob, bad, point_bad), h_grad(make(), bad))
+    assert same_bits(h_grad(prob, x, point_x), h_grad(make(), x))
 
 
 def test_point_record_starts_empty_and_stays_out_of_equality():
+    # the problem holds no point state: evaluating leaves it equal to a copy
     inst, prob = gen_npca(12, 6, seed=0)
     x = inst.x0
     twin = dataclasses.replace(prob)
-    h_value(prob, x)
-    assert prob.point(x) is not None
-    assert twin.point(x) is None
-    assert prob.with_beta(3.0).point(x) is None
-    assert dataclasses.replace(prob).point(x) is None
-    assert dataclasses.replace(prob, beta=prob.beta).point(x) is None
+    h_value(prob, x, [])
+    assert [f.name for f in dataclasses.fields(PenaltyProblem)] == [
+        "f_value", "f_grad", "cmap", "amap", "domain", "beta"]
     assert twin == prob and hash(twin) == hash(prob)
     assert "_record" not in repr(prob)
 
@@ -741,9 +744,9 @@ def test_npca_solve_evaluates_each_point_once(monkeypatch):
     h_calls = []
     value = solvers.h_value
 
-    def counting_h_value(p, x):
+    def counting_h_value(p, x, point=None):
         h_calls.append(1)
-        return value(p, x)
+        return value(p, x, point)
 
     monkeypatch.setattr(solvers, "h_value", counting_h_value)
     res = solvers.solve(counted, inst.x0)
@@ -759,7 +762,8 @@ def test_fpca_penalty_pair_evaluates_each_part_once(monkeypatch):
     x = near_feasible_points(inst, 1, seed=1, scale=0.4)[0]
     counted, calls = counted_calls(prob)
     builds = count_pinv(monkeypatch)
-    h_value(counted, x)
-    h_grad(counted, x)
+    point = []
+    h_value(counted, x, point)
+    h_grad(counted, x, point)
     assert calls == {"A": 1, "c": 1}
     assert len(builds) == 1

@@ -287,16 +287,8 @@ def test_reported_feasibility_is_at_the_iterate_measure_at_its_projection():
     assert feasibility_measure(prob, y) != float(np.linalg.norm(prob.cmap.value(y)))
 
 
-@pytest.mark.parametrize("rule,eta,max_iter,status", [
-    ("fixed", None, 5000, "converged"), ("fixed", 0.01, 40, "max_iter"),
-    ("bb_nonmonotone", None, 5000, "converged"), ("bb_nonmonotone", None, 20, "max_iter"),
-])
-def test_result_reuses_the_final_point(rule, eta, max_iter, status, monkeypatch):
-    # one gradient at x0 and one per step, none again for the returned point,
-    # whose A(x) comes from the last h_value
-    inst, prob = gen_npca(20, 8, seed=1)
-    cfg = SolverConfig(step_rule=rule, eta=eta, max_iter=max_iter)
-    plain = solve(prob, inst.x0, cfg)
+def counted_solve(monkeypatch, prob, x0, cfg):
+    """solve(prob, x0, cfg) with h_value, h_grad and A(x) counting their calls."""
     calls = {"h_value": 0, "h_grad": 0, "A": 0}
 
     def counting(name, fn):
@@ -308,14 +300,72 @@ def test_result_reuses_the_final_point(rule, eta, max_iter, status, monkeypatch)
     for name in ("h_value", "h_grad"):
         monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
     amap = dataclasses.replace(prob.amap, value=counting("A", prob.amap.value))
+    return solve(dataclasses.replace(prob, amap=amap), x0, cfg), calls
+
+
+@pytest.mark.parametrize("rule,eta,max_iter,status", [
+    ("fixed", None, 5000, "converged"), ("fixed", 0.01, 40, "max_iter"),
+    ("bb_nonmonotone", None, 5000, "converged"), ("bb_nonmonotone", None, 20, "max_iter"),
+])
+def test_result_reuses_the_final_point(rule, eta, max_iter, status, monkeypatch):
+    # one gradient at x0 and one per step, none again for the returned point,
+    # whose A(x) comes from the last h_value
+    inst, prob = gen_npca(20, 8, seed=1)
+    cfg = SolverConfig(step_rule=rule, eta=eta, max_iter=max_iter)
+    plain = solve(prob, inst.x0, cfg)
     # the step estimate of the fixed rule evaluates gradients of its own
-    res = solve(dataclasses.replace(prob, amap=amap), inst.x0,
-                dataclasses.replace(cfg, eta=eta or plain.trace[1][3]))
+    res, calls = counted_solve(monkeypatch, prob, inst.x0,
+                               dataclasses.replace(cfg, eta=eta or plain.trace[1][3]))
     assert res.status == status
     assert calls["h_grad"] == res.iters + 1
     assert calls["A"] == calls["h_value"]
     assert (res.f_val, res.feas, res.stat, res.trace) == (
         plain.f_val, plain.feas, plain.stat, plain.trace)
+
+
+def exp_problem(sign):
+    """exp(x) on the real line, with the gradient's sign flipped when sign < 0."""
+    domain = Box([-np.inf], [np.inf])
+    cmap = empty_constraint_map(1)
+    return PenaltyProblem(
+        f_value=lambda x: float(np.exp(x[0])),
+        f_grad=lambda x: np.array([sign * np.exp(x[0])]),
+        cmap=cmap, amap=build_aq(domain, cmap, sigma=1.0), domain=domain, beta=0.0)
+
+
+def reversed_box_problem():
+    """x on [-1, 1] with a reversed gradient: every Armijo test fails."""
+    domain = Box([-1.0], [1.0])
+    cmap = empty_constraint_map(1)
+    return PenaltyProblem(
+        f_value=lambda x: float(x[0]), f_grad=lambda x: np.array([-1.0]),
+        cmap=cmap, amap=build_aq(domain, cmap, sigma=1.0), domain=domain, beta=0.0)
+
+
+@pytest.mark.parametrize("make,x0,cfg,status,iters", [
+    (reversed_box_problem, 0.5, SolverConfig(max_iter=50), "line_search_failure", 1),
+    # exp(720) overflows at x0 itself
+    (lambda: exp_problem(1.0), 720.0, SolverConfig(step_rule="fixed", eta=1e6, max_iter=10),
+     "numerical_failure", 0),
+    # the reversed gradient steps from 700 to about 1e304, where exp overflows
+    (lambda: exp_problem(-1.0), 700.0, SolverConfig(step_rule="fixed", eta=1.0, max_iter=10),
+     "numerical_failure", 1),
+])
+def test_failure_exits_take_one_gradient_per_point(make, x0, cfg, status, iters,
+                                                    monkeypatch):
+    # a failed solve reads its outcome from the points the loop holds: no
+    # second gradient and no second A(x) at the returned point
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 5)
+    x0 = np.array([x0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = solve(make(), x0, cfg)
+        res, calls = counted_solve(monkeypatch, make(), x0, cfg)
+    assert (res.status, res.iters) == (status, iters)
+    assert calls["h_grad"] == res.iters + 1
+    assert calls["A"] == calls["h_value"]
+    fields = ("status", "iters", "f_val", "h_val", "feas", "stat", "trace")
+    assert repr([getattr(res, f) for f in fields]) == repr([getattr(plain, f) for f in fields])
+    assert res.x_final.tobytes() == plain.x_final.tobytes()
 
 
 @given(st.lists(st.floats(min_value=-1e150, max_value=1e150), max_size=60))
