@@ -105,8 +105,9 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         if _norm(cmap.value(x)) > 1e-10 or not domain.contains(x):
             raise ValueError("assumption_a_check needs exactly feasible points")
         rec = {}
+        point = {}  # A(x) and every vjp at x share one build of the map
 
-        fix = float(np.max(np.abs(amap.value(x) - x))) if n else 0.0
+        fix = float(np.max(np.abs(amap.value(x, point) - x))) if n else 0.0
         rec["fixed_point"] = fix
 
         ker = 0.0
@@ -114,7 +115,7 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         if cmap.p:
             for _ in range(n_lambda):
                 lam = rng.standard_normal(cmap.p)
-                v = amap.vjp(x, cmap.jac_t_apply(x, lam))
+                v = amap.vjp(x, cmap.jac_t_apply(x, lam), point)
                 resid = _norm(v) / max(1.0, _norm(lam))
                 if resid > ker:
                     ker = resid
@@ -127,7 +128,7 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         rec["kernel_outside_normal_span"] = ker_span_dist
 
         if n <= IDEMPOTENCY_DIM_GUARD:
-            J = np.column_stack([amap.vjp(x, e) for e in np.eye(n)])
+            J = np.column_stack([amap.vjp(x, e, point) for e in np.eye(n)])
             idem = float(np.linalg.norm(P_E @ (J @ J - J), 2))
             rec["idempotency"] = idem
         else:

@@ -10,19 +10,18 @@ is
 with G(x) the n-by-p matrix of constraint gradients and Q the domain's
 projective mapping.  The p-by-p core is formed densely and pseudo-inverted
 with an SVD cutoff, so p is assumed small.  A build applies Q(x) to all p
-columns of G in one `_q_cols` call.  The generic map keeps the core's parts
-for the last point it saw, keyed by the exact bytes of x, so `value` and
-`vjp` at one point share a single build; any other point, including the same
-array mutated in place, builds afresh.  `h_value` and `h_grad` take c(x) and
-G(x) c(x) from that point too, when the map was built over the problem's
-constraint map; otherwise they evaluate the constraint map themselves.
+columns of G in one `_q_cols` call.
 
-`h_value` and `h_grad` also share A(x) and c(x) through a point the caller
-carries: `h_value(prob, x, point)` fills the list `point` with [A(x), c(x)],
-and `h_grad(prob, x, point)` reads both from it instead of evaluating them
-again.  The solve loop holds one such list per iterate, trial and best
-point, and reads the reported feasibility and the final f(A(x)) from them
-too.  The solvers still call `h_value` and `h_grad` by name for every
+Work done at one point lives in a dict the caller carries for that point,
+never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
+point)` store the generic map's core build there and reuse it, so A(x) and
+any number of vjps at x share one build.  `h_value(prob, x, point)` clears
+the dict and fills it with A(x), c(x) and the build; `h_grad(prob, x,
+point)` reads them instead of evaluating them again.  c(x) and G(x) c(x)
+come from the build only when the map was built over the problem's
+constraint map; otherwise the constraint map is called.  Without a point,
+every call builds afresh.  The solve loop holds one dict per iterate, trial
+and best point.  The solvers call `h_value` and `h_grad` by name for every
 evaluation, so wrappers that replace those names see each one.
 Closed-form objectives may memoize as well: npca's `f` and its gradient
 share B^T x for the last finite point.
@@ -104,17 +103,16 @@ def empty_constraint_map(n):
 class DissolvingMap:
     """A(x) plus its transposed-Jacobian-vector product vjp(x, w) = gradA(x) w.
 
-    point_parts(cmap, x), set only by `build_aq`, returns (c(x), G(x) c(x))
-    as the map's last build computed them, G c being None until a vjp ran
-    there; it returns None, and builds nothing, when x is not the map's last
-    point or cmap is not the constraint map the map was built over.
+    Both are called as value(x, point=None) and vjp(x, w, point=None).
+    `point` is a dict the caller carries for one x and one map; the map may
+    store work done at x there and reuse it on later calls with the same
+    dict.  Closed-form maps store nothing.
     """
 
-    value: Callable[[np.ndarray], np.ndarray]
-    vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value: Callable[..., np.ndarray]
+    vjp: Callable[..., np.ndarray]
     mode: str  # closed_form | generic_analytic | generic_fd
     sigma: Optional[float] = None
-    point_parts: Optional[Callable[[ConstraintMap, np.ndarray], Optional[tuple]]] = None
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,8 @@ def build_aq(domain, cmap, sigma=1.0, mode="auto"):
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and positive; got {sigma}")
     if cmap.p == 0:
-        return DissolvingMap(value=lambda x: np.asarray(x, dtype=float).copy(),
-                             vjp=lambda x, w: np.asarray(w, dtype=float).copy(),
+        return DissolvingMap(value=lambda x, point=None: np.asarray(x, dtype=float).copy(),
+                             vjp=lambda x, w, point=None: np.asarray(w, dtype=float).copy(),
                              mode="closed_form", sigma=float(sigma))
 
     if mode == "auto":
@@ -181,63 +179,49 @@ def build_aq(domain, cmap, sigma=1.0, mode="auto"):
         vjp = amap.vjp
     else:
 
-        def vjp(x, w):
+        def vjp(x, w, point=None):
             return _fd_vjp(amap.value, x, w)
 
-    return DissolvingMap(value=amap.value, vjp=vjp, mode=mode, sigma=float(sigma),
-                         point_parts=amap.point_parts)
+    return DissolvingMap(value=amap.value, vjp=vjp, mode=mode, sigma=float(sigma))
 
 
 class _GenericMap:
-    """The generic A(x) and its analytic vjp, sharing one cached point.
+    """The generic A(x) and its analytic vjp; it keeps no state of its own.
 
-    The slot holds the exact bytes of the last finite x with its value parts
-    (c, G, QG, core_pinv, u) and, once a vjp has run there, the w-free vjp
-    parts (G u, Q(x) G u, G(x) c).  Bytes, not identity or a tolerance, key
-    the slot, so a caller that mutates x in place gets fresh parts.
+    Work done at one x lives in the `point` dict the caller carries for that
+    x: the value parts (c, G, QG, core_pinv, u) under "build", with the
+    constraint map they were built over under "built_over", and, once a vjp
+    has run there, the w-free vjp parts (G u, Q(x) G u, G(x) c) under
+    "build_vjp".  Without a point every call builds afresh.
     """
 
     def __init__(self, domain, cmap, sigma):
         self.domain = domain
         self.cmap = cmap
         self.sigma = sigma
-        self._slot = (None, None, None)  # key, value parts, vjp parts
 
-    def _entry(self, x):
-        key = x.tobytes()
-        slot = self._slot
-        if slot[0] != key:
-            slot = (key, _aq_value_parts(self.domain, self.cmap, self.sigma, x), None)
-            # equal bytes do not make a NaN point equal to itself: never store one
-            if np.isfinite(x).all():
-                self._slot = slot
-        return slot
+    def _parts(self, x, point):
+        if "build" not in point:
+            point["build"] = _aq_value_parts(self.domain, self.cmap, self.sigma, x)
+            point["built_over"] = self.cmap
+        return point["build"]
 
-    def value(self, x):
+    def value(self, x, point=None):
         x = np.asarray(x, dtype=float)
-        _, _, QG, _, u = self._entry(x)[1]
+        _, _, QG, _, u = self._parts(x, {} if point is None else point)
         return x - QG @ u
 
-    def point_parts(self, cmap, x):
-        key, parts, extra = self._slot
-        if cmap is not self.cmap or key != x.tobytes():
-            return None
-        return parts[0], None if extra is None else extra[2]
-
-    def vjp(self, x, w):
+    def vjp(self, x, w, point=None):
         # product rule across Q G, the pseudo-inverted core, and c; exact
         x = np.asarray(x, dtype=float)
         w = np.asarray(w, dtype=float)
-        slot = self._entry(x)
-        key, parts, extra = slot
-        c, G, _, core_pinv, u = parts
+        point = {} if point is None else point
+        c, G, _, core_pinv, u = self._parts(x, point)
         domain, hess = self.domain, self.cmap.hess_apply
-        if extra is None:
+        if "build_vjp" not in point:
             Gu = G @ u
-            extra = (Gu, domain._q(x, Gu), self.cmap.jac_t_apply(x, c))
-            if self._slot is slot:
-                self._slot = (key, parts, extra)
-        Gu, QGu, Gc = extra
+            point["build_vjp"] = (Gu, domain._q(x, Gu), self.cmap.jac_t_apply(x, c))
+        Gu, QGu, Gc = point["build_vjp"]
         Qw = domain._q(x, w)
         a = core_pinv @ (G.T @ Qw)
         Ga = G @ a
@@ -283,11 +267,11 @@ def closed_form_map(kind, **params):
         def apply_h(x):
             return x if H is None else H @ x
 
-        def value(x):
+        def value(x, point=None):
             x = np.asarray(x, dtype=float)
             return x - 0.5 * x * (x @ apply_h(x) - 1.0)
 
-        def vjp(x, w):
+        def vjp(x, w, point=None):
             x = np.asarray(x, dtype=float)
             hx = apply_h(x)
             alpha = 0.5 * (3.0 - x @ hx)
@@ -298,12 +282,12 @@ def closed_form_map(kind, **params):
         if q <= 1:
             raise ValueError("exponent must exceed 1")
 
-        def value(x):
+        def value(x, point=None):
             x = np.asarray(x, dtype=float)
             r = np.sum(np.abs(x) ** q)
             return x / (1.0 + (r - 1.0) / q)
 
-        def vjp(x, w):
+        def vjp(x, w, point=None):
             x = np.asarray(x, dtype=float)
             r = np.sum(np.abs(x) ** q)
             den = 1.0 + (r - 1.0) / q
@@ -313,13 +297,13 @@ def closed_form_map(kind, **params):
     elif kind == "psd_diag":
         s = int(params["s"])
 
-        def value(x):
+        def value(x, point=None):
             X = np.asarray(x, dtype=float).reshape((s, s), order="F")
             D = np.diag(np.diag(X))
             out = X @ (2.0 * np.eye(s) - D)
             return _sym(out).reshape(-1, order="F")
 
-        def vjp(x, w):
+        def vjp(x, w, point=None):
             X = np.asarray(x, dtype=float).reshape((s, s), order="F")
             W = _sym(np.asarray(w, dtype=float).reshape((s, s), order="F"))
             D = np.diag(np.diag(X))
@@ -329,12 +313,12 @@ def closed_form_map(kind, **params):
     elif kind == "nonneg_orthonormal_diag":
         m, s = int(params["m"]), int(params["s"])
 
-        def value(x):
+        def value(x, point=None):
             X = np.asarray(x, dtype=float).reshape((m, s), order="F")
             delta = np.sum(X * X, axis=0) - 1.0
             return (X - 0.5 * X * delta[None, :]).reshape(-1, order="F")
 
-        def vjp(x, w):
+        def vjp(x, w, point=None):
             X = np.asarray(x, dtype=float).reshape((m, s), order="F")
             W = np.asarray(w, dtype=float).reshape((m, s), order="F")
             delta = np.sum(X * X, axis=0) - 1.0
@@ -348,45 +332,52 @@ def closed_form_map(kind, **params):
     return DissolvingMap(value=value, vjp=vjp, mode="closed_form", sigma=None)
 
 
-def _penalty_parts(prob, x, c=None):
-    """(c(x), G(x) c(x) or None): c as given, else from the map's point when
-    it holds x, else from the constraint map; G c from the map's point only."""
-    parts = None if prob.amap.point_parts is None else prob.amap.point_parts(prob.cmap, x)
-    if parts is None:
-        return (prob.cmap.value(x) if c is None else c), None
-    return (parts[0] if c is None else c), parts[1]
+def _penalty_c(prob, x, point):
+    """c(x) as `point` holds it; else from the map's build there when the map
+    was built over prob.cmap, else from prob.cmap; stored in `point`."""
+    if "c" not in point:
+        own = point.get("built_over") is prob.cmap
+        point["c"] = point["build"][0] if own else prob.cmap.value(x)
+    return point["c"]
 
 
 def h_value(prob, x, point=None):
     """Penalty objective f(A(x)) + (beta/2)||c(x)||^2.
 
-    When `point` is a list, it is filled with [A(x), c(x)] for `h_grad` at
-    the same x.  Callers are expected to supply x in the domain (within
-    tolerance); the smooth formulas extend off the set, which
-    finite-difference oracles rely on.
+    When `point` is a dict, it is cleared and filled with A(x) under "a",
+    c(x) under "c" and the map's build at x, for `h_grad` at the same x.
+    Callers are expected to supply x in the domain (within tolerance); the
+    smooth formulas extend off the set, which finite-difference oracles rely
+    on.
     """
     x = np.asarray(x, dtype=float)
-    a = prob.amap.value(x)
+    point = {} if point is None else point
+    point.clear()
+    a = prob.amap.value(x, point)
     fa = prob.f_value(a)
-    c, _ = _penalty_parts(prob, x)
-    if point is not None:
-        point[:] = (a, c)
+    c = _penalty_c(prob, x, point)
+    point["a"] = a
     return float(fa + 0.5 * prob.beta * (c @ c))
 
 
 def h_grad(prob, x, point=None):
     """Gradient of the penalty objective: gradA(x) gradf(A(x)) + beta*G(x)c(x).
 
-    `point`, when given, must be a list that `h_value` filled at this x,
-    unchanged since, for a problem with the same map and constraints (beta
-    may differ); A(x) and c(x) are read from it without a check.
+    `point`, when given, must be a dict that `h_value` filled at this x,
+    unchanged since but for what `h_grad` adds, for a problem with the same
+    map and constraints (beta may differ); its parts are read without a
+    check.  Without one, A(x) is built once here.
     """
     x = np.asarray(x, dtype=float)
-    a, c = (prob.amap.value(x), None) if point is None else point
-    out = prob.amap.vjp(x, np.asarray(prob.f_grad(a), dtype=float))
+    if point is None:
+        point = {}
+        point["a"] = prob.amap.value(x, point)
+    out = prob.amap.vjp(x, np.asarray(prob.f_grad(point["a"]), dtype=float), point)
     if prob.cmap.p and prob.beta != 0.0:
-        c, Gc = _penalty_parts(prob, x, c)
-        if Gc is None:
+        c = _penalty_c(prob, x, point)
+        if point.get("built_over") is prob.cmap and "build_vjp" in point:
+            Gc = point["build_vjp"][2]
+        else:
             Gc = prob.cmap.jac_t_apply(x, c)
         out = out + prob.beta * Gc
     return out

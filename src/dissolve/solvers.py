@@ -58,8 +58,8 @@ class SolverConfig:
     beta_schedule: str = "fixed"       # or "continuation"
 
     def __post_init__(self):
-        if not (self.tol_stat > 0 and self.tol_feas > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_stat < math.inf and 0 < self.tol_feas < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
         if self.step_rule not in ("fixed", "bb_nonmonotone"):
@@ -118,8 +118,8 @@ def _finite(hval, g):
 
 def _metrics(prob, x, g, point):
     """(stationarity, ||c(x)||) at an iterate x whose gradient is g and whose
-    [A(x), c(x)] `h_value` put in `point`."""
-    return _pg_residual(prob, x, g), _norm(point[1])
+    point `h_value` filled."""
+    return _pg_residual(prob, x, g), _norm(point["c"])
 
 
 def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
@@ -130,7 +130,7 @@ def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
         metrics = (_metrics(prob, x, g, point) if np.isfinite(x).all()
                    else (float("nan"), float("nan")))
     stat, feas = metrics
-    return SolveResult(x_final=x, f_val=float(prob.f_value(point[0])), h_val=float(hval),
+    return SolveResult(x_final=x, f_val=float(prob.f_value(point["a"])), h_val=float(hval),
                        feas=feas, stat=stat, iters=iters,
                        wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
 
@@ -159,9 +159,9 @@ def solve(prob, x0, config=None):
     rule; under "bb_nonmonotone" it is a clipped BB step, backtracked until
     the trial moves at most MAX_STEP_SCALE * (1 + ||x||) and passes a
     non-monotone Armijo test over the last NM_MEMORY values of h.  The loop
-    carries the [A(x), c(x)] list `h_value` fills for the iterate, the trial
-    and the best iterate, and every exit reads its numbers from those lists
-    and the gradient it holds.
+    carries the point dict `h_value` fills for the iterate, the trial and the
+    best iterate, and every exit reads its numbers from those points and the
+    gradient it holds.
     """
     config = config or SolverConfig()
     bb = config.step_rule == "bb_nonmonotone"
@@ -170,10 +170,10 @@ def solve(prob, x0, config=None):
     x = live.domain.project(np.asarray(x0, dtype=float))
     if not bb:
         a = config.eta if config.eta is not None else 1.0 / estimate_grad_lipschitz(live, x)
-        if not a > 0:
-            raise ValueError("step size must be positive")
+        if not 0 < a < math.inf:
+            raise ValueError("step size must be positive and finite")
 
-    pt = []
+    pt = {}
     hval = h_value(live, x, pt)
     g = h_grad(live, x, pt)
     if not _finite(hval, g):
@@ -207,13 +207,12 @@ def solve(prob, x0, config=None):
             if feas_marker is not None and feas > (1.0 - STALL_RATIO) * feas_marker \
                     and feas > config.tol_feas:
                 live = live.with_beta(live.beta * CONTINUATION_FACTOR)
-                # A(x) and c(x) do not depend on beta: pt stays x's point
-                hval = h_value(live, x)
+                hval = h_value(live, x, pt)
                 g = h_grad(live, x, pt)
                 memory = deque([hval], maxlen=NM_MEMORY)
             feas_marker = feas
 
-        trial = []
+        trial = {}
         if bb:
             h_ref = max(memory)
             a = float(min(max(alpha, BB_MIN), BB_MAX))
@@ -229,7 +228,7 @@ def solve(prob, x0, config=None):
             else:
                 g_best = h_grad(live, best_x, best_pt)
                 stat, feas = _metrics(live, best_x, g_best, best_pt)
-                trace.append((best_h, feasibility_measure(live, best_x), stat, a))
+                trace.append((best_h, feas, stat, a))
                 return _result(live, best_x, best_pt, g_best, best_h, k + 1, t0,
                                LINE_SEARCH_FAILURE, trace, (stat, feas))
         else:

@@ -2,8 +2,8 @@
 
 `perfbench/run.py --trace 1` replaces the names `h_value` and `h_grad` in
 `dissolve.solvers` and `dissolve.diagnostics` and wraps the problem's
-callbacks.  A library change that breaks those lookups shows here at test
-time instead of at benchmark time.  The run happens in a copy of `src/` and
+callbacks.  A library change that breaks those lookups, or that adds an
+evaluation per point, shows here at test time instead of at benchmark time.  The run happens in a copy of `src/` and
 `perfbench/`, so its span file lands in a temporary directory.
 """
 
@@ -16,6 +16,12 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# calls per diagnostic suite on the check-fpca pool; the same at seeds 1, 2, 7
+CHECK_FPCA_CALLS = {
+    "mappings.h_value": 60, "mappings.h_grad": 1, "mappings.A_value": 62,
+    "mappings.A_vjp": 26, "sets.project": 1, "sets.q": 106, "problems.f": 61,
+    "problems.c_value": 203, "problems.c_jac": 230,
+}
 
 
 @pytest.mark.parametrize("workload", ["npca", "check-fpca"])
@@ -33,5 +39,12 @@ def test_traced_benchmark_run_reports_every_layer(tmp_path, workload):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
     assert missing == []
+    calls = {name[:-len(".calls")]: m["value"]
+             for name, m in result["metrics"].items() if name.endswith(".calls")}
     if workload == "npca":
-        assert result["metrics"]["mappings.h_value.calls"]["value"] > 0
+        # one A(x) and one c(x) per h_value, one vjp and one G v per h_grad
+        assert calls["mappings.h_value"] > 0
+        assert calls["mappings.A_value"] == calls["mappings.h_value"] == calls["problems.c_value"]
+        assert calls["mappings.A_vjp"] == calls["mappings.h_grad"] == calls["problems.c_jac"]
+    else:
+        assert calls == CHECK_FPCA_CALLS

@@ -180,7 +180,7 @@ def test_check_fault_injection_names_failing_check(capsys, monkeypatch):
     def faulty(*args, **kwargs):
         inst, prob = gen_instance(*args, **kwargs)
         amap = prob.amap
-        shifted = DissolvingMap(value=lambda x: amap.value(x) + 1e-3,
+        shifted = DissolvingMap(value=lambda x, point=None: amap.value(x, point) + 1e-3,
                                 vjp=amap.vjp, mode=amap.mode, sigma=amap.sigma)
         return inst, dataclasses.replace(prob, amap=shifted)
 
@@ -272,6 +272,17 @@ def test_bad_beta_exits_2_without_rows(tmp_path, capsys, command, beta):
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and "beta" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--solver", "pg", "--eta", "inf"],
+                                   ["--tol-stat", "inf"], ["--tol-feas", "inf"]])
+def test_non_finite_step_or_tolerance_exits_2_without_rows(tmp_path, capsys, flags):
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--family", "npca", "--n", "20", "--cols", "5", *flags,
+                 "--csv", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -99,13 +99,13 @@ def test_assumption_check_counterexamples():
     # the fixed-point sub-check (the kernel one may shift slightly)
     amap = prob.amap
     bent = DissolvingMap(
-        value=lambda x: amap.value(x) + 1e-3 * prob.cmap.value(x)[0],
+        value=lambda x, point=None: amap.value(x, point) + 1e-3 * prob.cmap.value(x)[0],
         vjp=amap.vjp, mode=amap.mode, sigma=amap.sigma)
     rep = assumption_a_check(bent, prob.cmap, prob.domain, pts)
     assert max(d["fixed_point"] for d in rep.details) <= 1e-10
 
     # a constant shift breaks the fixed points outright
-    broken = DissolvingMap(value=lambda x: amap.value(x) + 1e-3,
+    broken = DissolvingMap(value=lambda x, point=None: amap.value(x, point) + 1e-3,
                            vjp=amap.vjp, mode=amap.mode, sigma=amap.sigma)
     rep = assumption_a_check(broken, prob.cmap, prob.domain, pts)
     assert not rep.passed

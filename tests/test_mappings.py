@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dissolve import mappings
+from dissolve import mappings, solvers
 from dissolve.diagnostics import assumption_a_check
 from dissolve.mappings import (
     CapabilityError,
@@ -18,6 +18,7 @@ from dissolve.mappings import (
     h_value,
 )
 from dissolve.sets import Box, NonnegOrthant, NormBall
+from dissolve.solvers import SolverConfig
 from dissolve.problems import (
     feasible_points,
     gen_fpca,
@@ -320,7 +321,7 @@ def test_matrix_closed_forms_fix_feasible_points_and_differentiate():
     assert np.linalg.norm(om.vjp(y, w) - mappings._fd_vjp(om.value, y, w)) <= 1e-6
 
 
-# ---------------------------------------------------------------- point cache
+# ---------------------------------------------------------------- calls without a point
 
 
 def same_bits(a, b):
@@ -328,7 +329,7 @@ def same_bits(a, b):
 
 
 def fresh(prob):
-    """A new generic map over the same problem: empty cache."""
+    """A new generic map over the same problem."""
     return build_aq(prob.domain, prob.cmap, sigma=prob.amap.sigma, mode=prob.amap.mode)
 
 
@@ -429,8 +430,9 @@ def test_one_core_build_per_point(monkeypatch):
     inst, prob = gen_qpb(8, seed=0)
     x = near_feasible_points(inst, 1, seed=3)[0]
     calls.clear()
-    h_value(prob, x)
-    h_grad(prob, x)
+    point = {}
+    h_value(prob, x, point)
+    h_grad(prob, x, point)
     assert len(calls) == 1
 
 
@@ -538,8 +540,9 @@ def test_penalty_reads_c_from_the_map_point():
     inst, prob = gen_fpca(4, 2, 3, seed=0)
     x = near_feasible_points(inst, 1, seed=1, scale=0.4)[0]
     counted, calls = counting_problem(prob)
-    h_value(counted, x)
-    h_grad(counted, x)
+    point = {}
+    h_value(counted, x, point)
+    h_grad(counted, x, point)
     assert calls["value"] == 1
     assert len(calls["jac_t"]) == 1
     assert same_bits(calls["jac_t"][0], prob.cmap.value(x))
@@ -561,13 +564,23 @@ def test_penalty_from_the_map_point_matches_direct_formulas(gen, dims, scale, mo
         hg = amap.vjp(x, prob.f_grad(amap.value(x))) + prob.beta * cmap.jac_t_apply(x, c)
         assert h_value(prob, x) == hv
         assert same_bits(h_grad(prob, x), hg)
-        # a map built over another constraint map is not asked for c
+        # a map built over another constraint map is not asked for c or G c:
+        # an equal copy gives the same numbers, a shifted one its own c
         other = PenaltyProblem(f_value=prob.f_value, f_grad=prob.f_grad,
                                cmap=dataclasses.replace(cmap), amap=amap,
                                domain=prob.domain, beta=prob.beta)
-        assert amap.point_parts(other.cmap, x) is None
         assert h_value(other, x) == hv
         assert same_bits(h_grad(other, x), hg)
+        shifted = dataclasses.replace(other, cmap=dataclasses.replace(
+            cmap, value=lambda z: cmap.value(z) + 0.5))
+        cs = shifted.cmap.value(x)
+        assert not same_bits(cs, c)
+        hv = float(prob.f_value(amap.value(x)) + 0.5 * prob.beta * (cs @ cs))
+        hg = amap.vjp(x, prob.f_grad(amap.value(x))) + prob.beta * cmap.jac_t_apply(x, cs)
+        point = {}
+        assert h_value(shifted, x, point) == hv
+        assert same_bits(h_grad(shifted, x, point), hg)
+        assert same_bits(h_grad(shifted, x), hg)
 
 
 def test_penalty_at_a_non_finite_point_builds_once(monkeypatch):
@@ -668,30 +681,29 @@ def test_h_grad_after_h_value_matches_a_fresh_problem(gen, dims, scale):
     inst, prob = gen(*dims, seed=0)
     x, y = (p.copy() for p in near_feasible_points(inst, 2, seed=5, scale=scale))
     for z in (x, y, x):
-        point = []
+        point = {}
         h_value(prob, z, point)
         fresh = gen(*dims, seed=0)[1]
-        assert len(point) == 2
-        assert same_bits(point[0], fresh.amap.value(z))
-        assert same_bits(point[1], fresh.cmap.value(z))
+        assert same_bits(point["a"], fresh.amap.value(z))
+        assert same_bits(point["c"], fresh.cmap.value(z))
         assert same_bits(h_grad(prob, z, point), h_grad(gen(*dims, seed=0)[1], z))
-    # without a point, h_grad evaluates A(x) and c(x) itself, and the map
-    # slot that h_value left at x misses the array mutated in place
-    h_value(prob, x, [])
+    # without a point, h_grad evaluates A(x) and c(x) itself, so the point
+    # h_value filled at x does not reach the array mutated in place
+    h_value(prob, x, {})
     x[0] += 1e-3
     assert same_bits(h_grad(prob, x), h_grad(gen(*dims, seed=0)[1], x))
     x[-1] -= 1e-3
-    point = []
+    point = {}
     assert h_value(prob, x, point) == h_value(gen(*dims, seed=0)[1], x)
     assert same_bits(h_grad(prob, x, point), h_grad(gen(*dims, seed=0)[1], x))
 
 
 @pytest.mark.parametrize("make", [lambda: gen_npca(12, 6, seed=0)[1], nan_point_problem])
 def test_point_record_never_stores_a_nan_point(make):
-    # a NaN point goes into its own list and leaves x's list as it was
+    # a NaN point goes into its own dict and leaves x's dict as it was
     prob = make()
     x = np.full(prob.n, 0.25)
-    point_x, point_bad = [], []
+    point_x, point_bad = {}, {}
     h_value(prob, x, point_x)
     bad = x.copy()
     bad[1] = np.nan
@@ -705,7 +717,7 @@ def test_point_record_starts_empty_and_stays_out_of_equality():
     inst, prob = gen_npca(12, 6, seed=0)
     x = inst.x0
     twin = dataclasses.replace(prob)
-    h_value(prob, x, [])
+    h_value(prob, x, {})
     assert [f.name for f in dataclasses.fields(PenaltyProblem)] == [
         "f_value", "f_grad", "cmap", "amap", "domain", "beta"]
     assert twin == prob and hash(twin) == hash(prob)
@@ -727,17 +739,15 @@ def counted_calls(prob):
         am = build_aq(prob.domain, cmap, sigma=am.sigma, mode=am.mode)
     a_value = am.value
 
-    def value(x):
+    def value(x, point=None):
         calls["A"] += 1
-        return a_value(x)
+        return a_value(x, point)
 
     amap = dataclasses.replace(am, value=value)
     return dataclasses.replace(prob, cmap=cmap, amap=amap), calls
 
 
 def test_npca_solve_evaluates_each_point_once(monkeypatch):
-    from dissolve import solvers
-
     inst, prob = gen_npca(60, 10, rho=0.1, seed=0)
     plain = solvers.solve(prob, inst.x0)
     counted, calls = counted_calls(prob)
@@ -762,8 +772,33 @@ def test_fpca_penalty_pair_evaluates_each_part_once(monkeypatch):
     x = near_feasible_points(inst, 1, seed=1, scale=0.4)[0]
     counted, calls = counted_calls(prob)
     builds = count_pinv(monkeypatch)
-    point = []
+    point = {}
     h_value(counted, x, point)
     h_grad(counted, x, point)
     assert calls == {"A": 1, "c": 1}
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("dims,beta,cfg,status", [
+    ((5, 2, 2), 1.0, SolverConfig(tol_stat=1e-4, tol_feas=1e-4), "converged"),
+    ((5, 2, 2), 1.0, SolverConfig(max_iter=20), "max_iter"),
+    ((8, 2, 2), 0.1, SolverConfig(tol_stat=1e-4, tol_feas=1e-4), "line_search_failure"),
+])
+def test_generic_map_solve_builds_one_core_per_h_value(dims, beta, cfg, status,
+                                                        monkeypatch):
+    # h_grad reads the build h_value left in the point, at every exit the
+    # best point's included
+    inst, prob = gen_fpca(*dims, seed=0, beta=beta)
+    h_calls = []
+    value = solvers.h_value
+
+    def counting_h_value(p, x, point=None):
+        h_calls.append(1)
+        return value(p, x, point)
+
+    monkeypatch.setattr(solvers, "h_value", counting_h_value)
+    builds = count_pinv(monkeypatch)
+    res = solvers.solve(prob, inst.x0, cfg)
+    assert res.status == status
+    assert len(builds) == len(h_calls)
+    assert res.trace[-1][1:3] == (res.feas, res.stat)

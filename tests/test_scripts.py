@@ -45,7 +45,7 @@ def test_check_structure_fails_on_a_shifted_map(check_structure, capsys,
         if family != shifted:
             return inst, prob
         amap = prob.amap
-        moved = DissolvingMap(value=lambda x: amap.value(x) + 1e-3,
+        moved = DissolvingMap(value=lambda x, point=None: amap.value(x, point) + 1e-3,
                               vjp=amap.vjp, mode=amap.mode, sigma=amap.sigma)
         return inst, dataclasses.replace(prob, amap=moved)
 

@@ -186,6 +186,7 @@ def test_pg_bb_line_search_failure_returns_best_iterate(monkeypatch):
     res = solve(prob, np.array([0.5]), SolverConfig(max_iter=50))
     assert res.status == "line_search_failure"
     assert res.h_val <= 0.5 + 1e-12
+    assert res.trace[-1][1:3] == (res.feas, res.stat)
 
 
 def test_solve_dispatch():
@@ -218,6 +219,8 @@ def test_beta_continuation_bumps_penalty_on_stall(monkeypatch):
     {"tol_stat": 0.0},
     {"max_iter": 0},
     {"step_rule": "fixed", "beta_schedule": "continuation"},
+    {"tol_stat": float("inf")},
+    {"tol_feas": float("inf")},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -229,7 +232,7 @@ def test_solver_config_fields_and_fixed_step_check():
         "tol_stat", "tol_feas", "max_iter", "step_rule", "eta", "beta_schedule"]
     prob = unconstrained_quadratic(2)
     # a bad step is rejected when the solve starts, not at construction
-    for eta in (0.0, -1.0, float("nan")):
+    for eta in (0.0, -1.0, float("nan"), float("inf")):
         cfg = SolverConfig(step_rule="fixed", eta=eta)
         with pytest.raises(ValueError):
             solve(prob, np.ones(2), cfg)
