@@ -14,17 +14,21 @@ columns of G in one `_q_cols` call.
 
 Work done at one point lives in a dict the caller carries for that point,
 never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
-point)` store the generic map's core build there and reuse it, so A(x) and
-any number of vjps at x share one build.  `h_value(prob, x, point)` clears
-the dict and fills it with A(x), c(x) and the build; `h_grad(prob, x,
-point)` reads them instead of evaluating them again.  c(x) and G(x) c(x)
-come from the build only when the map was built over the problem's
-constraint map; otherwise the constraint map is called.  Without a point,
-every call builds afresh.  The solve loop holds one dict per iterate, trial
-and best point.  The solvers call `h_value` and `h_grad` by name for every
-evaluation, so wrappers that replace those names see each one.
-Closed-form objectives may memoize as well: npca's `f` and its gradient
-share B^T x for the last finite point.
+point)` store the map's x-only parts there under "build" and reuse them, so
+A(x) and any number of vjps at x share one build: the generic map's core,
+or the quantities a closed-form map's value and vjp both need, such as
+(H x, x^T H x) for sphere_nonneg.  `h_value(prob, x, point)` clears the
+dict and fills it with A(x), f(A(x)), c(x) and the build; `h_grad(prob, x,
+point)` reads them instead of evaluating them again, and `h_from_point`
+gives h at another beta from them.  c(x) and G(x) c(x) come from the build
+only when the map was built over the problem's constraint map; otherwise
+the constraint map is called.  Without a point, every call builds afresh.
+The solve loop holds one dict per iterate, trial and best point.  The
+solvers call `h_value` and `h_grad` by name for every point they evaluate,
+so wrappers that replace those names see each one; a continuation bump
+evaluates no point and calls `h_from_point`.  Closed-form objectives may
+memoize as well: npca's `f` and its gradient share B^T x for the last
+point, finite or not.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "build_aq",
     "closed_form_map",
     "h_value",
+    "h_from_point",
     "h_grad",
 ]
 
@@ -106,7 +111,9 @@ class DissolvingMap:
     Both are called as value(x, point=None) and vjp(x, w, point=None).
     `point` is a dict the caller carries for one x and one map; the map may
     store work done at x there and reuse it on later calls with the same
-    dict.  Closed-form maps store nothing.
+    dict.  The generic map stores its core build there under "build", and
+    a closed-form map the x-only parts its value and vjp share; the p = 0
+    identity map stores nothing.
     """
 
     value: Callable[..., np.ndarray]
@@ -249,6 +256,17 @@ def _fd_vjp(value, x, w):
     return out
 
 
+def _closed_parts(point, parts, x):
+    """parts(x), the x-only quantities a closed-form map's value and vjp
+    share: stored in `point` under "build" and read from there on later
+    calls with the same dict; computed afresh without one."""
+    if point is None:
+        return parts(x)
+    if "build" not in point:
+        point["build"] = parts(x)
+    return point["build"]
+
+
 def closed_form_map(kind, **params):
     """Hand-differentiated dissolving maps for specific constraint families.
 
@@ -264,17 +282,19 @@ def closed_form_map(kind, **params):
             if np.abs(H - H.T).max() > 1e-12:
                 raise ValueError("H must be symmetric")
 
-        def apply_h(x):
-            return x if H is None else H @ x
+        def parts(x):
+            hx = x if H is None else H @ x
+            return hx, x @ hx
 
         def value(x, point=None):
             x = np.asarray(x, dtype=float)
-            return x - 0.5 * x * (x @ apply_h(x) - 1.0)
+            _, xhx = _closed_parts(point, parts, x)
+            return x - 0.5 * x * (xhx - 1.0)
 
         def vjp(x, w, point=None):
             x = np.asarray(x, dtype=float)
-            hx = apply_h(x)
-            alpha = 0.5 * (3.0 - x @ hx)
+            hx, xhx = _closed_parts(point, parts, x)
+            alpha = 0.5 * (3.0 - xhx)
             return alpha * w - hx * (x @ w)
 
     elif kind == "lq_nonneg":
@@ -282,46 +302,51 @@ def closed_form_map(kind, **params):
         if q <= 1:
             raise ValueError("exponent must exceed 1")
 
+        def parts(x):
+            return 1.0 + (np.sum(np.abs(x) ** q) - 1.0) / q
+
         def value(x, point=None):
             x = np.asarray(x, dtype=float)
-            r = np.sum(np.abs(x) ** q)
-            return x / (1.0 + (r - 1.0) / q)
+            return x / _closed_parts(point, parts, x)
 
         def vjp(x, w, point=None):
             x = np.asarray(x, dtype=float)
-            r = np.sum(np.abs(x) ** q)
-            den = 1.0 + (r - 1.0) / q
+            den = _closed_parts(point, parts, x)
             g = np.sign(x) * np.abs(x) ** (q - 1.0)
             return w / den - g * (x @ w) / den ** 2
 
     elif kind == "psd_diag":
         s = int(params["s"])
 
+        def parts(X):
+            return 2.0 * np.eye(s) - np.diag(np.diag(X))
+
         def value(x, point=None):
             X = np.asarray(x, dtype=float).reshape((s, s), order="F")
-            D = np.diag(np.diag(X))
-            out = X @ (2.0 * np.eye(s) - D)
+            out = X @ _closed_parts(point, parts, X)
             return _sym(out).reshape(-1, order="F")
 
         def vjp(x, w, point=None):
             X = np.asarray(x, dtype=float).reshape((s, s), order="F")
             W = _sym(np.asarray(w, dtype=float).reshape((s, s), order="F"))
-            D = np.diag(np.diag(X))
-            out = W @ (2.0 * np.eye(s) - D) - np.diag(np.diag(X.T @ W))
+            out = W @ _closed_parts(point, parts, X) - np.diag(np.diag(X.T @ W))
             return out.reshape(-1, order="F")
 
     elif kind == "nonneg_orthonormal_diag":
         m, s = int(params["m"]), int(params["s"])
 
+        def parts(X):
+            return np.sum(X * X, axis=0) - 1.0
+
         def value(x, point=None):
             X = np.asarray(x, dtype=float).reshape((m, s), order="F")
-            delta = np.sum(X * X, axis=0) - 1.0
+            delta = _closed_parts(point, parts, X)
             return (X - 0.5 * X * delta[None, :]).reshape(-1, order="F")
 
         def vjp(x, w, point=None):
             X = np.asarray(x, dtype=float).reshape((m, s), order="F")
             W = np.asarray(w, dtype=float).reshape((m, s), order="F")
-            delta = np.sum(X * X, axis=0) - 1.0
+            delta = _closed_parts(point, parts, X)
             alpha = 1.0 - 0.5 * delta
             out = W * alpha[None, :] - X * np.sum(X * W, axis=0)[None, :]
             return out.reshape(-1, order="F")
@@ -345,7 +370,8 @@ def h_value(prob, x, point=None):
     """Penalty objective f(A(x)) + (beta/2)||c(x)||^2.
 
     When `point` is a dict, it is cleared and filled with A(x) under "a",
-    c(x) under "c" and the map's build at x, for `h_grad` at the same x.
+    f(A(x)) under "fa", c(x) under "c" and the map's build at x, for
+    `h_grad` and `h_from_point` at the same x.
     Callers are expected to supply x in the domain (within tolerance); the
     smooth formulas extend off the set, which finite-difference oracles rely
     on.
@@ -353,11 +379,18 @@ def h_value(prob, x, point=None):
     x = np.asarray(x, dtype=float)
     point = {} if point is None else point
     point.clear()
-    a = prob.amap.value(x, point)
-    fa = prob.f_value(a)
-    c = _penalty_c(prob, x, point)
-    point["a"] = a
-    return float(fa + 0.5 * prob.beta * (c @ c))
+    point["a"] = prob.amap.value(x, point)
+    point["fa"] = prob.f_value(point["a"])
+    _penalty_c(prob, x, point)
+    return h_from_point(prob, point)
+
+
+def h_from_point(prob, point):
+    """f(A(x)) + (beta/2)||c(x)||^2 from the f(A(x)) and c(x) that `h_value`
+    stored in `point`, at prob's beta: neither part depends on beta, so a
+    change of beta needs no new evaluation at x."""
+    c = point["c"]
+    return float(point["fa"] + 0.5 * prob.beta * (c @ c))
 
 
 def h_grad(prob, x, point=None):

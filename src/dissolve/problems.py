@@ -112,18 +112,16 @@ def build_npca_problem(B, rho, beta=None):
     n = B.shape[0]
     rho = float(rho)
 
-    # B^T x for the last finite x, keyed by its exact bytes: f and its
-    # gradient at one point share one product
+    # B^T x for the last x, finite or not, keyed by its exact bytes: f and
+    # its gradient at one point share one product, and equal bytes give
+    # equal products, NaN entries included
     memo = [(None, None)]
 
     def bt(x):
         key = x.tobytes()
-        if memo[0][0] == key:
-            return memo[0][1]
-        bx = B.T @ x
-        if np.isfinite(x).all():
-            memo[0] = (key, bx)
-        return bx
+        if memo[0][0] != key:
+            memo[0] = (key, B.T @ x)
+        return memo[0][1]
 
     def f_value(x):
         bx = bt(x)

@@ -199,9 +199,13 @@ class Box(ConvexSet):
         self._both = self._lo_fin & self._up_fin
         self._lo_only = self._lo_fin & ~self._up_fin
         self._up_only = ~self._lo_fin & self._up_fin
+        # a side without a finite bound leaves every entry, NaN and -0.0 too,
+        # as it is, so project skips its clamp
+        self._clamp_lo = bool(self._lo_fin.any())
+        self._clamp_up = bool(self._up_fin.any())
         # whole-box patterns whose weights need no masks
         self._orthant = bool(self._lo_only.all())
-        self._free = not (self._lo_fin.any() or self._up_fin.any())
+        self._free = not (self._clamp_lo or self._clamp_up)
 
     @property
     def n(self):
@@ -209,7 +213,8 @@ class Box(ConvexSet):
 
     def project(self, x):
         x = _vec(x, self.n)
-        return np.minimum(np.maximum(x, self.lower), self.upper)
+        out = np.maximum(x, self.lower) if self._clamp_lo else x.copy()
+        return np.minimum(out, self.upper, out=out) if self._clamp_up else out
 
     def _weights(self, x):
         # smooth weights vanishing exactly on active bounds, positive inside

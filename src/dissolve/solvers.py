@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mappings import h_grad, h_value
+from .mappings import h_from_point, h_grad, h_value
 
 __all__ = [
     "SolverConfig",
@@ -88,9 +88,10 @@ def _norm(v):
     return math.sqrt(float(v @ v))
 
 
-def _pg_residual(prob, x, g):
-    """Normalized projected-gradient residual ||x - P(x - g)|| / (1 + ||x||)."""
-    return _norm(x - prob.domain.project(x - g)) / (1.0 + _norm(x))
+def _pg_residual(prob, x, g, nx):
+    """Normalized projected-gradient residual ||x - P(x - g)|| / (1 + nx),
+    nx = ||x||."""
+    return _norm(x - prob.domain.project(x - g)) / (1.0 + nx)
 
 
 def stationarity_measure(prob, x):
@@ -99,7 +100,7 @@ def stationarity_measure(prob, x):
     The solvers report the same number as `SolveResult.stat` and in the trace.
     """
     x = np.asarray(x, dtype=float)
-    return _pg_residual(prob, x, h_grad(prob, x))
+    return _pg_residual(prob, x, h_grad(prob, x), _norm(x))
 
 
 def feasibility_measure(prob, x):
@@ -116,10 +117,10 @@ def _finite(hval, g):
     return math.isfinite(hval) and np.isfinite(g).all()
 
 
-def _metrics(prob, x, g, point):
-    """(stationarity, ||c(x)||) at an iterate x whose gradient is g and whose
-    point `h_value` filled."""
-    return _pg_residual(prob, x, g), _norm(point["c"])
+def _metrics(prob, x, g, point, nx):
+    """(stationarity, ||c(x)||) at an iterate x of norm nx whose gradient is
+    g and whose point `h_value` filled."""
+    return _pg_residual(prob, x, g, nx), _norm(point["c"])
 
 
 def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
@@ -127,7 +128,7 @@ def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
     (stat, feas) is `metrics` when the caller has it, else evaluated from g
     and `point` when x is finite; f(A(x)) takes A(x) from `point`."""
     if metrics is None:
-        metrics = (_metrics(prob, x, g, point) if np.isfinite(x).all()
+        metrics = (_metrics(prob, x, g, point, _norm(x)) if np.isfinite(x).all()
                    else (float("nan"), float("nan")))
     stat, feas = metrics
     return SolveResult(x_final=x, f_val=float(prob.f_value(point["a"])), h_val=float(hval),
@@ -161,7 +162,9 @@ def solve(prob, x0, config=None):
     non-monotone Armijo test over the last NM_MEMORY values of h.  The loop
     carries the point dict `h_value` fills for the iterate, the trial and the
     best iterate, and every exit reads its numbers from those points and the
-    gradient it holds.
+    gradient it holds; a continuation bump takes h at the new beta from the
+    iterate's point.  Each iterate's norm and each trial's d.d are computed
+    once and shared by the residual, the step cap and the BB step.
     """
     config = config or SolverConfig()
     bb = config.step_rule == "bb_nonmonotone"
@@ -180,6 +183,7 @@ def solve(prob, x0, config=None):
         return _result(live, x, pt, g, hval, 0, t0, NUMERICAL_FAILURE,
                        [(hval, float("nan"), float("nan"), 0.0)])
 
+    nx = _norm(x)
     if bb:
         memory = deque([hval], maxlen=NM_MEMORY)
         # first trial displacement is capped at a fraction of the point scale:
@@ -187,7 +191,7 @@ def solve(prob, x0, config=None):
         # set, and an uncapped first step can clear the barrier around it
         alpha = min(1.0,
                     1.0 / max(float(np.abs(g).max()), 1e-16),
-                    0.1 * (1.0 + _norm(x)) / max(_norm(g), 1e-16))
+                    0.1 * (1.0 + nx) / max(_norm(g), 1e-16))
         best_h, best_x, best_pt = hval, x.copy(), pt
     trace = []
     feas_marker = None
@@ -195,7 +199,7 @@ def solve(prob, x0, config=None):
     k = 0
 
     while True:
-        stat, feas = _metrics(live, x, g, pt)
+        stat, feas = _metrics(live, x, g, pt, nx)
         trace.append((hval, feas, stat, accepted_step))
         if stat <= config.tol_stat and feas <= config.tol_feas:
             return _result(live, x, pt, g, hval, k, t0, CONVERGED, trace, (stat, feas))
@@ -207,7 +211,7 @@ def solve(prob, x0, config=None):
             if feas_marker is not None and feas > (1.0 - STALL_RATIO) * feas_marker \
                     and feas > config.tol_feas:
                 live = live.with_beta(live.beta * CONTINUATION_FACTOR)
-                hval = h_value(live, x, pt)
+                hval = h_from_point(live, pt)
                 g = h_grad(live, x, pt)
                 memory = deque([hval], maxlen=NM_MEMORY)
             feas_marker = feas
@@ -216,18 +220,19 @@ def solve(prob, x0, config=None):
         if bb:
             h_ref = max(memory)
             a = float(min(max(alpha, BB_MIN), BB_MAX))
-            step_cap = MAX_STEP_SCALE * (1.0 + _norm(x))
+            step_cap = MAX_STEP_SCALE * (1.0 + nx)
             for _ in range(MAX_BACKTRACKS + 1):
                 x_trial = live.domain.project(x - a * g)
                 d = x_trial - x
-                if _norm(d) <= step_cap:
+                dd = float(d @ d)
+                if math.sqrt(dd) <= step_cap:
                     h_trial = h_value(live, x_trial, trial)
                     if math.isfinite(h_trial) and h_trial <= h_ref + ARMIJO_C * float(g @ d):
                         break
                 a *= BACKTRACK_FACTOR
             else:
                 g_best = h_grad(live, best_x, best_pt)
-                stat, feas = _metrics(live, best_x, g_best, best_pt)
+                stat, feas = _metrics(live, best_x, g_best, best_pt, _norm(best_x))
                 trace.append((best_h, feas, stat, a))
                 return _result(live, best_x, best_pt, g_best, best_h, k + 1, t0,
                                LINE_SEARCH_FAILURE, trace, (stat, feas))
@@ -244,16 +249,17 @@ def solve(prob, x0, config=None):
             y = g_new - g
             sy = float(d @ y)
             if sy > 0.0:
-                alpha = float(d @ d) / sy
+                alpha = dd / sy
             else:
                 # nonpositive curvature: fall back to the local spectral scale
                 # rather than BB_MAX, which would allow barrier-clearing steps
                 ny = _norm(y)
-                alpha = min(BB_MAX, _norm(d) / ny if ny > 0.0 else BB_MAX)
+                alpha = min(BB_MAX, math.sqrt(dd) / ny if ny > 0.0 else BB_MAX)
             memory.append(h_trial)
             if h_trial < best_h:
-                best_h, best_x, best_pt = h_trial, x_trial.copy(), trial
-        x, g, hval, pt = x_trial, g_new, h_trial, trial
+                # x_trial is a fresh array that nothing mutates
+                best_h, best_x, best_pt = h_trial, x_trial, trial
+        x, g, hval, pt, nx = x_trial, g_new, h_trial, trial, _norm(x_trial)
         accepted_step = a
         k += 1
 

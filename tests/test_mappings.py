@@ -698,6 +698,67 @@ def test_h_grad_after_h_value_matches_a_fresh_problem(gen, dims, scale):
     assert same_bits(h_grad(prob, x, point), h_grad(gen(*dims, seed=0)[1], x))
 
 
+def closed_form_cases():
+    """(map, n, into) per closed-form kind; `into` maps a random vector into
+    the map's domain."""
+    rng = np.random.default_rng(40)
+    H = rng.standard_normal((5, 5))
+    H = 0.5 * (H + H.T)
+    return [
+        (closed_form_map("sphere_nonneg", H=H), 5, np.abs),
+        (closed_form_map("sphere_nonneg", H=None), 5, np.abs),
+        (closed_form_map("lq_nonneg", exponent=3.0), 5, np.abs),
+        (closed_form_map("psd_diag", s=3), 9, lambda v: v),
+        (closed_form_map("nonneg_orthonormal_diag", m=4, s=2), 8, np.abs),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_closed_form_maps_with_a_carried_point_match_free_calls(case):
+    # a closed-form map keeps its x-only parts in the point: every call with
+    # the dict equals the call without it, also after h_value refills the
+    # dict at another x, a NaN point among them
+    amap, n, into = closed_form_cases()[case]
+    rng = np.random.default_rng(41 + case)
+    x, y = (into(0.6 * rng.standard_normal(n)) for _ in range(2))
+    bad = x.copy()
+    bad[1] = np.nan
+    w, v = rng.standard_normal(n), rng.standard_normal(n)
+    point = {}
+    assert same_bits(amap.value(x, point), amap.value(x))
+    assert "build" in point
+    for d in (w, v):
+        assert same_bits(amap.vjp(x, d, point), amap.vjp(x, d))
+    assert same_bits(amap.value(x, point), amap.value(x))
+
+    domain = Box([-np.inf] * n, [np.inf] * n)
+    prob = PenaltyProblem(f_value=lambda a: float(a @ a), f_grad=lambda a: 2.0 * a,
+                          cmap=sphere_cmap(n), amap=amap, domain=domain, beta=3.0)
+    for z in (y, bad, x):
+        assert same_bits(np.float64(h_value(prob, z, point)), np.float64(h_value(prob, z)))
+        assert same_bits(point["a"], amap.value(z))
+        assert same_bits(amap.value(z, point), amap.value(z))
+        for d in (w, v):
+            assert same_bits(amap.vjp(z, d, point), amap.vjp(z, d))
+        assert same_bits(h_grad(prob, z, point), h_grad(prob, z))
+    # a vjp on a fresh dict stores the parts the value then reads
+    point = {}
+    assert same_bits(amap.vjp(y, w, point), amap.vjp(y, w))
+    assert same_bits(amap.value(y, point), amap.value(y))
+
+
+@pytest.mark.parametrize("gen,dims,scale", POINT_FAMILIES)
+def test_h_from_point_at_a_new_beta_matches_h_value(gen, dims, scale):
+    inst, prob = gen(*dims, seed=0)
+    x = near_feasible_points(inst, 1, seed=6, scale=scale)[0]
+    point = {}
+    h_value(prob, x, point)
+    for beta in (0.0, 0.5, prob.beta * 10.0, 1e6):
+        other = prob.with_beta(beta)
+        assert mappings.h_from_point(other, point) == h_value(other, x)
+        assert same_bits(h_grad(other, x, point), h_grad(other, x))
+
+
 @pytest.mark.parametrize("make", [lambda: gen_npca(12, 6, seed=0)[1], nan_point_problem])
 def test_point_record_never_stores_a_nan_point(make):
     # a NaN point goes into its own dict and leaves x's dict as it was
@@ -802,3 +863,33 @@ def test_generic_map_solve_builds_one_core_per_h_value(dims, beta, cfg, status,
     assert res.status == status
     assert len(builds) == len(h_calls)
     assert res.trace[-1][1:3] == (res.feas, res.stat)
+
+
+def test_continuation_bump_builds_no_new_core(monkeypatch):
+    # f(A(x)) and c(x) do not depend on beta: a bump computes h at the new
+    # beta from the iterate's point, so every core build and every h_value
+    # call is at a point not evaluated before
+    inst, prob = gen_qpb(40, seed=1, beta=1e-3)
+    cfg = SolverConfig(beta_schedule="continuation")
+    plain = solvers.solve(prob, inst.x0, cfg)
+    seen = []
+    value = solvers.h_value
+
+    def counting_h_value(p, x, point=None):
+        seen.append(x.tobytes())
+        return value(p, x, point)
+
+    bumps = []
+    with_beta = PenaltyProblem.with_beta
+
+    def counting_with_beta(p, beta):
+        bumps.append(beta)
+        return with_beta(p, beta)
+
+    monkeypatch.setattr(solvers, "h_value", counting_h_value)
+    monkeypatch.setattr(PenaltyProblem, "with_beta", counting_with_beta)
+    builds = count_pinv(monkeypatch)
+    res = solvers.solve(prob, inst.x0, cfg)
+    assert res.status == "converged" and len(bumps) >= 2
+    assert len(builds) == len(seen) == len(set(seen))
+    assert same_bits(res.x_final, plain.x_final) and res.trace == plain.trace

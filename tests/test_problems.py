@@ -65,8 +65,9 @@ def test_npca_solver_reaches_tolerances():
 
 
 def test_npca_objective_matches_plain_formulas():
-    # f and its gradient share B^T x through a one-point memo; every order of
-    # calls, revisits and in-place mutation must give the plain formulas' bits
+    # f and its gradient share B^T x through a memo of the last x, finite or
+    # not; every order of calls, revisits, in-place mutation and NaN points
+    # must give the plain formulas' bits
     inst, prob = gen_npca(40, 8, rho=0.3, seed=2)
     B, rho = inst.data["B"], inst.data["rho"]
 

@@ -31,6 +31,30 @@ def test_box_projection_clamps():
     assert np.allclose(Box([0, 0], [1, 1]).project([2, -3]), [1, 0])
 
 
+@pytest.mark.parametrize("lower,upper", [
+    ([0.0] * 6, [np.inf] * 6),                                    # orthant
+    ([-np.inf] * 6, [np.inf] * 6),                                # free
+    ([-np.inf] * 6, [1.0, 0.0, -0.0, 2.0, 0.5, 3.0]),             # upper only
+    ([-1.0, 0.0, -0.0, -2.0, 0.5, -3.0], [1.0, 0.0, 0.0, 2.0, 1.5, 3.0]),
+    ([-1.0, 0.0, -np.inf, -np.inf, -0.0, 2.0], [1.5, np.inf, 2.0, np.inf, 0.0, 2.0]),
+])
+def test_box_projection_skips_unbounded_sides_bit_for_bit(lower, upper):
+    # a side with no finite bound skips its clamp; the result must still be
+    # the two-sided clamp byte for byte, and a new array
+    box = Box(lower, upper)
+    lo, up = box.lower, box.upper
+    inf, nan = np.inf, np.nan
+    points = [np.array([nan, -0.0, 0.0, inf, -inf, 1.0]),
+              np.array([-0.0, -0.0, -0.0, -0.0, -0.0, -0.0]),
+              np.array([0.0, -inf, nan, -0.0, inf, -2.5])]
+    rng = np.random.default_rng(12)
+    points += [3.0 * rng.standard_normal(6) for _ in range(20)]
+    for x in points:
+        out = box.project(x)
+        assert out is not x and not np.shares_memory(out, x)
+        assert out.tobytes() == np.minimum(np.maximum(x, lo), up).tobytes()
+
+
 def test_l2_ball_projection_scales_radially():
     assert np.allclose(NormBall(2).project([3, 4]), [0.6, 0.8])
 

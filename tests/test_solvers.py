@@ -21,7 +21,7 @@ from dissolve.solvers import (
     solve,
     stationarity_measure,
 )
-from dissolve.problems import gen_npca, gen_qpb, reference_small_oracle
+from dissolve.problems import gen_fpca, gen_npca, gen_qpb, reference_small_oracle
 
 
 def unconstrained_quadratic(n):
@@ -431,3 +431,21 @@ def test_kkt_residual_within_twice_stationarity_at_solutions():
         assert res.status == "converged"
         kkt = kkt_residual_original(prob, res.x_final)
         assert kkt <= 2.0 * res.stat + 1e-8
+
+
+# fpca's generic map transfers stationarity with a larger constant than the
+# paper's 2: kkt / (2*stat + 1e-8) reads 14.9-15.6 at these six solves (README
+# "One expected red").  The bound leaves room for rounding changes in the map.
+# The BLAS thread count moves the iterates: with one thread, seed 0 at 1e-5
+# ends in a line-search failure at its best iterate, ratio 15.31.
+FPCA_TRANSFER_RATIO_MAX = 20.0
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fpca_transfer_gap_stays_bounded(seed, tol):
+    inst, prob = gen_fpca(100, 5, 3, seed=seed, beta=1.0)
+    res = solve(prob, inst.x0, SolverConfig(tol_stat=tol, tol_feas=tol, max_iter=20000))
+    assert res.status in ("converged", "line_search_failure")
+    ratio = kkt_residual_original(prob, res.x_final) / (2.0 * res.stat + 1e-8)
+    assert ratio <= FPCA_TRANSFER_RATIO_MAX, ratio
