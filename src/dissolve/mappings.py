@@ -16,17 +16,17 @@ Work done at one point lives in a dict the caller carries for that point,
 never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
 point)` store the map's x-only parts there under "build" and reuse them, so
 A(x) and any number of vjps at x share one build: the generic map's core,
-or the quantities a closed-form map's value and vjp both need, such as
-(H x, x^T H x) for sphere_nonneg.  `h_value(prob, x, point)` clears the
-dict and fills it with A(x), f(A(x)), c(x) and the build; `h_grad(prob, x,
-point)` reads them instead of evaluating them again, and `h_from_point`
-gives h at another beta from them.  c(x) and G(x) c(x) come from the build
+or (H x, x^T H x) for the closed-form sphere_nonneg map.  The other
+closed-form maps store nothing.  `h_value(prob, x, point)` clears the dict
+and fills it with A(x), f(A(x)), c(x) and the build; `h_grad(prob, x,
+point)` reads them instead of evaluating them again, and the solve loop
+takes h at another beta from them.  c(x) and G(x) c(x) come from the build
 only when the map was built over the problem's constraint map; otherwise
 the constraint map is called.  Without a point, every call builds afresh.
 The solve loop holds one dict per iterate, trial and best point.  The
 solvers call `h_value` and `h_grad` by name for every point they evaluate,
 so wrappers that replace those names see each one; a continuation bump
-evaluates no point and calls `h_from_point`.  Closed-form objectives may
+evaluates no new point and calls neither.  Closed-form objectives may
 memoize as well: npca's `f` and its gradient share B^T x for the last
 point, finite or not.
 """
@@ -55,7 +55,6 @@ __all__ = [
     "build_aq",
     "closed_form_map",
     "h_value",
-    "h_from_point",
     "h_grad",
 ]
 
@@ -112,8 +111,8 @@ class DissolvingMap:
     `point` is a dict the caller carries for one x and one map; the map may
     store work done at x there and reuse it on later calls with the same
     dict.  The generic map stores its core build there under "build", and
-    a closed-form map the x-only parts its value and vjp share; the p = 0
-    identity map stores nothing.
+    the closed-form sphere_nonneg map (H x, x^T H x); the other closed-form
+    maps and the p = 0 identity map store nothing.
     """
 
     value: Callable[..., np.ndarray]
@@ -256,17 +255,6 @@ def _fd_vjp(value, x, w):
     return out
 
 
-def _closed_parts(point, parts, x):
-    """parts(x), the x-only quantities a closed-form map's value and vjp
-    share: stored in `point` under "build" and read from there on later
-    calls with the same dict; computed afresh without one."""
-    if point is None:
-        return parts(x)
-    if "build" not in point:
-        point["build"] = parts(x)
-    return point["build"]
-
-
 def closed_form_map(kind, **params):
     """Hand-differentiated dissolving maps for specific constraint families.
 
@@ -282,18 +270,24 @@ def closed_form_map(kind, **params):
             if np.abs(H - H.T).max() > 1e-12:
                 raise ValueError("H must be symmetric")
 
-        def parts(x):
+        def parts(x, point):
+            # (H x, x^T H x), which value and vjp share, kept in the point
+            if point is not None and "build" in point:
+                return point["build"]
             hx = x if H is None else H @ x
-            return hx, x @ hx
+            out = hx, x @ hx
+            if point is not None:
+                point["build"] = out
+            return out
 
         def value(x, point=None):
             x = np.asarray(x, dtype=float)
-            _, xhx = _closed_parts(point, parts, x)
+            _, xhx = parts(x, point)
             return x - 0.5 * x * (xhx - 1.0)
 
         def vjp(x, w, point=None):
             x = np.asarray(x, dtype=float)
-            hx, xhx = _closed_parts(point, parts, x)
+            hx, xhx = parts(x, point)
             alpha = 0.5 * (3.0 - xhx)
             return alpha * w - hx * (x @ w)
 
@@ -302,51 +296,46 @@ def closed_form_map(kind, **params):
         if q <= 1:
             raise ValueError("exponent must exceed 1")
 
-        def parts(x):
-            return 1.0 + (np.sum(np.abs(x) ** q) - 1.0) / q
-
         def value(x, point=None):
             x = np.asarray(x, dtype=float)
-            return x / _closed_parts(point, parts, x)
+            r = np.sum(np.abs(x) ** q)
+            return x / (1.0 + (r - 1.0) / q)
 
         def vjp(x, w, point=None):
             x = np.asarray(x, dtype=float)
-            den = _closed_parts(point, parts, x)
+            r = np.sum(np.abs(x) ** q)
+            den = 1.0 + (r - 1.0) / q
             g = np.sign(x) * np.abs(x) ** (q - 1.0)
             return w / den - g * (x @ w) / den ** 2
 
     elif kind == "psd_diag":
         s = int(params["s"])
 
-        def parts(X):
-            return 2.0 * np.eye(s) - np.diag(np.diag(X))
-
         def value(x, point=None):
             X = np.asarray(x, dtype=float).reshape((s, s), order="F")
-            out = X @ _closed_parts(point, parts, X)
+            D = np.diag(np.diag(X))
+            out = X @ (2.0 * np.eye(s) - D)
             return _sym(out).reshape(-1, order="F")
 
         def vjp(x, w, point=None):
             X = np.asarray(x, dtype=float).reshape((s, s), order="F")
             W = _sym(np.asarray(w, dtype=float).reshape((s, s), order="F"))
-            out = W @ _closed_parts(point, parts, X) - np.diag(np.diag(X.T @ W))
+            D = np.diag(np.diag(X))
+            out = W @ (2.0 * np.eye(s) - D) - np.diag(np.diag(X.T @ W))
             return out.reshape(-1, order="F")
 
     elif kind == "nonneg_orthonormal_diag":
         m, s = int(params["m"]), int(params["s"])
 
-        def parts(X):
-            return np.sum(X * X, axis=0) - 1.0
-
         def value(x, point=None):
             X = np.asarray(x, dtype=float).reshape((m, s), order="F")
-            delta = _closed_parts(point, parts, X)
+            delta = np.sum(X * X, axis=0) - 1.0
             return (X - 0.5 * X * delta[None, :]).reshape(-1, order="F")
 
         def vjp(x, w, point=None):
             X = np.asarray(x, dtype=float).reshape((m, s), order="F")
             W = np.asarray(w, dtype=float).reshape((m, s), order="F")
-            delta = _closed_parts(point, parts, X)
+            delta = np.sum(X * X, axis=0) - 1.0
             alpha = 1.0 - 0.5 * delta
             out = W * alpha[None, :] - X * np.sum(X * W, axis=0)[None, :]
             return out.reshape(-1, order="F")
@@ -371,7 +360,7 @@ def h_value(prob, x, point=None):
 
     When `point` is a dict, it is cleared and filled with A(x) under "a",
     f(A(x)) under "fa", c(x) under "c" and the map's build at x, for
-    `h_grad` and `h_from_point` at the same x.
+    `h_grad` and `_h_from_point` at the same x.
     Callers are expected to supply x in the domain (within tolerance); the
     smooth formulas extend off the set, which finite-difference oracles rely
     on.
@@ -382,10 +371,10 @@ def h_value(prob, x, point=None):
     point["a"] = prob.amap.value(x, point)
     point["fa"] = prob.f_value(point["a"])
     _penalty_c(prob, x, point)
-    return h_from_point(prob, point)
+    return _h_from_point(prob, point)
 
 
-def h_from_point(prob, point):
+def _h_from_point(prob, point):
     """f(A(x)) + (beta/2)||c(x)||^2 from the f(A(x)) and c(x) that `h_value`
     stored in `point`, at prob's beta: neither part depends on beta, so a
     change of beta needs no new evaluation at x."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mappings import h_from_point, h_grad, h_value
+from .mappings import _h_from_point, h_grad, h_value
 
 __all__ = [
     "SolverConfig",
@@ -192,7 +192,9 @@ def solve(prob, x0, config=None):
         alpha = min(1.0,
                     1.0 / max(float(np.abs(g).max()), 1e-16),
                     0.1 * (1.0 + nx) / max(_norm(g), 1e-16))
-        best_h, best_x, best_pt = hval, x.copy(), pt
+        # projections return arrays the loop never mutates, so the best
+        # point is kept without a copy
+        best_h, best_x, best_pt = hval, x, pt
     trace = []
     feas_marker = None
     accepted_step = 0.0
@@ -211,7 +213,7 @@ def solve(prob, x0, config=None):
             if feas_marker is not None and feas > (1.0 - STALL_RATIO) * feas_marker \
                     and feas > config.tol_feas:
                 live = live.with_beta(live.beta * CONTINUATION_FACTOR)
-                hval = h_from_point(live, pt)
+                hval = _h_from_point(live, pt)
                 g = h_grad(live, x, pt)
                 memory = deque([hval], maxlen=NM_MEMORY)
             feas_marker = feas
@@ -257,7 +259,6 @@ def solve(prob, x0, config=None):
                 alpha = min(BB_MAX, math.sqrt(dd) / ny if ny > 0.0 else BB_MAX)
             memory.append(h_trial)
             if h_trial < best_h:
-                # x_trial is a fresh array that nothing mutates
                 best_h, best_x, best_pt = h_trial, x_trial, trial
         x, g, hval, pt, nx = x_trial, g_new, h_trial, trial, _norm(x_trial)
         accepted_step = a

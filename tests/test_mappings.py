@@ -698,29 +698,16 @@ def test_h_grad_after_h_value_matches_a_fresh_problem(gen, dims, scale):
     assert same_bits(h_grad(prob, x, point), h_grad(gen(*dims, seed=0)[1], x))
 
 
-def closed_form_cases():
-    """(map, n, into) per closed-form kind; `into` maps a random vector into
-    the map's domain."""
-    rng = np.random.default_rng(40)
-    H = rng.standard_normal((5, 5))
-    H = 0.5 * (H + H.T)
-    return [
-        (closed_form_map("sphere_nonneg", H=H), 5, np.abs),
-        (closed_form_map("sphere_nonneg", H=None), 5, np.abs),
-        (closed_form_map("lq_nonneg", exponent=3.0), 5, np.abs),
-        (closed_form_map("psd_diag", s=3), 9, lambda v: v),
-        (closed_form_map("nonneg_orthonormal_diag", m=4, s=2), 8, np.abs),
-    ]
-
-
-@pytest.mark.parametrize("case", range(5))
-def test_closed_form_maps_with_a_carried_point_match_free_calls(case):
-    # a closed-form map keeps its x-only parts in the point: every call with
-    # the dict equals the call without it, also after h_value refills the
-    # dict at another x, a NaN point among them
-    amap, n, into = closed_form_cases()[case]
-    rng = np.random.default_rng(41 + case)
-    x, y = (into(0.6 * rng.standard_normal(n)) for _ in range(2))
+@pytest.mark.parametrize("general_h", [True, False])
+def test_sphere_map_with_a_carried_point_matches_free_calls(general_h):
+    # the sphere map keeps (H x, x^T H x) in the point: every call with the
+    # dict equals the call without it, also after h_value refills the dict
+    # at another x, a NaN point among them
+    n = 5
+    rng = np.random.default_rng(41 + general_h)
+    H = rng.standard_normal((n, n)) if general_h else None
+    amap = closed_form_map("sphere_nonneg", H=None if H is None else 0.5 * (H + H.T))
+    x, y = (np.abs(0.6 * rng.standard_normal(n)) for _ in range(2))
     bad = x.copy()
     bad[1] = np.nan
     w, v = rng.standard_normal(n), rng.standard_normal(n)
@@ -755,7 +742,7 @@ def test_h_from_point_at_a_new_beta_matches_h_value(gen, dims, scale):
     h_value(prob, x, point)
     for beta in (0.0, 0.5, prob.beta * 10.0, 1e6):
         other = prob.with_beta(beta)
-        assert mappings.h_from_point(other, point) == h_value(other, x)
+        assert mappings._h_from_point(other, point) == h_value(other, x)
         assert same_bits(h_grad(other, x, point), h_grad(other, x))
 
 
