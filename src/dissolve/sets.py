@@ -7,6 +7,10 @@ whose null space spans the normal cone), and differentiate Q along a
 direction.  Matrix-shaped sets act on column-major flattened vectors; JSON
 serialization uses row-major nested lists.
 
+The public methods of `ConvexSet` validate their arguments once and call a
+kernel (`_project`, `_normal_cone_project`, `_q`, `_dq`, `_dq_form`); the
+subclasses supply only kernels, and a product calls its factors' kernels.
+
 `_q_cols` applies Q(x) to every column of a matrix, as the dissolving-map
 build needs: a box scales all columns at once, a product splits x and the
 matrix once, and the spectral ball takes one X^T Y and one X S over the
@@ -14,6 +18,7 @@ stack of all columns.  Each equals the column stack of `_q` bit for bit.
 
 This module imports numpy only.  scipy is imported on first use, by the
 lq-ball projection for exponents other than 1, 2 and inf (`brentq`) and by
+`LinearInequalities.project` at a point outside the polyhedron and
 `LinearInequalities.normal_cone_project` (`nnls`), so `import dissolve` and
 every other set leave it unloaded.
 """
@@ -23,11 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-8
-HILDRETH_MAX_SWEEPS = 100_000  # sweep cap of LinearInequalities.project
 
 __all__ = [
     "DEFAULT_TOL",
-    "HILDRETH_MAX_SWEEPS",
     "DimensionMismatch",
     "DomainViolation",
     "ProjectionNotConverged",
@@ -55,7 +58,7 @@ class DomainViolation(ValueError):
 
 
 class ProjectionNotConverged(RuntimeError):
-    """An iterative projection hit its sweep cap before its tolerance."""
+    """A projection failed its feasibility certificate (e.g. an empty polyhedron)."""
 
 
 def _vec(x, n, name="x"):
@@ -79,7 +82,11 @@ def _flat(M):
 
 
 class ConvexSet:
-    """Base descriptor.  Instances are immutable and safe to share."""
+    """Base descriptor.  Instances are immutable and safe to share.
+
+    The public methods validate their arguments and call a kernel; a
+    subclass supplies the kernels and never validates again.
+    """
 
     kind = "abstract"
 
@@ -87,9 +94,9 @@ class ConvexSet:
     def n(self) -> int:
         raise NotImplementedError
 
-    # ---- kernels supplied by subclasses (no membership check) ----
+    # ---- kernels supplied by subclasses (arguments already validated) ----
 
-    def project(self, x):
+    def _project(self, x):
         raise NotImplementedError
 
     def _q(self, x, v):
@@ -111,14 +118,21 @@ class ConvexSet:
     def affine_hull_projector(self):
         raise NotImplementedError
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        """Euclidean projection of z onto the normal cone at x (x in the set)."""
+    def _normal_cone_project(self, x, z, tol):
         raise NotImplementedError
 
     def _params(self):
         return {}
 
     # ---- shared surface ----
+
+    def project(self, x):
+        """Euclidean projection of x onto the set."""
+        return self._project(_vec(x, self.n))
+
+    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
+        """Euclidean projection of z onto the normal cone at x (x in the set)."""
+        return self._normal_cone_project(_vec(x, self.n), _vec(z, self.n, "z"), tol)
 
     def contains(self, x, tol=DEFAULT_TOL) -> bool:
         x = _vec(x, self.n)
@@ -211,8 +225,7 @@ class Box(ConvexSet):
     def n(self):
         return self.lower.size
 
-    def project(self, x):
-        x = _vec(x, self.n)
+    def _project(self, x):
         out = np.maximum(x, self.lower) if self._clamp_lo else x.copy()
         return np.minimum(out, self.upper, out=out) if self._clamp_up else out
 
@@ -256,9 +269,7 @@ class Box(ConvexSet):
     def affine_hull_projector(self):
         return np.diag((self.lower < self.upper).astype(float))
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        x = _vec(x, self.n)
-        z = _vec(z, self.n, "z")
+    def _normal_cone_project(self, x, z, tol):
         out = np.zeros_like(z)
         pinned = self.upper - self.lower <= 2.0 * tol
         at_lo = self._lo_fin & (x - self.lower <= tol) & ~pinned
@@ -307,8 +318,7 @@ class NormBall(ConvexSet):
     def _is_l2(self):
         return self.exponent == 2.0
 
-    def project(self, x):
-        x = _vec(x, self.n)
+    def _project(self, x):
         u, q = self.radius, self.exponent
         if self._is_l2:
             nrm = np.linalg.norm(x)
@@ -368,9 +378,7 @@ class NormBall(ConvexSet):
     def affine_hull_projector(self):
         return np.eye(self.n)
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        x = _vec(x, self.n)
-        z = _vec(z, self.n, "z")
+    def _normal_cone_project(self, x, z, tol):
         q, u = self.exponent, self.radius
         nrm = np.linalg.norm(x) if self._is_l2 else np.sum(np.abs(x) ** q) ** (1.0 / q)
         if nrm < u - tol * max(1.0, u):
@@ -422,9 +430,8 @@ class Simplex(ConvexSet):
     def n(self):
         return self._n
 
-    def project(self, x):
+    def _project(self, x):
         # sort-and-threshold; O(n log n) and exact
-        x = _vec(x, self.n)
         u = np.sort(x)[::-1]
         css = np.cumsum(u)
         j = np.arange(1, self.n + 1)
@@ -455,10 +462,8 @@ class Simplex(ConvexSet):
     def affine_hull_projector(self):
         return np.eye(self.n) - np.full((self.n, self.n), 1.0 / self.n)
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
+    def _normal_cone_project(self, x, z, tol):
         # normal cone: g_i = t on the support, g_i <= t off it; exact 1-d solve
-        x = _vec(x, self.n)
-        z = _vec(z, self.n, "z")
         supp = x > tol
         z_in = z[supp]
         z_out = np.sort(z[~supp])[::-1]
@@ -498,8 +503,7 @@ class SecondOrderCone(ConvexSet):
     def _split(self, z):
         return z[:-1], z[-1]
 
-    def project(self, z):
-        z = _vec(z, self.n)
+    def _project(self, z):
         x, y = self._split(z)
         nx = np.linalg.norm(x)
         if nx <= y:
@@ -545,13 +549,11 @@ class SecondOrderCone(ConvexSet):
     def affine_hull_projector(self):
         return np.eye(self.n)
 
-    def normal_cone_project(self, z, w, tol=DEFAULT_TOL):
-        z = _vec(z, self.n)
-        w = _vec(w, self.n, "z")
+    def _normal_cone_project(self, z, w, tol):
         x, y = self._split(z)
         scale = 1.0 + np.linalg.norm(z)
         if np.linalg.norm(z) <= tol * scale:
-            return w - self.project(w)  # polar cone at the apex
+            return w - self._project(w)  # polar cone at the apex
         if y - np.linalg.norm(x) > tol * scale:
             return np.zeros_like(w)
         g = z.copy()
@@ -579,11 +581,11 @@ class SpectralBall(ConvexSet):
     def _shape(self):
         return (self.m, self.s)
 
-    def project(self, x):
-        X = _mat(_vec(x, self.n), self._shape())
+    def _project(self, x):
+        X = _mat(x, self._shape())
         U, sv, Vt = np.linalg.svd(X, full_matrices=False)
         if sv.size == 0 or sv[0] <= 1.0:
-            return np.asarray(x, dtype=float).copy()
+            return x.copy()
         return _flat(U @ np.diag(np.minimum(sv, 1.0)) @ Vt)
 
     def _q(self, x, v):
@@ -617,9 +619,9 @@ class SpectralBall(ConvexSet):
     def affine_hull_projector(self):
         return np.eye(self.n)
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        X = _mat(_vec(x, self.n), self._shape())
-        Z = _mat(_vec(z, self.n, "z"), self._shape())
+    def _normal_cone_project(self, x, z, tol):
+        X = _mat(x, self._shape())
+        Z = _mat(z, self._shape())
         U, sv, Vt = np.linalg.svd(X, full_matrices=False)
         top = sv >= 1.0 - tol
         if not np.any(top):
@@ -653,11 +655,11 @@ class PsdCone(ConvexSet):
     def _shape(self):
         return (self.s, self.s)
 
-    def project(self, x):
-        X = _sym(_mat(_vec(x, self.n), self._shape()))
+    def _project(self, x):
+        X = _sym(_mat(x, self._shape()))
         vals, vecs = np.linalg.eigh(X)
         if vals.size and vals[0] >= 0.0 and np.array_equal(X, _mat(x, self._shape())):
-            return np.asarray(x, dtype=float).copy()
+            return x.copy()
         clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.T  # eigenvalues clipped at 0
         return _flat(clipped)
 
@@ -681,9 +683,9 @@ class PsdCone(ConvexSet):
     def affine_hull_projector(self):
         return _symmetrizer_matrix(self.s)
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        X = _sym(_mat(_vec(x, self.n), self._shape()))
-        Z = _sym(_mat(_vec(z, self.n, "z"), self._shape()))
+    def _normal_cone_project(self, x, z, tol):
+        X = _sym(_mat(x, self._shape()))
+        Z = _sym(_mat(z, self._shape()))
         vals, vecs = np.linalg.eigh(X)
         low = vals <= tol
         if not np.any(low):
@@ -713,12 +715,12 @@ class PsdSpectralBall(PsdCone):
 
     kind = "psd_spectral_ball"
 
-    def project(self, x):
-        X = _sym(_mat(_vec(x, self.n), self._shape()))
+    def _project(self, x):
+        X = _sym(_mat(x, self._shape()))
         vals, vecs = np.linalg.eigh(X)
         if (vals.size and vals[0] >= 0.0 and vals[-1] <= 1.0
                 and np.array_equal(X, _mat(x, self._shape()))):
-            return np.asarray(x, dtype=float).copy()
+            return x.copy()
         clipped = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.T
         return _flat(clipped)
 
@@ -747,9 +749,9 @@ class PsdSpectralBall(PsdCone):
              - Y.T @ X2t @ W @ Xt - Xt @ Y.T @ X2t @ W)
         return _flat(g)
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        X = _sym(_mat(_vec(x, self.n), self._shape()))
-        Z = _sym(_mat(_vec(z, self.n, "z"), self._shape()))
+    def _normal_cone_project(self, x, z, tol):
+        X = _sym(_mat(x, self._shape()))
+        Z = _sym(_mat(z, self._shape()))
         vals, vecs = np.linalg.eigh(X)
         out = np.zeros((self.s, self.s))
         low = vals <= tol
@@ -783,7 +785,6 @@ class LinearInequalities(ConvexSet):
         self.A = A
         self.b = b
         self._pinv = np.linalg.pinv(A)      # (m, n)
-        self._gram = A.T @ A
 
     @property
     def n(self):
@@ -793,31 +794,29 @@ class LinearInequalities(ConvexSet):
     def m(self):
         return self.A.shape[1]
 
-    def project(self, x):
-        # dual coordinate descent on the nonnegative multipliers
-        x = _vec(x, self.n)
+    def _project(self, x):
+        # least-distance programming (Lawson & Hanson, ch. 23): y = x + d with
+        # min ||d|| s.t. A^T d <= slack is one NNLS solve, min ||E u - e||
+        # over u >= 0; its residual r gives d = -r[:-1] / r[-1], and r = 0
+        # (no d) means the polyhedron is empty.  A NaN or inf x fails the
+        # solve's finiteness check with a ValueError
         slack = self.b - self.A.T @ x
         if np.all(slack >= 0.0):
             return x.copy()
-        G = self._gram
-        h = -slack  # A^T x - b
-        lam = np.zeros(self.m)
-        diag = np.diag(G)
-        scale = 1.0 + np.linalg.norm(x)
-        for _ in range(HILDRETH_MAX_SWEEPS):
-            shift = 0.0
-            for i in range(self.m):
-                gi = G[i] @ lam - h[i]
-                new = max(0.0, lam[i] - gi / diag[i])
-                shift = max(shift, abs(new - lam[i]) * np.sqrt(diag[i]))
-                lam[i] = new
-            if shift <= 1e-15 * scale:
-                break
-        else:
+        from scipy.optimize import nnls
+
+        E = np.vstack([-self.A, -slack])
+        e = np.zeros(self.n + 1)
+        e[-1] = 1.0
+        r = E @ nnls(E, e)[0] - e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = x - r[:-1] / r[-1]
+            gap = float(np.max(self.A.T @ y - self.b))
+        if not gap <= DEFAULT_TOL * (1.0 + np.linalg.norm(x)):
             raise ProjectionNotConverged(
-                f"linear-inequality projection stopped after {HILDRETH_MAX_SWEEPS} "
-                f"sweeps with a final shift of {shift:.3e} > {1e-15 * scale:.3e}")
-        return x - self.A @ lam
+                f"linear-inequality projection violates a constraint by {gap:.3e}; "
+                "the polyhedron may be empty")
+        return y
 
     def _slack(self, x):
         return np.maximum(self.b - self.A.T @ x, 0.0)
@@ -841,9 +840,7 @@ class LinearInequalities(ConvexSet):
     def affine_hull_projector(self):
         return np.eye(self.n)
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        x = _vec(x, self.n)
-        z = _vec(z, self.n, "z")
+    def _normal_cone_project(self, x, z, tol):
         active = self.b - self.A.T @ x <= tol * (1.0 + np.abs(self.b))
         if not np.any(active):
             return np.zeros_like(z)
@@ -867,56 +864,45 @@ class Product(ConvexSet):
         if not factors:
             raise ValueError("product of zero factors")
         self.factors = tuple(factors)
-        # block bounds as Python ints: slicing with them is cheaper
-        self._offsets = [0]
+        # block slices with Python int bounds: slicing with them is cheaper
+        self._slices, self._n = [], 0
         for f in factors:
-            self._offsets.append(self._offsets[-1] + int(f.n))
+            self._slices.append(slice(self._n, self._n + int(f.n)))
+            self._n += int(f.n)
 
     @property
     def n(self):
-        return self._offsets[-1]
+        return self._n
 
-    def _blocks(self, x):
-        return [x[self._offsets[i]:self._offsets[i + 1]]
-                for i in range(len(self.factors))]
+    def _each(self, kernel, arrays, *rest):
+        """Concatenate, in factor order, each factor's `kernel` applied to its
+        block of every array in `arrays` and then to `rest`."""
+        return np.concatenate([getattr(f, kernel)(*[a[s] for a in arrays], *rest)
+                               for f, s in zip(self.factors, self._slices)])
 
-    def _assemble(self, parts):
-        return np.concatenate(parts)
-
-    def project(self, x):
-        x = _vec(x, self.n)
-        return self._assemble([f.project(b) for f, b in zip(self.factors, self._blocks(x))])
+    def _project(self, x):
+        return self._each("_project", (x,))
 
     def _q(self, x, v):
-        return self._assemble([f._q(bx, bv) for f, bx, bv in
-                               zip(self.factors, self._blocks(x), self._blocks(v))])
+        return self._each("_q", (x, v))
 
     def _q_cols(self, x, V):
-        return np.concatenate([f._q_cols(bx, bV) for f, bx, bV in
-                               zip(self.factors, self._blocks(x), self._blocks(V))])
+        return self._each("_q_cols", (x, V))
 
     def _dq(self, x, d, v):
-        return self._assemble([f._dq(bx, bd, bv) for f, bx, bd, bv in
-                               zip(self.factors, self._blocks(x), self._blocks(d),
-                                   self._blocks(v))])
+        return self._each("_dq", (x, d, v))
 
     def _dq_form(self, x, v, w):
-        return self._assemble([f._dq_form(bx, bv, bw) for f, bx, bv, bw in
-                               zip(self.factors, self._blocks(x), self._blocks(v),
-                                   self._blocks(w))])
+        return self._each("_dq_form", (x, v, w))
 
     def affine_hull_projector(self):
         P = np.zeros((self.n, self.n))
-        for f, lo, hi in zip(self.factors, self._offsets, self._offsets[1:]):
-            P[lo:hi, lo:hi] = f.affine_hull_projector()
+        for f, s in zip(self.factors, self._slices):
+            P[s, s] = f.affine_hull_projector()
         return P
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
-        x = _vec(x, self.n)
-        z = _vec(z, self.n, "z")
-        return self._assemble([f.normal_cone_project(bx, bz, tol)
-                               for f, bx, bz in
-                               zip(self.factors, self._blocks(x), self._blocks(z))])
+    def _normal_cone_project(self, x, z, tol):
+        return self._each("_normal_cone_project", (x, z), tol)
 
     def _params(self):
         return {"factors": [f.to_json() for f in self.factors]}

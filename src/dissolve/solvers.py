@@ -126,12 +126,12 @@ def _metrics(prob, x, g, point, nx):
 def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
     """The outcome at x, from the loop's gradient g and `point` at x.
     (stat, feas) is `metrics` when the caller has it, else evaluated from g
-    and `point` when x is finite; f(A(x)) takes A(x) from `point`."""
+    and `point` when x is finite; f(A(x)) is the one `h_value` stored."""
     if metrics is None:
         metrics = (_metrics(prob, x, g, point, _norm(x)) if np.isfinite(x).all()
                    else (float("nan"), float("nan")))
     stat, feas = metrics
-    return SolveResult(x_final=x, f_val=float(prob.f_value(point["a"])), h_val=float(hval),
+    return SolveResult(x_final=x, f_val=float(point["fa"]), h_val=float(hval),
                        feas=feas, stat=stat, iters=iters,
                        wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
 
@@ -163,7 +163,8 @@ def solve(prob, x0, config=None):
     carries the point dict `h_value` fills for the iterate, the trial and the
     best iterate, and every exit reads its numbers from those points and the
     gradient it holds; a continuation bump takes h at the new beta from the
-    iterate's point.  Each iterate's norm and each trial's d.d are computed
+    iterate's point and makes the iterate the best one, since h at two
+    betas does not compare.  Each iterate's norm and each trial's d.d are computed
     once and shared by the residual, the step cap and the BB step.
     """
     config = config or SolverConfig()
@@ -216,6 +217,7 @@ def solve(prob, x0, config=None):
                 hval = _h_from_point(live, pt)
                 g = h_grad(live, x, pt)
                 memory = deque([hval], maxlen=NM_MEMORY)
+                best_h, best_x, best_pt = hval, x, pt
             feas_marker = feas
 
         trial = {}

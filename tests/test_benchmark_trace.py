@@ -46,5 +46,8 @@ def test_traced_benchmark_run_reports_every_layer(tmp_path, workload):
         assert calls["mappings.h_value"] > 0
         assert calls["mappings.A_value"] == calls["mappings.h_value"] == calls["problems.c_value"]
         assert calls["mappings.A_vjp"] == calls["mappings.h_grad"] == calls["problems.c_jac"]
+        # f once per h_value and once per h_grad, and never again at the exit
+        assert calls["problems.f"] == pytest.approx(
+            calls["mappings.h_value"] + calls["mappings.h_grad"], rel=1e-12)
     else:
         assert calls == CHECK_FPCA_CALLS

@@ -1,4 +1,5 @@
-"""`import dissolve` and the paths the benchmark runs leave scipy unloaded.
+"""`import dissolve`, the paths the benchmark runs and a polyhedral projection
+at a member point leave scipy unloaded.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.  scipy's subpackages cost most of a cold start; sets.py
@@ -36,6 +37,12 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
 assert [r["check_name"] for r in json.loads(out.getvalue())] == [
     "grad_check", "assumption_a_check", "pi_sigma", "local_error_bound_probe"]
 mark("check --family fpca")
+
+import numpy as np
+from dissolve.sets import LinearInequalities
+poly = LinearInequalities(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
+assert poly.project(np.array([0.5, -3.0])).tolist() == [0.5, -3.0]
+mark("polyhedral project at a member")
 print(json.dumps(loaded))
 """ % (HEAVY,)
 
@@ -43,5 +50,5 @@ print(json.dumps(loaded))
 def test_scipy_subpackages_stay_unloaded():
     loaded = json.loads(run_fresh(PROBE).splitlines()[-1])
     assert list(loaded) == ["import dissolve", "import dissolve.cli", "npca solve",
-                            "check --family fpca"]
+                            "check --family fpca", "polyhedral project at a member"]
     assert loaded == {step: [] for step in loaded}

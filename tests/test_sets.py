@@ -1,10 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dissolve import sets
 from dissolve.sets import (
     Box,
     DimensionMismatch,
@@ -119,8 +119,9 @@ def test_projection_nonexpansive_and_idempotent(seed):
         assert np.linalg.norm(domain.project(pa) - pa) <= 1e-9
 
 
-# brentq (lq ball, q = 4) and nnls (polyhedral normal cone) are imported on
-# first call; printed as hex bytes in this process and in a fresh one
+# brentq (lq ball, q = 4) and nnls (polyhedral projection and normal cone)
+# are imported on first call; printed as hex bytes in this process and in a
+# fresh one
 LAZY_SCIPY_CALLS = """
 import numpy as np
 from dissolve.sets import LinearInequalities, NormBall
@@ -129,7 +130,8 @@ ball = NormBall(6, 1.0, exponent=4.0)
 A, x = rng.standard_normal((5, 3)), rng.standard_normal(5)
 poly = LinearInequalities(A, A.T @ x)  # every constraint active at x
 outs = [ball.project(3.0 * rng.standard_normal(6)),
-        poly.normal_cone_project(x, rng.standard_normal(5))]
+        poly.normal_cone_project(x, rng.standard_normal(5)),
+        poly.project(x + 2.0 * rng.standard_normal(5))]
 print(" ".join(o.tobytes().hex() for o in outs))
 """
 
@@ -142,18 +144,48 @@ def test_lazy_scipy_calls_match_a_fresh_interpreter(capsys):
 # ---------------------------------------------------------------- contains
 
 
-def test_linear_inequality_projection_raises_at_sweep_cap(monkeypatch):
-    # two violated, non-orthogonal constraints: the first sweep moves both
-    # multipliers, so only a later sweep can confirm convergence
+def test_linear_inequality_projection_is_exact_or_raises():
+    # two violated, non-orthogonal constraints, x1 <= 0 and x1 + x2 <= 0:
+    # (1, 1) projects onto their intersection, the origin
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     poly = LinearInequalities(A, np.zeros(2))
-    x = np.array([1.0, 1.0])
-    p = poly.project(x)
+    p = poly.project([1.0, 1.0])
+    assert np.abs(p).max() <= 1e-12
     assert np.all(A.T @ p <= 1e-12)
-    monkeypatch.setattr(sets, "HILDRETH_MAX_SWEEPS", 1)
-    with pytest.raises(ProjectionNotConverged, match="final shift"):
-        poly.project(x)
+    # x <= -1 and x >= 1 leave nothing to project onto
+    empty = LinearInequalities(np.array([[1.0, -1.0]]), np.array([-1.0, -1.0]))
+    for x in ([0.0], [5.0], [-3.0]):
+        with pytest.raises(ProjectionNotConverged, match="may be empty"):
+            empty.project(x)
     assert issubclass(ProjectionNotConverged, RuntimeError)
+    # a NaN point is rejected by the solve's finiteness check, not iterated on
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        poly.project([np.nan, 1.0])
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_polyhedral_projection_properties_at_50_by_200(seed):
+    # 200 random halfspaces in R^50 around a ball of radius 0.1: feasibility,
+    # the variational inequality <x - p, y - p> <= 0 for members y,
+    # idempotence and nonexpansiveness
+    rng = np.random.default_rng(seed)
+    n, m = 50, 200
+    A = rng.standard_normal((n, m))
+    poly = LinearInequalities(A, 0.1 * np.linalg.norm(A, axis=0) + rng.random(m))
+    xs = [3.0 * rng.standard_normal(n) for _ in range(3)]
+    ps = [poly.project(x) for x in xs]
+    members = ps + [poly.project(0.3 * rng.standard_normal(n)) for _ in range(20)]
+    for x, p in zip(xs, ps):
+        scale = 1.0 + np.linalg.norm(x)
+        assert np.max(A.T @ p - poly.b) <= 1e-9 * scale
+        assert max((x - p) @ (y - p) for y in members) <= 1e-9 * scale ** 2
+        assert np.linalg.norm(poly.project(p) - p) <= 1e-9 * scale
+    for i in range(3):
+        for j in range(i):
+            assert (np.linalg.norm(ps[i] - ps[j])
+                    <= np.linalg.norm(xs[i] - xs[j]) + 1e-9)
 
 
 def test_contains_examples():
@@ -167,6 +199,21 @@ def test_dimension_mismatch_raises():
         NormBall(3).project([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         Simplex(2).q_apply([0.5, 0.5], [1.0])
+
+
+def test_projections_reject_wrong_lengths(catalog):
+    # the public methods validate before any subclass kernel runs
+    rng = np.random.default_rng(41)
+    for domain in catalog:
+        x = sample_point(domain, rng)
+        for bad in (np.zeros(domain.n - 1), np.zeros(domain.n + 1),
+                    np.zeros((domain.n, 1))):
+            with pytest.raises(DimensionMismatch, match="x has shape"):
+                domain.project(bad)
+            with pytest.raises(DimensionMismatch, match="x has shape"):
+                domain.normal_cone_project(bad, np.zeros(domain.n))
+            with pytest.raises(DimensionMismatch, match="z has shape"):
+                domain.normal_cone_project(x, bad)
 
 
 # ---------------------------------------------------------------- affine hull

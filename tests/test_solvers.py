@@ -10,6 +10,7 @@ from dissolve.mappings import (
     PenaltyProblem,
     build_aq,
     empty_constraint_map,
+    h_value,
 )
 from dissolve.sets import Box, NonnegOrthant, NormBall
 from dissolve.solvers import (
@@ -206,6 +207,23 @@ def test_beta_continuation_bumps_penalty_on_stall(monkeypatch):
                        max_iter=3000, tol_stat=1e-8, tol_feas=1e-6)
     res = solve(weak, inst.x0, cfg)
     assert res.feas <= 1e-4  # continuation pushed feasibility below the weak-beta level
+
+
+def test_continuation_failure_returns_an_iterate_at_the_final_beta():
+    # fpca (8, 2, 2), seed 4: continuation bumps beta from 0.1 to 10, then
+    # the line search fails.  The start, best at beta 0.1 with h = -1.51 but
+    # ||c|| = 7.3, must not be returned: h at two betas does not compare
+    inst, prob = gen_fpca(8, 2, 2, seed=4, beta=0.1)
+    res = solve(prob, inst.x0, SolverConfig(beta_schedule="continuation"))
+    assert res.status == "line_search_failure"
+    assert res.feas <= 1e-5 and res.stat <= 1e-4
+    assert res.feas == pytest.approx(min(row[1] for row in res.trace), rel=1e-6)
+    assert res.h_val == pytest.approx(h_value(prob.with_beta(10.0), res.x_final),
+                                      rel=1e-12)
+    # a converged continuation run exits at its iterate, never the best one
+    inst, prob = gen_qpb(40, seed=1, beta=1e-3)
+    res = solve(prob, inst.x0, SolverConfig(beta_schedule="continuation"))
+    assert (res.status, res.iters) == ("converged", 523)
 
 
 @pytest.mark.parametrize("kwargs", [
