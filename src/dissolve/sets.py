@@ -784,6 +784,7 @@ class LinearInequalities(ConvexSet):
             raise ValueError("columns of A must be nonzero")
         self.A = A
         self.b = b
+        self._norms = norms
         self._pinv = np.linalg.pinv(A)      # (m, n)
 
     @property
@@ -798,19 +799,29 @@ class LinearInequalities(ConvexSet):
         # least-distance programming (Lawson & Hanson, ch. 23): y = x + d with
         # min ||d|| s.t. A^T d <= slack is one NNLS solve, min ||E u - e||
         # over u >= 0; its residual r gives d = -r[:-1] / r[-1], and r = 0
-        # (no d) means the polyhedron is empty.  A NaN or inf x fails the
-        # solve's finiteness check with a ValueError
+        # (no d) means the polyhedron is empty.  The slack is divided by
+        # sigma, the largest distance to a violated halfspace, so the scaled
+        # step is about 1 long and r[-1] = -1 / (1 + ||d / sigma||^2) does
+        # not cancel for far points.  A NaN or inf x fails the solve's
+        # finiteness check with a ValueError
         slack = self.b - self.A.T @ x
         if np.all(slack >= 0.0):
             return x.copy()
         from scipy.optimize import nnls
 
-        E = np.vstack([-self.A, -slack])
+        sigma = np.max(-slack / self._norms)
+        E = np.vstack([-self.A, -slack / sigma])
         e = np.zeros(self.n + 1)
         e[-1] = 1.0
-        r = E @ nnls(E, e)[0] - e
+        try:
+            u = nnls(E, e)[0]
+        except RuntimeError as exc:
+            raise ProjectionNotConverged(
+                "linear-inequality projection: nnls stopped at its limit of "
+                f"3*m = {3 * self.m} active-set iterations") from exc
+        r = E @ u - e
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = x - r[:-1] / r[-1]
+            y = x - sigma * (r[:-1] / r[-1])
             gap = float(np.max(self.A.T @ y - self.b))
         if not gap <= DEFAULT_TOL * (1.0 + np.linalg.norm(x)):
             raise ProjectionNotConverged(

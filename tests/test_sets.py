@@ -165,16 +165,36 @@ def test_linear_inequality_projection_is_exact_or_raises():
     assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_polyhedral_projection_properties_at_50_by_200(seed):
+def test_linear_inequality_projection_of_far_points():
+    # the half-line x <= 0: far points project to 0 up to rounding, where an
+    # unscaled least-distance step loses eps * x^2 to cancellation
+    half_line = LinearInequalities(np.array([[1.0]]), np.zeros(1))
+    for x in (1e6, 1e8, 1e12):
+        assert abs(half_line.project([x])[0]) <= 1e-15 * x
+
+
+def test_linear_inequality_projection_stall_raises_not_converged(monkeypatch):
+    # nnls gives up after 3*m active-set iterations with a plain RuntimeError
+    def stalled(E, e):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr("scipy.optimize.nnls", stalled)
+    poly = LinearInequalities(np.eye(2), np.zeros(2))
+    with pytest.raises(ProjectionNotConverged, match="3\\*m = 6 active-set"):
+        poly.project([1.0, 1.0])
+
+
+@pytest.mark.parametrize("seed, spread", [(0, 1.0), (1, 1.0), (2, 1e6)])
+def test_polyhedral_projection_properties_at_50_by_200(seed, spread):
     # 200 random halfspaces in R^50 around a ball of radius 0.1: feasibility,
     # the variational inequality <x - p, y - p> <= 0 for members y,
-    # idempotence and nonexpansiveness
+    # idempotence and nonexpansiveness, for points near the set and for
+    # points about 3e6 away
     rng = np.random.default_rng(seed)
     n, m = 50, 200
     A = rng.standard_normal((n, m))
     poly = LinearInequalities(A, 0.1 * np.linalg.norm(A, axis=0) + rng.random(m))
-    xs = [3.0 * rng.standard_normal(n) for _ in range(3)]
+    xs = [3.0 * spread * rng.standard_normal(n) for _ in range(3)]
     ps = [poly.project(x) for x in xs]
     members = ps + [poly.project(0.3 * rng.standard_normal(n)) for _ in range(20)]
     for x, p in zip(xs, ps):
@@ -185,7 +205,21 @@ def test_polyhedral_projection_properties_at_50_by_200(seed):
     for i in range(3):
         for j in range(i):
             assert (np.linalg.norm(ps[i] - ps[j])
-                    <= np.linalg.norm(xs[i] - xs[j]) + 1e-9)
+                    <= np.linalg.norm(xs[i] - xs[j]) + 1e-9 * spread)
+
+
+def test_polyhedral_projection_scales_with_the_instance():
+    # scaling b and x by 1e6 scales the projection by 1e6: P_{tK}(t x) = t P_K(x)
+    rng = np.random.default_rng(5)
+    n, m = 50, 200
+    A = rng.standard_normal((n, m))
+    b = 0.1 * np.linalg.norm(A, axis=0) + rng.random(m)
+    poly, big = LinearInequalities(A, b), LinearInequalities(A, 1e6 * b)
+    for _ in range(3):
+        x = 3.0 * rng.standard_normal(n)
+        p = poly.project(x)
+        assert np.linalg.norm(big.project(1e6 * x) - 1e6 * p) <= 1e-9 * 1e6 * (
+            1.0 + np.linalg.norm(x))
 
 
 def test_contains_examples():
