@@ -19,16 +19,14 @@ A(x) and any number of vjps at x share one build: the generic map's core,
 or (H x, x^T H x) for the closed-form sphere_nonneg map.  The other
 closed-form maps store nothing.  `h_value(prob, x, point)` clears the dict
 and fills it with A(x), f(A(x)), c(x) and the build; `h_grad(prob, x,
-point)` reads them instead of evaluating them again, and the solve loop
-takes h at another beta from them.  c(x) and G(x) c(x) come from the build
-only when the map was built over the problem's constraint map; otherwise
-the constraint map is called.  Without a point, every call builds afresh.
-The solve loop holds one dict per iterate, trial and best point.  The
-solvers call `h_value` and `h_grad` by name for every point they evaluate,
-so wrappers that replace those names see each one; a continuation bump
-evaluates no new point and calls neither.  Closed-form objectives may
-memoize as well: npca's `f` and its gradient share B^T x for the last
-point, finite or not.
+point)` reads them instead of evaluating them again.  c(x) and G(x) c(x)
+come from the build only when the map was built over the problem's
+constraint map; otherwise the constraint map is called.  Without a point,
+every call builds afresh.  The solve loop holds one dict per iterate, trial
+and best point.  The solvers call `h_value` and `h_grad` by name for every
+point they evaluate, so wrappers that replace those names see each one.
+Closed-form objectives may memoize as well: npca's `f` and its gradient
+share B^T x for the last point, finite or not.
 """
 
 from __future__ import annotations
@@ -360,7 +358,7 @@ def h_value(prob, x, point=None):
 
     When `point` is a dict, it is cleared and filled with A(x) under "a",
     f(A(x)) under "fa", c(x) under "c" and the map's build at x, for
-    `h_grad` and `_h_from_point` at the same x.
+    `h_grad` at the same x.
     Callers are expected to supply x in the domain (within tolerance); the
     smooth formulas extend off the set, which finite-difference oracles rely
     on.
@@ -370,15 +368,7 @@ def h_value(prob, x, point=None):
     point.clear()
     point["a"] = prob.amap.value(x, point)
     point["fa"] = prob.f_value(point["a"])
-    _penalty_c(prob, x, point)
-    return _h_from_point(prob, point)
-
-
-def _h_from_point(prob, point):
-    """f(A(x)) + (beta/2)||c(x)||^2 from the f(A(x)) and c(x) that `h_value`
-    stored in `point`, at prob's beta: neither part depends on beta, so a
-    change of beta needs no new evaluation at x."""
-    c = point["c"]
+    c = _penalty_c(prob, x, point)
     return float(point["fa"] + 0.5 * prob.beta * (c @ c))
 
 

@@ -140,7 +140,7 @@ class ConvexSet:
 
     def _check_point(self, x, validate):
         x = _vec(x, self.n)
-        if validate and not self.contains(x, DEFAULT_TOL):
+        if validate and not np.linalg.norm(x - self._project(x)) <= DEFAULT_TOL:
             raise DomainViolation(
                 f"point is outside {self.kind} beyond tol={DEFAULT_TOL}; "
                 "the projective mapping is only defined on the set"
@@ -852,7 +852,8 @@ class LinearInequalities(ConvexSet):
         return np.eye(self.n)
 
     def _normal_cone_project(self, x, z, tol):
-        active = self.b - self.A.T @ x <= tol * (1.0 + np.abs(self.b))
+        # (b_i - a_i^T x) / ||a_i|| <= tol * (1 + |b_i| / ||a_i||), scale-free
+        active = self.b - self.A.T @ x <= tol * (self._norms + np.abs(self.b))
         if not np.any(active):
             return np.zeros_like(z)
         from scipy.optimize import nnls

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mappings import _h_from_point, h_grad, h_value
+from .mappings import h_grad, h_value
 
 __all__ = [
     "SolverConfig",
@@ -41,11 +41,9 @@ MAX_BACKTRACKS = 50
 # keeps iterates from clearing the barrier around the feasible region when
 # the penalty objective is unbounded below on a noncompact domain
 MAX_STEP_SCALE = 0.25
-# continuation multiplies beta by CONTINUATION_FACTOR when ||c(x)|| fell by
-# less than STALL_RATIO over the last STALL_WINDOW iterations
-CONTINUATION_FACTOR = 10.0
-STALL_RATIO = 0.1
-STALL_WINDOW = 100
+LIPSCHITZ_ITERS = 20
+KKT_ROUNDS = 100
+KKT_TOL_CHANGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class SolverConfig:
     max_iter: int = 5000
     step_rule: str = "bb_nonmonotone"  # or "fixed"
     eta: float | None = None           # fixed step; estimated from x0 when None
-    beta_schedule: str = "fixed"       # or "continuation"
 
     def __post_init__(self):
         if not (0 < self.tol_stat < math.inf and 0 < self.tol_feas < math.inf):
@@ -64,10 +61,6 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
         if self.step_rule not in ("fixed", "bb_nonmonotone"):
             raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if self.beta_schedule not in ("fixed", "continuation"):
-            raise ValueError(f"unknown beta_schedule {self.beta_schedule!r}")
-        if self.step_rule == "fixed" and self.beta_schedule == "continuation":
-            raise ValueError("a fixed step suits one beta: no continuation with it")
 
 
 @dataclass
@@ -136,15 +129,15 @@ def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
                        wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
 
 
-def estimate_grad_lipschitz(prob, x0, iters=20):
-    """Power iteration on a finite-difference Hessian-vector operator of h at x0."""
+def estimate_grad_lipschitz(prob, x0):
+    """LIPSCHITZ_ITERS power steps on a finite-difference Hessian operator of h at x0."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     v = 1.0 + np.arange(n) / max(n, 1)
     v /= np.linalg.norm(v)
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
     L = 1.0
-    for _ in range(iters):
+    for _ in range(LIPSCHITZ_ITERS):
         w = (h_grad(prob, x0 + eps * v) - h_grad(prob, x0 - eps * v)) / (2.0 * eps)
         L = float(np.linalg.norm(w))
         if L <= 1e-12 or not np.isfinite(L):
@@ -162,26 +155,23 @@ def solve(prob, x0, config=None):
     non-monotone Armijo test over the last NM_MEMORY values of h.  The loop
     carries the point dict `h_value` fills for the iterate, the trial and the
     best iterate, and every exit reads its numbers from those points and the
-    gradient it holds; a continuation bump takes h at the new beta from the
-    iterate's point and makes the iterate the best one, since h at two
-    betas does not compare.  Each iterate's norm and each trial's d.d are computed
+    gradient it holds.  Each iterate's norm and each trial's d.d are computed
     once and shared by the residual, the step cap and the BB step.
     """
     config = config or SolverConfig()
     bb = config.step_rule == "bb_nonmonotone"
     t0 = time.perf_counter()
-    live = prob
-    x = live.domain.project(np.asarray(x0, dtype=float))
+    x = prob.domain.project(np.asarray(x0, dtype=float))
     if not bb:
-        a = config.eta if config.eta is not None else 1.0 / estimate_grad_lipschitz(live, x)
+        a = config.eta if config.eta is not None else 1.0 / estimate_grad_lipschitz(prob, x)
         if not 0 < a < math.inf:
             raise ValueError("step size must be positive and finite")
 
     pt = {}
-    hval = h_value(live, x, pt)
-    g = h_grad(live, x, pt)
+    hval = h_value(prob, x, pt)
+    g = h_grad(prob, x, pt)
     if not _finite(hval, g):
-        return _result(live, x, pt, g, hval, 0, t0, NUMERICAL_FAILURE,
+        return _result(prob, x, pt, g, hval, 0, t0, NUMERICAL_FAILURE,
                        [(hval, float("nan"), float("nan"), 0.0)])
 
     nx = _norm(x)
@@ -197,28 +187,16 @@ def solve(prob, x0, config=None):
         # point is kept without a copy
         best_h, best_x, best_pt = hval, x, pt
     trace = []
-    feas_marker = None
     accepted_step = 0.0
     k = 0
 
     while True:
-        stat, feas = _metrics(live, x, g, pt, nx)
+        stat, feas = _metrics(prob, x, g, pt, nx)
         trace.append((hval, feas, stat, accepted_step))
         if stat <= config.tol_stat and feas <= config.tol_feas:
-            return _result(live, x, pt, g, hval, k, t0, CONVERGED, trace, (stat, feas))
+            return _result(prob, x, pt, g, hval, k, t0, CONVERGED, trace, (stat, feas))
         if k >= config.max_iter:
-            return _result(live, x, pt, g, hval, k, t0, MAX_ITER, trace, (stat, feas))
-
-        # optional continuation: bump beta when feasibility stalls
-        if config.beta_schedule == "continuation" and k % STALL_WINDOW == 0:
-            if feas_marker is not None and feas > (1.0 - STALL_RATIO) * feas_marker \
-                    and feas > config.tol_feas:
-                live = live.with_beta(live.beta * CONTINUATION_FACTOR)
-                hval = _h_from_point(live, pt)
-                g = h_grad(live, x, pt)
-                memory = deque([hval], maxlen=NM_MEMORY)
-                best_h, best_x, best_pt = hval, x, pt
-            feas_marker = feas
+            return _result(prob, x, pt, g, hval, k, t0, MAX_ITER, trace, (stat, feas))
 
         trial = {}
         if bb:
@@ -226,28 +204,28 @@ def solve(prob, x0, config=None):
             a = float(min(max(alpha, BB_MIN), BB_MAX))
             step_cap = MAX_STEP_SCALE * (1.0 + nx)
             for _ in range(MAX_BACKTRACKS + 1):
-                x_trial = live.domain.project(x - a * g)
+                x_trial = prob.domain.project(x - a * g)
                 d = x_trial - x
                 dd = float(d @ d)
                 if math.sqrt(dd) <= step_cap:
-                    h_trial = h_value(live, x_trial, trial)
+                    h_trial = h_value(prob, x_trial, trial)
                     if math.isfinite(h_trial) and h_trial <= h_ref + ARMIJO_C * float(g @ d):
                         break
                 a *= BACKTRACK_FACTOR
             else:
-                g_best = h_grad(live, best_x, best_pt)
-                stat, feas = _metrics(live, best_x, g_best, best_pt, _norm(best_x))
+                g_best = h_grad(prob, best_x, best_pt)
+                stat, feas = _metrics(prob, best_x, g_best, best_pt, _norm(best_x))
                 trace.append((best_h, feas, stat, a))
-                return _result(live, best_x, best_pt, g_best, best_h, k + 1, t0,
+                return _result(prob, best_x, best_pt, g_best, best_h, k + 1, t0,
                                LINE_SEARCH_FAILURE, trace, (stat, feas))
         else:
-            x_trial = live.domain.project(x - a * g)
-            h_trial = h_value(live, x_trial, trial)
+            x_trial = prob.domain.project(x - a * g)
+            h_trial = h_value(prob, x_trial, trial)
 
-        g_new = h_grad(live, x_trial, trial)
+        g_new = h_grad(prob, x_trial, trial)
         if not _finite(h_trial, g_new):
             trace.append((h_trial, float("nan"), float("nan"), a))
-            return _result(live, x_trial, trial, g_new, h_trial, k + 1, t0,
+            return _result(prob, x_trial, trial, g_new, h_trial, k + 1, t0,
                            NUMERICAL_FAILURE, trace)
         if bb:
             y = g_new - g
@@ -267,12 +245,13 @@ def solve(prob, x0, config=None):
         k += 1
 
 
-def kkt_residual_original(prob, x, rounds=100, tol_change=1e-12):
+def kkt_residual_original(prob, x):
     """Upper bound on dist(0, grad f(x) + range(G(x)) + N(x)).
 
     Alternates a least-squares fit of the equality multipliers with a closed
-    form projection of the remaining residual onto the normal cone, and
-    returns the best value reached.
+    form projection of the remaining residual onto the normal cone, at most
+    KKT_ROUNDS times and until the residual moves by less than
+    KKT_TOL_CHANGE, and returns the last value reached.
     """
     x = np.asarray(x, dtype=float)
     g0 = np.asarray(prob.f_grad(x), dtype=float)
@@ -281,7 +260,7 @@ def kkt_residual_original(prob, x, rounds=100, tol_change=1e-12):
     nu = np.zeros_like(g0)
     prev = np.inf
     res = float(np.linalg.norm(g0))
-    for _ in range(rounds):
+    for _ in range(KKT_ROUNDS):
         if p:
             lam = np.linalg.lstsq(G, -(g0 + nu), rcond=None)[0]
             t = g0 + G @ lam
@@ -289,7 +268,7 @@ def kkt_residual_original(prob, x, rounds=100, tol_change=1e-12):
             t = g0
         nu = prob.domain.normal_cone_project(x, -t)
         res = float(np.linalg.norm(t + nu))
-        if abs(prev - res) < tol_change:
+        if abs(prev - res) < KKT_TOL_CHANGE:
             break
         prev = res
     return res

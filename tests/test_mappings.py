@@ -734,18 +734,6 @@ def test_sphere_map_with_a_carried_point_matches_free_calls(general_h):
     assert same_bits(amap.value(y, point), amap.value(y))
 
 
-@pytest.mark.parametrize("gen,dims,scale", POINT_FAMILIES)
-def test_h_from_point_at_a_new_beta_matches_h_value(gen, dims, scale):
-    inst, prob = gen(*dims, seed=0)
-    x = near_feasible_points(inst, 1, seed=6, scale=scale)[0]
-    point = {}
-    h_value(prob, x, point)
-    for beta in (0.0, 0.5, prob.beta * 10.0, 1e6):
-        other = prob.with_beta(beta)
-        assert mappings._h_from_point(other, point) == h_value(other, x)
-        assert same_bits(h_grad(other, x, point), h_grad(other, x))
-
-
 @pytest.mark.parametrize("make", [lambda: gen_npca(12, 6, seed=0)[1], nan_point_problem])
 def test_point_record_never_stores_a_nan_point(make):
     # a NaN point goes into its own dict and leaves x's dict as it was
@@ -850,33 +838,3 @@ def test_generic_map_solve_builds_one_core_per_h_value(dims, beta, cfg, status,
     assert res.status == status
     assert len(builds) == len(h_calls)
     assert res.trace[-1][1:3] == (res.feas, res.stat)
-
-
-def test_continuation_bump_builds_no_new_core(monkeypatch):
-    # f(A(x)) and c(x) do not depend on beta: a bump computes h at the new
-    # beta from the iterate's point, so every core build and every h_value
-    # call is at a point not evaluated before
-    inst, prob = gen_qpb(40, seed=1, beta=1e-3)
-    cfg = SolverConfig(beta_schedule="continuation")
-    plain = solvers.solve(prob, inst.x0, cfg)
-    seen = []
-    value = solvers.h_value
-
-    def counting_h_value(p, x, point=None):
-        seen.append(x.tobytes())
-        return value(p, x, point)
-
-    bumps = []
-    with_beta = PenaltyProblem.with_beta
-
-    def counting_with_beta(p, beta):
-        bumps.append(beta)
-        return with_beta(p, beta)
-
-    monkeypatch.setattr(solvers, "h_value", counting_h_value)
-    monkeypatch.setattr(PenaltyProblem, "with_beta", counting_with_beta)
-    builds = count_pinv(monkeypatch)
-    res = solvers.solve(prob, inst.x0, cfg)
-    assert res.status == "converged" and len(bumps) >= 2
-    assert len(builds) == len(seen) == len(set(seen))
-    assert same_bits(res.x_final, plain.x_final) and res.trace == plain.trace

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dissolve import sets
 from dissolve.sets import (
     Box,
     DimensionMismatch,
@@ -173,6 +174,18 @@ def test_linear_inequality_projection_of_far_points():
         assert abs(half_line.project([x])[0]) <= 1e-15 * x
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e3])
+def test_polyhedral_normal_cone_is_scale_free(s):
+    # scaling a constraint (a_i, b_i) leaves its halfspace as it was, so the
+    # active set and the normal cone must not change: x lies 5e-8 from the
+    # hyperplane x1 = 1, beyond tol * (1 + 1) = 2e-8, and 5e-9 from it, within
+    poly = LinearInequalities(s * np.eye(2), s * np.ones(2))
+    z = np.array([1.0, 0.0])
+    assert np.array_equal(poly.normal_cone_project([1.0 - 5e-8, 0.0], z), [0.0, 0.0])
+    assert np.allclose(poly.normal_cone_project([1.0 - 5e-9, 0.0], z), z,
+                       rtol=0.0, atol=1e-12)
+
+
 def test_linear_inequality_projection_stall_raises_not_converged(monkeypatch):
     # nnls gives up after 3*m active-set iterations with a plain RuntimeError
     def stalled(E, e):
@@ -319,6 +332,28 @@ def test_q_apply_rejects_points_outside_domain():
         NormBall(2).q_apply([2.0, 0.0], [1.0, 0.0])
     with pytest.raises(DomainViolation):
         Simplex(3).q_apply([0.5, 0.1, 0.1], [1.0, 0.0, 0.0])
+    # a NaN point has no distance to the set and is rejected too
+    for domain in (NormBall(2), Box([0.0, 0.0], [1.0, 1.0])):
+        with pytest.raises(DomainViolation):
+            domain.q_apply([np.nan, 0.0], [1.0, 0.0])
+
+
+def test_validated_q_methods_check_each_argument_once(monkeypatch):
+    # membership runs the projection kernel on the x already validated
+    calls = []
+    vec = sets._vec
+
+    def counting_vec(x, n, name="x"):
+        calls.append(name)
+        return vec(x, n, name)
+
+    monkeypatch.setattr(sets, "_vec", counting_vec)
+    ball = NormBall(2)
+    ball.q_apply([0.6, 0.0], [1.0, 0.0])
+    assert calls == ["x", "v"]
+    calls.clear()
+    ball.dq_form_grad([0.6, 0.0], [1.0, 0.0], [0.0, 1.0])
+    assert calls == ["x", "v", "w"]
 
 
 def test_q_symmetric_psd_on_samples(catalog):

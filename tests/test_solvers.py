@@ -199,36 +199,9 @@ def test_solve_dispatch():
     assert res.status == "converged"
 
 
-def test_beta_continuation_bumps_penalty_on_stall(monkeypatch):
-    monkeypatch.setattr(solvers, "STALL_WINDOW", 25)
-    inst, prob = gen_qpb(10, seed=1)
-    weak = prob.with_beta(1e-4)
-    cfg = SolverConfig(beta_schedule="continuation",
-                       max_iter=3000, tol_stat=1e-8, tol_feas=1e-6)
-    res = solve(weak, inst.x0, cfg)
-    assert res.feas <= 1e-4  # continuation pushed feasibility below the weak-beta level
-
-
-def test_continuation_failure_returns_an_iterate_at_the_final_beta():
-    # fpca (8, 2, 2), seed 4: continuation bumps beta from 0.1 to 10, then
-    # the line search fails.  The start, best at beta 0.1 with h = -1.51 but
-    # ||c|| = 7.3, must not be returned: h at two betas does not compare
-    inst, prob = gen_fpca(8, 2, 2, seed=4, beta=0.1)
-    res = solve(prob, inst.x0, SolverConfig(beta_schedule="continuation"))
-    assert res.status == "line_search_failure"
-    assert res.feas <= 1e-5 and res.stat <= 1e-4
-    assert res.feas == pytest.approx(min(row[1] for row in res.trace), rel=1e-6)
-    assert res.h_val == pytest.approx(h_value(prob.with_beta(10.0), res.x_final),
-                                      rel=1e-12)
-    # a converged continuation run exits at its iterate, never the best one
-    inst, prob = gen_qpb(40, seed=1, beta=1e-3)
-    res = solve(prob, inst.x0, SolverConfig(beta_schedule="continuation"))
-    assert (res.status, res.iters) == ("converged", 523)
-
-
 @pytest.mark.parametrize("kwargs", [
     {"step_rule": "fxied"},
-    {"beta_schedule": "continuaton"},
+    {"step_rule": ""},
     {"tol_stat": -1.0},
     {"tol_feas": 0.0},
     {"max_iter": -1},
@@ -236,7 +209,7 @@ def test_continuation_failure_returns_an_iterate_at_the_final_beta():
     {"tol_feas": float("nan")},
     {"tol_stat": 0.0},
     {"max_iter": 0},
-    {"step_rule": "fixed", "beta_schedule": "continuation"},
+    {"tol_feas": float("-inf")},
     {"tol_stat": float("inf")},
     {"tol_feas": float("inf")},
 ])
@@ -247,7 +220,9 @@ def test_solver_config_rejects_bad_values(kwargs):
 
 def test_solver_config_fields_and_fixed_step_check():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "tol_stat", "tol_feas", "max_iter", "step_rule", "eta", "beta_schedule"]
+        "tol_stat", "tol_feas", "max_iter", "step_rule", "eta"]
+    with pytest.raises(TypeError):
+        SolverConfig(beta_schedule="fixed")
     prob = unconstrained_quadratic(2)
     # a bad step is rejected when the solve starts, not at construction
     for eta in (0.0, -1.0, float("nan"), float("inf")):
