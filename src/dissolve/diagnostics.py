@@ -164,10 +164,18 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200,
                             radii=None, seed=0, r=None):
     """Check ||P_E G(y) c(y)|| >= (pi/2) ||c(y)|| on shrinking balls around a
     feasible point, sampling inside the affine hull; reports the largest
-    radius at which every sample satisfied the bound."""
+    radius at which every sample satisfied the bound.  When P_E is the
+    identity its products are skipped: on finite samples they return their
+    argument bit for bit."""
     x = np.asarray(x_feasible, dtype=float)
     rng = np.random.default_rng(seed)
     P_E = domain.affine_hull_projector()
+    if np.array_equal(P_E, np.eye(x.size)):
+        def hull(v):
+            return v
+    else:
+        def hull(v):
+            return P_E @ v
     if radii is None:
         radii = [0.5 * 0.5 ** j for j in range(7)]
     radii = sorted(radii)
@@ -181,13 +189,13 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200,
     def violation_at(radius):
         worst = 0.0
         for _ in range(n_samples):
-            u = P_E @ rng.standard_normal(x.size)
+            u = hull(rng.standard_normal(x.size))
             nu = _norm(u)
             if nu == 0.0:
                 continue
             y = x + radius * rng.random() * u / nu
             c = cmap.value(y)
-            lhs = _norm(P_E @ cmap.jac_t_apply(y, c))
+            lhs = _norm(hull(cmap.jac_t_apply(y, c)))
             rhs = 0.5 * pi_val * _norm(c)
             worst = max(worst, rhs - lhs)
         return worst

@@ -8,9 +8,11 @@ is
     A(x) = x - Q(x) G(x) (G(x)^T Q(x) G(x) + sigma ||c(x)||^2 I)^+ c(x),
 
 with G(x) the n-by-p matrix of constraint gradients and Q the domain's
-projective mapping.  The p-by-p core is formed densely and pseudo-inverted
-with an SVD cutoff, so p is assumed small.  A build applies Q(x) to all p
-columns of G in one `_q_cols` call.
+projective mapping.  The p-by-p core is formed densely, so p is assumed
+small, and pseudo-inverted by `_core_pinv`: np.linalg.pinv's steps with the
+SVD cutoff PINV_RCOND on one SVD call, bit-identical to pinv, raising
+LinAlgError on a non-finite core.  A build applies Q(x) to all p columns of
+G in one `_q_cols` call and adds the map's prebuilt p-by-p identity.
 
 Work done at one point lives in a dict the caller carries for that point,
 never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
@@ -142,13 +144,27 @@ class PenaltyProblem:
         return dataclasses.replace(self, beta=float(beta))
 
 
-def _aq_value_parts(domain, cmap, sigma, x):
+def _core_pinv(core):
+    """np.linalg.pinv(core, rcond=PINV_RCOND), bit for bit: pinv's own steps
+    on one SVD call.  A NaN or infinite core raises LinAlgError before LAPACK
+    sees it, since an infinite entry can keep the SVD from returning."""
+    if not np.isfinite(core).all():
+        raise np.linalg.LinAlgError("dissolving core has a NaN or infinite entry")
+    u, s, vt = np.linalg.svd(core, full_matrices=False)
+    large = s > PINV_RCOND * s.max()
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)
+
+
+def _aq_value_parts(domain, cmap, sigma, x, eye=None):
+    # eye: the p-by-p identity, which a map builds once and passes in
     x = np.asarray(x, dtype=float)
     c = cmap.value(x)
     G = cmap.jac_matrix(x)
     QG = domain._q_cols(x, G)
-    core = _sym(G.T @ QG) + sigma * float(c @ c) * np.eye(cmap.p)
-    core_pinv = np.linalg.pinv(core, rcond=PINV_RCOND)
+    core = _sym(G.T @ QG) + sigma * float(c @ c) * (np.eye(cmap.p) if eye is None else eye)
+    core_pinv = _core_pinv(core)
     u = core_pinv @ c
     return c, G, QG, core_pinv, u
 
@@ -203,10 +219,12 @@ class _GenericMap:
         self.domain = domain
         self.cmap = cmap
         self.sigma = sigma
+        self.eye = np.eye(cmap.p)
+        self.eye.flags.writeable = False
 
     def _parts(self, x, point):
         if "build" not in point:
-            point["build"] = _aq_value_parts(self.domain, self.cmap, self.sigma, x)
+            point["build"] = _aq_value_parts(self.domain, self.cmap, self.sigma, x, self.eye)
             point["built_over"] = self.cmap
         return point["build"]
 

@@ -10,9 +10,10 @@ fpca -- min-max reformulation of group-fair PCA in variables (P, y, z):
         spectral ball x orthant x free scalar.
 
 All generators are bit-reproducible functions of (dims, seed); tensors draw
-from fixed sub-seeds.  fpca's constraint value and Jacobian columns take one
-product over the k stacked group matrices, with the per-group arithmetic of
-the Jacobian products, so both are bit-identical to a loop over the groups.
+from fixed sub-seeds.  fpca's constraint value, Jacobian columns, transposed
+Jacobian products and Hessian products each take one product over the k
+stacked group matrices, with the per-group arithmetic of a loop over the
+groups, so all four are bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -77,16 +78,25 @@ class ProblemInstance:
 
     @staticmethod
     def from_json(obj):
+        """Rebuild an instance; a NaN or infinite entry in x0 or in a data
+        array raises ValueError."""
         fam = get_family(obj["family"])
         data = dict(obj["data"])
+        x0 = np.array(obj["x0"], dtype=float)
         for key in fam.arrays:
             data[key] = np.array(data[key], dtype=float)
         for key in fam.array_lists:
             data[key] = [np.array(v, dtype=float) for v in data[key]]
+        named = [("x0", x0), *((key, data[key]) for key in fam.arrays),
+                 *((f"{key}[{i}]", v) for key in fam.array_lists
+                   for i, v in enumerate(data[key]))]
+        for name, v in named:
+            if not np.isfinite(v).all():
+                raise ValueError(f"instance {name} has a NaN or infinite entry")
         return ProblemInstance(
             family=obj["family"],
             seed=int(obj["seed"]),
-            x0=np.array(obj["x0"], dtype=float),
+            x0=x0,
             data=data,
         )
 
@@ -256,10 +266,12 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
     # per-group -2/m as Python floats for the loops in jac_t, jac and hess:
     # the same doubles, cheaper to combine
     g2 = [-2.0 / m for m in msz.tolist()]
-    # the k groups stacked, so that jac_columns and c_value take one product
-    # over all groups; each slice is the per-group array it was stacked from
+    # the k groups stacked, so that c_value, jac_t, jac_columns and hess take
+    # one product over all groups; each slice is the per-group array it was
+    # stacked from
     AtA_stack = np.stack(AtA)
     g2_col = np.array(g2)[:, None, None]
+    eye_k = np.eye(k)
     if len({A.shape for A in A_list}) == 1:
         A_stack = np.stack(A_list)
 
@@ -289,15 +301,16 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
     def jac_t(x, v):
         P = x[:pe].reshape((n, d), order="F")
         vl = v.tolist()
+        M = AtA_stack @ P
         GP = np.zeros((n, d))
         for i in range(k):
             if vl[i] != 0.0:
-                GP += vl[i] * g2[i] * (AtA[i] @ P)
+                GP += vl[i] * g2[i] * M[i]
         GP += vl[k] * 2.0 * P
         out = np.zeros(dim)
         out[:pe] = GP.reshape(-1, order="F")
         out[pe:ye] = v[:k]
-        out[ye] = -np.sum(v[:k])
+        out[ye] = -v[:k].sum()
         return out
 
     def jac_columns(x):
@@ -308,7 +321,7 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
         GP = (0.0 + g2_col * (AtA_stack @ P)) + 0.0 * P
         G[:pe, :k] = GP.transpose(2, 1, 0).reshape(pe, k)
         G[:pe, k] = (0.0 + 2.0 * P).reshape(-1, order="F")
-        G[pe:ye, :k] = np.eye(k)
+        G[pe:ye, :k] = eye_k
         G[ye, :k] = -1.0
         G[ye, k] = -0.0
         return G
@@ -327,10 +340,11 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
     def hess(x, lam, dd):
         DP = dd[:pe].reshape((n, d), order="F")
         ll = lam.tolist()
+        M = AtA_stack @ DP
         HP = np.zeros((n, d))
         for i in range(k):
             if ll[i] != 0.0:
-                HP += ll[i] * g2[i] * (AtA[i] @ DP)
+                HP += ll[i] * g2[i] * M[i]
         HP += ll[k] * 2.0 * DP
         out = np.zeros(dim)
         out[:pe] = HP.reshape(-1, order="F")

@@ -73,12 +73,17 @@ def _sym(M):
 
 
 def _mat(x, shape):
-    # internal layout is column-major
-    return np.asarray(x, dtype=float).reshape(shape, order="F")
+    # internal layout is column-major; kernels receive validated float arrays
+    return x.reshape(shape, order="F")
 
 
 def _flat(M):
-    return np.asarray(M, dtype=float).reshape(-1, order="F")
+    return M.reshape(-1, order="F")
+
+
+def _require_finite(x, what):
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} needs a finite point; x has a NaN or infinite entry")
 
 
 class ConvexSet:
@@ -220,6 +225,10 @@ class Box(ConvexSet):
         # whole-box patterns whose weights need no masks
         self._orthant = bool(self._lo_only.all())
         self._free = not (self._clamp_lo or self._clamp_up)
+        # the x-free weights of those patterns, built once and read-only; the
+        # kernels multiply them into new arrays
+        self._ones, self._zeros = np.ones(self.n), np.zeros(self.n)
+        self._ones.flags.writeable = self._zeros.flags.writeable = False
 
     @property
     def n(self):
@@ -234,7 +243,7 @@ class Box(ConvexSet):
         if self._orthant:
             return x - self.lower
         if self._free:
-            return np.ones_like(x)
+            return self._ones
         w = np.ones_like(x)
         both, lo, up = self._both, self._lo_only, self._up_only
         w[both] = (x[both] - self.lower[both]) * (self.upper[both] - x[both])
@@ -244,9 +253,9 @@ class Box(ConvexSet):
 
     def _weights_deriv(self, x):
         if self._orthant:
-            return np.ones_like(x)
+            return self._ones
         if self._free:
-            return np.zeros_like(x)
+            return self._zeros
         dw = np.zeros_like(x)
         both, lo, up = self._both, self._lo_only, self._up_only
         dw[both] = self.lower[both] + self.upper[both] - 2.0 * x[both]
@@ -323,6 +332,8 @@ class NormBall(ConvexSet):
         if self._is_l2:
             nrm = np.linalg.norm(x)
             return x if nrm <= u else x * (u / nrm)
+        # an infinite entry would keep the multiplier bracket growing forever
+        _require_finite(x, "lq-ball projection")
         a = np.abs(x)
         if np.sum(a ** q) <= u ** q:
             return x.copy()
@@ -435,7 +446,11 @@ class Simplex(ConvexSet):
         u = np.sort(x)[::-1]
         css = np.cumsum(u)
         j = np.arange(1, self.n + 1)
-        k = np.nonzero(u - (css - 1.0) / j > 0.0)[0].max() + 1
+        hits = np.flatnonzero(u - (css - 1.0) / j > 0.0)
+        if hits.size == 0:  # a NaN or inf x, or cancellation at a huge one
+            raise ValueError("simplex projection found no threshold; "
+                             "x must be finite and of moderate size")
+        k = hits[-1] + 1
         tau = (css[k - 1] - 1.0) / k
         return np.maximum(x - tau, 0.0)
 
@@ -582,6 +597,8 @@ class SpectralBall(ConvexSet):
         return (self.m, self.s)
 
     def _project(self, x):
+        # LAPACK's SVD may never return on an infinite entry
+        _require_finite(x, "spectral-ball projection")
         X = _mat(x, self._shape())
         U, sv, Vt = np.linalg.svd(X, full_matrices=False)
         if sv.size == 0 or sv[0] <= 1.0:
@@ -620,6 +637,7 @@ class SpectralBall(ConvexSet):
         return np.eye(self.n)
 
     def _normal_cone_project(self, x, z, tol):
+        _require_finite(x, "spectral-ball normal cone")
         X = _mat(x, self._shape())
         Z = _mat(z, self._shape())
         U, sv, Vt = np.linalg.svd(X, full_matrices=False)

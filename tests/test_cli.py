@@ -388,3 +388,32 @@ def test_bench_checks_every_task_before_solving_any(tmp_path, capsys, monkeypatc
     assert calls == []
     assert not csv_path.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,dims,field,value", [
+    ("fpca", ["--n", "4", "--k", "2", "--d", "3"], "x0", float("inf")),
+    ("npca", ["--n", "10", "--cols", "5"], "x0", float("nan")),
+    ("qpb", ["--n", "6"], "qvec", float("-inf")),
+    ("fpca", ["--n", "4", "--k", "2", "--d", "3"], "A", float("nan")),
+])
+def test_non_finite_instance_exits_2_without_rows(tmp_path, capsys, family, dims,
+                                                  field, value):
+    # an infinite fpca start used to hang the solve's first projection; a NaN
+    # npca start used to print a numerical_failure row and exit 0
+    inst_path = tmp_path / "inst.json"
+    csv_path = tmp_path / "runs.csv"
+    assert main(["dump-instance", "--family", family, *dims, "--out", str(inst_path)]) == 0
+    obj = json.loads(inst_path.read_text())
+    if field == "x0":
+        obj["x0"][0] = value
+    elif field == "A":
+        obj["data"]["A"][1][0][0] = value
+    else:
+        obj["data"][field][0] = value
+    inst_path.write_text(json.dumps(obj))
+    assert main(["solve", "--instance", str(inst_path), "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
+    err = capsys.readouterr().err
+    assert "error:" in err and "NaN or infinite" in err
+    with pytest.raises(ValueError, match=f"instance {field}"):
+        ProblemInstance.from_json(obj)

@@ -17,7 +17,7 @@ from dissolve.mappings import (
     build_aq,
     empty_constraint_map,
 )
-from dissolve.sets import Box, NormBall, Simplex
+from dissolve.sets import Box, NormBall, Product, Simplex
 from dissolve.problems import (
     feasible_points,
     gen_fpca,
@@ -252,3 +252,107 @@ def test_reports_reproducible_from_seed():
     p1 = local_error_bound_probe(prob.cmap, prob.domain, pts[0], seed=9)
     p2 = local_error_bound_probe(prob.cmap, prob.domain, pts[0], seed=9)
     assert p1.to_json() == p2.to_json()
+
+
+def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None,
+                             seed=0, r=None):
+    """local_error_bound_probe as it was written before the identity skip:
+    both products with P_E taken on every sample."""
+    from dissolve.diagnostics import CheckReport
+    from dissolve.solvers import _norm
+
+    x = np.asarray(x_feasible, dtype=float)
+    rng = np.random.default_rng(seed)
+    P_E = domain.affine_hull_projector()
+    if radii is None:
+        radii = [0.5 * 0.5 ** j for j in range(7)]
+    radii = sorted(radii)
+    pi_val = pi_sigma(cmap, domain, x, r=r)
+    if pi_val <= 1e-10:
+        details = [{"pi": pi_val, "held_radius": 0.0,
+                    "note": "constraint gradients degenerate at base point"}]
+        return CheckReport.build("local_error_bound_probe", 0, np.inf, 0.0, details)
+
+    def violation_at(radius):
+        worst = 0.0
+        for _ in range(n_samples):
+            u = P_E @ rng.standard_normal(x.size)
+            nu = _norm(u)
+            if nu == 0.0:
+                continue
+            y = x + radius * rng.random() * u / nu
+            c = cmap.value(y)
+            lhs = _norm(P_E @ cmap.jac_t_apply(y, c))
+            rhs = 0.5 * pi_val * _norm(c)
+            worst = max(worst, rhs - lhs)
+        return worst
+
+    slack = 1e-12 * (1.0 + pi_val)
+    details, held_radius, prefix_ok, worst_smallest = [], 0.0, True, None
+    for radius in radii:
+        v = violation_at(radius)
+        if worst_smallest is None:
+            worst_smallest = v
+        ok = v <= slack
+        details.append({"radius": radius, "worst_violation": v, "held": ok})
+        if prefix_ok and ok:
+            held_radius = radius
+        else:
+            prefix_ok = False
+    details.append({"pi": pi_val, "held_radius": held_radius})
+    return CheckReport.build("local_error_bound_probe", n_samples * len(radii),
+                             worst_smallest, slack, details)
+
+
+def simplex_ball_case():
+    # simplex x ball, where P_E is not the identity; c_0 = sin(w^T (x - x0))
+    # loses its gradient on far parts of the larger balls, so the bound fails
+    # there with a positive violation
+    w = np.array([3.0, 1.0, 0.0, -2.0])
+    x0 = np.array([0.4, 0.3, 0.2, 0.1, 0.5, 0.5])
+
+    def value(x):
+        return np.array([np.sin(w @ (x[:4] - x0[:4])), x[4:] @ x[4:] - 0.5])
+
+    def jac_t(x, v):
+        return np.concatenate([np.cos(w @ (x[:4] - x0[:4])) * v[0] * w, 2.0 * v[1] * x[4:]])
+
+    cmap = ConstraintMap(p=2, value=value, jac_t_apply=jac_t, jac_apply=None)
+    return cmap, Product([Simplex(4), NormBall(2)]), x0
+
+
+def fpca_case():
+    inst, prob = gen_fpca(4, 2, 3, seed=0)
+    return prob.cmap, prob.domain, feasible_points(inst, 1, seed=2)[0]
+
+
+def blowup_case():
+    # a free box; G(y) c(y) holds an infinite entry or a NaN on part of each
+    # ball, and c = sin(a^T x) fails the bound on far parts
+    a = np.array([1.0, -2.0, 0.5])
+
+    def jac_t(x, v):
+        out = np.cos(a @ x) * v[0] * a
+        if x[0] > 0.3:
+            out[1] = np.inf
+        if x[2] > 0.3:
+            out[0] = np.nan
+        return out
+
+    cmap = ConstraintMap(p=1, value=lambda x: np.array([np.sin(a @ x)]),
+                         jac_t_apply=jac_t, jac_apply=None)
+    return cmap, Box(np.full(3, -np.inf), np.full(3, np.inf)), np.zeros(3)
+
+
+@pytest.mark.parametrize("case", [fpca_case, simplex_ball_case, blowup_case])
+def test_probe_with_identity_skip_matches_the_hull_product_loop(case):
+    cmap, domain, x = case()
+    identity = np.array_equal(domain.affine_hull_projector(), np.eye(domain.n))
+    assert identity == (case is not simplex_ball_case)
+    for seed, radii in ((0, None), (4, [0.25, 1.0, 4.0])):
+        with np.errstate(invalid="ignore"):
+            got = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=seed,
+                                          radii=radii)
+            want = probe_with_hull_products(cmap, domain, x, n_samples=20, seed=seed,
+                                            radii=radii)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())

@@ -27,6 +27,8 @@ from dissolve.problems import (
     near_feasible_points,
 )
 
+from conftest import run_fresh
+
 
 def sphere_cmap(n):
     return ConstraintMap(
@@ -340,14 +342,64 @@ def reference_value(prob, x):
 
 def count_pinv(monkeypatch):
     calls = []
-    pinv = mappings.np.linalg.pinv
+    pinv = mappings._core_pinv
 
     def counting(*args, **kwargs):
         calls.append(1)
         return pinv(*args, **kwargs)
 
-    monkeypatch.setattr(mappings.np.linalg, "pinv", counting)
+    monkeypatch.setattr(mappings, "_core_pinv", counting)
     return calls
+
+
+def core_cases():
+    """Symmetric p-by-p cores: SPD, exactly singular, singular values just
+    above and just below the relative cutoff, zero, and signed zeros."""
+    rng = np.random.default_rng(17)
+    cut = mappings.PINV_RCOND
+    for p in range(1, 7):
+        B = rng.standard_normal((p, p))
+        yield B @ B.T + 0.1 * np.eye(p)
+        V, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        top = 1.0 + rng.random()
+        for tail in (0.0, 1.0 + 1e-3, 1.0 - 1e-3, 1e-3):
+            s = np.full(p, tail * cut * top)
+            s[0] = top
+            yield (V * s) @ V.T
+        if p > 1:
+            b = rng.standard_normal((p, 1))
+            yield b @ b.T          # rank one
+        yield np.zeros((p, p))
+        yield np.full((p, p), -0.0)
+        M = B @ B.T
+        M[0, :] = M[:, 0] = -0.0
+        yield M
+
+
+def test_core_pinv_is_numpy_pinv_bit_for_bit():
+    for core in core_cases():
+        want = np.linalg.pinv(core, rcond=mappings.PINV_RCOND)
+        got = mappings._core_pinv(core.copy())
+        assert same_bits(got, want), core
+
+
+CORE_PINV_NON_FINITE = """
+import numpy as np
+from dissolve.mappings import _core_pinv
+for value in (np.nan, np.inf, -np.inf):
+    core = np.eye(3)
+    core[0, 0] = value
+    try:
+        _core_pinv(core)
+    except np.linalg.LinAlgError:
+        print("LinAlgError")
+"""
+
+
+def test_core_pinv_rejects_a_non_finite_core_before_the_svd():
+    # LAPACK's SVD of eye(3) with an infinite entry need not return, so this
+    # runs in a child with a timeout
+    assert run_fresh(CORE_PINV_NON_FINITE).split() == ["LinAlgError"] * 3
 
 
 CACHED_FAMILIES = [(gen_qpb, (8,), 0.05), (gen_fpca, (5, 2, 2), 0.4)]

@@ -255,6 +255,70 @@ def test_fpca_stacked_oracles_match_group_loops(k, n, rows):
         assert G.flags.c_contiguous and G.tobytes() == jac_loop(x).tobytes()
 
 
+def fpca_group_products(A_list, d, m_sizes):
+    """fpca's G(x) v and sum_i lam_i Hess(c_i) dd with one product per group,
+    in the per-group order of operations of the stacked forms."""
+    k, n = len(A_list), A_list[0].shape[1]
+    pe, ye = n * d, n * d + k
+    AtA = [A.T @ A for A in A_list]
+    g2 = [-2.0 / float(m) for m in m_sizes]
+
+    def jac_t(x, v):
+        P = x[:pe].reshape((n, d), order="F")
+        GP = np.zeros((n, d))
+        for i in range(k):
+            if v[i] != 0.0:
+                GP += float(v[i]) * g2[i] * (AtA[i] @ P)
+        GP += float(v[k]) * 2.0 * P
+        out = np.zeros(ye + 1)
+        out[:pe] = GP.reshape(-1, order="F")
+        out[pe:ye] = v[:k]
+        out[ye] = -np.sum(v[:k])
+        return out
+
+    def hess(x, lam, dd):
+        DP = dd[:pe].reshape((n, d), order="F")
+        HP = np.zeros((n, d))
+        for i in range(k):
+            if lam[i] != 0.0:
+                HP += float(lam[i]) * g2[i] * (AtA[i] @ DP)
+        HP += float(lam[k]) * 2.0 * DP
+        out = np.zeros(ye + 1)
+        out[:pe] = HP.reshape(-1, order="F")
+        return out
+
+    return jac_t, hess
+
+
+@pytest.mark.parametrize("rows", ["equal", "unequal"])
+@pytest.mark.parametrize("n", [4, 30])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fpca_stacked_jacobian_and_hessian_products_match_group_loops(k, n, rows):
+    rng = np.random.default_rng(59)
+    d = 3
+    A_list = [rng.standard_normal((n + (i if rows == "unequal" else 0), n))
+              for i in range(k)]
+    A_list[0][0] = 0.0
+    m_sizes = rng.integers(n, 3 * n, size=k).astype(float)
+    cmap = build_fpca_problem(A_list, d, hat_sq=n * rng.random(k), m_sizes=m_sizes).cmap
+    jac_t, hess = fpca_group_products(A_list, d, m_sizes)
+    dim = n * d + k + 1
+    for trial in range(4):
+        x, dd = rng.standard_normal((2, dim))
+        x[:n] = 0.0          # a zero column of P
+        x[n] = -0.0
+        v, lam = rng.standard_normal((2, k + 1))
+        if trial == 1:
+            v[0] = lam[-2] = 0.0     # a group that is skipped
+            v[-1] = lam[0] = -0.0
+        if trial == 3:
+            x[n + 1] = np.inf    # the skipped group's product is not formed
+            v[0] = lam[0] = 0.0
+        with np.errstate(invalid="ignore"):
+            assert cmap.jac_t_apply(x, v).tobytes() == jac_t(x, v).tobytes()
+            assert cmap.hess_apply(x, lam, dd).tobytes() == hess(x, lam, dd).tobytes()
+
+
 def test_generators_bit_reproducible():
     for gen, dims in ((gen_npca, (15, 7)), (gen_qpb, (15,)), (gen_fpca, (6, 2, 2))):
         a, _ = gen(*dims, seed=9)

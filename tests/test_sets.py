@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,7 +26,7 @@ from dissolve.sets import (
     set_from_json,
 )
 
-from conftest import make_catalog, run_fresh, sample_point, sample_smooth_point
+from conftest import SRC, make_catalog, run_fresh, sample_point, sample_smooth_point
 
 
 # ---------------------------------------------------------------- projection
@@ -263,6 +267,71 @@ def test_projections_reject_wrong_lengths(catalog):
                 domain.normal_cone_project(x, bad)
 
 
+# one catalog set, one NaN or infinite entry at a time: each call prints its
+# name, then "ok" or the exception it raised
+NON_FINITE_CALLS = """
+import sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from conftest import make_catalog, sample_point
+domain = make_catalog()[{index}]
+x0 = sample_point(domain, np.random.default_rng(0))
+v = np.ones(domain.n)
+for value in (np.nan, np.inf, -np.inf):
+    for j in (0, domain.n - 1):
+        x = x0.copy()
+        x[j] = value
+        for name, call in (("project", lambda: domain.project(x)),
+                           ("q_apply", lambda: domain.q_apply(x, v)),
+                           ("normal_cone_project", lambda: domain.normal_cone_project(x, v))):
+            print(name, value, j, end=" ", flush=True)
+            try:
+                with np.errstate(all="ignore"):
+                    call()
+                print("ok", flush=True)
+            except Exception as exc:
+                print(type(exc).__name__, flush=True)
+"""
+
+
+def must_raise_value_error(domain):
+    """Calls that must raise ValueError at a non-finite point, before an SVD
+    or the lq-ball multiplier search can spin on it."""
+    if isinstance(domain, SpectralBall):
+        return {"project", "q_apply", "normal_cone_project"}
+    if isinstance(domain, NormBall) and domain.exponent != 2.0:
+        return {"project", "q_apply"}
+    return set()
+
+
+@pytest.mark.parametrize("index", range(len(make_catalog())))
+def test_calls_at_non_finite_points_return_or_raise(index):
+    domain = make_catalog()[index]
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    code = NON_FINITE_CALLS.format(tests=tests, index=index)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    except subprocess.TimeoutExpired as exc:
+        out = exc.stdout.decode() if isinstance(exc.stdout, bytes) else exc.stdout or ""
+        last = out.splitlines()[-1] if out else "(no call started)"
+        pytest.fail(f"{domain!r} did not return within 60 s: {last}")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 * 2 * 3
+    raising = must_raise_value_error(domain)
+    for line in lines:
+        if line.split()[0] in raising:
+            assert line.endswith(" ValueError"), line
+
+
+def test_simplex_projection_names_a_non_finite_point():
+    for value in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="x must be finite"):
+            Simplex(3).project([value, 0.5, 0.5])
+
+
 # ---------------------------------------------------------------- affine hull
 
 
@@ -437,6 +506,25 @@ def test_box_weights_match_masked_formulas():
             w, dw = masked_weights(box, x)
             assert same_bits(box._weights(x), w)
             assert same_bits(box._weights_deriv(x), dw)
+
+
+def test_box_constant_weights_are_read_only_and_never_returned():
+    # an orthant's derivative weights and a free box's weights and derivative
+    # weights do not depend on x: built once, read-only, and every kernel
+    # returns a new array
+    rng = np.random.default_rng(37)
+    for box in (NonnegOrthant(5), Box([-np.inf] * 5, [np.inf] * 5)):
+        consts = [box._ones, box._zeros]
+        assert not any(a.flags.writeable for a in consts)
+        x = box.project(rng.standard_normal(5))
+        d, v, w = rng.standard_normal((3, 5))
+        V = rng.standard_normal((5, 3))
+        outs = [box._q(x, v), box._q_cols(x, V), box._dq(x, d, v), box._dq_form(x, v, w),
+                box.q_apply(x, v), box.q_matrix(x), box.dq_apply(x, d, v),
+                box.dq_form_grad(x, v, w)]
+        for out in outs:
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, a) for a in consts)
 
 
 def _null_space(Q, tol=1e-8):
