@@ -17,7 +17,6 @@ from .sets import (
     SecondOrderCone,
     Simplex,
     SpectralBall,
-    set_from_json,
 )
 from .mappings import (
     CapabilityError,
@@ -25,10 +24,10 @@ from .mappings import (
     DissolvingMap,
     PenaltyProblem,
     build_aq,
-    closed_form_map,
     empty_constraint_map,
     h_grad,
     h_value,
+    sphere_nonneg_map,
 )
 from .solvers import (
     SolveResult,

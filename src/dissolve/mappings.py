@@ -18,10 +18,9 @@ Work done at one point lives in a dict the caller carries for that point,
 never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
 point)` store the map's x-only parts there under "build" and reuse them, so
 A(x) and any number of vjps at x share one build: the generic map's core,
-or (H x, x^T H x) for the closed-form sphere_nonneg map.  The other
-closed-form maps store nothing.  `h_value(prob, x, point)` clears the dict
-and fills it with A(x), f(A(x)), c(x) and the build; `h_grad(prob, x,
-point)` reads them instead of evaluating them again.  c(x) and G(x) c(x)
+or x^T x for the closed-form sphere map.  `h_value(prob, x, point)` clears
+the dict and fills it with A(x), f(A(x)), c(x) and the build; `h_grad(prob,
+x, point)` reads them instead of evaluating them again.  c(x) and G(x) c(x)
 come from the build only when the map was built over the problem's
 constraint map; otherwise the constraint map is called.  Without a point,
 every call builds afresh.  The solve loop holds one dict per iterate, trial
@@ -53,7 +52,7 @@ __all__ = [
     "PenaltyProblem",
     "empty_constraint_map",
     "build_aq",
-    "closed_form_map",
+    "sphere_nonneg_map",
     "h_value",
     "h_grad",
 ]
@@ -111,8 +110,7 @@ class DissolvingMap:
     `point` is a dict the caller carries for one x and one map; the map may
     store work done at x there and reuse it on later calls with the same
     dict.  The generic map stores its core build there under "build", and
-    the closed-form sphere_nonneg map (H x, x^T H x); the other closed-form
-    maps and the p = 0 identity map store nothing.
+    the closed-form sphere map x^T x; the p = 0 identity map stores nothing.
     """
 
     value: Callable[..., np.ndarray]
@@ -271,93 +269,28 @@ def _fd_vjp(value, x, w):
     return out
 
 
-def closed_form_map(kind, **params):
-    """Hand-differentiated dissolving maps for specific constraint families.
+def sphere_nonneg_map():
+    """npca's hand-differentiated dissolving map for the unit sphere over the
+    nonnegative orthant: A(x) = x - x (x^T x - 1) / 2, with
+    gradA(x) w = (3 - x^T x) w / 2 - x (x^T w)."""
 
-    kinds: sphere_nonneg(H), lq_nonneg(exponent), psd_diag(s),
-    nonneg_orthonormal_diag(m, s).  H=None means the identity quadratic form.
-    """
-    if kind == "sphere_nonneg":
-        H = params.get("H")
-        if H is not None:
-            H = np.asarray(H, dtype=float)
-            if H.ndim != 2 or H.shape[0] != H.shape[1]:
-                raise ValueError("H must be square")
-            if np.abs(H - H.T).max() > 1e-12:
-                raise ValueError("H must be symmetric")
+    def xx(x, point):
+        # x^T x, which value and vjp share, kept in the point
+        if point is not None and "build" in point:
+            return point["build"]
+        out = x @ x
+        if point is not None:
+            point["build"] = out
+        return out
 
-        def parts(x, point):
-            # (H x, x^T H x), which value and vjp share, kept in the point
-            if point is not None and "build" in point:
-                return point["build"]
-            hx = x if H is None else H @ x
-            out = hx, x @ hx
-            if point is not None:
-                point["build"] = out
-            return out
+    def value(x, point=None):
+        x = np.asarray(x, dtype=float)
+        return x - 0.5 * x * (xx(x, point) - 1.0)
 
-        def value(x, point=None):
-            x = np.asarray(x, dtype=float)
-            _, xhx = parts(x, point)
-            return x - 0.5 * x * (xhx - 1.0)
-
-        def vjp(x, w, point=None):
-            x = np.asarray(x, dtype=float)
-            hx, xhx = parts(x, point)
-            alpha = 0.5 * (3.0 - xhx)
-            return alpha * w - hx * (x @ w)
-
-    elif kind == "lq_nonneg":
-        q = float(params["exponent"])
-        if q <= 1:
-            raise ValueError("exponent must exceed 1")
-
-        def value(x, point=None):
-            x = np.asarray(x, dtype=float)
-            r = np.sum(np.abs(x) ** q)
-            return x / (1.0 + (r - 1.0) / q)
-
-        def vjp(x, w, point=None):
-            x = np.asarray(x, dtype=float)
-            r = np.sum(np.abs(x) ** q)
-            den = 1.0 + (r - 1.0) / q
-            g = np.sign(x) * np.abs(x) ** (q - 1.0)
-            return w / den - g * (x @ w) / den ** 2
-
-    elif kind == "psd_diag":
-        s = int(params["s"])
-
-        def value(x, point=None):
-            X = np.asarray(x, dtype=float).reshape((s, s), order="F")
-            D = np.diag(np.diag(X))
-            out = X @ (2.0 * np.eye(s) - D)
-            return _sym(out).reshape(-1, order="F")
-
-        def vjp(x, w, point=None):
-            X = np.asarray(x, dtype=float).reshape((s, s), order="F")
-            W = _sym(np.asarray(w, dtype=float).reshape((s, s), order="F"))
-            D = np.diag(np.diag(X))
-            out = W @ (2.0 * np.eye(s) - D) - np.diag(np.diag(X.T @ W))
-            return out.reshape(-1, order="F")
-
-    elif kind == "nonneg_orthonormal_diag":
-        m, s = int(params["m"]), int(params["s"])
-
-        def value(x, point=None):
-            X = np.asarray(x, dtype=float).reshape((m, s), order="F")
-            delta = np.sum(X * X, axis=0) - 1.0
-            return (X - 0.5 * X * delta[None, :]).reshape(-1, order="F")
-
-        def vjp(x, w, point=None):
-            X = np.asarray(x, dtype=float).reshape((m, s), order="F")
-            W = np.asarray(w, dtype=float).reshape((m, s), order="F")
-            delta = np.sum(X * X, axis=0) - 1.0
-            alpha = 1.0 - 0.5 * delta
-            out = W * alpha[None, :] - X * np.sum(X * W, axis=0)[None, :]
-            return out.reshape(-1, order="F")
-
-    else:
-        raise ValueError(f"unknown closed-form kind {kind!r}")
+    def vjp(x, w, point=None):
+        x = np.asarray(x, dtype=float)
+        alpha = 0.5 * (3.0 - xx(x, point))
+        return alpha * w - x * (x @ w)
 
     return DissolvingMap(value=value, vjp=vjp, mode="closed_form", sigma=None)
 

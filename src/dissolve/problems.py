@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mappings import ConstraintMap, PenaltyProblem, build_aq, closed_form_map
+from .mappings import ConstraintMap, PenaltyProblem, build_aq, sphere_nonneg_map
 from .sets import Box, NonnegOrthant, NormBall, Product, SpectralBall
 
 logger = logging.getLogger("dissolve")
@@ -148,7 +148,7 @@ def build_npca_problem(B, rho, beta=None):
         hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
     )
     domain = NonnegOrthant(n)
-    amap = closed_form_map("sphere_nonneg", H=None)
+    amap = sphere_nonneg_map()
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
                           domain=domain, beta=FAMILIES["npca"].beta if beta is None else beta)
 

@@ -4,8 +4,7 @@ Every descriptor knows how to project onto itself, expose the orthogonal
 projector onto the subspace parallel to its affine hull, evaluate its
 projective mapping Q(x) (a smooth, symmetric, positive-semidefinite operator
 whose null space spans the normal cone), and differentiate Q along a
-direction.  Matrix-shaped sets act on column-major flattened vectors; JSON
-serialization uses row-major nested lists.
+direction.  Matrix-shaped sets act on column-major flattened vectors.
 
 The public methods of `ConvexSet` validate their arguments once and call a
 kernel (`_project`, `_normal_cone_project`, `_q`, `_dq`, `_dq_form`); the
@@ -45,7 +44,6 @@ __all__ = [
     "PsdSpectralBall",
     "LinearInequalities",
     "Product",
-    "set_from_json",
 ]
 
 
@@ -127,6 +125,7 @@ class ConvexSet:
         raise NotImplementedError
 
     def _params(self):
+        # the constructor arguments that __repr__ shows
         return {}
 
     # ---- shared surface ----
@@ -181,21 +180,9 @@ class ConvexSet:
         w = _vec(w, self.n, "w")
         return self._dq_form(x, v, w)
 
-    def to_json(self):
-        return {"kind": self.kind, **self._params()}
-
     def __repr__(self):
-        params = ", ".join(f"{k}={v!r}" for k, v in self._params().items()
-                           if not isinstance(v, list))
+        params = ", ".join(f"{k}={v!r}" for k, v in self._params().items())
         return f"{type(self).__name__}({params})"
-
-
-def _bounds_to_json(b):
-    return [float(v) if np.isfinite(v) else None for v in b]
-
-
-def _bounds_from_json(vals, fill):
-    return np.array([fill if v is None else float(v) for v in vals])
 
 
 class Box(ConvexSet):
@@ -287,10 +274,6 @@ class Box(ConvexSet):
         out[at_lo] = np.minimum(z[at_lo], 0.0)
         out[at_up] = np.maximum(z[at_up], 0.0)
         return out
-
-    def _params(self):
-        return {"lower": _bounds_to_json(self.lower),
-                "upper": _bounds_to_json(self.upper)}
 
 
 class NonnegOrthant(Box):
@@ -442,17 +425,20 @@ class Simplex(ConvexSet):
         return self._n
 
     def _project(self, x):
-        # sort-and-threshold; O(n log n) and exact
-        u = np.sort(x)[::-1]
+        # sort-and-threshold; O(n log n) and exact.  The projection is the
+        # same after a shift of every coordinate, so x is shifted to a largest
+        # entry of 0, which keeps the first threshold test at 1 > 0 for a
+        # huge x instead of cancelling to 0 > 0
+        y = x - np.max(x)
+        u = np.sort(y)[::-1]
         css = np.cumsum(u)
         j = np.arange(1, self.n + 1)
         hits = np.flatnonzero(u - (css - 1.0) / j > 0.0)
-        if hits.size == 0:  # a NaN or inf x, or cancellation at a huge one
-            raise ValueError("simplex projection found no threshold; "
-                             "x must be finite and of moderate size")
+        if hits.size == 0:  # a NaN or +inf entry
+            raise ValueError("simplex projection found no threshold; x must be finite")
         k = hits[-1] + 1
         tau = (css[k - 1] - 1.0) / k
-        return np.maximum(x - tau, 0.0)
+        return np.maximum(y - tau, 0.0)
 
     def _m_apply(self, x, v):
         # M = Diag(x) - x x^T
@@ -880,9 +866,6 @@ class LinearInequalities(ConvexSet):
         lam, _ = nnls(Aact, z)
         return Aact @ lam
 
-    def _params(self):
-        return {"A": self.A.tolist(), "b": self.b.tolist()}
-
 
 class Product(ConvexSet):
     """Cartesian product of descriptors; vectors are concatenated blocks."""
@@ -933,30 +916,3 @@ class Product(ConvexSet):
 
     def _normal_cone_project(self, x, z, tol):
         return self._each("_normal_cone_project", (x, z), tol)
-
-    def _params(self):
-        return {"factors": [f.to_json() for f in self.factors]}
-
-
-_DECODERS = {
-    "box": lambda o: Box(_bounds_from_json(o["lower"], -np.inf),
-                         _bounds_from_json(o["upper"], np.inf)),
-    "nonneg_orthant": lambda o: NonnegOrthant(o["n"]),
-    "norm_ball": lambda o: NormBall(o["n"], o["radius"], o["exponent"]),
-    "simplex": lambda o: Simplex(o["n"]),
-    "second_order_cone": lambda o: SecondOrderCone(o["n"]),
-    "spectral_ball": lambda o: SpectralBall(o["m"], o["s"]),
-    "psd_cone": lambda o: PsdCone(o["s"]),
-    "psd_spectral_ball": lambda o: PsdSpectralBall(o["s"]),
-    "linear_inequalities": lambda o: LinearInequalities(np.array(o["A"], dtype=float),
-                                                        np.array(o["b"], dtype=float)),
-    "product": lambda o: Product([set_from_json(f) for f in o["factors"]]),
-}
-
-
-def set_from_json(obj):
-    """Rebuild a descriptor from its JSON dict form."""
-    kind = obj["kind"]
-    if kind not in _DECODERS:
-        raise ValueError(f"unknown set kind {kind!r}")
-    return _DECODERS[kind](obj)

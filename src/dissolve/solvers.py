@@ -119,10 +119,16 @@ def _metrics(prob, x, g, point, nx):
 def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
     """The outcome at x, from the loop's gradient g and `point` at x.
     (stat, feas) is `metrics` when the caller has it, else evaluated from g
-    and `point` when x is finite; f(A(x)) is the one `h_value` stored."""
+    and `point` when x is finite; stat is NaN when g is not finite, since
+    some projections reject a non-finite point.  f(A(x)) is the one
+    `h_value` stored."""
     if metrics is None:
-        metrics = (_metrics(prob, x, g, point, _norm(x)) if np.isfinite(x).all()
-                   else (float("nan"), float("nan")))
+        if not np.isfinite(x).all():
+            metrics = (float("nan"), float("nan"))
+        elif not np.isfinite(g).all():
+            metrics = (float("nan"), _norm(point["c"]))
+        else:
+            metrics = _metrics(prob, x, g, point, _norm(x))
     stat, feas = metrics
     return SolveResult(x_final=x, f_val=float(point["fa"]), h_val=float(hval),
                        feas=feas, stat=stat, iters=iters,

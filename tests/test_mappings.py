@@ -12,10 +12,10 @@ from dissolve.mappings import (
     PenaltyProblem,
     _aq_value_parts,
     build_aq,
-    closed_form_map,
     empty_constraint_map,
     h_grad,
     h_value,
+    sphere_nonneg_map,
 )
 from dissolve.sets import Box, NonnegOrthant, NormBall
 from dissolve.solvers import SolverConfig
@@ -255,72 +255,30 @@ def test_fd_mode_and_capability_error():
 
 
 def test_closed_form_values():
-    sphere = closed_form_map("sphere_nonneg", H=None)
+    sphere = sphere_nonneg_map()
     x = np.array([0.6, 0.8])
     assert np.allclose(sphere.value(x), x)
     assert np.allclose(sphere.value(np.array([2.0, 0.0])), [-1.0, 0.0])
 
-    lq = closed_form_map("lq_nonneg", exponent=2.0)
-    assert np.allclose(lq.value(np.array([2.0, 0.0])), [0.8, 0.0])
-
-    with pytest.raises(ValueError):
-        closed_form_map("nope")
-    with pytest.raises(ValueError):
-        closed_form_map("sphere_nonneg", H=np.array([[1.0, 2.0], [0.0, 1.0]]))
-
 
 def test_closed_form_vjp_against_fd():
     rng = np.random.default_rng(21)
-    H = rng.standard_normal((4, 4))
-    H = 0.5 * (H + H.T)
-    maps = [
-        closed_form_map("sphere_nonneg", H=H),
-        closed_form_map("sphere_nonneg", H=None),
-        closed_form_map("lq_nonneg", exponent=3.0),
-    ]
-    for amap in maps:
-        for _ in range(10):
-            x = np.abs(rng.standard_normal(4)) + 0.1
-            w = rng.standard_normal(4)
-            a = amap.vjp(x, w)
-            f = mappings._fd_vjp(amap.value, x, w)
-            assert np.linalg.norm(a - f) <= 1e-6 * max(1.0, np.linalg.norm(f))
+    amap = sphere_nonneg_map()
+    for _ in range(10):
+        x = np.abs(rng.standard_normal(4)) + 0.1
+        w = rng.standard_normal(4)
+        a = amap.vjp(x, w)
+        f = mappings._fd_vjp(amap.value, x, w)
+        assert np.linalg.norm(a - f) <= 1e-6 * max(1.0, np.linalg.norm(f))
 
 
 def test_npca_closed_form_jacobian_hand_value():
-    sphere = closed_form_map("sphere_nonneg", H=None)
+    sphere = sphere_nonneg_map()
     x = np.array([2.0, 0.0])
     w = np.array([1.0, 0.0])
     assert np.allclose(sphere.vjp(x, w), [-4.5, 0.0])
     f = mappings._fd_vjp(sphere.value, x, w)
     assert np.allclose(f, [-4.5, 0.0], atol=1e-7)
-
-
-def test_matrix_closed_forms_fix_feasible_points_and_differentiate():
-    rng = np.random.default_rng(30)
-    s = 3
-    psd = closed_form_map("psd_diag", s=s)
-    # psd matrix with unit diagonal: correlation-like
-    A = rng.standard_normal((s, s))
-    M = A @ A.T + s * np.eye(s)
-    Dh = np.diag(1.0 / np.sqrt(np.diag(M)))
-    C = Dh @ M @ Dh
-    x = C.reshape(-1, order="F")
-    assert np.abs(psd.value(x) - x).max() <= 1e-12
-    w = rng.standard_normal(s * s)
-    y = rng.standard_normal(s * s) * 0.3
-    assert np.linalg.norm(psd.vjp(y, w) - mappings._fd_vjp(psd.value, y, w)) <= 1e-6
-
-    m, s2 = 4, 2
-    om = closed_form_map("nonneg_orthonormal_diag", m=m, s=s2)
-    Q, _ = np.linalg.qr(np.abs(rng.standard_normal((m, s2))))
-    X = np.abs(Q)  # nonnegative with unit columns only if constructed carefully
-    X = X / np.linalg.norm(X, axis=0, keepdims=True)
-    xf = X.reshape(-1, order="F")
-    assert np.abs(om.value(xf) - xf).max() <= 1e-12
-    y = np.abs(rng.standard_normal(m * s2))
-    w = rng.standard_normal(m * s2)
-    assert np.linalg.norm(om.vjp(y, w) - mappings._fd_vjp(om.value, y, w)) <= 1e-6
 
 
 # ---------------------------------------------------------------- calls without a point
@@ -750,15 +708,13 @@ def test_h_grad_after_h_value_matches_a_fresh_problem(gen, dims, scale):
     assert same_bits(h_grad(prob, x, point), h_grad(gen(*dims, seed=0)[1], x))
 
 
-@pytest.mark.parametrize("general_h", [True, False])
-def test_sphere_map_with_a_carried_point_matches_free_calls(general_h):
-    # the sphere map keeps (H x, x^T H x) in the point: every call with the
-    # dict equals the call without it, also after h_value refills the dict
-    # at another x, a NaN point among them
+def test_sphere_map_with_a_carried_point_matches_free_calls():
+    # the sphere map keeps x^T x in the point: every call with the dict
+    # equals the call without it, also after h_value refills the dict at
+    # another x, a NaN point among them
     n = 5
-    rng = np.random.default_rng(41 + general_h)
-    H = rng.standard_normal((n, n)) if general_h else None
-    amap = closed_form_map("sphere_nonneg", H=None if H is None else 0.5 * (H + H.T))
+    rng = np.random.default_rng(41)
+    amap = sphere_nonneg_map()
     x, y = (np.abs(0.6 * rng.standard_normal(n)) for _ in range(2))
     bad = x.copy()
     bad[1] = np.nan

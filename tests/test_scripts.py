@@ -16,13 +16,16 @@ FAMILIES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def check_structure():
-    spec = importlib.util.spec_from_file_location("check_structure",
-                                                  SCRIPTS / "check_structure.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def check_structure():
+    return _load("check_structure")
 
 
 def test_check_structure_accepts_the_documented_red(check_structure, capsys):
@@ -74,3 +77,18 @@ def _report(passed, span=1e-15, fixed_point=0.0, idempotency=1e-15):
 def test_check_structure_names_each_unexpected_verdict(check_structure, family,
                                                        report, reasons):
     assert len(check_structure.unexpected(family, [report])) == reasons
+
+
+@pytest.mark.parametrize("flags,calls", [([], 3), (["--full", "--jobs", "2"], 5)])
+def test_run_benchmarks_passes_flags_that_bench_parses(monkeypatch, tmp_path, flags,
+                                                       calls):
+    # the script's cli only collects its argv lists, so no solve runs
+    run_benchmarks = _load("run_benchmarks")
+    seen = []
+    monkeypatch.setattr(run_benchmarks, "cli", lambda argv: seen.append(argv) or 0)
+    assert run_benchmarks.run(["--out", str(tmp_path), *flags]) == 0
+    assert len(seen) == calls
+    parser = cli.build_parser()
+    for argv in seen:
+        args = parser.parse_args(argv)
+        assert args.func is cli.cmd_bench

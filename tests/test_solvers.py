@@ -110,6 +110,20 @@ def test_projected_gradient_numerical_failure_status():
     assert res.status == "numerical_failure"
 
 
+@pytest.mark.parametrize("gen,dims", [(gen_npca, (10, 5)), (gen_qpb, (10,)),
+                                      (gen_fpca, (6, 2, 2))])
+def test_a_nan_gradient_ends_in_numerical_failure(gen, dims):
+    # the spectral ball's projection rejects a NaN point, so stat is NaN
+    # without a projection; feas stays ||c(x)|| at the finite x0
+    inst, prob = gen(*dims, seed=0)
+    bad = dataclasses.replace(prob, f_grad=lambda a: np.full(a.size, np.nan))
+    res = solve(bad, inst.x0)
+    assert (res.status, res.iters) == ("numerical_failure", 0)
+    assert np.isnan(res.stat)
+    x = prob.domain.project(inst.x0)
+    assert res.feas == _norm(prob.cmap.value(x))
+
+
 # ---------------------------------------------------------------- pg-bb
 
 
