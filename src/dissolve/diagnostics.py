@@ -3,6 +3,14 @@
 Reports fold multi-threshold checks into one normalized ratio: each sub-check
 contributes violation / sub_threshold, the report threshold is 1.0, and
 `passed` is equivalent to worst_violation <= threshold.
+
+Checks that evaluate many points evaluate them as one stack: grad_check's
+4n finite-difference points around each gradient point are one stacked
+`h_value` call, and the error-bound probe's samples at each radius are one
+stacked c and one stacked G c, each row bit-identical to the per-point call
+(see `dissolve.mappings`).  Wrappers of `h_value` or of the constraint
+callbacks therefore see one call per stack.  `assumption_a_check` takes its
+vjps one point and one vector at a time.
 """
 
 from __future__ import annotations
@@ -68,21 +76,16 @@ def grad_check(prob, points, threshold=1e-6):
 def _fd_grad(prob, x):
     # Richardson-extrapolated central differences with per-coordinate steps;
     # rank-degenerate constraint systems make h stiff near the feasible set
-    # and a plain second-order stencil cannot certify 1e-6 there
-    base = np.cbrt(np.finfo(float).eps)
-    out = np.empty_like(x)
-    for j in range(x.size):
-        delta = base * (1.0 + abs(x[j]))
-        step = np.zeros_like(x)
-
-        def central(dl):
-            step[j] = dl
-            return (h_value(prob, x + step) - h_value(prob, x - step)) / (2.0 * dl)
-
-        d1 = central(delta)
-        d2 = central(0.5 * delta)
-        out[j] = (4.0 * d2 - d1) / 3.0
-    return out
+    # and a plain second-order stencil cannot certify 1e-6 there.  All 4n
+    # stencil points are one stacked h_value call
+    n = x.size
+    delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(x))
+    half = 0.5 * delta
+    steps = np.concatenate([np.diag(delta), np.diag(half)])
+    h = h_value(prob, np.concatenate([x + steps, x - steps]))
+    d1 = (h[:n] - h[2 * n:3 * n]) / (2.0 * delta)
+    d2 = (h[n:2 * n] - h[3 * n:]) / (2.0 * half)
+    return (4.0 * d2 - d1) / 3.0
 
 
 def assumption_a_check(amap, cmap, domain, feasible_points,
@@ -187,15 +190,21 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200,
         return CheckReport.build("local_error_bound_probe", 0, np.inf, 0.0, details)
 
     def violation_at(radius):
-        worst = 0.0
+        # samples drawn one at a time, then c and G c over all of them at once
+        ys = []
         for _ in range(n_samples):
             u = hull(rng.standard_normal(x.size))
             nu = _norm(u)
             if nu == 0.0:
                 continue
-            y = x + radius * rng.random() * u / nu
-            c = cmap.value(y)
-            lhs = _norm(hull(cmap.jac_t_apply(y, c)))
+            ys.append(x + radius * rng.random() * u / nu)
+        worst = 0.0
+        if not ys:
+            return worst
+        Y = np.array(ys)
+        C = cmap.value_stack(Y)
+        for c, gc in zip(C, cmap.jac_t_stack(Y, C)):
+            lhs = _norm(hull(gc))
             rhs = 0.5 * pi_val * _norm(c)
             worst = max(worst, rhs - lhs)
         return worst

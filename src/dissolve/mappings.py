@@ -14,6 +14,17 @@ SVD cutoff PINV_RCOND on one SVD call, bit-identical to pinv, raising
 LinAlgError on a non-finite core.  A build applies Q(x) to all p columns of
 G in one `_q_cols` call and adds the map's prebuilt p-by-p identity.
 
+A build runs over an (N, n) stack of points, and one point is the stack of
+one.  c, G and G c come from the constraint map's `value_stack`, `jac_stack`
+and `jac_t_stack`: one call each for a map declared `stacked` (fpca's), one
+per-point callback per row for any other; the stacked callbacks are
+optional.  Every product over the stack is a matmul whose slices keep the
+strides of the one-point product, and the N cores take one stacked SVD, so
+row i is bit-identical to a build at x_i alone.  `h_value(prob, X)` on an
+(N, n) stack returns the N penalty values from one build; the diagnostics
+call it so for grad_check's finite-difference stencil, so a wrapper of
+`h_value` sees that stack as one call.
+
 Work done at one point lives in a dict the caller carries for that point,
 never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
 point)` store the map's x-only parts there under "build" and reuse them, so
@@ -39,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sets import ConvexSet, _sym
+from .sets import ConvexSet
 
 logger = logging.getLogger("dissolve")
 
@@ -71,6 +82,13 @@ class ConstraintMap:
     returns sum_i lam_i * Hess(c_i)(x) d; jac_columns(x), when present,
     returns the whole n-by-p G(x) and must equal the stack of
     jac_t_apply(x, e_i) bit for bit.
+
+    `stacked=True` declares that value, jac_t_apply and jac_columns (then
+    required) also take an (N, n) stack of points, with an (N, p) stack of
+    multipliers for jac_t_apply, and return the (N, p), (N, n) and (N, n, p)
+    stacks of their per-point results, bit for bit.  The `*_stack` methods
+    evaluate a stack through them in one call, or, for a map without them,
+    through one per-point call per row.
     """
 
     p: int
@@ -79,6 +97,11 @@ class ConstraintMap:
     jac_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     jac_columns: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    stacked: bool = False
+
+    def __post_init__(self):
+        if self.stacked and self.jac_columns is None:
+            raise ValueError("a stacked constraint map needs jac_columns")
 
     def jac_matrix(self, x):
         """Materialize G(x) as an n-by-p array, one column per constraint."""
@@ -89,6 +112,33 @@ class ConstraintMap:
             return self.jac_columns(x)
         cols = [self.jac_t_apply(x, e) for e in np.eye(self.p)]
         return np.column_stack(cols)
+
+    def value_stack(self, X):
+        """c(x_i) for each row of the (N, n) X, as an (N, p) array."""
+        if self.stacked:
+            return self.value(X)
+        out = np.empty((X.shape[0], self.p))
+        for i in range(X.shape[0]):
+            out[i] = self.value(X[i])
+        return out
+
+    def jac_t_stack(self, X, V):
+        """G(x_i) v_i for each row of X and of the (N, p) V, as an (N, n) array."""
+        if self.stacked:
+            return self.jac_t_apply(X, V)
+        out = np.empty(X.shape)
+        for i in range(X.shape[0]):
+            out[i] = self.jac_t_apply(X[i], V[i])
+        return out
+
+    def jac_stack(self, X):
+        """G(x_i) for each row of X, as an (N, n, p) array."""
+        if self.stacked:
+            return self.jac_columns(X)
+        out = np.empty(X.shape + (self.p,))
+        for i in range(X.shape[0]):
+            out[i] = self.jac_matrix(X[i])
+        return out
 
 
 def empty_constraint_map(n):
@@ -109,7 +159,8 @@ class DissolvingMap:
     Both are called as value(x, point=None) and vjp(x, w, point=None).
     `point` is a dict the caller carries for one x and one map; the map may
     store work done at x there and reuse it on later calls with the same
-    dict.  The generic map stores its core build there under "build", and
+    dict.  The generic modes' value also takes an (N, n) stack of points
+    and returns the (N, n) stack of A(x_i), built at once.  The generic map stores its core build there under "build", and
     the closed-form sphere map x^T x; the p = 0 identity map stores nothing.
     """
 
@@ -143,27 +194,35 @@ class PenaltyProblem:
 
 
 def _core_pinv(core):
-    """np.linalg.pinv(core, rcond=PINV_RCOND), bit for bit: pinv's own steps
-    on one SVD call.  A NaN or infinite core raises LinAlgError before LAPACK
-    sees it, since an infinite entry can keep the SVD from returning."""
+    """np.linalg.pinv(core, rcond=PINV_RCOND), bit for bit, for one p-by-p
+    core or an (N, p, p) stack: pinv's own steps on one SVD call.  A NaN or
+    infinite entry anywhere raises LinAlgError before LAPACK sees it, since
+    an infinite entry can keep the SVD from returning."""
     if not np.isfinite(core).all():
         raise np.linalg.LinAlgError("dissolving core has a NaN or infinite entry")
     u, s, vt = np.linalg.svd(core, full_matrices=False)
-    large = s > PINV_RCOND * s.max()
+    large = s > PINV_RCOND * s.max(axis=-1, keepdims=True)
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return vt.T @ (s[:, None] * u.T)
+    return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
 
 
 def _aq_value_parts(domain, cmap, sigma, x, eye=None):
+    """The generic map's parts at each row of the (N, n) stack x: c (N, p),
+    G (N, n, p), Q G, the core pseudo-inverses (N, p, p) and u (N, p).  Every
+    product is a stacked matmul, whose slices take the BLAS path of the
+    one-point product, so row i equals a build at x_i alone bit for bit."""
     # eye: the p-by-p identity, which a map builds once and passes in
     x = np.asarray(x, dtype=float)
-    c = cmap.value(x)
-    G = cmap.jac_matrix(x)
+    c = cmap.value_stack(x)
+    G = cmap.jac_stack(x)
     QG = domain._q_cols(x, G)
-    core = _sym(G.T @ QG) + sigma * float(c @ c) * (np.eye(cmap.p) if eye is None else eye)
+    GtQG = G.swapaxes(-1, -2) @ QG
+    cc = c[:, None, :] @ c[:, :, None]  # c_i . c_i, as c @ c takes it
+    core = (0.5 * (GtQG + GtQG.swapaxes(-1, -2))
+            + sigma * cc * (np.eye(cmap.p) if eye is None else eye))
     core_pinv = _core_pinv(core)
-    u = core_pinv @ c
+    u = (core_pinv @ c[:, :, None])[:, :, 0]
     return c, G, QG, core_pinv, u
 
 
@@ -206,10 +265,13 @@ def build_aq(domain, cmap, sigma=1.0, mode="auto"):
 class _GenericMap:
     """The generic A(x) and its analytic vjp; it keeps no state of its own.
 
-    Work done at one x lives in the `point` dict the caller carries for that
-    x: the value parts (c, G, QG, core_pinv, u) under "build", with the
-    constraint map they were built over under "built_over", and, once a vjp
-    has run there, the w-free vjp parts (G u, Q(x) G u, G(x) c) under
+    `value` takes one point (n,) or an (N, n) stack of points and builds
+    over the stack either way, one point being the stack of one; `vjp` takes
+    one point.  Work done at x lives in the `point` dict the caller carries
+    for that x: the stacked value parts (c, G, QG, core_pinv, u) under
+    "build", with the constraint map they were built over under
+    "built_over", and, once a vjp has run there, the w-free vjp parts (the
+    point's G, core_pinv and u, then G u, Q(x) G u, G(x) c) under
     "build_vjp".  Without a point every call builds afresh.
     """
 
@@ -222,26 +284,28 @@ class _GenericMap:
 
     def _parts(self, x, point):
         if "build" not in point:
-            point["build"] = _aq_value_parts(self.domain, self.cmap, self.sigma, x, self.eye)
+            point["build"] = _aq_value_parts(self.domain, self.cmap, self.sigma,
+                                             x.reshape(-1, x.shape[-1]), self.eye)
             point["built_over"] = self.cmap
         return point["build"]
 
     def value(self, x, point=None):
         x = np.asarray(x, dtype=float)
         _, _, QG, _, u = self._parts(x, {} if point is None else point)
-        return x - QG @ u
+        return x - (QG @ u[:, :, None]).reshape(x.shape)
 
     def vjp(self, x, w, point=None):
         # product rule across Q G, the pseudo-inverted core, and c; exact
         x = np.asarray(x, dtype=float)
         w = np.asarray(w, dtype=float)
         point = {} if point is None else point
-        c, G, _, core_pinv, u = self._parts(x, point)
         domain, hess = self.domain, self.cmap.hess_apply
         if "build_vjp" not in point:
+            c, G, _, core_pinv, u = (part[0] for part in self._parts(x, point))
             Gu = G @ u
-            point["build_vjp"] = (Gu, domain._q(x, Gu), self.cmap.jac_t_apply(x, c))
-        Gu, QGu, Gc = point["build_vjp"]
+            point["build_vjp"] = (G, core_pinv, u, Gu, domain._q(x, Gu),
+                                  self.cmap.jac_t_apply(x, c))
+        G, core_pinv, u, Gu, QGu, Gc = point["build_vjp"]
         Qw = domain._q(x, w)
         a = core_pinv @ (G.T @ Qw)
         Ga = G @ a
@@ -297,10 +361,14 @@ def sphere_nonneg_map():
 
 def _penalty_c(prob, x, point):
     """c(x) as `point` holds it; else from the map's build there when the map
-    was built over prob.cmap, else from prob.cmap; stored in `point`."""
+    was built over prob.cmap, else from prob.cmap; stored in `point`.  For an
+    (N, n) stack x, the (N, p) stack of c."""
     if "c" not in point:
-        own = point.get("built_over") is prob.cmap
-        point["c"] = point["build"][0] if own else prob.cmap.value(x)
+        if point.get("built_over") is prob.cmap:
+            c = point["build"][0]
+            point["c"] = c if x.ndim == 2 else c[0]
+        else:
+            point["c"] = prob.cmap.value_stack(x) if x.ndim == 2 else prob.cmap.value(x)
     return point["c"]
 
 
@@ -310,17 +378,32 @@ def h_value(prob, x, point=None):
     When `point` is a dict, it is cleared and filled with A(x) under "a",
     f(A(x)) under "fa", c(x) under "c" and the map's build at x, for
     `h_grad` at the same x.
+    For an (N, n) stack x it returns the N values, each bit for bit what x_i
+    alone gives, and keeps no point: a generic map builds over the whole
+    stack at once, a closed-form map is called per row.
     Callers are expected to supply x in the domain (within tolerance); the
     smooth formulas extend off the set, which finite-difference oracles rely
     on.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return _h_stack(prob, x)
     point = {} if point is None else point
     point.clear()
     point["a"] = prob.amap.value(x, point)
     point["fa"] = prob.f_value(point["a"])
     c = _penalty_c(prob, x, point)
     return float(point["fa"] + 0.5 * prob.beta * (c @ c))
+
+
+def _h_stack(prob, x):
+    if prob.amap.mode == "closed_form":
+        return np.array([h_value(prob, row) for row in x], dtype=float)
+    point = {}
+    a = prob.amap.value(x, point)
+    c = _penalty_c(prob, x, point)
+    return np.array([float(prob.f_value(ai) + 0.5 * prob.beta * (ci @ ci))
+                     for ai, ci in zip(a, c)], dtype=float)
 
 
 def h_grad(prob, x, point=None):
@@ -339,7 +422,7 @@ def h_grad(prob, x, point=None):
     if prob.cmap.p and prob.beta != 0.0:
         c = _penalty_c(prob, x, point)
         if point.get("built_over") is prob.cmap and "build_vjp" in point:
-            Gc = point["build_vjp"][2]
+            Gc = point["build_vjp"][-1]
         else:
             Gc = prob.cmap.jac_t_apply(x, c)
         out = out + prob.beta * Gc

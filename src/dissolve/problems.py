@@ -13,7 +13,10 @@ All generators are bit-reproducible functions of (dims, seed); tensors draw
 from fixed sub-seeds.  fpca's constraint value, Jacobian columns, transposed
 Jacobian products and Hessian products each take one product over the k
 stacked group matrices, with the per-group arithmetic of a loop over the
-groups, so all four are bit-identical to that loop.
+groups, so all four are bit-identical to that loop.  The first three also
+take an (N, n) stack of points (its constraint map is `stacked`) in one
+product over all points and groups, each point's P a view with the strides
+of a single point's, so row i is bit-identical to a call at x_i alone.
 """
 
 from __future__ import annotations
@@ -270,18 +273,27 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
     # one product over all groups; each slice is the per-group array it was
     # stacked from
     AtA_stack = np.stack(AtA)
-    g2_col = np.array(g2)[:, None, None]
+    g2_arr = np.array(g2)
+    g2_col = g2_arr[:, None, None]
     eye_k = np.eye(k)
+
+    def mat_p(x):
+        # P of one point (n, d) or of each point of a stack (N, n, d): the
+        # column-major view of x's first n*d entries
+        return x[..., :pe].reshape(x.shape[:-1] + (d, n)).swapaxes(-1, -2)
+
+    def sum_last2(M):  # the sum over each (m, d) slice, in row-major order
+        return (M * M).reshape(M.shape[:-2] + (-1,)).sum(axis=-1)
+
     if len({A.shape for A in A_list}) == 1:
         A_stack = np.stack(A_list)
 
-        def group_sq(P):  # ||A_i P||_F^2 of every group
-            M = A_stack @ P
-            return (M * M).reshape(k, -1).sum(axis=1)
+        def group_sq(P):  # ||A_i P||_F^2 of every group, groups last
+            return sum_last2(A_stack @ P[..., None, :, :])
     else:  # groups of unequal size do not stack
 
         def group_sq(P):
-            return np.array([(M * M).sum() for M in (A @ P for A in A_list)])
+            return np.stack([sum_last2(A @ P) for A in A_list], axis=-1)
 
     def f_value(x):
         return float(x[ye])
@@ -291,39 +303,44 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
         g[ye] = 1.0
         return g
 
+    # c_value, jac_t and jac_columns take one point or a stack of points
     def c_value(x):
-        P = x[:pe].reshape((n, d), order="F")
-        out = np.empty(k + 1)
-        out[:k] = (hat - group_sq(P)) / msz + x[pe:ye] - x[ye]
-        out[k] = (P * P).sum() - d
+        P = mat_p(x)
+        xp = x[..., :pe]
+        out = np.empty(x.shape[:-1] + (k + 1,))
+        out[..., :k] = (hat - group_sq(P)) / msz + x[..., pe:ye] - x[..., ye, None]
+        out[..., k] = (xp * xp).sum(axis=-1) - d
         return out
 
     def jac_t(x, v):
-        P = x[:pe].reshape((n, d), order="F")
-        vl = v.tolist()
-        M = AtA_stack @ P
-        GP = np.zeros((n, d))
+        P = mat_p(x)
+        coef = (v[..., :k] * g2_arr)[..., None, None]
+        terms = coef * (AtA_stack @ P[..., None, :, :])
+        if not (coef != 0.0).all():
+            # a zero multiplier adds nothing, even against a non-finite term
+            terms = np.where(coef != 0.0, terms, 0.0)
+        GP = np.zeros(P.shape)
         for i in range(k):
-            if vl[i] != 0.0:
-                GP += vl[i] * g2[i] * M[i]
-        GP += vl[k] * 2.0 * P
-        out = np.zeros(dim)
-        out[:pe] = GP.reshape(-1, order="F")
-        out[pe:ye] = v[:k]
-        out[ye] = -v[:k].sum()
+            GP += terms[..., i, :, :]
+        GP += (v[..., k] * 2.0)[..., None, None] * P
+        out = np.zeros(x.shape)
+        out[..., :pe] = GP.swapaxes(-1, -2).reshape(x.shape[:-1] + (pe,))
+        out[..., pe:ye] = v[..., :k]
+        out[..., ye] = -v[..., :k].sum(axis=-1)
         return out
 
     def jac_columns(x):
         # column i is jac_t(x, e_i), with the same operations in the same
         # order: the zero start, the group term, then the Frobenius term
-        P = x[:pe].reshape((n, d), order="F")
-        G = np.zeros((dim, k + 1))
+        P = mat_p(x)[..., None, :, :]
+        lead = x.shape[:-1]
+        G = np.zeros(lead + (dim, k + 1))
         GP = (0.0 + g2_col * (AtA_stack @ P)) + 0.0 * P
-        G[:pe, :k] = GP.transpose(2, 1, 0).reshape(pe, k)
-        G[:pe, k] = (0.0 + 2.0 * P).reshape(-1, order="F")
-        G[pe:ye, :k] = eye_k
-        G[ye, :k] = -1.0
-        G[ye, k] = -0.0
+        G[..., :pe, :k] = GP.swapaxes(-1, -3).reshape(lead + (pe, k))
+        G[..., :pe, k] = 0.0 + 2.0 * x[..., :pe]
+        G[..., pe:ye, :k] = eye_k
+        G[..., ye, :k] = -1.0
+        G[..., ye, k] = -0.0
         return G
 
     def jac(x, dd):
@@ -351,7 +368,8 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
         return out
 
     cmap = ConstraintMap(p=k + 1, value=c_value, jac_t_apply=jac_t,
-                         jac_apply=jac, hess_apply=hess, jac_columns=jac_columns)
+                         jac_apply=jac, hess_apply=hess, jac_columns=jac_columns,
+                         stacked=True)
     domain = Product([SpectralBall(n, d), NonnegOrthant(k),
                       Box([-np.inf], [np.inf])])
     amap = build_aq(domain, cmap, mode="generic_analytic")

@@ -11,9 +11,12 @@ kernel (`_project`, `_normal_cone_project`, `_q`, `_dq`, `_dq_form`); the
 subclasses supply only kernels, and a product calls its factors' kernels.
 
 `_q_cols` applies Q(x) to every column of a matrix, as the dissolving-map
-build needs: a box scales all columns at once, a product splits x and the
-matrix once, and the spectral ball takes one X^T Y and one X S over the
-stack of all columns.  Each equals the column stack of `_q` bit for bit.
+build needs, at one point x with an n-by-m matrix or at an (N, n) stack of
+points with an (N, n, m) stack of matrices: a box scales all columns of all
+points at once, a product splits the points and the matrices once, and the
+spectral ball takes one X^T Y and one X S over the stack of all columns of
+all points.  Each equals the stack of `_q(x_i, V_i[:, j])` bit for bit; other
+sets loop over those calls.
 
 This module imports numpy only.  scipy is imported on first use, by the
 lq-ball projection for exponents other than 1, 2 and inf (`brentq`) and by
@@ -23,6 +26,8 @@ every other set leave it unloaded.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -106,11 +111,17 @@ class ConvexSet:
         raise NotImplementedError
 
     def _q_cols(self, x, V):
-        """Q(x) applied to each column of the n-by-m V; equals the column
-        stack of _q(x, V[:, j]) bit for bit."""
-        if V.shape[1] == 0:
-            return np.zeros((x.size, 0))
-        return np.column_stack([self._q(x, V[:, j]) for j in range(V.shape[1])])
+        """Q(x) applied to each column of the n-by-m V, or, for an (N, n)
+        stack x, Q(x_i) to each column of V_i in an (N, n, m) stack V; equals
+        the stack of _q(x_i, V_i[:, j]) bit for bit."""
+        out = np.empty(V.shape)
+        if x.ndim == 2:
+            for i in range(x.shape[0]):
+                out[i] = self._q_cols(x[i], V[i])
+            return out
+        for j in range(V.shape[1]):
+            out[:, j] = self._q(x, V[:, j])
+        return out
 
     def _dq(self, x, d, v):
         raise NotImplementedError
@@ -231,11 +242,12 @@ class Box(ConvexSet):
             return x - self.lower
         if self._free:
             return self._ones
+        # x may be a stack of points: the masks index its last axis
         w = np.ones_like(x)
         both, lo, up = self._both, self._lo_only, self._up_only
-        w[both] = (x[both] - self.lower[both]) * (self.upper[both] - x[both])
-        w[lo] = x[lo] - self.lower[lo]
-        w[up] = self.upper[up] - x[up]
+        w[..., both] = (x[..., both] - self.lower[both]) * (self.upper[both] - x[..., both])
+        w[..., lo] = x[..., lo] - self.lower[lo]
+        w[..., up] = self.upper[up] - x[..., up]
         return w
 
     def _weights_deriv(self, x):
@@ -254,7 +266,7 @@ class Box(ConvexSet):
         return self._weights(x) * v
 
     def _q_cols(self, x, V):
-        return self._weights(x)[:, None] * V
+        return self._weights(x)[..., None] * V
 
     def _dq(self, x, d, v):
         return self._weights_deriv(x) * d * v
@@ -314,6 +326,8 @@ class NormBall(ConvexSet):
         u, q = self.radius, self.exponent
         if self._is_l2:
             nrm = np.linalg.norm(x)
+            if not math.isfinite(nrm):  # else NaN or a silent zero; finite x may overflow
+                _require_finite(x, "l2-ball projection")
             return x if nrm <= u else x * (u / nrm)
         # an infinite entry would keep the multiplier bracket growing forever
         _require_finite(x, "lq-ball projection")
@@ -505,6 +519,7 @@ class SecondOrderCone(ConvexSet):
         return z[:-1], z[-1]
 
     def _project(self, z):
+        _require_finite(z, "second-order-cone projection")
         x, y = self._split(z)
         nx = np.linalg.norm(x)
         if nx <= y:
@@ -597,15 +612,16 @@ class SpectralBall(ConvexSet):
         return _flat(Y - X @ _sym(X.T @ Y))
 
     def _q_cols(self, x, V):
-        # _q over the (p, m, s) stack of columns: one X^T Y, one X S.  Slice j
-        # is a view with the strides _mat gives V[:, j], so each product takes
-        # the same BLAS path as in _q
-        p = V.shape[1]
-        X = _mat(x, self._shape())
-        Y = V.T.reshape(p, self.s, self.m).transpose(0, 2, 1)
-        M = X.T @ Y
-        R = Y - X @ (0.5 * (M + M.transpose(0, 2, 1)))
-        return np.ascontiguousarray(R.transpose(2, 1, 0).reshape(self.n, p))
+        # _q over the (..., p, m, s) stack of columns of every point: one
+        # X^T Y, one X S.  Each X and each column's Y is a view with the
+        # strides _mat gives x_i and V_i[:, j], so each product takes the same
+        # BLAS path as in _q
+        lead = x.shape[:-1]
+        X = x.reshape(lead + (self.s, self.m)).swapaxes(-1, -2)[..., None, :, :]
+        Y = V.swapaxes(-1, -2).reshape(lead + (V.shape[-1], self.s, self.m)).swapaxes(-1, -2)
+        M = X.swapaxes(-1, -2) @ Y
+        R = Y - X @ (0.5 * (M + M.swapaxes(-1, -2)))
+        return np.ascontiguousarray(R.swapaxes(-1, -3).reshape(V.shape))
 
     def _dq(self, x, d, v):
         X = _mat(x, self._shape())
@@ -688,6 +704,8 @@ class PsdCone(ConvexSet):
         return _symmetrizer_matrix(self.s)
 
     def _normal_cone_project(self, x, z, tol):
+        # else the eigensolver fails or a NaN point reads as interior
+        _require_finite(x, "psd-cone normal cone")
         X = _sym(_mat(x, self._shape()))
         Z = _sym(_mat(z, self._shape()))
         vals, vecs = np.linalg.eigh(X)
@@ -754,6 +772,7 @@ class PsdSpectralBall(PsdCone):
         return _flat(g)
 
     def _normal_cone_project(self, x, z, tol):
+        _require_finite(x, "psd-spectral-ball normal cone")
         X = _sym(_mat(x, self._shape()))
         Z = _sym(_mat(z, self._shape()))
         vals, vecs = np.linalg.eigh(X)
@@ -900,7 +919,9 @@ class Product(ConvexSet):
         return self._each("_q", (x, v))
 
     def _q_cols(self, x, V):
-        return self._each("_q_cols", (x, V))
+        # blocks run along the last axis of x and the rows of each V
+        return np.concatenate([f._q_cols(x[..., s], V[..., s, :])
+                               for f, s in zip(self.factors, self._slices)], axis=-2)
 
     def _dq(self, x, d, v):
         return self._each("_dq", (x, d, v))

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from dissolve import mappings
+
 from dissolve.diagnostics import (
+    CheckReport,
     assumption_a_check,
     grad_check,
     local_error_bound_probe,
@@ -16,8 +20,11 @@ from dissolve.mappings import (
     PenaltyProblem,
     build_aq,
     empty_constraint_map,
+    h_grad,
+    h_value,
 )
 from dissolve.sets import Box, NormBall, Product, Simplex
+from dissolve.solvers import _norm
 from dissolve.problems import (
     feasible_points,
     gen_fpca,
@@ -256,11 +263,9 @@ def test_reports_reproducible_from_seed():
 
 def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None,
                              seed=0, r=None):
-    """local_error_bound_probe as it was written before the identity skip:
-    both products with P_E taken on every sample."""
-    from dissolve.diagnostics import CheckReport
-    from dissolve.solvers import _norm
-
+    """local_error_bound_probe as it was written before the identity skip and
+    before stacked samples: c and G c one sample at a time, both products
+    with P_E taken on every sample."""
     x = np.asarray(x_feasible, dtype=float)
     rng = np.random.default_rng(seed)
     P_E = domain.affine_hull_projector()
@@ -356,3 +361,113 @@ def test_probe_with_identity_skip_matches_the_hull_product_loop(case):
             want = probe_with_hull_products(cmap, domain, x, n_samples=20, seed=seed,
                                             radii=radii)
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+# ---------------------------------------------------------------- stacked points
+
+
+def grad_check_per_point(prob, points, threshold=1e-6):
+    """grad_check as it was written before stacked stencils: one h_value
+    call per finite-difference point."""
+    details = []
+    worst = 0.0
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        g = h_grad(prob, x)
+        base = np.cbrt(np.finfo(float).eps)
+        gfd = np.empty_like(x)
+        for j in range(x.size):
+            delta = base * (1.0 + abs(x[j]))
+            step = np.zeros_like(x)
+
+            def central(dl):
+                step[j] = dl
+                return (h_value(prob, x + step) - h_value(prob, x - step)) / (2.0 * dl)
+
+            d1 = central(delta)
+            d2 = central(0.5 * delta)
+            gfd[j] = (4.0 * d2 - d1) / 3.0
+        rel = _norm(g - gfd) / max(1.0, _norm(gfd))
+        worst = max(worst, rel)
+        details.append({"rel_error": rel, "grad_norm": _norm(gfd)})
+    return CheckReport.build("grad_check", len(details), worst, threshold, details)
+
+
+def simplex_problem():
+    # a sphere constraint over the simplex, whose P_E is not the identity
+    n = 4
+    t = np.array([0.1, 0.5, 0.3, 0.1])
+    cmap = ConstraintMap(
+        p=1,
+        value=lambda x: np.array([x @ x - 0.4]),
+        jac_t_apply=lambda x, v: 2.0 * v[0] * x,
+        jac_apply=lambda x, d: np.array([2.0 * (x @ d)]),
+        hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
+    )
+    domain = Simplex(n)
+    prob = PenaltyProblem(f_value=lambda x: 0.5 * float((x - t) @ (x - t)),
+                          f_grad=lambda x: x - t, cmap=cmap,
+                          amap=build_aq(domain, cmap), domain=domain, beta=3.0)
+    rng = np.random.default_rng(71)
+    points = [domain.project(rng.random(n)) for _ in range(3)]
+    return prob, points, domain.project(np.array([0.6, 0.4, 0.3, 0.1]))
+
+
+def family_case(gen, dims):
+    inst, prob = gen(*dims, seed=1)
+    return (prob, near_feasible_points(inst, 3, seed=2),
+            feasible_points(inst, 1, seed=3)[0])
+
+
+STACK_CASES = {
+    "npca": lambda: family_case(gen_npca, (6, 3)),
+    "qpb": lambda: family_case(gen_qpb, (6,)),
+    "fpca": lambda: family_case(gen_fpca, (4, 2, 3)),
+    "simplex": simplex_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_stacked_reports_equal_the_per_point_loops(name):
+    prob, points, x = STACK_CASES[name]()
+    assert (name == "simplex") == (
+        not np.array_equal(prob.domain.affine_hull_projector(), np.eye(prob.n)))
+    got = grad_check(prob, points)
+    want = grad_check_per_point(prob, points)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    for seed, radii in ((0, None), (5, [0.05, 0.3])):
+        got = local_error_bound_probe(prob.cmap, prob.domain, x, n_samples=20,
+                                      seed=seed, radii=radii)
+        want = probe_with_hull_products(prob.cmap, prob.domain, x, n_samples=20,
+                                        seed=seed, radii=radii)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_one_stacked_build_per_grad_point_and_one_c_per_probe_radius(monkeypatch):
+    inst, prob = gen_fpca(4, 2, 3, seed=0)
+    n, p = prob.n, prob.cmap.p
+    cores = []
+    pinv = mappings._core_pinv
+
+    def counting_pinv(core):
+        cores.append(core.shape)
+        return pinv(core)
+
+    monkeypatch.setattr(mappings, "_core_pinv", counting_pinv)
+    grad_check(prob, near_feasible_points(inst, 3, seed=1))
+    # per point: h_grad's build at x, then the 4n stencil points in one build
+    assert cores == [(1, p, p), (4 * n, p, p)] * 3
+
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append((name, np.shape(args[0])))
+            return fn(*args)
+        return call
+
+    cmap = dataclasses.replace(prob.cmap, value=counted("c", prob.cmap.value),
+                               jac_t_apply=counted("Gc", prob.cmap.jac_t_apply))
+    x = feasible_points(inst, 1, seed=2)[0]
+    local_error_bound_probe(cmap, prob.domain, x, n_samples=20, seed=3)
+    assert calls == [("c", (20, n)), ("Gc", (20, n))] * 7

@@ -20,6 +20,7 @@ from dissolve.mappings import (
 from dissolve.sets import Box, NonnegOrthant, NormBall
 from dissolve.solvers import SolverConfig
 from dissolve.problems import (
+    build_fpca_problem,
     feasible_points,
     gen_fpca,
     gen_npca,
@@ -294,8 +295,8 @@ def fresh(prob):
 
 
 def reference_value(prob, x):
-    _, _, QG, _, u = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, x)
-    return x - QG @ u
+    _, _, QG, _, u = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, x[None])
+    return x - QG[0] @ u[0]
 
 
 def count_pinv(monkeypatch):
@@ -846,3 +847,133 @@ def test_generic_map_solve_builds_one_core_per_h_value(dims, beta, cfg, status,
     assert res.status == status
     assert len(builds) == len(h_calls)
     assert res.trace[-1][1:3] == (res.feas, res.stat)
+
+
+# ---------------------------------------------------------------- stacked builds
+
+
+def per_point_build(prob, x):
+    """The generic build at one point, one column and one product at a time,
+    with numpy's own pinv: (c, G, QG, core_pinv, u, A)."""
+    cmap, domain = prob.cmap, prob.domain
+    c = cmap.value(x)
+    G = cmap.jac_matrix(x)
+    QG = np.column_stack([domain._q(x, G[:, j]) for j in range(cmap.p)])
+    M = G.T @ QG
+    core = 0.5 * (M + M.T) + prob.amap.sigma * float(c @ c) * np.eye(cmap.p)
+    core_pinv = np.linalg.pinv(core, rcond=mappings.PINV_RCOND)
+    u = core_pinv @ c
+    return c, G, QG, core_pinv, u, x - QG @ u
+
+
+def fpca_stack_problem(k, rows, n=4, d=3):
+    """fpca with zero and -0.0 data entries; group sizes equal or unequal."""
+    rng = np.random.default_rng(61 + k)
+    A_list = [rng.standard_normal((n + (i if rows == "unequal" else 0), n))
+              for i in range(k)]
+    A_list[0][0] = 0.0
+    A_list[-1][:, 1] = -0.0
+    m_sizes = rng.integers(n, 3 * n, size=k).astype(float)
+    return build_fpca_problem(A_list, d, hat_sq=n * rng.random(k), m_sizes=m_sizes)
+
+
+def box_sphere_problem():
+    # a box with both, lower-only and no bounds: its masked weights
+    n = 4
+    domain = Box([-1.0, 0.0, -np.inf, -2.0], [1.5, np.inf, np.inf, 2.0])
+    cmap = sphere_cmap(n)
+    return PenaltyProblem(f_value=lambda x: 0.5 * float(x @ x), f_grad=lambda x: x,
+                          cmap=cmap, amap=build_aq(domain, cmap), domain=domain, beta=1.0)
+
+
+def stack_points(prob, N, seed):
+    """N points of the domain with zero and -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    X = np.array([prob.domain.project(0.7 * rng.standard_normal(prob.n))
+                  for _ in range(N)])
+    X[::2, 0] = 0.0
+    X[1::2, 0] = -0.0
+    X[::3, -1] = -0.0
+    return X
+
+
+def assert_stacked_build_matches_each_point(prob, X):
+    parts = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, X)
+    A = prob.amap.value(X)
+    GC = prob.cmap.jac_t_stack(X, parts[0])
+    for part in (*parts, A, GC):
+        assert part.shape[0] == len(X)
+    for i, x in enumerate(X):
+        x = x.copy()
+        want = per_point_build(prob, x)
+        got = [part[i] for part in parts] + [A[i]]
+        for name, g, w in zip(("c", "G", "QG", "core_pinv", "u", "A"), got, want):
+            assert same_bits(g, w), (name, i)
+        assert same_bits(prob.amap.value(x), A[i]), i
+        assert same_bits(GC[i], prob.cmap.jac_t_apply(x, want[0])), i
+
+
+@pytest.mark.parametrize("N", [1, 2, 60])
+@pytest.mark.parametrize("rows", ["equal", "unequal"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_stacked_fpca_build_matches_each_point_bit_for_bit(k, rows, N):
+    prob = fpca_stack_problem(k, rows)
+    assert prob.cmap.stacked
+    assert_stacked_build_matches_each_point(prob, stack_points(prob, N, seed=N + k))
+
+
+@pytest.mark.parametrize("N", [1, 2, 60])
+@pytest.mark.parametrize("case", ["qpb", "box", "fpca per point"])
+def test_stacked_build_without_stacked_callbacks_matches_each_point(case, N):
+    # the stack loops over the per-point callbacks and the per-column Q
+    if case == "qpb":
+        prob = gen_qpb(6, seed=1)[1]
+    elif case == "box":
+        prob = box_sphere_problem()
+    else:
+        fpca = fpca_stack_problem(2, "unequal")
+        cmap = dataclasses.replace(fpca.cmap, stacked=False)
+        prob = dataclasses.replace(fpca, cmap=cmap, amap=build_aq(fpca.domain, cmap))
+    assert not prob.cmap.stacked
+    assert_stacked_build_matches_each_point(prob, stack_points(prob, N, seed=N))
+
+
+def test_stacked_map_needs_jac_columns():
+    cm = sphere_cmap(3)
+    with pytest.raises(ValueError, match="jac_columns"):
+        dataclasses.replace(cm, stacked=True)
+
+
+STACKED_NON_FINITE_ROW = """
+import numpy as np
+from dissolve.problems import gen_fpca, gen_qpb
+for gen, dims in ((gen_fpca, (4, 2, 3)), (gen_qpb, (5,))):
+    inst, prob = gen(*dims, seed=0)
+    for value in (np.nan, np.inf):
+        X = np.array([inst.x0] * 3)
+        X[1, 0] = value
+        for x in (X, X[1]):
+            try:
+                with np.errstate(all="ignore"):
+                    prob.amap.value(x)
+                print("returned")
+            except np.linalg.LinAlgError:
+                print("LinAlgError")
+"""
+
+
+def test_stack_with_a_non_finite_row_raises_like_that_point():
+    # an infinite entry can keep LAPACK's SVD from returning, so this runs in
+    # a child with a timeout
+    assert run_fresh(STACKED_NON_FINITE_ROW).split() == ["LinAlgError"] * 8
+
+
+@pytest.mark.parametrize("gen,dims", [(gen_npca, (6, 3)), (gen_qpb, (6,)),
+                                      (gen_fpca, (4, 2, 3))])
+def test_h_value_over_a_stack_is_each_point_h_value(gen, dims):
+    inst, prob = gen(*dims, seed=2)
+    X = np.array(near_feasible_points(inst, 7, seed=3))
+    got = h_value(prob, X)
+    assert got.shape == (7,)
+    for i, x in enumerate(X):
+        assert same_bits(got[i:i + 1], np.array([h_value(prob, x.copy())])), i

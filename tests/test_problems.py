@@ -319,6 +319,39 @@ def test_fpca_stacked_jacobian_and_hessian_products_match_group_loops(k, n, rows
             assert cmap.hess_apply(x, lam, dd).tobytes() == hess(x, lam, dd).tobytes()
 
 
+@pytest.mark.parametrize("N", [1, 2, 60])
+@pytest.mark.parametrize("rows", ["equal", "unequal"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fpca_oracles_over_a_stack_of_points_match_each_point(k, rows, N):
+    # row i of a stacked call is the group loop at x_i, a skipped group and
+    # an infinite entry included
+    rng = np.random.default_rng(67)
+    n, d = 4, 3
+    A_list = [rng.standard_normal((n + (i if rows == "unequal" else 0), n))
+              for i in range(k)]
+    A_list[0][0] = 0.0
+    hat_sq = n * rng.random(k)
+    m_sizes = rng.integers(n, 3 * n, size=k).astype(float)
+    cmap = build_fpca_problem(A_list, d, hat_sq=hat_sq, m_sizes=m_sizes).cmap
+    c_loop, jac_loop = fpca_group_loops(A_list, d, hat_sq, m_sizes)
+    jac_t, _ = fpca_group_products(A_list, d, m_sizes)
+    X = rng.standard_normal((N, n * d + k + 1))
+    V = rng.standard_normal((N, k + 1))
+    X[:, :n] = 0.0           # a zero column of P
+    X[::2, n] = -0.0
+    V[1::3, 0] = 0.0         # a group that is skipped
+    V[::2, -1] = -0.0
+    if N > 1:
+        X[1, n + 1] = np.inf  # the skipped group's product is not formed
+    with np.errstate(invalid="ignore", over="ignore"):
+        C, G, GV = cmap.value(X), cmap.jac_columns(X), cmap.jac_t_apply(X, V)
+        for i in range(N):
+            x = X[i].copy()
+            assert C[i].tobytes() == c_loop(x).tobytes(), i
+            assert G[i].tobytes() == jac_loop(x).tobytes(), i
+            assert GV[i].tobytes() == jac_t(x, V[i].copy()).tobytes(), i
+
+
 def test_generators_bit_reproducible():
     for gen, dims in ((gen_npca, (15, 7)), (gen_qpb, (15,)), (gen_fpca, (6, 2, 2))):
         a, _ = gen(*dims, seed=9)

@@ -293,12 +293,15 @@ for value in (np.nan, np.inf, -np.inf):
 
 
 def must_raise_value_error(domain):
-    """Calls that must raise ValueError at a non-finite point, before an SVD
-    or the lq-ball multiplier search can spin on it."""
+    """Calls that must raise ValueError at a non-finite point: before an SVD,
+    an eigensolver or the lq-ball multiplier search can spin or fail on it,
+    and instead of a projection that comes back NaN or a silent zero."""
     if isinstance(domain, SpectralBall):
         return {"project", "q_apply", "normal_cone_project"}
-    if isinstance(domain, NormBall) and domain.exponent != 2.0:
+    if isinstance(domain, (NormBall, SecondOrderCone)):
         return {"project", "q_apply"}
+    if isinstance(domain, PsdCone):
+        return {"normal_cone_project"}
     return set()
 
 
@@ -406,10 +409,12 @@ def test_q_apply_rejects_points_outside_domain():
         NormBall(2).q_apply([2.0, 0.0], [1.0, 0.0])
     with pytest.raises(DomainViolation):
         Simplex(3).q_apply([0.5, 0.1, 0.1], [1.0, 0.0, 0.0])
-    # a NaN point has no distance to the set and is rejected too
-    for domain in (NormBall(2), Box([0.0, 0.0], [1.0, 1.0])):
-        with pytest.raises(DomainViolation):
-            domain.q_apply([np.nan, 0.0], [1.0, 0.0])
+    # a NaN point has no distance to the set and is rejected too; the l2
+    # ball's projection names it before the membership test
+    with pytest.raises(DomainViolation):
+        Box([0.0, 0.0], [1.0, 1.0]).q_apply([np.nan, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="l2-ball projection needs a finite point"):
+        NormBall(2).q_apply([np.nan, 0.0], [1.0, 0.0])
 
 
 def test_validated_q_methods_check_each_argument_once(monkeypatch):
@@ -454,7 +459,16 @@ def test_q_cols_matches_column_stack_of_q(catalog, spread):
             V = rng.standard_normal((domain.n + 2, m))[1:-1]
             stack = np.column_stack([domain._q(x, V[:, j]) for j in range(m)])
             assert same_bits(domain._q_cols(x, V), stack), (domain.kind, m)
+            # a stack of points, each with a row block of a wider matrix
+            X = np.array([sample_point(domain, rng, spread) for _ in range(3)])
+            Vs = rng.standard_normal((3, domain.n + 2, m))[:, 1:-1]
+            got = domain._q_cols(X, Vs)
+            assert got.shape == Vs.shape, (domain.kind, m)
+            for i in range(3):
+                stack = np.column_stack([domain._q(X[i], Vs[i][:, j]) for j in range(m)])
+                assert same_bits(got[i], stack), (domain.kind, m, i)
         assert domain._q_cols(x, np.zeros((domain.n, 0))).shape == (domain.n, 0)
+        assert domain._q_cols(x[None], np.zeros((1, domain.n, 0))).shape == (1, domain.n, 0)
 
 
 @pytest.mark.parametrize("m,s", [(1, 1), (4, 3), (5, 5), (7, 1), (1, 6), (30, 4),
