@@ -15,10 +15,10 @@ LinAlgError on a non-finite core.  A build applies Q(x) to all p columns of
 G in one `_q_cols` call and adds the map's prebuilt p-by-p identity.
 
 A build runs over an (N, n) stack of points, and one point is the stack of
-one.  c, G and G c come from the constraint map's `value_stack`, `jac_stack`
-and `jac_t_stack`: one call each for a map declared `stacked` (fpca's), one
-per-point callback per row for any other; the stacked callbacks are
-optional.  Every product over the stack is a matmul whose slices keep the
+one.  c and G come from the constraint map's `value_stack` and `jac_stack`
+(and the error-bound probe's G c from `jac_t_stack`): one call each for a
+map declared `stacked` (fpca's), one per-point callback per row for any
+other; the stacked callbacks are optional.  Every product over the stack is a matmul whose slices keep the
 strides of the one-point product, and the N cores take one stacked SVD, so
 row i is bit-identical to a build at x_i alone.  `h_value(prob, X)` on an
 (N, n) stack returns the N penalty values from one build; the diagnostics
@@ -117,28 +117,27 @@ class ConstraintMap:
         """c(x_i) for each row of the (N, n) X, as an (N, p) array."""
         if self.stacked:
             return self.value(X)
-        out = np.empty((X.shape[0], self.p))
-        for i in range(X.shape[0]):
-            out[i] = self.value(X[i])
-        return out
+        return _per_row(self.value, (len(X), self.p), X)
 
     def jac_t_stack(self, X, V):
         """G(x_i) v_i for each row of X and of the (N, p) V, as an (N, n) array."""
         if self.stacked:
             return self.jac_t_apply(X, V)
-        out = np.empty(X.shape)
-        for i in range(X.shape[0]):
-            out[i] = self.jac_t_apply(X[i], V[i])
-        return out
+        return _per_row(self.jac_t_apply, X.shape, X, V)
 
     def jac_stack(self, X):
         """G(x_i) for each row of X, as an (N, n, p) array."""
         if self.stacked:
             return self.jac_columns(X)
-        out = np.empty(X.shape + (self.p,))
-        for i in range(X.shape[0]):
-            out[i] = self.jac_matrix(X[i])
-        return out
+        return _per_row(self.jac_matrix, X.shape + (self.p,), X)
+
+
+def _per_row(fn, shape, *stacks):
+    # the stack of fn's per-point results, one call per row
+    out = np.empty(shape)
+    for i in range(shape[0]):
+        out[i] = fn(*(a[i] for a in stacks))
+    return out
 
 
 def empty_constraint_map(n):
