@@ -19,7 +19,6 @@ from .sets import (
     SpectralBall,
 )
 from .mappings import (
-    CapabilityError,
     ConstraintMap,
     DissolvingMap,
     PenaltyProblem,

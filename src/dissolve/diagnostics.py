@@ -4,13 +4,14 @@ Reports fold multi-threshold checks into one normalized ratio: each sub-check
 contributes violation / sub_threshold, the report threshold is 1.0, and
 `passed` is equivalent to worst_violation <= threshold.
 
-Checks that evaluate many points evaluate them as one stack: grad_check's
-4n finite-difference points around each gradient point are one stacked
-`h_value` call, and the error-bound probe's samples at each radius are one
-stacked c and one stacked G c, each row bit-identical to the per-point call
-(see `dissolve.mappings`).  Wrappers of `h_value` or of the constraint
-callbacks therefore see one call per stack.  `assumption_a_check` takes its
-vjps one point and one vector at a time.
+Checks that evaluate many points evaluate them as stacks: grad_check's
+4n finite-difference points around each gradient point are stacked
+`h_value` calls of at most STENCIL_ROWS points each, and the error-bound
+probe's samples at each radius are one stacked c and one stacked G c, each
+row bit-identical to the per-point call (see `dissolve.mappings`).
+Wrappers of `h_value` or of the constraint callbacks therefore see one call
+per stack.  `assumption_a_check` takes its vjps one point and one vector at
+a time.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
 
 IDEMPOTENCY_DIM_GUARD = 200  # materializing the Jacobian is O(n) map products
 ASSUMPTION_A_THRESHOLDS = (1e-10, 1e-8, 1e-6)  # fixed point, kernel, idempotency
+STENCIL_ROWS = 256  # points per stacked h_value call of grad_check's stencil
 
 
 @dataclass
@@ -76,13 +78,20 @@ def grad_check(prob, points, threshold=1e-6):
 def _fd_grad(prob, x):
     # Richardson-extrapolated central differences with per-coordinate steps;
     # rank-degenerate constraint systems make h stiff near the feasible set
-    # and a plain second-order stencil cannot certify 1e-6 there.  All 4n
-    # stencil points are one stacked h_value call
+    # and a plain second-order stencil cannot certify 1e-6 there.  The 4n
+    # stencil points x + delta e_j, x + half e_j, x - delta e_j, x - half e_j
+    # go to h_value in stacks of at most STENCIL_ROWS rows, each x + S or
+    # x - S with one-hot rows of S, so memory stays bounded in n
     n = x.size
     delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(x))
     half = 0.5 * delta
-    steps = np.concatenate([np.diag(delta), np.diag(half)])
-    h = h_value(prob, np.concatenate([x + steps, x - steps]))
+    steps = np.concatenate([delta, half])
+    h = np.empty(4 * n)
+    for start in range(0, 4 * n, STENCIL_ROWS):
+        rows = np.arange(start, min(start + STENCIL_ROWS, 4 * n))
+        S = np.zeros((rows.size, n))
+        S[np.arange(rows.size), rows % n] = steps[rows % (2 * n)]
+        h[rows] = h_value(prob, np.where((rows < 2 * n)[:, None], x + S, x - S))
     d1 = (h[:n] - h[2 * n:3 * n]) / (2.0 * delta)
     d2 = (h[n:2 * n] - h[3 * n:]) / (2.0 * half)
     return (4.0 * d2 - d1) / 3.0

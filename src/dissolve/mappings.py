@@ -44,7 +44,6 @@ share B^T x for the last point, finite or not.
 from __future__ import annotations
 
 import dataclasses
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,12 +51,9 @@ import numpy as np
 
 from .sets import ConvexSet
 
-logger = logging.getLogger("dissolve")
-
 PINV_RCOND = 1e-12  # relative SVD cutoff for the dissolving core
 
 __all__ = [
-    "CapabilityError",
     "ConstraintMap",
     "DissolvingMap",
     "PenaltyProblem",
@@ -69,19 +65,15 @@ __all__ = [
 ]
 
 
-class CapabilityError(RuntimeError):
-    """A requested mode needs callbacks that were not supplied."""
-
-
 @dataclass(frozen=True)
 class ConstraintMap:
     """Smooth equality constraints c : R^n -> R^p with Jacobian products.
 
     jac_t_apply(x, v) returns G(x) v (columns of G are constraint gradients);
-    jac_apply(x, d) returns G(x)^T d; hess_apply(x, lam, d), when present,
-    returns sum_i lam_i * Hess(c_i)(x) d; jac_columns(x), when present,
-    returns the whole n-by-p G(x) and must equal the stack of
-    jac_t_apply(x, e_i) bit for bit.
+    jac_apply(x, d) returns G(x)^T d; hess_apply(x, lam, d) returns
+    sum_i lam_i * Hess(c_i)(x) d, which `build_aq` needs when p >= 1;
+    jac_columns(x), when present, returns the whole n-by-p G(x) and must
+    equal the stack of jac_t_apply(x, e_i) bit for bit.
 
     `stacked=True` declares that value, jac_t_apply and jac_columns (then
     required) also take an (N, n) stack of points, with an (N, p) stack of
@@ -158,14 +150,15 @@ class DissolvingMap:
     Both are called as value(x, point=None) and vjp(x, w, point=None).
     `point` is a dict the caller carries for one x and one map; the map may
     store work done at x there and reuse it on later calls with the same
-    dict.  The generic modes' value also takes an (N, n) stack of points
-    and returns the (N, n) stack of A(x_i), built at once.  The generic map stores its core build there under "build", and
-    the closed-form sphere map x^T x; the p = 0 identity map stores nothing.
+    dict.  The generic map's value also takes an (N, n) stack of points
+    and returns the (N, n) stack of A(x_i), built at once.  The generic map
+    stores its core build there under "build", the closed-form sphere map
+    x^T x; the p = 0 identity map stores nothing.  Every vjp is exact.
     """
 
     value: Callable[..., np.ndarray]
     vjp: Callable[..., np.ndarray]
-    mode: str  # closed_form | generic_analytic | generic_fd
+    mode: str  # closed_form | generic_analytic
     sigma: Optional[float] = None
 
 
@@ -225,40 +218,23 @@ def _aq_value_parts(domain, cmap, sigma, x, eye=None):
     return c, G, QG, core_pinv, u
 
 
-def build_aq(domain, cmap, sigma=1.0, mode="auto"):
-    """Construct the generic dissolving map for (domain, cmap).
-
-    mode: "generic_analytic" needs domain derivatives and cmap.hess_apply;
-    "generic_fd" differentiates A by central differences; "auto" picks the
-    analytic route when second-order callbacks exist.
-    """
+def build_aq(domain, cmap, sigma=1.0, mode="generic_analytic"):
+    """The generic dissolving map for (domain, cmap), with the analytic vjp
+    from Q, DQ and cmap.hess_apply, which a map with p >= 1 must supply.
+    "generic_analytic" is the only mode; with p = 0 the map is the identity."""
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and positive; got {sigma}")
+    if mode != "generic_analytic":
+        raise ValueError(f"mode must be 'generic_analytic'; got {mode!r}")
     if cmap.p == 0:
         return DissolvingMap(value=lambda x, point=None: np.asarray(x, dtype=float).copy(),
                              vjp=lambda x, w, point=None: np.asarray(w, dtype=float).copy(),
                              mode="closed_form", sigma=float(sigma))
-
-    if mode == "auto":
-        if cmap.hess_apply is not None:
-            mode = "generic_analytic"
-        else:
-            mode = "generic_fd"
-            logger.warning("constraint map has no Hessian products; "
-                           "falling back to finite-difference Jacobians of A")
-    if mode == "generic_analytic" and cmap.hess_apply is None:
-        raise CapabilityError("generic_analytic needs cmap.hess_apply; "
-                              "use mode='generic_fd' instead")
-
+    if cmap.hess_apply is None:
+        raise ValueError("dissolving a constraint map needs its hess_apply")
     amap = _GenericMap(domain, cmap, sigma)
-    if mode == "generic_analytic":
-        vjp = amap.vjp
-    else:
-
-        def vjp(x, w, point=None):
-            return _fd_vjp(amap.value, x, w)
-
-    return DissolvingMap(value=amap.value, vjp=vjp, mode=mode, sigma=float(sigma))
+    return DissolvingMap(value=amap.value, vjp=amap.vjp, mode="generic_analytic",
+                         sigma=float(sigma))
 
 
 class _GenericMap:
@@ -317,19 +293,6 @@ class _GenericMap:
                     - hess(x, u, QGa)
                     - 2.0 * self.sigma * float(a @ u) * Gc)
         return w - grad_phi
-
-
-def _fd_vjp(value, x, w):
-    """Central-difference gradA(x) w from 2n evaluations of A = value."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x))
-    out = np.empty_like(x)
-    for j in range(x.size):
-        step = np.zeros_like(x)
-        step[j] = delta
-        out[j] = w @ (value(x + step) - value(x - step)) / (2.0 * delta)
-    return out
 
 
 def sphere_nonneg_map():

@@ -199,7 +199,7 @@ def build_qpb_problem(Qmat, qvec, beta=None):
         hess_apply=lambda x, lam, dd: 2.0 * lam[0] * dd,
     )
     domain = NormBall(n, radius=1.0, exponent=2.0)
-    amap = build_aq(domain, cmap, mode="generic_analytic")
+    amap = build_aq(domain, cmap)
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
                           domain=domain, beta=FAMILIES["qpb"].beta if beta is None else beta)
 
@@ -251,16 +251,14 @@ def fpca_objective(P, data):
     return float(np.max(vals))
 
 
-def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
+def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
+    """fpca over groups A_list; hat_sq[i] is the sum of A_i's d largest
+    squared singular values and m_sizes[i] the group's normalizer, as
+    `gen_fpca` computes them."""
     A_list = [np.asarray(A, dtype=float) for A in A_list]
     k = len(A_list)
     n = A_list[0].shape[1]
     d = int(d)
-    if m_sizes is None:
-        m_sizes = np.array([A.shape[0] for A in A_list], dtype=float)
-    if hat_sq is None:
-        hat_sq = np.array([np.sum(np.linalg.svd(A, compute_uv=False)[:d] ** 2)
-                           for A in A_list])
     AtA = [A.T @ A for A in A_list]
     pe, ye = n * d, n * d + k  # end of the P block, end of the y block
     dim = ye + 1
@@ -372,7 +370,7 @@ def build_fpca_problem(A_list, d, hat_sq=None, m_sizes=None, beta=None):
                          stacked=True)
     domain = Product([SpectralBall(n, d), NonnegOrthant(k),
                       Box([-np.inf], [np.inf])])
-    amap = build_aq(domain, cmap, mode="generic_analytic")
+    amap = build_aq(domain, cmap)
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
                           domain=domain, beta=FAMILIES["fpca"].beta if beta is None else beta)
 

@@ -326,8 +326,12 @@ class NormBall(ConvexSet):
         u, q = self.radius, self.exponent
         if self._is_l2:
             nrm = np.linalg.norm(x)
-            if not math.isfinite(nrm):  # else NaN or a silent zero; finite x may overflow
+            if not math.isfinite(nrm):  # else NaN or a silent zero
                 _require_finite(x, "l2-ball projection")
+                # the norm of a finite x overflowed, so x lies far outside:
+                # its direction, scaled to the radius
+                z = x / np.max(np.abs(x))
+                return z * (u / np.linalg.norm(z))
             return x if nrm <= u else x * (u / nrm)
         # an infinite entry would keep the multiplier bracket growing forever
         _require_finite(x, "lq-ball projection")
@@ -387,6 +391,7 @@ class NormBall(ConvexSet):
         return np.eye(self.n)
 
     def _normal_cone_project(self, x, z, tol):
+        _require_finite(x, "l2-ball normal cone" if self._is_l2 else "lq-ball normal cone")
         q, u = self.exponent, self.radius
         nrm = np.linalg.norm(x) if self._is_l2 else np.sum(np.abs(x) ** q) ** (1.0 / q)
         if nrm < u - tol * max(1.0, u):
@@ -522,6 +527,10 @@ class SecondOrderCone(ConvexSet):
         _require_finite(z, "second-order-cone projection")
         x, y = self._split(z)
         nx = np.linalg.norm(x)
+        if not math.isfinite(nx):
+            # the norm of a finite z overflowed; P(s z) = s P(z) for s > 0
+            s = np.max(np.abs(z))
+            return s * self._project(z / s)
         if nx <= y:
             return z.copy()
         if nx <= -y:
@@ -566,6 +575,7 @@ class SecondOrderCone(ConvexSet):
         return np.eye(self.n)
 
     def _normal_cone_project(self, z, w, tol):
+        _require_finite(z, "second-order-cone normal cone")
         x, y = self._split(z)
         scale = 1.0 + np.linalg.norm(z)
         if np.linalg.norm(z) <= tol * scale:
@@ -676,6 +686,8 @@ class PsdCone(ConvexSet):
         return (self.s, self.s)
 
     def _project(self, x):
+        # else NaN comes back, or eigh raises LinAlgError
+        _require_finite(x, "psd-cone projection")
         X = _sym(_mat(x, self._shape()))
         vals, vecs = np.linalg.eigh(X)
         if vals.size and vals[0] >= 0.0 and np.array_equal(X, _mat(x, self._shape())):
@@ -738,6 +750,7 @@ class PsdSpectralBall(PsdCone):
     kind = "psd_spectral_ball"
 
     def _project(self, x):
+        _require_finite(x, "psd-spectral-ball projection")
         X = _sym(_mat(x, self._shape()))
         vals, vecs = np.linalg.eigh(X)
         if (vals.size and vals[0] >= 0.0 and vals[-1] <= 1.0

@@ -31,6 +31,19 @@ def run_fresh(code):
     return out.stdout
 
 
+def _fd_vjp(value, x, w):
+    """Central-difference gradA(x) w from 2n evaluations of A = value."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x))
+    out = np.empty_like(x)
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = delta
+        out[j] = w @ (value(x + step) - value(x - step)) / (2.0 * delta)
+    return out
+
+
 def orthonormal_columns(n, m, seed=0):
     Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return Q[:, :m]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dissolve import mappings
+from dissolve import diagnostics, mappings
 
 from dissolve.diagnostics import (
     CheckReport,
@@ -471,3 +471,27 @@ def test_one_stacked_build_per_grad_point_and_one_c_per_probe_radius(monkeypatch
     x = feasible_points(inst, 1, seed=2)[0]
     local_error_bound_probe(cmap, prob.domain, x, n_samples=20, seed=3)
     assert calls == [("c", (20, n)), ("Gc", (20, n))] * 7
+
+
+@pytest.mark.parametrize("name", ["npca", "qpb", "fpca"])
+def test_stencil_blocks_give_the_one_block_reports_bit_for_bit(name, monkeypatch):
+    prob, points, _ = STACK_CASES[name]()
+    signed = points[0].copy()
+    signed[: prob.n // 2] = -0.0  # x + S must keep x's zeros as x + steps did
+    points = points + [signed]
+    rows = []
+
+    def counted_h_value(prob, x, point=None):
+        rows.append(np.shape(x))
+        return h_value(prob, x, point)
+
+    monkeypatch.setattr(diagnostics, "h_value", counted_h_value)
+    monkeypatch.setattr(diagnostics, "STENCIL_ROWS", 4 * prob.n)
+    one_block = grad_check(prob, points)
+    assert rows == [(4 * prob.n, prob.n)] * len(points)
+    rows.clear()
+    monkeypatch.setattr(diagnostics, "STENCIL_ROWS", 7)
+    blocks = grad_check(prob, points)
+    assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
+    sizes = [7] * (4 * prob.n // 7) + ([4 * prob.n % 7] if 4 * prob.n % 7 else [])
+    assert rows == [(m, prob.n) for m in sizes] * len(points)

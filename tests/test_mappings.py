@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dissolve import mappings, solvers
 from dissolve.diagnostics import assumption_a_check
 from dissolve.mappings import (
-    CapabilityError,
     ConstraintMap,
     PenaltyProblem,
     _aq_value_parts,
@@ -28,7 +27,7 @@ from dissolve.problems import (
     near_feasible_points,
 )
 
-from conftest import run_fresh
+from conftest import _fd_vjp, run_fresh
 
 
 def sphere_cmap(n):
@@ -129,12 +128,12 @@ def test_analytic_vjp_matches_fd_oracle():
     # the dissolving core is nonsingular and the map is smooth
     rng = np.random.default_rng(4)
     ball = NormBall(3, radius=2.0)
-    amap = build_aq(ball, sphere_cmap(3), sigma=1.0, mode="generic_analytic")
+    amap = build_aq(ball, sphere_cmap(3), sigma=1.0)
     for _ in range(20):
         x = ball.project(rng.standard_normal(3))
         w = rng.standard_normal(3)
         a = amap.vjp(x, w)
-        f = mappings._fd_vjp(amap.value, x, w)
+        f = _fd_vjp(amap.value, x, w)
         assert np.linalg.norm(a - f) <= 1e-6 * max(1.0, np.linalg.norm(f))
 
 
@@ -144,7 +143,7 @@ def test_analytic_vjp_matches_fd_on_families():
     for x in near_feasible_points(inst, 5, seed=3):
         w = rng.standard_normal(prob.n)
         a = prob.amap.vjp(x, w)
-        f = mappings._fd_vjp(prob.amap.value, x, w)
+        f = _fd_vjp(prob.amap.value, x, w)
         assert np.linalg.norm(a - f) <= 1e-6 * max(1.0, np.linalg.norm(f))
     # the fpca core loses rank on the feasible set, so the oracle comparison
     # runs where the core is well conditioned and the fd step is trustworthy
@@ -152,7 +151,7 @@ def test_analytic_vjp_matches_fd_on_families():
     for x in near_feasible_points(inst, 5, seed=3, scale=0.4):
         w = rng.standard_normal(prob.n)
         a = prob.amap.vjp(x, w)
-        f = mappings._fd_vjp(prob.amap.value, x, w)
+        f = _fd_vjp(prob.amap.value, x, w)
         assert np.linalg.norm(a - f) <= 1e-6 * max(1.0, np.linalg.norm(f))
 
 
@@ -234,22 +233,21 @@ def test_growth_bound_near_feasible_points():
     assert max(ratios) < 1e2
 
 
-def test_fd_mode_and_capability_error():
-    cm = ConstraintMap(
-        p=1,
-        value=lambda x: np.array([x @ x - 1.0]),
-        jac_t_apply=lambda x, v: 2.0 * v[0] * x,
-        jac_apply=lambda x, d: np.array([2.0 * (x @ d)]),
-    )
-    with pytest.raises(CapabilityError):
-        build_aq(NormBall(2), cm, mode="generic_analytic")
-    amap = build_aq(NormBall(2), cm, mode="auto")
-    assert amap.mode == "generic_fd"
-    # fd map still differentiates correctly
-    ref = build_aq(NormBall(2), sphere_cmap(2), mode="generic_analytic")
+def test_build_aq_needs_hess_apply_and_the_analytic_mode():
+    no_hess = dataclasses.replace(sphere_cmap(2), hess_apply=None)
+    for kwargs in ({}, {"mode": "generic_analytic"}):
+        with pytest.raises(ValueError, match="hess_apply"):
+            build_aq(NormBall(2), no_hess, **kwargs)
+    for mode in ("generic_fd", "auto"):
+        with pytest.raises(ValueError, match="generic_analytic"):
+            build_aq(NormBall(2), sphere_cmap(2), mode=mode)
+    # with p = 0 the map is the identity and needs no Hessian products
+    amap = build_aq(NormBall(2), dataclasses.replace(empty_constraint_map(2),
+                                                     hess_apply=None))
+    assert amap.mode == "closed_form"
     x = np.array([0.3, 0.4])
-    w = np.array([1.0, -2.0])
-    assert np.linalg.norm(amap.vjp(x, w) - ref.vjp(x, w)) <= 1e-6
+    assert same_bits(amap.value(x), x)
+    assert same_bits(amap.vjp(x, -x), -x)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -269,7 +267,7 @@ def test_closed_form_vjp_against_fd():
         x = np.abs(rng.standard_normal(4)) + 0.1
         w = rng.standard_normal(4)
         a = amap.vjp(x, w)
-        f = mappings._fd_vjp(amap.value, x, w)
+        f = _fd_vjp(amap.value, x, w)
         assert np.linalg.norm(a - f) <= 1e-6 * max(1.0, np.linalg.norm(f))
 
 
@@ -278,7 +276,7 @@ def test_npca_closed_form_jacobian_hand_value():
     x = np.array([2.0, 0.0])
     w = np.array([1.0, 0.0])
     assert np.allclose(sphere.vjp(x, w), [-4.5, 0.0])
-    f = mappings._fd_vjp(sphere.value, x, w)
+    f = _fd_vjp(sphere.value, x, w)
     assert np.allclose(f, [-4.5, 0.0], atol=1e-7)
 
 
@@ -559,15 +557,10 @@ def test_penalty_reads_c_from_the_map_point():
     assert same_bits(calls["jac_t"][0], prob.cmap.value(x))
 
 
-@pytest.mark.parametrize("mode", ["generic_analytic", "generic_fd"])
 @pytest.mark.parametrize("gen,dims,scale", CACHED_FAMILIES)
-def test_penalty_from_the_map_point_matches_direct_formulas(gen, dims, scale, mode):
-    # the finite-difference vjp moves the map to other points before h_grad
-    # asks for c there
+def test_penalty_from_the_map_point_matches_direct_formulas(gen, dims, scale):
     inst, prob = gen(*dims, seed=0)
     cmap = prob.cmap
-    prob = dataclasses.replace(prob, amap=build_aq(prob.domain, cmap,
-                                                   sigma=prob.amap.sigma, mode=mode))
     for x in near_feasible_points(inst, 3, seed=9, scale=scale):
         c = cmap.value(x)
         amap = fresh(prob)

@@ -296,12 +296,8 @@ def must_raise_value_error(domain):
     """Calls that must raise ValueError at a non-finite point: before an SVD,
     an eigensolver or the lq-ball multiplier search can spin or fail on it,
     and instead of a projection that comes back NaN or a silent zero."""
-    if isinstance(domain, SpectralBall):
+    if isinstance(domain, (SpectralBall, NormBall, SecondOrderCone, PsdCone)):
         return {"project", "q_apply", "normal_cone_project"}
-    if isinstance(domain, (NormBall, SecondOrderCone)):
-        return {"project", "q_apply"}
-    if isinstance(domain, PsdCone):
-        return {"normal_cone_project"}
     return set()
 
 
@@ -325,6 +321,34 @@ def test_calls_at_non_finite_points_return_or_raise(index):
     for line in lines:
         if line.split()[0] in raising:
             assert line.endswith(" ValueError"), line
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_huge_finite_points_project_as_their_scaled_down_copy(scale):
+    # ||x|| overflows to inf; P(s z) = s P(z) on the cone, and the ball maps
+    # every point far outside to its direction at the radius
+    rng = np.random.default_rng(41)
+    for z in (np.array([1.0, 0.0]), rng.standard_normal(4), -np.abs(rng.standard_normal(4))):
+        x = scale * z
+        s = np.max(np.abs(x))
+        with np.errstate(over="ignore"):
+            got = SecondOrderCone(z.size - 1).project(x)
+        want = s * SecondOrderCone(z.size - 1).project(x / s)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        assert np.allclose(got, scale * SecondOrderCone(z.size - 1).project(z),
+                           rtol=1e-14, atol=0.0)
+        for radius in (1.0, 10.0):
+            ball = NormBall(z.size, radius=radius)
+            with np.errstate(over="ignore"):
+                got = ball.project(x)
+            y = x / s
+            assert np.allclose(got, y * (radius / np.linalg.norm(y)), rtol=1e-15, atol=0.0)
+            assert np.linalg.norm(got) == pytest.approx(radius, rel=1e-15)
+    # the cone's apex and interior at that scale
+    with np.errstate(over="ignore"):
+        assert np.array_equal(SecondOrderCone(1).project([scale, -scale]), [0.0, 0.0])
+        assert np.array_equal(SecondOrderCone(1).project([scale, scale]), [scale, scale])
 
 
 def test_simplex_projection_of_a_huge_point():
