@@ -493,5 +493,5 @@ def test_stencil_blocks_give_the_one_block_reports_bit_for_bit(name, monkeypatch
     monkeypatch.setattr(diagnostics, "STENCIL_ROWS", 7)
     blocks = grad_check(prob, points)
     assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
-    sizes = [7] * (4 * prob.n // 7) + ([4 * prob.n % 7] if 4 * prob.n % 7 else [])
+    sizes = [min(7, 4 * prob.n - start) for start in range(0, 4 * prob.n, 7)]
     assert rows == [(m, prob.n) for m in sizes] * len(points)
