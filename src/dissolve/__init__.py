@@ -42,7 +42,6 @@ from .diagnostics import (
     grad_check,
     local_error_bound_probe,
     pi_sigma,
-    probe_held_radius,
 )
 from .problems import (
     ProblemInstance,

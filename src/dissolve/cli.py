@@ -27,8 +27,15 @@ CSV_COLUMNS = ["family", "n", "extra_dims", "rho", "seed", "solver", "beta",
 DIM_DEFAULTS = {"n": 50, "cols": 25, "rho": 0.0, "edge_density": 0.5, "k": 2, "d": 3}
 
 
-def _default_seed():
-    return int(os.environ.get("DISSOLVE_SEED", "0"))
+def _seed(text, flag):
+    """The seed `text` given by `flag`, or DISSOLVE_SEED's (else 0) when
+    `text` is None; anything but a nonnegative integer raises ValueError
+    naming where it came from, before any work."""
+    if text is None:
+        text, flag = os.environ.get("DISSOLVE_SEED", "0"), "DISSOLVE_SEED"
+    if not str(text).strip().isdecimal():
+        raise ValueError(f"{flag} takes nonnegative integer seeds; got {text!r}")
+    return int(text)
 
 
 def _dims_from_args(args, **override):
@@ -85,7 +92,7 @@ def _append_csv(path, rows):
 
 
 def cmd_solve(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed, "--seed")
     if not args.instance and not args.family:
         print("error: --family is required unless --instance is given",
               file=sys.stderr)
@@ -152,7 +159,8 @@ def _comma_list(text, kind):
 def cmd_bench(args):
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1; got {args.jobs}")
-    seeds = _comma_list(args.seeds, int) if args.seeds is not None else [_default_seed()]
+    seeds = ([_seed(s, "--seeds") for s in _comma_list(args.seeds, str)]
+             if args.seeds is not None else [_seed(None, "--seeds")])
     ns = _comma_list(args.n, int)
     family = problems.FAMILIES[args.family]
     rhos = _comma_list(args.rho, float) if "rho" in family.cli_dims else [None]
@@ -181,7 +189,7 @@ def cmd_bench(args):
 
 
 def cmd_check(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed, "--seed")
     if min(args.grad_points, args.struct_points, args.probe_samples) < 1:
         raise ValueError("--grad-points, --struct-points and --probe-samples "
                          "must be at least 1")
@@ -215,7 +223,7 @@ def cmd_check(args):
 
 
 def cmd_dump_instance(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed, "--seed")
     dims = _dims_from_args(args)
     inst, _ = problems.gen_instance(args.family, seed=seed, **dims)
     inst.dump(args.out)
@@ -299,7 +307,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

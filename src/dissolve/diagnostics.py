@@ -29,12 +29,13 @@ __all__ = [
     "assumption_a_check",
     "pi_sigma",
     "local_error_bound_probe",
-    "probe_held_radius",
 ]
 
 IDEMPOTENCY_DIM_GUARD = 200  # materializing the Jacobian is O(n) map products
 ASSUMPTION_A_THRESHOLDS = (1e-10, 1e-8, 1e-6)  # fixed point, kernel, idempotency
 STENCIL_ROWS = 256  # points per stacked h_value call of grad_check's stencil
+KERNEL_SAMPLES = 10  # random multipliers per point of assumption_a_check's kernel test
+PROBE_RADII = tuple(0.5 ** j for j in range(7, 0, -1))  # 1/128 up to 1/2, ascending
 
 
 @dataclass
@@ -98,16 +99,17 @@ def _fd_grad(prob, x):
 
 
 def assumption_a_check(amap, cmap, domain, feasible_points,
-                       thresholds=ASSUMPTION_A_THRESHOLDS, n_lambda=10, seed=0):
+                       thresholds=ASSUMPTION_A_THRESHOLDS):
     """Structural identities of a dissolving map on the feasible set.
 
     Per point: the fixed-point residual ||A(x) - x||_inf, the Jacobian kernel
-    residual ||gradA(x) G(x) lam|| / max(1, ||lam||) over random lam, and the
+    residual ||gradA(x) G(x) lam|| / max(1, ||lam||) over KERNEL_SAMPLES
+    random lam (one generator seeded 0 for all points), and the
     affine-hull-projected idempotency residual of the materialized Jacobian.
     Points must satisfy ||c(x)|| <= 1e-10 and lie in the domain.
     """
     thr_fix, thr_ker, thr_idem = thresholds
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     P_E = domain.affine_hull_projector()
     n = domain.n
     details = []
@@ -125,7 +127,7 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         ker = 0.0
         ker_span_dist = 0.0
         if cmap.p:
-            for _ in range(n_lambda):
+            for _ in range(KERNEL_SAMPLES):
                 lam = rng.standard_normal(cmap.p)
                 v = amap.vjp(x, cmap.jac_t_apply(x, lam), point)
                 resid = _norm(v) / max(1.0, _norm(lam))
@@ -172,13 +174,14 @@ def pi_sigma(cmap, domain, x, r=None):
     return float(svals[r - 1])
 
 
-def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200,
-                            radii=None, seed=0, r=None):
-    """Check ||P_E G(y) c(y)|| >= (pi/2) ||c(y)|| on shrinking balls around a
-    feasible point, sampling inside the affine hull; reports the largest
-    radius at which every sample satisfied the bound.  When P_E is the
-    identity its products are skipped: on finite samples they return their
-    argument bit for bit."""
+def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
+    """Check ||P_E G(y) c(y)|| >= (pi/2) ||c(y)|| on balls of the PROBE_RADII
+    around a feasible point, with pi = pi_sigma at that point and n_samples
+    samples per radius inside the affine hull.  The last entry of the
+    report's details holds pi and the largest radius up to which every
+    sample satisfied the bound ("held_radius").  When P_E is the identity
+    its products are skipped: on finite samples they return their argument
+    bit for bit."""
     x = np.asarray(x_feasible, dtype=float)
     rng = np.random.default_rng(seed)
     P_E = domain.affine_hull_projector()
@@ -188,11 +191,7 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200,
     else:
         def hull(v):
             return P_E @ v
-    if radii is None:
-        radii = [0.5 * 0.5 ** j for j in range(7)]
-    radii = sorted(radii)
-
-    pi_val = pi_sigma(cmap, domain, x, r=r)
+    pi_val = pi_sigma(cmap, domain, x)
     if pi_val <= 1e-10:
         details = [{"pi": pi_val, "held_radius": 0.0,
                     "note": "constraint gradients degenerate at base point"}]
@@ -221,23 +220,11 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200,
     slack = 1e-12 * (1.0 + pi_val)
     details = []
     held_radius = 0.0
-    prefix_ok = True
-    worst_smallest = None
-    for radius in radii:
+    for radius in PROBE_RADII:
         v = violation_at(radius)
-        if worst_smallest is None:
-            worst_smallest = v
-        ok = v <= slack
-        details.append({"radius": radius, "worst_violation": v, "held": ok})
-        if prefix_ok and ok:
+        details.append({"radius": radius, "worst_violation": v, "held": v <= slack})
+        if all(d["held"] for d in details):
             held_radius = radius
-        else:
-            prefix_ok = False
     details.append({"pi": pi_val, "held_radius": held_radius})
-    return CheckReport.build("local_error_bound_probe", n_samples * len(radii),
-                             worst_smallest, slack, details)
-
-
-def probe_held_radius(report):
-    """Largest radius at which the error-bound probe held, from its details."""
-    return report.details[-1]["held_radius"]
+    return CheckReport.build("local_error_bound_probe", n_samples * len(PROBE_RADII),
+                             details[0]["worst_violation"], slack, details)

@@ -43,7 +43,6 @@ share B^T x for the last point, finite or not.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -181,9 +180,6 @@ class PenaltyProblem:
     def n(self):
         return self.domain.n
 
-    def with_beta(self, beta):
-        return dataclasses.replace(self, beta=float(beta))
-
 
 def _core_pinv(core):
     """np.linalg.pinv(core, rcond=PINV_RCOND), bit for bit, for one p-by-p
@@ -199,20 +195,19 @@ def _core_pinv(core):
     return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
 
 
-def _aq_value_parts(domain, cmap, sigma, x, eye=None):
+def _aq_value_parts(domain, cmap, sigma, x, eye):
     """The generic map's parts at each row of the (N, n) stack x: c (N, p),
-    G (N, n, p), Q G, the core pseudo-inverses (N, p, p) and u (N, p).  Every
-    product is a stacked matmul, whose slices take the BLAS path of the
-    one-point product, so row i equals a build at x_i alone bit for bit."""
-    # eye: the p-by-p identity, which a map builds once and passes in
+    G (N, n, p), Q G, the core pseudo-inverses (N, p, p) and u (N, p).  `eye`
+    is the p-by-p identity, which a map builds once.  Every product is a
+    stacked matmul, whose slices take the BLAS path of the one-point
+    product, so row i equals a build at x_i alone bit for bit."""
     x = np.asarray(x, dtype=float)
     c = cmap.value_stack(x)
     G = cmap.jac_stack(x)
     QG = domain._q_cols(x, G)
     GtQG = G.swapaxes(-1, -2) @ QG
     cc = c[:, None, :] @ c[:, :, None]  # c_i . c_i, as c @ c takes it
-    core = (0.5 * (GtQG + GtQG.swapaxes(-1, -2))
-            + sigma * cc * (np.eye(cmap.p) if eye is None else eye))
+    core = 0.5 * (GtQG + GtQG.swapaxes(-1, -2)) + sigma * cc * eye
     core_pinv = _core_pinv(core)
     u = (core_pinv @ c[:, :, None])[:, :, 0]
     return c, G, QG, core_pinv, u

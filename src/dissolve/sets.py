@@ -408,12 +408,16 @@ class NormBall(ConvexSet):
 
 
 def _lq_ball_shrink(a, u, q):
-    """Solve the lq-ball projection in magnitudes: t + lam*q*t^(q-1) = a, sum t^q = u^q."""
+    """Solve the lq-ball projection in magnitudes: t + lam*q*t^(q-1) = a, sum t^q = u^q.
+
+    No magnitude of the projection exceeds the radius, so each t_i is
+    bisected on [0, min(a_i, u)] and resolved to u * 2^-200 however large
+    a_i is."""
     from scipy.optimize import brentq
 
     def magnitudes(lam):
         lo = np.zeros_like(a)
-        hi = a.copy()
+        hi = np.minimum(a, u)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             too_big = mid + lam * q * mid ** (q - 1.0) > a
@@ -424,10 +428,15 @@ def _lq_ball_shrink(a, u, q):
     def excess(lam):
         return np.sum(magnitudes(lam) ** q) - u ** q
 
-    hi = 1.0
-    while excess(hi) > 0.0:
-        hi *= 2.0
-    lam = brentq(excess, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    # bracket [0, 2^k] with the least k >= 0 where excess <= 0; excess falls
+    # as lam grows, so galloping on k finds it in O(log k) evaluations
+    k_out, k = -1, 0
+    while excess(np.ldexp(1.0, k)) > 0.0:
+        k_out, k = k, 2 * k + 1
+    while k - k_out > 1:
+        mid = (k_out + k) // 2
+        k_out, k = (mid, k) if excess(np.ldexp(1.0, mid)) > 0.0 else (k_out, mid)
+    lam = brentq(excess, 0.0, float(np.ldexp(1.0, k)), xtol=1e-300, rtol=8.9e-16, maxiter=300)
     return magnitudes(lam)
 
 
@@ -671,9 +680,12 @@ def _psd_part(B):
 
 
 class PsdCone(ConvexSet):
-    """{X in R^(s x s) : X symmetric positive semidefinite}, flattened column-major."""
+    """{X in R^(s x s) : X symmetric positive semidefinite}, flattened column-major.
+    Eigenvalues are capped at `_cap`: inf here, 1 in PsdSpectralBall, which
+    shares this projection and normal cone."""
 
     kind = "psd_cone"
+    _cap = np.inf
 
     def __init__(self, s):
         self.s = int(s)
@@ -687,13 +699,13 @@ class PsdCone(ConvexSet):
 
     def _project(self, x):
         # else NaN comes back, or eigh raises LinAlgError
-        _require_finite(x, "psd-cone projection")
+        _require_finite(x, f"{self.kind.replace('_', '-')} projection")
         X = _sym(_mat(x, self._shape()))
         vals, vecs = np.linalg.eigh(X)
-        if vals.size and vals[0] >= 0.0 and np.array_equal(X, _mat(x, self._shape())):
+        if (vals.size and vals[0] >= 0.0 and vals[-1] <= self._cap
+                and np.array_equal(X, _mat(x, self._shape()))):
             return x.copy()
-        clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.T  # eigenvalues clipped at 0
-        return _flat(clipped)
+        return _flat((vecs * np.clip(vals, 0.0, self._cap)) @ vecs.T)
 
     def _q(self, x, v):
         X = _mat(x, self._shape())
@@ -717,16 +729,20 @@ class PsdCone(ConvexSet):
 
     def _normal_cone_project(self, x, z, tol):
         # else the eigensolver fails or a NaN point reads as interior
-        _require_finite(x, "psd-cone normal cone")
+        _require_finite(x, f"{self.kind.replace('_', '-')} normal cone")
         X = _sym(_mat(x, self._shape()))
         Z = _sym(_mat(z, self._shape()))
         vals, vecs = np.linalg.eigh(X)
+        out = np.zeros((self.s, self.s))
         low = vals <= tol
-        if not np.any(low):
-            return np.zeros(self.n)
-        V0 = vecs[:, low]
-        S = _psd_part(-V0.T @ Z @ V0)
-        return _flat(-V0 @ S @ V0.T)
+        high = vals >= self._cap - tol  # never, for the cone
+        if np.any(low):
+            V0 = vecs[:, low]
+            out -= V0 @ _psd_part(-V0.T @ Z @ V0) @ V0.T
+        if np.any(high):
+            V1 = vecs[:, high]
+            out += V1 @ _psd_part(V1.T @ Z @ V1) @ V1.T
+        return _flat(out)
 
     def _params(self):
         return {"s": self.s}
@@ -748,16 +764,7 @@ class PsdSpectralBall(PsdCone):
     """{X : X psd, ||X||_2 <= 1}."""
 
     kind = "psd_spectral_ball"
-
-    def _project(self, x):
-        _require_finite(x, "psd-spectral-ball projection")
-        X = _sym(_mat(x, self._shape()))
-        vals, vecs = np.linalg.eigh(X)
-        if (vals.size and vals[0] >= 0.0 and vals[-1] <= 1.0
-                and np.array_equal(X, _mat(x, self._shape()))):
-            return x.copy()
-        clipped = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.T
-        return _flat(clipped)
+    _cap = 1.0
 
     def _q(self, x, v):
         X = _mat(x, self._shape())
@@ -783,22 +790,6 @@ class PsdSpectralBall(PsdCone):
              - W @ X2t @ Y.T @ Xt - Xt @ W @ X2t @ Y.T
              - Y.T @ X2t @ W @ Xt - Xt @ Y.T @ X2t @ W)
         return _flat(g)
-
-    def _normal_cone_project(self, x, z, tol):
-        _require_finite(x, "psd-spectral-ball normal cone")
-        X = _sym(_mat(x, self._shape()))
-        Z = _sym(_mat(z, self._shape()))
-        vals, vecs = np.linalg.eigh(X)
-        out = np.zeros((self.s, self.s))
-        low = vals <= tol
-        high = vals >= 1.0 - tol
-        if np.any(low):
-            V0 = vecs[:, low]
-            out -= V0 @ _psd_part(-V0.T @ Z @ V0) @ V0.T
-        if np.any(high):
-            V1 = vecs[:, high]
-            out += V1 @ _psd_part(V1.T @ Z @ V1) @ V1.T
-        return _flat(out)
 
 
 class LinearInequalities(ConvexSet):

@@ -417,3 +417,53 @@ def test_non_finite_instance_exits_2_without_rows(tmp_path, capsys, family, dims
     assert "error:" in err and "NaN or infinite" in err
     with pytest.raises(ValueError, match=f"instance {field}"):
         ProblemInstance.from_json(obj)
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--csv", "--json-out", "--dump-instance",
+                                  "bench --csv", "dump-instance --out"])
+def test_path_that_is_a_directory_exits_2(tmp_path, capsys, flag):
+    # these raised IsADirectoryError with a traceback and exit 1, which
+    # reads as a failed check
+    small = ["--family", "npca", "--n", "6", "--cols", "3"]
+    if flag == "bench --csv":
+        argv = ["bench", *small, "--seeds", "0", "--jobs", "1", "--csv", str(tmp_path)]
+    elif flag == "dump-instance --out":
+        argv = ["dump-instance", *small, "--out", str(tmp_path)]
+    elif flag == "--instance":
+        argv = ["solve", "--instance", str(tmp_path)]
+    else:
+        argv = ["solve", *small, flag, str(tmp_path)]
+    assert main(argv) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,env,source", [
+    (["solve", "--family", "qpb", "--n", "6", "--seed", "-1"], None, "--seed"),
+    (["check", "--family", "qpb", "--n", "6", "--seed", "-3"], None, "--seed"),
+    (["dump-instance", "--family", "qpb", "--n", "6", "--seed", "-1", "--out", "{out}"],
+     None, "--seed"),
+    (["bench", "--family", "qpb", "--n", "6", "--seeds", "0,1,2,-1"], None, "--seeds"),
+    (["bench", "--family", "qpb", "--n", "6", "--seeds", "0,1.5"], None, "--seeds"),
+    (["solve", "--family", "qpb", "--n", "6"], "abc", "DISSOLVE_SEED"),
+    (["check", "--family", "qpb", "--n", "6"], "-2", "DISSOLVE_SEED"),
+    (["bench", "--family", "qpb", "--n", "6"], "1e3", "DISSOLVE_SEED"),
+], ids=["solve", "check", "dump-instance", "bench-negative", "bench-fraction",
+        "env-solve", "env-check", "env-bench"])
+def test_bad_seed_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, argv, env,
+                                           source):
+    calls = []
+    monkeypatch.setattr(cli.solvers, "solve", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.problems, "gen_instance", lambda *a, **k: calls.append(a))
+    if env is None:
+        monkeypatch.delenv("DISSOLVE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DISSOLVE_SEED", env)
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in argv]
+    if argv[0] in ("solve", "bench"):
+        argv += ["--csv", str(out)]
+    assert main(argv) == 2
+    assert calls == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: {source} takes nonnegative integer seeds" in err

@@ -12,7 +12,6 @@ from dissolve.diagnostics import (
     grad_check,
     local_error_bound_probe,
     pi_sigma,
-    probe_held_radius,
 )
 from dissolve.mappings import (
     ConstraintMap,
@@ -60,7 +59,7 @@ def test_grad_check_quadratic_affine_closed_form():
 def test_grad_check_beta_zero_and_p_zero():
     inst, prob = gen_npca(8, 4, seed=0)
     pts = near_feasible_points(inst, 5, seed=0)
-    assert grad_check(prob.with_beta(0.0), pts).passed
+    assert grad_check(dataclasses.replace(prob, beta=0.0), pts).passed
 
     n = 4
     domain = Box(np.full(n, -np.inf), np.full(n, np.inf))
@@ -222,16 +221,17 @@ def test_probe_affine_holds_everywhere():
     report = local_error_bound_probe(cmap, domain, np.zeros(n),
                                      n_samples=50, seed=0)
     assert report.passed
-    assert probe_held_radius(report) == pytest.approx(0.5)
+    assert report.details[-1]["held_radius"] == pytest.approx(0.5)
 
 
-def test_probe_sphere_holds_at_small_radius():
+def test_probe_sphere_holds_at_small_radius(monkeypatch):
+    monkeypatch.setattr(diagnostics, "PROBE_RADII", (0.1,))
     domain = NormBall(2, radius=2.0)
     x = np.array([1.0, 0.0])
     report = local_error_bound_probe(sphere_cmap(2), domain, x,
-                                     n_samples=200, seed=0, radii=[0.1])
+                                     n_samples=200, seed=0)
     assert report.passed
-    assert probe_held_radius(report) == pytest.approx(0.1)
+    assert report.details[-1]["held_radius"] == pytest.approx(0.1)
 
 
 def test_probe_flags_degenerate_constraint():
@@ -247,14 +247,14 @@ def test_probe_flags_degenerate_constraint():
     report = local_error_bound_probe(cmap, domain, np.array([1.0, 0.0]),
                                      n_samples=50, seed=0)
     assert not report.passed
-    assert probe_held_radius(report) == 0.0
+    assert report.details[-1]["held_radius"] == 0.0
 
 
 def test_reports_reproducible_from_seed():
     inst, prob = gen_qpb(10, seed=0)
     pts = feasible_points(inst, 10, seed=3)
-    r1 = assumption_a_check(prob.amap, prob.cmap, prob.domain, pts, seed=5)
-    r2 = assumption_a_check(prob.amap, prob.cmap, prob.domain, pts, seed=5)
+    r1 = assumption_a_check(prob.amap, prob.cmap, prob.domain, pts)
+    r2 = assumption_a_check(prob.amap, prob.cmap, prob.domain, pts)
     assert r1.to_json() == r2.to_json()
     p1 = local_error_bound_probe(prob.cmap, prob.domain, pts[0], seed=9)
     p2 = local_error_bound_probe(prob.cmap, prob.domain, pts[0], seed=9)
@@ -262,7 +262,7 @@ def test_reports_reproducible_from_seed():
 
 
 def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None,
-                             seed=0, r=None):
+                             seed=0):
     """local_error_bound_probe as it was written before the identity skip and
     before stacked samples: c and G c one sample at a time, both products
     with P_E taken on every sample."""
@@ -272,7 +272,7 @@ def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None
     if radii is None:
         radii = [0.5 * 0.5 ** j for j in range(7)]
     radii = sorted(radii)
-    pi_val = pi_sigma(cmap, domain, x, r=r)
+    pi_val = pi_sigma(cmap, domain, x)
     if pi_val <= 1e-10:
         details = [{"pi": pi_val, "held_radius": 0.0,
                     "note": "constraint gradients degenerate at base point"}]
@@ -307,6 +307,13 @@ def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None
     details.append({"pi": pi_val, "held_radius": held_radius})
     return CheckReport.build("local_error_bound_probe", n_samples * len(radii),
                              worst_smallest, slack, details)
+
+
+def use_probe_radii(monkeypatch, radii):
+    """Give the probe the oracle's `radii`; None leaves PROBE_RADII, which
+    must then equal the oracle's default list, sorted."""
+    if radii is not None:
+        monkeypatch.setattr(diagnostics, "PROBE_RADII", tuple(sorted(radii)))
 
 
 def simplex_ball_case():
@@ -350,14 +357,14 @@ def blowup_case():
 
 
 @pytest.mark.parametrize("case", [fpca_case, simplex_ball_case, blowup_case])
-def test_probe_with_identity_skip_matches_the_hull_product_loop(case):
+def test_probe_with_identity_skip_matches_the_hull_product_loop(case, monkeypatch):
     cmap, domain, x = case()
     identity = np.array_equal(domain.affine_hull_projector(), np.eye(domain.n))
     assert identity == (case is not simplex_ball_case)
     for seed, radii in ((0, None), (4, [0.25, 1.0, 4.0])):
+        use_probe_radii(monkeypatch, radii)
         with np.errstate(invalid="ignore"):
-            got = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=seed,
-                                          radii=radii)
+            got = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=seed)
             want = probe_with_hull_products(cmap, domain, x, n_samples=20, seed=seed,
                                             radii=radii)
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
@@ -428,7 +435,7 @@ STACK_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
-def test_stacked_reports_equal_the_per_point_loops(name):
+def test_stacked_reports_equal_the_per_point_loops(name, monkeypatch):
     prob, points, x = STACK_CASES[name]()
     assert (name == "simplex") == (
         not np.array_equal(prob.domain.affine_hull_projector(), np.eye(prob.n)))
@@ -436,8 +443,9 @@ def test_stacked_reports_equal_the_per_point_loops(name):
     want = grad_check_per_point(prob, points)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
     for seed, radii in ((0, None), (5, [0.05, 0.3])):
+        use_probe_radii(monkeypatch, radii)
         got = local_error_bound_probe(prob.cmap, prob.domain, x, n_samples=20,
-                                      seed=seed, radii=radii)
+                                      seed=seed)
         want = probe_with_hull_products(prob.cmap, prob.domain, x, n_samples=20,
                                         seed=seed, radii=radii)
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())

@@ -118,7 +118,7 @@ def test_penalty_problem_requires_finite_nonnegative_beta():
     inst, prob = gen_qpb(4, seed=0)
     for beta in (-1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="beta"):
-            prob.with_beta(beta)
+            dataclasses.replace(prob, beta=beta)
         with pytest.raises(ValueError, match="beta"):
             gen_qpb(4, seed=0, beta=beta)
 
@@ -293,7 +293,8 @@ def fresh(prob):
 
 
 def reference_value(prob, x):
-    _, _, QG, _, u = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, x[None])
+    _, _, QG, _, u = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, x[None],
+                                   np.eye(prob.cmap.p))
     return x - QG[0] @ u[0]
 
 
@@ -614,11 +615,12 @@ def test_h_value_identities():
     assert abs(h_value(prob, x_feas) - prob.f_value(x_feas)) <= 1e-10
 
     y = prob.domain.project(x_feas + 0.1)
-    p0 = prob.with_beta(0.0)
+    p0 = dataclasses.replace(prob, beta=0.0)
     assert abs(h_value(p0, y) - prob.f_value(prob.amap.value(y))) <= 1e-12
 
     c2 = float(prob.cmap.value(y) @ prob.cmap.value(y))
-    assert h_value(prob.with_beta(2.0), y) - h_value(p0, y) == pytest.approx(c2, rel=1e-14)
+    p2 = dataclasses.replace(prob, beta=2.0)
+    assert h_value(p2, y) - h_value(p0, y) == pytest.approx(c2, rel=1e-14)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -629,9 +631,10 @@ def test_h_beta_linearity(seed):
     y = prob.domain.project(rng.standard_normal(6))
     b1, b2 = sorted(rng.random(2) * 10.0)
     c = prob.cmap.value(y)
-    lhs = h_value(prob.with_beta(b2), y) - h_value(prob.with_beta(b1), y)
+    prob1, prob2 = (dataclasses.replace(prob, beta=b) for b in (b1, b2))
+    lhs = h_value(prob2, y) - h_value(prob1, y)
     assert lhs == pytest.approx(0.5 * (b2 - b1) * float(c @ c), rel=1e-12, abs=1e-13)
-    gd = h_grad(prob.with_beta(b2), y) - h_grad(prob.with_beta(b1), y)
+    gd = h_grad(prob2, y) - h_grad(prob1, y)
     expect = (b2 - b1) * prob.cmap.jac_t_apply(y, c)
     assert np.allclose(gd, expect, rtol=1e-12, atol=1e-13)
 
@@ -891,7 +894,8 @@ def stack_points(prob, N, seed):
 
 
 def assert_stacked_build_matches_each_point(prob, X):
-    parts = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, X)
+    parts = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, X,
+                            np.eye(prob.cmap.p))
     A = prob.amap.value(X)
     GC = prob.cmap.jac_t_stack(X, parts[0])
     for part in (*parts, A, GC):

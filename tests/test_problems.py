@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_fpca_objective_is_final_coordinate():
     assert prob.f_value(x) == x[-1]
     g = prob.f_grad(x)
     assert g[-1] == 1.0 and np.abs(g[:-1]).max() == 0.0
-    gh = h_grad(prob.with_beta(0.0), x)
+    gh = h_grad(dataclasses.replace(prob, beta=0.0), x)
     assert np.isfinite(gh).all()
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -19,6 +20,7 @@ from dissolve.sets import (
     ProjectionNotConverged,
     Product,
     PsdCone,
+    PsdSpectralBall,
     SecondOrderCone,
     Simplex,
     SpectralBall,
@@ -85,6 +87,28 @@ def test_psd_projection_clips_eigenvalues():
     X = np.array([[1.0, 0.0], [0.0, -1.0]])
     out = PsdCone(2).project(X.reshape(-1, order="F"))
     assert np.allclose(out.reshape(2, 2, order="F"), [[1, 0], [0, 0]])
+
+
+def test_psd_spectral_ball_clips_eigenvalues_and_sums_its_face_cones():
+    Q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((3, 3)))
+    ball, flat = PsdSpectralBall(3), lambda M: M.reshape(-1, order="F")
+    out = ball.project(flat((Q * [-1.0, 0.3, 2.5]) @ Q.T))
+    assert np.allclose(out, flat((Q * [0.0, 0.3, 1.0]) @ Q.T), rtol=0.0, atol=1e-14)
+    # at eigenvalues 0, 0.5 and 1 the normal cone is {-a v0 v0^T + b v1 v1^T :
+    # a, b >= 0}, the sum of the faces' cones, and projects onto each apart
+    v0, v1 = Q[:, 0], Q[:, 2]
+    x = flat((Q * [0.0, 0.5, 1.0]) @ Q.T)
+    rng = np.random.default_rng(18)
+    for Z in [rng.standard_normal((3, 3)) for _ in range(20)] + [
+            np.outer(v0, v0) - np.outer(v1, v1), np.outer(v1, v1) - np.outer(v0, v0)]:
+        z = flat(Z)
+        a, b = max(0.0, -v0 @ Z @ v0), max(0.0, v1 @ Z @ v1)
+        want = flat(-a * np.outer(v0, v0) + b * np.outer(v1, v1))
+        got = ball.normal_cone_project(x, z)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        # the lower face's cone is the psd cone's there
+        low = PsdCone(3).normal_cone_project(x, z)
+        assert np.allclose(low, flat(-a * np.outer(v0, v0)), rtol=0.0, atol=1e-12)
 
 
 def test_second_order_cone_projection_cases():
@@ -349,6 +373,40 @@ def test_huge_finite_points_project_as_their_scaled_down_copy(scale):
     with np.errstate(over="ignore"):
         assert np.array_equal(SecondOrderCone(1).project([scale, -scale]), [0.0, 0.0])
         assert np.array_equal(SecondOrderCone(1).project([scale, scale]), [scale, scale])
+
+
+# the lq ball at huge finite points, in a fresh interpreter: a magnitude
+# bisected on [0, a_i] resolved only to a_i * 2^-200, so these points came
+# back off the sphere (1e55), outside the ball (1e58) or never (1e75 on)
+LQ_HUGE_POINTS = """
+import json
+import numpy as np
+from dissolve.sets import NormBall
+q, u = {q}, 1.5
+pair, triple = NormBall(2, u, exponent=q), NormBall(3, u, exponent=q)
+d = np.array([1.0, -0.25, 0.5])
+out = {{"ref": triple.project(1e20 * d).tolist()}}
+for m in (1e58, 1e80, 1e200, 1e300):
+    with np.errstate(over="ignore"):
+        out[repr(m)] = [pair.project(np.array([m, m])).tolist(),
+                        triple.project(m * d).tolist()]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0, 4.0])
+def test_lq_ball_projection_of_huge_points_is_exact(q):
+    u = 1.5
+    out = json.loads(run_fresh(LQ_HUGE_POINTS.format(q=q)))
+    ref = np.array(out.pop("ref"))
+    assert len(out) == 4
+    for m, (sym, asym) in out.items():
+        sym, asym = np.array(sym), np.array(asym)
+        assert NormBall(2, u, exponent=q).contains(sym), m
+        assert NormBall(3, u, exponent=q).contains(asym), m
+        # x = m (1, 1) projects to (1, 1) u 2^(-1/q)
+        assert np.allclose(sym, u * 2.0 ** (-1.0 / q), rtol=1e-15, atol=0.0), m
+        assert np.abs(asym - ref).max() <= 1e-12, m
 
 
 def test_simplex_projection_of_a_huge_point():
