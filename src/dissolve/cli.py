@@ -27,10 +27,9 @@ CSV_COLUMNS = ["family", "n", "extra_dims", "rho", "seed", "solver", "beta",
 DIM_DEFAULTS = {"n": 50, "cols": 25, "rho": 0.0, "edge_density": 0.5, "k": 2, "d": 3}
 
 
-def _seed(text, flag):
-    """The seed `text` given by `flag`, or DISSOLVE_SEED's (else 0) when
-    `text` is None; anything but a nonnegative integer raises ValueError
-    naming where it came from, before any work."""
+def _seed(text, flag=None):
+    """The seed `text` from `flag`, else DISSOLVE_SEED's (else 0); anything but
+    a nonnegative integer raises ValueError naming its source."""
     if text is None:
         text, flag = os.environ.get("DISSOLVE_SEED", "0"), "DISSOLVE_SEED"
     if not str(text).strip().isdecimal():
@@ -87,8 +86,7 @@ def _append_csv(path, rows):
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if new_file:
             writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_solve(args):
@@ -160,7 +158,7 @@ def cmd_bench(args):
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1; got {args.jobs}")
     seeds = ([_seed(s, "--seeds") for s in _comma_list(args.seeds, str)]
-             if args.seeds is not None else [_seed(None, "--seeds")])
+             if args.seeds is not None else [_seed(None)])
     ns = _comma_list(args.n, int)
     family = problems.FAMILIES[args.family]
     rhos = _comma_list(args.rho, float) if "rho" in family.cli_dims else [None]

@@ -412,7 +412,8 @@ def _lq_ball_shrink(a, u, q):
 
     No magnitude of the projection exceeds the radius, so each t_i is
     bisected on [0, min(a_i, u)] and resolved to u * 2^-200 however large
-    a_i is."""
+    a_i is.  At lam = 0 that gives min(a_i, u), the projection when it lies
+    in the ball already (one a_i above u, the others' q-th powers negligible)."""
     from scipy.optimize import brentq
 
     def magnitudes(lam):
@@ -428,6 +429,8 @@ def _lq_ball_shrink(a, u, q):
     def excess(lam):
         return np.sum(magnitudes(lam) ** q) - u ** q
 
+    if excess(0.0) <= 0.0:
+        return magnitudes(0.0)
     # bracket [0, 2^k] with the least k >= 0 where excess <= 0; excess falls
     # as lam grows, so galloping on k finds it in O(log k) evaluations
     k_out, k = -1, 0

@@ -409,6 +409,21 @@ def test_lq_ball_projection_of_huge_points_is_exact(q):
         assert np.abs(asym - ref).max() <= 1e-12, m
 
 
+@pytest.mark.parametrize("q", [1.5, 3.0, 4.0, 7.0])
+@pytest.mark.parametrize("u", [0.3, 0.9, 1.2, 7.7])
+def test_lq_ball_projection_of_axis_points_is_the_radius(q, u):
+    # one |x_i| above u and the rest zero: the magnitude bisected toward u can
+    # stop an ulp short of it, so no multiplier in [0, 2^k] brackets a root
+    ball, cube = NormBall(2, u, exponent=q), NormBall(3, u, exponent=q)
+    for m in (2.0 * u + 1.0, np.nextafter(u, np.inf), 1e200):
+        for x, target in ((np.array([m, 0.0]), np.array([u, 0.0])),
+                          (np.array([0.0, 0.0, -m]), np.array([0.0, 0.0, -u]))):
+            with np.errstate(over="ignore"):
+                p = (ball if x.size == 2 else cube).project(x)
+            assert (ball if x.size == 2 else cube).contains(p), (m, x)
+            assert np.abs(p - target).max() <= 4e-16 * u, (m, x)
+
+
 def test_simplex_projection_of_a_huge_point():
     # a shift of x does not move its projection; without one, the first
     # threshold test at [1e20, 0] cancels to 0 > 0
