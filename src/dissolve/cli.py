@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import os
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, problems, solvers
+from . import diagnostics, mappings, problems, solvers
 
 CSV_COLUMNS = ["family", "n", "extra_dims", "rho", "seed", "solver", "beta",
                "fval", "feas", "stat", "iters", "time_s", "status"]
@@ -57,11 +58,6 @@ def _solver_config(family, solver_name, max_iter, tol_stat=None, tol_feas=None, 
         step_rule="fixed" if solver_name == "pg" else "bb_nonmonotone")
 
 
-def _run_single(family, dims, seed, beta, config):
-    inst, prob = problems.gen_instance(family, seed=seed, beta=beta, **dims)
-    return inst, prob, solvers.solve(prob, inst.x0, config)
-
-
 def _row(family, dims, seed, solver_name, beta, result):
     return {
         "family": family,
@@ -80,13 +76,12 @@ def _row(family, dims, seed, solver_name, beta, result):
     }
 
 
-def _append_csv(path, rows):
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if new_file:
-            writer.writeheader()
-        writer.writerows(rows)
+def _append_csv(fh, rows):
+    """Write `rows` to the CSV file `fh` opened to append, after a header if empty."""
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    if fh.tell() == 0:
+        writer.writeheader()
+    writer.writerows(rows)
 
 
 def cmd_solve(args):
@@ -111,25 +106,33 @@ def cmd_solve(args):
                             args.tol_feas, args.eta)
     if inst is None:
         dims = _dims_from_args(args)
-        inst, prob, result = _run_single(family, dims, seed, args.beta, config)
+        problems.FAMILIES[family].check(**dims)
     else:
         dims = {k: inst.data[k] for k in problems.FAMILIES[family].cli_dims
                 if k in inst.data}
-        prob = problems.build_problem(inst, beta=args.beta)
+    # a value PenaltyProblem or solve would reject and a path that cannot be
+    # written both exit 2 before an instance is generated or solved
+    if args.beta is not None:
+        mappings._check_beta(args.beta)
+    if args.eta is not None:
+        solvers._check_step(args.eta)
+    with contextlib.ExitStack() as stack:
+        csv_fh, dump_fh, json_fh = (
+            path and stack.enter_context(open(path, mode, newline=""))
+            for path, mode in ((args.csv, "a"), (args.dump_instance, "w"), (args.json_out, "w")))
+        if inst is None:
+            inst, prob = problems.gen_instance(family, seed=seed, beta=args.beta, **dims)
+        else:
+            prob = problems.build_problem(inst, beta=args.beta)
         result = solvers.solve(prob, inst.x0, config)
-    beta = prob.beta
-
-    if args.dump_instance:
-        inst.dump(args.dump_instance)
-    row = _row(family, dims, inst.seed, args.solver, beta, result)
-    if args.csv:
-        _append_csv(args.csv, [row])
-    if args.json_out:
-        record = dict(row)
-        record["x_final"] = result.x_final.tolist()
-        record["h_val"] = result.h_val
-        with open(args.json_out, "w") as fh:
-            json.dump(record, fh)
+        row = _row(family, dims, inst.seed, args.solver, prob.beta, result)
+        if dump_fh:
+            json.dump(inst.to_json(), dump_fh)
+        if csv_fh:
+            _append_csv(csv_fh, [row])
+        if json_fh:
+            json.dump({**row, "x_final": result.x_final.tolist(), "h_val": result.h_val},
+                      json_fh)
     print(",".join(str(row[c]) for c in CSV_COLUMNS))
     if result.status in (solvers.NUMERICAL_FAILURE, solvers.LINE_SEARCH_FAILURE):
         return 3
@@ -141,7 +144,8 @@ def _bench_task(payload):
     config = _solver_config(family, solver_name, max_iter)
     best = None
     for beta in beta_grid:
-        inst, prob, result = _run_single(family, dims, seed, beta, config)
+        inst, prob = problems.gen_instance(family, seed=seed, beta=beta, **dims)
+        result = solvers.solve(prob, inst.x0, config)
         feasible = result.feas <= config.tol_feas
         key = (0 if feasible else 1, result.f_val if feasible else result.feas)
         if best is None or key < best[0]:
@@ -173,14 +177,17 @@ def cmd_bench(args):
              for n in ns for rho in rhos for seed in seeds]
     for task in tasks:  # every task's dims before any solve
         family.check(**task[1])
+    if args.beta is not None:  # as PenaltyProblem would, before the CSV opens
+        mappings._check_beta(args.beta)
 
     jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_bench_task, tasks))
-    else:
-        rows = [_bench_task(t) for t in tasks]
-    _append_csv(args.csv, rows)
+    with open(args.csv, "a", newline="") as fh:  # before any solve
+        if jobs > 1 and len(tasks) > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_bench_task, tasks))
+        else:
+            rows = [_bench_task(t) for t in tasks]
+        _append_csv(fh, rows)
     for row in rows:
         print(",".join(str(row[c]) for c in CSV_COLUMNS))
     return 0

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 IDEMPOTENCY_DIM_GUARD = 200  # materializing the Jacobian is O(n) map products
+GRAD_CHECK_THRESHOLD = 1e-6  # relative gradient error grad_check allows
 ASSUMPTION_A_THRESHOLDS = (1e-10, 1e-8, 1e-6)  # fixed point, kernel, idempotency
 STENCIL_ROWS = 256  # points per stacked h_value call of grad_check's stencil
 KERNEL_SAMPLES = 10  # random multipliers per point of assumption_a_check's kernel test
@@ -62,7 +63,7 @@ class CheckReport:
         return asdict(self)
 
 
-def grad_check(prob, points, threshold=1e-6):
+def grad_check(prob, points):
     """Compare the analytic penalty gradient with central differences."""
     details = []
     worst = 0.0
@@ -73,7 +74,7 @@ def grad_check(prob, points, threshold=1e-6):
         rel = _norm(g - gfd) / max(1.0, _norm(gfd))
         worst = max(worst, rel)
         details.append({"rel_error": rel, "grad_norm": _norm(gfd)})
-    return CheckReport.build("grad_check", len(details), worst, threshold, details)
+    return CheckReport.build("grad_check", len(details), worst, GRAD_CHECK_THRESHOLD, details)
 
 
 def _fd_grad(prob, x):
@@ -156,22 +157,16 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     return CheckReport.build("assumption_a_check", len(details), worst, 1.0, details)
 
 
-def pi_sigma(cmap, domain, x, r=None):
-    """r-th largest singular value of P_E G(x); small values flag a
+def pi_sigma(cmap, domain, x):
+    """Least singular value of P_E G(x) above 1e-10 times the largest (its
+    r-th largest, r the numerical rank), else 0.0; small values flag a
     near-degenerate constraint qualification."""
     x = np.asarray(x, dtype=float)
     G = cmap.jac_matrix(x)
     PG = domain.affine_hull_projector() @ G
     svals = np.linalg.svd(PG, compute_uv=False) if min(PG.shape) else np.zeros(0)
-    if r is None:
-        if svals.size == 0 or svals[0] == 0.0:
-            return 0.0
-        r = int(np.sum(svals > 1e-10 * svals[0]))
-        if r == 0:
-            return 0.0
-    if not 1 <= r <= min(domain.n, cmap.p):
-        raise ValueError(f"rank index r={r} out of range 1..{min(domain.n, cmap.p)}")
-    return float(svals[r - 1])
+    r = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
+    return float(svals[r - 1]) if r else 0.0
 
 
 def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):

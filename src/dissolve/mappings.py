@@ -161,6 +161,11 @@ class DissolvingMap:
     sigma: Optional[float] = None
 
 
+def _check_beta(beta):
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative; got {beta}")
+
+
 @dataclass(frozen=True)
 class PenaltyProblem:
     """Objective f, constraints c, domain X, dissolving map A, and beta."""
@@ -173,8 +178,7 @@ class PenaltyProblem:
     beta: float
 
     def __post_init__(self):
-        if not 0 <= self.beta < np.inf:
-            raise ValueError(f"beta must be finite and nonnegative; got {self.beta}")
+        _check_beta(self.beta)
 
     @property
     def n(self):

@@ -3,11 +3,12 @@
 Every descriptor knows how to project onto itself, expose the orthogonal
 projector onto the subspace parallel to its affine hull, evaluate its
 projective mapping Q(x) (a smooth, symmetric, positive-semidefinite operator
-whose null space spans the normal cone), and differentiate Q along a
-direction.  Matrix-shaped sets act on column-major flattened vectors.
+whose null space spans the normal cone), and differentiate Q in the adjoint
+form the dissolving map's vjp needs.  Matrix-shaped sets act on column-major
+flattened vectors.
 
 The public methods of `ConvexSet` validate their arguments once and call a
-kernel (`_project`, `_normal_cone_project`, `_q`, `_dq`, `_dq_form`); the
+kernel (`_project`, `_normal_cone_project`, `_q`, `_dq_form`); the
 subclasses supply only kernels, and a product calls its factors' kernels.
 
 `_q_cols` applies Q(x) to every column of a matrix, as the dissolving-map
@@ -123,9 +124,6 @@ class ConvexSet:
             out[:, j] = self._q(x, V[:, j])
         return out
 
-    def _dq(self, x, d, v):
-        raise NotImplementedError
-
     def _dq_form(self, x, v, w):
         raise NotImplementedError
 
@@ -173,19 +171,18 @@ class ConvexSet:
         return self._q_cols(self._check_point(x, validate), np.eye(self.n))
 
     def dq_apply(self, x, d, v, validate=True):
-        """Directional derivative of x -> Q(x) v along d:  (DQ(x)[d]) v."""
+        """Directional derivative of x -> Q(x) v along d:  (DQ(x)[d]) v, whose
+        entry i is <dq_form_grad(x, v, e_i), d>: n kernel calls, for tests and
+        small n (no solve or check calls it)."""
         x = self._check_point(x, validate)
         d = _vec(d, self.n, "d")
         v = _vec(v, self.n, "v")
-        return self._dq(x, d, v)
+        return np.array([self._dq_form(x, v, e) @ d for e in np.eye(self.n)])
 
     def dq_form_grad(self, x, v, w, validate=True):
-        """Gradient of the scalar map d -> <w, (DQ(x)[d]) v>.
-
-        This is the adjoint of dq_apply in its direction argument; each
-        variant supplies it in closed form so that analytic Jacobians of the
-        dissolving map stay O(n).
-        """
+        """Gradient of the scalar map d -> <w, (DQ(x)[d]) v>: each set's one
+        derivative kernel, in closed form so that the dissolving map's vjp
+        stays O(n)."""
         x = self._check_point(x, validate)
         v = _vec(v, self.n, "v")
         w = _vec(w, self.n, "w")
@@ -268,9 +265,6 @@ class Box(ConvexSet):
     def _q_cols(self, x, V):
         return self._weights(x)[..., None] * V
 
-    def _dq(self, x, d, v):
-        return self._weights_deriv(x) * d * v
-
     def _dq_form(self, x, v, w):
         return self._weights_deriv(x) * v * w
 
@@ -336,7 +330,9 @@ class NormBall(ConvexSet):
         # an infinite entry would keep the multiplier bracket growing forever
         _require_finite(x, "lq-ball projection")
         a = np.abs(x)
-        if np.sum(a ** q) <= u ** q:
+        with np.errstate(over="ignore"):  # an overflow to inf lies outside
+            inside = np.sum(a ** q) <= u ** q
+        if inside:
             return x.copy()
         return np.sign(x) * _lq_ball_shrink(a, u, q)
 
@@ -349,35 +345,14 @@ class NormBall(ConvexSet):
         return (v - (w * (x @ v) + x * (w @ v)) / u ** q
                 + s * x * (x @ v) / u ** (2.0 * q))
 
-    def _require_smooth(self, x):
-        if self.exponent < 2.0 and np.any(np.abs(x) < 1e-14):
-            raise DomainViolation(
-                "derivative of the lq projective mapping is unbounded at zero "
-                "coordinates for exponents below 2"
-            )
-
-    def _dq(self, x, d, v):
-        u, q = self.radius, self.exponent
-        if self._is_l2:
-            return -(d * (x @ v) + x * (d @ v)) / u ** 2
-        self._require_smooth(x)
-        ax = np.abs(x)
-        w = np.sign(x) * ax ** (q - 1.0)
-        kappa = (q - 1.0) * ax ** (q - 2.0)
-        tau = (2.0 * q - 2.0) * np.sign(x) * ax ** (2.0 * q - 3.0)
-        s = np.sum(ax ** (2.0 * q - 2.0))
-        wdot = kappa * d
-        sdot = tau @ d
-        uq, u2q = u ** q, u ** (2.0 * q)
-        return (-(wdot * (x @ v) + w * (d @ v) + d * (w @ v) + x * (wdot @ v)) / uq
-                + (sdot * x * (x @ v) + s * (d * (x @ v) + x * (d @ v))) / u2q)
-
     def _dq_form(self, x, v, w):
         u, q = self.radius, self.exponent
         if self._is_l2:
             return -((x @ v) * w + (x @ w) * v) / u ** 2
-        self._require_smooth(x)
         ax = np.abs(x)
+        if q < 2.0 and np.any(ax < 1e-14):
+            raise DomainViolation("derivative of the lq projective mapping is unbounded at "
+                                  "zero coordinates for exponents below 2")
         wx = np.sign(x) * ax ** (q - 1.0)
         kappa = (q - 1.0) * ax ** (q - 2.0)
         tau = (2.0 * q - 2.0) * np.sign(x) * ax ** (2.0 * q - 3.0)
@@ -421,7 +396,8 @@ def _lq_ball_shrink(a, u, q):
         hi = np.minimum(a, u)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            too_big = mid + lam * q * mid ** (q - 1.0) > a
+            with np.errstate(over="ignore"):  # an overflow to inf is too big
+                too_big = mid + lam * q * mid ** (q - 1.0) > a
             hi = np.where(too_big, mid, hi)
             lo = np.where(too_big, lo, mid)
         return 0.5 * (lo + hi)
@@ -477,13 +453,6 @@ class Simplex(ConvexSet):
 
     def _q(self, x, v):
         return self._m_apply(x, self._m_apply(x, v))
-
-    def _mdot_apply(self, x, d, v):
-        return d * v - d * (x @ v) - x * (d @ v)
-
-    def _dq(self, x, d, v):
-        return (self._mdot_apply(x, d, self._m_apply(x, v))
-                + self._m_apply(x, self._mdot_apply(x, d, v)))
 
     def _dq_form(self, x, v, w):
         def phi(a, b):
@@ -565,14 +534,6 @@ class SecondOrderCone(ConvexSet):
         g, s, e = self._parts(z)
         return s * v - e * (g @ v) * g
 
-    def _dq(self, z, d, v):
-        g, s, e = self._parts(z)
-        dtil = d.copy()
-        dtil[-1] = -d[-1]
-        sdot = 2.0 * (z @ d)
-        edot = 2.0 * e * (g @ d)
-        return sdot * v - edot * (g @ v) * g - e * ((dtil @ v) * g + (g @ v) * dtil)
-
     def _dq_form(self, z, v, w):
         g, s, e = self._parts(z)
         vtil = v.copy()
@@ -645,12 +606,6 @@ class SpectralBall(ConvexSet):
         R = Y - X @ (0.5 * (M + M.swapaxes(-1, -2)))
         return np.ascontiguousarray(R.swapaxes(-1, -3).reshape(V.shape))
 
-    def _dq(self, x, d, v):
-        X = _mat(x, self._shape())
-        D = _mat(d, self._shape())
-        Y = _mat(v, self._shape())
-        return _flat(-D @ _sym(X.T @ Y) - X @ _sym(D.T @ Y))
-
     def _dq_form(self, x, v, w):
         X = _mat(x, self._shape())
         Y = _mat(v, self._shape())
@@ -715,12 +670,6 @@ class PsdCone(ConvexSet):
         Y = _mat(v, self._shape())
         return _flat(X @ Y @ X)
 
-    def _dq(self, x, d, v):
-        X = _mat(x, self._shape())
-        D = _mat(d, self._shape())
-        Y = _mat(v, self._shape())
-        return _flat(D @ Y @ X + X @ Y @ D)
-
     def _dq_form(self, x, v, w):
         X = _mat(x, self._shape())
         Y = _mat(v, self._shape())
@@ -774,14 +723,6 @@ class PsdSpectralBall(PsdCone):
         Y = _mat(v, self._shape())
         X2 = X @ X
         return _flat(X @ Y @ X - X2 @ Y @ X2)
-
-    def _dq(self, x, d, v):
-        X = _mat(x, self._shape())
-        D = _mat(d, self._shape())
-        Y = _mat(v, self._shape())
-        X2 = X @ X
-        DX2 = D @ X + X @ D
-        return _flat(D @ Y @ X + X @ Y @ D - DX2 @ Y @ X2 - X2 @ Y @ DX2)
 
     def _dq_form(self, x, v, w):
         X = _mat(x, self._shape())
@@ -867,11 +808,6 @@ class LinearInequalities(ConvexSet):
         pv = self._pinv @ v
         return v + self._pinv.T @ ((s * s - 1.0) * pv)
 
-    def _dq(self, x, d, v):
-        s = self._slack(x)
-        pv = self._pinv @ v
-        return self._pinv.T @ ((-2.0 * s * (self.A.T @ d)) * pv)
-
     def _dq_form(self, x, v, w):
         s = self._slack(x)
         pv = self._pinv @ v
@@ -929,9 +865,6 @@ class Product(ConvexSet):
         # blocks run along the last axis of x and the rows of each V
         return np.concatenate([f._q_cols(x[..., s], V[..., s, :])
                                for f, s in zip(self.factors, self._slices)], axis=-2)
-
-    def _dq(self, x, d, v):
-        return self._each("_dq", (x, d, v))
 
     def _dq_form(self, x, v, w):
         return self._each("_dq_form", (x, v, w))

@@ -135,6 +135,11 @@ def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
                        wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
 
 
+def _check_step(a):
+    if not 0 < a < math.inf:
+        raise ValueError("step size must be positive and finite")
+
+
 def estimate_grad_lipschitz(prob, x0):
     """LIPSCHITZ_ITERS power steps on a finite-difference Hessian operator of h at x0."""
     x0 = np.asarray(x0, dtype=float)
@@ -170,8 +175,7 @@ def solve(prob, x0, config=None):
     x = prob.domain.project(np.asarray(x0, dtype=float))
     if not bb:
         a = config.eta if config.eta is not None else 1.0 / estimate_grad_lipschitz(prob, x)
-        if not 0 < a < math.inf:
-            raise ValueError("step size must be positive and finite")
+        _check_step(a)
 
     pt = {}
     hval = h_value(prob, x, pt)

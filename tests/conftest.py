@@ -22,9 +22,10 @@ from dissolve.sets import (
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_fresh(code):
-    """Run `code` in a fresh interpreter that imports dissolve from src; return its stdout."""
-    out = subprocess.run([sys.executable, "-c", code],
+def run_fresh(code, *flags):
+    """Run `code` in a fresh interpreter, started with the interpreter `flags`,
+    that imports dissolve from src; return its stdout."""
+    out = subprocess.run([sys.executable, *flags, "-c", code],
                          env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

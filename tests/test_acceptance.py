@@ -95,8 +95,7 @@ def test_criterion_1_gradient_fidelity():
                             ("qpb", gen_qpb, (50,)),
                             ("fpca", gen_fpca, (10, 2, 3))):
         inst, prob = gen(*dims, seed=0)
-        report = grad_check(prob, near_feasible_points(inst, 20, seed=1),
-                            threshold=1e-6)
+        report = grad_check(prob, near_feasible_points(inst, 20, seed=1))
         worst[name] = report.worst_violation
     elapsed = time.perf_counter() - t0
     ok = all(v <= 1e-6 for v in worst.values()) and elapsed <= 30.0

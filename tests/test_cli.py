@@ -420,20 +420,32 @@ def test_non_finite_instance_exits_2_without_rows(tmp_path, capsys, family, dims
 
 
 @pytest.mark.parametrize("flag", ["--instance", "--csv", "--json-out", "--dump-instance",
-                                  "bench --csv", "dump-instance --out"])
-def test_path_that_is_a_directory_exits_2(tmp_path, capsys, flag):
+                                  "--csv and --json-out", "bench --csv",
+                                  "dump-instance --out"])
+def test_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, flag):
     # these raised IsADirectoryError with a traceback and exit 1, which
-    # reads as a failed check
+    # reads as a failed check.  solve and bench open every output before they
+    # generate or solve anything, so a good --csv gets no row
+    calls = []
+    monkeypatch.setattr(cli.solvers, "solve", lambda *a: calls.append("solve"))
+    gen_instance = cli.problems.gen_instance
+    monkeypatch.setattr(cli.problems, "gen_instance",
+                        lambda *a, **k: calls.append("generate") or gen_instance(*a, **k))
     small = ["--family", "npca", "--n", "6", "--cols", "3"]
+    csv_path = tmp_path / "runs.csv"
     if flag == "bench --csv":
         argv = ["bench", *small, "--seeds", "0", "--jobs", "1", "--csv", str(tmp_path)]
     elif flag == "dump-instance --out":
         argv = ["dump-instance", *small, "--out", str(tmp_path)]
     elif flag == "--instance":
         argv = ["solve", "--instance", str(tmp_path)]
+    elif flag == "--csv and --json-out":
+        argv = ["solve", *small, "--csv", str(csv_path), "--json-out", str(tmp_path)]
     else:
         argv = ["solve", *small, flag, str(tmp_path)]
     assert main(argv) == 2
+    assert calls == (["generate"] if argv[0] == "dump-instance" else [])
+    assert not csv_path.exists() or csv_path.read_text() == ""
     assert "Is a directory" in capsys.readouterr().err
 
 

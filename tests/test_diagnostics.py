@@ -167,7 +167,7 @@ def sphere_cmap(n, radius=1.0):
 
 def test_pi_sigma_sphere_value():
     domain = NormBall(2, radius=2.0)
-    assert pi_sigma(sphere_cmap(2), domain, np.array([1.0, 0.0]), r=1) == pytest.approx(2.0)
+    assert pi_sigma(sphere_cmap(2), domain, np.array([1.0, 0.0])) == pytest.approx(2.0)
 
 
 def test_pi_sigma_duplicated_rows_flag_degeneracy():
@@ -180,10 +180,9 @@ def test_pi_sigma_duplicated_rows_flag_degeneracy():
     )
     domain = Box(np.full(n, -np.inf), np.full(n, np.inf))
     x = np.zeros(2)
-    assert pi_sigma(cmap, domain, x, r=2) == pytest.approx(0.0, abs=1e-12)
-    assert pi_sigma(cmap, domain, x) > 0  # inferred rank drops to 1
-    with pytest.raises(ValueError):
-        pi_sigma(cmap, domain, x, r=3)
+    # G = [[1, 2], [1, 2]] has singular values sqrt(10) and 0: the inferred
+    # rank drops to 1, so pi is the one nonzero value
+    assert pi_sigma(cmap, domain, x) == pytest.approx(np.sqrt(10.0), rel=1e-12)
 
 
 def test_pi_sigma_projects_out_affine_hull():
@@ -201,8 +200,8 @@ def test_pi_sigma_projects_out_affine_hull():
     x = np.full(n, 1.0 / n)
     P = domain.affine_hull_projector()
     expect = np.linalg.svd((P @ a)[:, None], compute_uv=False)[0]
-    assert pi_sigma(cmap, domain, x, r=1) == pytest.approx(expect, rel=1e-12)
-    assert pi_sigma(cmap, domain, x, r=1) < np.linalg.norm(a)
+    assert pi_sigma(cmap, domain, x) == pytest.approx(expect, rel=1e-12)
+    assert pi_sigma(cmap, domain, x) < np.linalg.norm(a)
 
 
 # ---------------------------------------------------------------- probe
