@@ -10,8 +10,10 @@ Checks that evaluate many points evaluate them as stacks: grad_check's
 probe's samples at each radius are one stacked c and one stacked G c, each
 row bit-identical to the per-point call (see `dissolve.mappings`).
 Wrappers of `h_value` or of the constraint callbacks therefore see one call
-per stack.  `assumption_a_check` takes its vjps one point and one vector at
-a time.
+per stack.  Checks that take many products at one point take them as
+blocks: `assumption_a_check`'s kernel samples are one stacked G lam and one
+vjp over their block, and its Jacobian one vjp over the identity, each
+column bit-identical to the one-vector vjp.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     residual ||gradA(x) G(x) lam|| / max(1, ||lam||) over KERNEL_SAMPLES
     random lam (one generator seeded 0 for all points), and the
     affine-hull-projected idempotency residual of the materialized Jacobian.
-    Points must satisfy ||c(x)|| <= 1e-10 and lie in the domain.
+    Each point takes three map products: A(x), one vjp over the block of
+    the samples' G(x) lam and one over the identity.  Points must satisfy
+    ||c(x)|| <= 1e-10 and lie in the domain.
     """
     thr_fix, thr_ker, thr_idem = thresholds
     rng = np.random.default_rng(0)
@@ -128,9 +132,11 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         ker = 0.0
         ker_span_dist = 0.0
         if cmap.p:
-            for _ in range(KERNEL_SAMPLES):
-                lam = rng.standard_normal(cmap.p)
-                v = amap.vjp(x, cmap.jac_t_apply(x, lam), point)
+            # the samples' G(x) lam as the columns of one block, one vjp over it
+            Lam = rng.standard_normal((KERNEL_SAMPLES, cmap.p))
+            GLam = cmap.jac_t_stack(np.broadcast_to(x, (KERNEL_SAMPLES, n)), Lam)
+            V = amap.vjp(x, GLam.T, point)
+            for lam, v in zip(Lam, V.T.copy()):
                 resid = _norm(v) / max(1.0, _norm(lam))
                 if resid > ker:
                     ker = resid
@@ -143,7 +149,7 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         rec["kernel_outside_normal_span"] = ker_span_dist
 
         if n <= IDEMPOTENCY_DIM_GUARD:
-            J = np.column_stack([amap.vjp(x, e, point) for e in np.eye(n)])
+            J = amap.vjp(x, np.eye(n), point)
             idem = float(np.linalg.norm(P_E @ (J @ J - J), 2))
             rec["idempotency"] = idem
         else:
@@ -155,6 +161,12 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         worst = max(worst, rec["ratio"])
         details.append(rec)
     return CheckReport.build("assumption_a_check", len(details), worst, 1.0, details)
+
+
+def _row_norms(V):
+    """_norm of each row of V, each bit for bit: one stacked (1, n) @ (n, 1)
+    dot per row."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
 def pi_sigma(cmap, domain, x):
@@ -183,9 +195,14 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
     if np.array_equal(P_E, np.eye(x.size)):
         def hull(v):
             return v
+
+        hull_rows = hull
     else:
         def hull(v):
             return P_E @ v
+
+        def hull_rows(V):  # P_E @ v for each row v of V, as hull takes it
+            return (P_E @ V[:, :, None])[:, :, 0]
     pi_val = pi_sigma(cmap, domain, x)
     if pi_val <= 1e-10:
         details = [{"pi": pi_val, "held_radius": 0.0,
@@ -201,16 +218,15 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
             if nu == 0.0:
                 continue
             ys.append(x + radius * rng.random() * u / nu)
-        worst = 0.0
         if not ys:
-            return worst
+            return 0.0
         Y = np.array(ys)
         C = cmap.value_stack(Y)
-        for c, gc in zip(C, cmap.jac_t_stack(Y, C)):
-            lhs = _norm(hull(gc))
-            rhs = 0.5 * pi_val * _norm(c)
-            worst = max(worst, rhs - lhs)
-        return worst
+        lhs = _row_norms(hull_rows(cmap.jac_t_stack(Y, C)))
+        gap = 0.5 * pi_val * _row_norms(C) - lhs
+        # the running max from 0.0 that Python's max takes: a NaN is skipped
+        worse = gap[gap > 0.0]
+        return float(worse.max()) if worse.size else 0.0
 
     slack = 1e-12 * (1.0 + pi_val)
     details = []

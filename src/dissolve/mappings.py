@@ -18,12 +18,21 @@ A build runs over an (N, n) stack of points, and one point is the stack of
 one.  c and G come from the constraint map's `value_stack` and `jac_stack`
 (and the error-bound probe's G c from `jac_t_stack`): one call each for a
 map declared `stacked` (fpca's), one per-point callback per row for any
-other; the stacked callbacks are optional.  Every product over the stack is a matmul whose slices keep the
-strides of the one-point product, and the N cores take one stacked SVD, so
-row i is bit-identical to a build at x_i alone.  `h_value(prob, X)` on an
-(N, n) stack returns the N penalty values from one build; the diagnostics
-call it so for grad_check's finite-difference stencil, so a wrapper of
-`h_value` sees that stack as one call.
+other; the stacked callbacks are optional.  Every product over the stack is
+a matmul whose slices keep the strides of the one-point product, and the N
+cores take one stacked SVD, so row i is bit-identical to a build at x_i
+alone.  `h_value(prob, X)` on an (N, n) stack returns the N penalty values
+from one build; the diagnostics call it so for grad_check's
+finite-difference stencil, so a wrapper of `h_value` sees that stack as one
+call.
+
+A vjp runs over an n-by-m block of directions in the same way, and one
+direction is the block of one: gradA(x) W, column j bit-identical to the
+vjp of W[:, j] alone.  The generic map applies Q and the derivative kernel
+to the block through the domain's `_q_cols` and `_dq_form_cols`, and the
+constraint Hessians through `hess_stack`, one call for a stacked map and
+one per row for any other; its products with G and the core are stacked
+matrix-vector products, each slice on the one-direction BLAS path.
 
 Work done at one point lives in a dict the caller carries for that point,
 never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
@@ -77,9 +86,11 @@ class ConstraintMap:
     `stacked=True` declares that value, jac_t_apply and jac_columns (then
     required) also take an (N, n) stack of points, with an (N, p) stack of
     multipliers for jac_t_apply, and return the (N, p), (N, n) and (N, n, p)
-    stacks of their per-point results, bit for bit.  The `*_stack` methods
-    evaluate a stack through them in one call, or, for a map without them,
-    through one per-point call per row.
+    stacks of their per-point results, bit for bit; and that hess_apply
+    takes, at one point, an (m, p) stack of multipliers with an (m, n)
+    stack of directions and returns the (m, n) stack of its results, bit
+    for bit.  The `*_stack` methods evaluate a stack through them in one
+    call, or, for a map without them, through one call per row.
     """
 
     p: int
@@ -122,6 +133,13 @@ class ConstraintMap:
             return self.jac_columns(X)
         return _per_row(self.jac_matrix, X.shape + (self.p,), X)
 
+    def hess_stack(self, x, Lam, D):
+        """hess_apply(x, lam_j, d_j) at one x for each row of the (m, p) Lam
+        and of the (m, n) D, as an (m, n) array."""
+        if self.stacked:
+            return self.hess_apply(x, Lam, D)
+        return _per_row(lambda lam, d: self.hess_apply(x, lam, d), D.shape, Lam, D)
+
 
 def _per_row(fn, shape, *stacks):
     # the stack of fn's per-point results, one call per row
@@ -150,8 +168,12 @@ class DissolvingMap:
     `point` is a dict the caller carries for one x and one map; the map may
     store work done at x there and reuse it on later calls with the same
     dict.  The generic map's value also takes an (N, n) stack of points
-    and returns the (N, n) stack of A(x_i), built at once.  The generic map
-    stores its core build there under "build", the closed-form sphere map
+    and returns the (N, n) stack of A(x_i), built at once.  Every vjp takes
+    one direction w (n,) or an n-by-m block W of directions, one direction
+    being the block of one.  For a block it returns gradA(x) W as a
+    C-ordered n-by-m array whose column j is vjp(x, W[:, j]) bit for bit,
+    the column taken as a contiguous vector.  The generic map stores its
+    core build in the point under "build", the closed-form sphere map
     x^T x; the p = 0 identity map stores nothing.  Every vjp is exact.
     """
 
@@ -241,12 +263,16 @@ class _GenericMap:
 
     `value` takes one point (n,) or an (N, n) stack of points and builds
     over the stack either way, one point being the stack of one; `vjp` takes
-    one point.  Work done at x lives in the `point` dict the caller carries
-    for that x: the stacked value parts (c, G, QG, core_pinv, u) under
-    "build", with the constraint map they were built over under
-    "built_over", and, once a vjp has run there, the w-free vjp parts (the
-    point's G, core_pinv and u, then G u, Q(x) G u, G(x) c) under
-    "build_vjp".  Without a point every call builds afresh.
+    one point and a block of directions, one direction being the block of
+    one, and applies Q, the derivative kernel and the constraint Hessians
+    to the whole block: two `_q_cols` calls, one `_dq_form_cols` call over
+    the 2m columns of its two `dq_form` terms, and one `hess_stack` call
+    over the 3m rows of its three Hessian terms.  Work done at x lives in
+    the `point` dict the caller carries for that x: the stacked value parts
+    (c, G, QG, core_pinv, u) under "build", with the constraint map they
+    were built over under "built_over", and, once a vjp has run there, the
+    w-free vjp parts (the point's G, core_pinv and u, then G u, Q(x) G u,
+    G(x) c) under "build_vjp".  Without a point every call builds afresh.
     """
 
     def __init__(self, domain, cmap, sigma):
@@ -269,35 +295,51 @@ class _GenericMap:
         return x - (QG @ u[:, :, None]).reshape(x.shape)
 
     def vjp(self, x, w, point=None):
-        # product rule across Q G, the pseudo-inverted core, and c; exact
+        # product rule across Q G, the pseudo-inverted core, and c; exact.
+        # The m directions are the columns of W, contiguous, and R = W^T
+        # holds them as rows; each term is one call or one stacked product
+        # over all of them, whose slices take the one-direction path
         x = np.asarray(x, dtype=float)
         w = np.asarray(w, dtype=float)
         point = {} if point is None else point
-        domain, hess = self.domain, self.cmap.hess_apply
+        domain = self.domain
         if "build_vjp" not in point:
             c, G, _, core_pinv, u = (part[0] for part in self._parts(x, point))
             Gu = G @ u
             point["build_vjp"] = (G, core_pinv, u, Gu, domain._q(x, Gu),
                                   self.cmap.jac_t_apply(x, c))
         G, core_pinv, u, Gu, QGu, Gc = point["build_vjp"]
-        Qw = domain._q(x, w)
-        a = core_pinv @ (G.T @ Qw)
-        Ga = G @ a
-        QGa = domain._q(x, Ga)
-        grad_phi = (domain._dq_form(x, Gu, w)
-                    + hess(x, u, Qw)
-                    + Ga
-                    - hess(x, a, QGu)
-                    - domain._dq_form(x, Gu, Ga)
-                    - hess(x, u, QGa)
-                    - 2.0 * self.sigma * float(a @ u) * Gc)
-        return w - grad_phi
+        W = np.asfortranarray(w.reshape(x.size, -1))
+        R = W.T
+        m, n = R.shape
+        # the rows of the three Hessian terms' multipliers and directions:
+        # (u, Q w_j), (a_j, Q G u), (u, Q G a_j)
+        Lam, D = np.empty((3 * m, u.size)), np.empty((3 * m, n))
+        D[:m] = domain._q_cols(x, W).T
+        A = core_pinv @ (G.T @ D[:m, :, None])
+        GA = (G @ A)[:, :, 0]
+        D[m:2 * m] = QGu
+        D[2 * m:] = domain._q_cols(x, GA.T).T
+        Lam[:m] = Lam[2 * m:] = u
+        Lam[m:2 * m] = A[:, :, 0]
+        au = (A.swapaxes(-1, -2) @ u[:, None])[:, 0, 0]  # a_j . u, as a @ u takes it
+        DQ = domain._dq_form_cols(x, Gu, np.concatenate([R, GA]).T).T
+        H = self.cmap.hess_stack(x, Lam, D)
+        grad_phi = (DQ[:m]
+                    + H[:m]
+                    + GA
+                    - H[m:2 * m]
+                    - DQ[m:]
+                    - H[2 * m:]
+                    - (2.0 * self.sigma * au)[:, None] * Gc)
+        return np.ascontiguousarray((R - grad_phi).T).reshape(w.shape)
 
 
 def sphere_nonneg_map():
     """npca's hand-differentiated dissolving map for the unit sphere over the
     nonnegative orthant: A(x) = x - x (x^T x - 1) / 2, with
-    gradA(x) w = (3 - x^T x) w / 2 - x (x^T w)."""
+    gradA(x) w = (3 - x^T x) w / 2 - x (x^T w), for one w or each column
+    of a block."""
 
     def xx(x, point):
         # x^T x, which value and vjp share, kept in the point
@@ -315,7 +357,11 @@ def sphere_nonneg_map():
     def vjp(x, w, point=None):
         x = np.asarray(x, dtype=float)
         alpha = 0.5 * (3.0 - xx(x, point))
-        return alpha * w - x * (x @ w)
+        if np.ndim(w) == 1:
+            return alpha * w - x * (x @ w)
+        W = np.asfortranarray(w, dtype=float)
+        xw = (x @ W.T[:, :, None])[:, 0]  # x . w_j over the contiguous columns
+        return np.ascontiguousarray(alpha * W - x[:, None] * xw)
 
     return DissolvingMap(value=value, vjp=vjp, mode="closed_form", sigma=None)
 

@@ -15,8 +15,10 @@ Jacobian products and Hessian products each take one product over the k
 stacked group matrices, with the per-group arithmetic of a loop over the
 groups, so all four are bit-identical to that loop.  The first three also
 take an (N, n) stack of points (its constraint map is `stacked`) in one
-product over all points and groups, each point's P a view with the strides
-of a single point's, so row i is bit-identical to a call at x_i alone.
+product over all points and groups, and the Hessian product an (m, p) stack
+of multipliers with an (m, n) stack of directions at one point; each
+point's P and each direction's a view with the strides of a single one's,
+so row i is bit-identical to a call with row i alone.
 """
 
 from __future__ import annotations
@@ -264,8 +266,8 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
     dim = ye + 1
     hat = np.array(hat_sq, dtype=float)
     msz = np.array(m_sizes, dtype=float)
-    # per-group -2/m as Python floats for the loops in jac_t, jac and hess:
-    # the same doubles, cheaper to combine
+    # per-group -2/m as Python floats for jac's loop: the same doubles,
+    # cheaper to combine
     g2 = [-2.0 / m for m in msz.tolist()]
     # the k groups stacked, so that c_value, jac_t, jac_columns and hess take
     # one product over all groups; each slice is the per-group array it was
@@ -301,7 +303,8 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
         g[ye] = 1.0
         return g
 
-    # c_value, jac_t and jac_columns take one point or a stack of points
+    # c_value, jac_t and jac_columns take one point or a stack of points;
+    # hess takes one point with one multiplier and direction or a stack of each
     def c_value(x):
         P = mat_p(x)
         xp = x[..., :pe]
@@ -353,16 +356,19 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
         return out
 
     def hess(x, lam, dd):
-        DP = dd[:pe].reshape((n, d), order="F")
-        ll = lam.tolist()
-        M = AtA_stack @ DP
-        HP = np.zeros((n, d))
+        # one (lam, dd) or, at the one point x, an (m, p) and (m, n) stack
+        DP = mat_p(dd)
+        coef = lam[..., :k] * g2_arr
+        terms = coef[..., None, None] * (AtA_stack @ DP[..., None, :, :])
+        if not (coef != 0.0).all():
+            # a zero multiplier adds nothing, even against a non-finite term
+            terms = np.where(coef[..., None, None] != 0.0, terms, 0.0)
+        HP = np.zeros(DP.shape)
         for i in range(k):
-            if ll[i] != 0.0:
-                HP += ll[i] * g2[i] * M[i]
-        HP += ll[k] * 2.0 * DP
-        out = np.zeros(dim)
-        out[:pe] = HP.reshape(-1, order="F")
+            HP += terms[..., i, :, :]
+        HP += (lam[..., k] * 2.0)[..., None, None] * DP
+        out = np.zeros(dd.shape)
+        out[..., :pe] = HP.swapaxes(-1, -2).reshape(dd.shape[:-1] + (pe,))
         return out
 
     cmap = ConstraintMap(p=k + 1, value=c_value, jac_t_apply=jac_t,

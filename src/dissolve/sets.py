@@ -17,7 +17,13 @@ points with an (N, n, m) stack of matrices: a box scales all columns of all
 points at once, a product splits the points and the matrices once, and the
 spectral ball takes one X^T Y and one X S over the stack of all columns of
 all points.  Each equals the stack of `_q(x_i, V_i[:, j])` bit for bit; other
-sets loop over those calls.
+sets loop over those calls.  `_dq_form_cols(x, v, W)` is the derivative
+kernel over a block, as the dissolving map's vjp over a block of directions
+needs: `_dq_form(x, v, W[:, j])` for each column of an n-by-m W, with x and
+v fixed.  A box scales all columns at once, a product splits W once, and the
+spectral ball takes each product once over the stack of all columns; each
+equals `_dq_form` on a contiguous copy of the column bit for bit, and other
+sets loop over `_dq_form`.
 
 This module imports numpy only.  scipy is imported on first use, by the
 lq-ball projection for exponents other than 1, 2 and inf (`brentq`) and by
@@ -126,6 +132,14 @@ class ConvexSet:
 
     def _dq_form(self, x, v, w):
         raise NotImplementedError
+
+    def _dq_form_cols(self, x, v, W):
+        """_dq_form(x, v, W[:, j]) for each column of the n-by-m W, as an
+        n-by-m array; bit for bit when W's columns are contiguous."""
+        out = np.empty(W.shape)
+        for j in range(W.shape[1]):
+            out[:, j] = self._dq_form(x, v, W[:, j])
+        return out
 
     def affine_hull_projector(self):
         raise NotImplementedError
@@ -268,6 +282,9 @@ class Box(ConvexSet):
     def _dq_form(self, x, v, w):
         return self._weights_deriv(x) * v * w
 
+    def _dq_form_cols(self, x, v, W):
+        return (self._weights_deriv(x) * v)[:, None] * W
+
     def affine_hull_projector(self):
         return np.diag((self.lower < self.upper).astype(float))
 
@@ -388,18 +405,25 @@ def _lq_ball_shrink(a, u, q):
     No magnitude of the projection exceeds the radius, so each t_i is
     bisected on [0, min(a_i, u)] and resolved to u * 2^-200 however large
     a_i is.  At lam = 0 that gives min(a_i, u), the projection when it lies
-    in the ball already (one a_i above u, the others' q-th powers negligible)."""
+    in the ball already (one a_i above u, the others' q-th powers negligible).
+    The multiplier stays at or below the largest float; a root beyond it, or
+    any other failure of the root finder, raises ProjectionNotConverged."""
     from scipy.optimize import brentq
 
     def magnitudes(lam):
         lo = np.zeros_like(a)
         hi = np.minimum(a, u)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            with np.errstate(over="ignore"):  # an overflow to inf is too big
-                too_big = mid + lam * q * mid ** (q - 1.0) > a
-            hi = np.where(too_big, mid, hi)
-            lo = np.where(too_big, lo, mid)
+        with np.errstate(over="ignore"):  # an overflow to inf is too big
+            lq = lam * q
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                # lam * q overflows only near the largest float; there the
+                # product is taken as lam * (q t^(q-1)), never as inf * 0
+                term = (lq * mid ** (q - 1.0) if lq < np.inf
+                        else lam * (q * mid ** (q - 1.0)))
+                too_big = mid + term > a
+                hi = np.where(too_big, mid, hi)
+                lo = np.where(too_big, lo, mid)
         return 0.5 * (lo + hi)
 
     def excess(lam):
@@ -408,14 +432,23 @@ def _lq_ball_shrink(a, u, q):
     if excess(0.0) <= 0.0:
         return magnitudes(0.0)
     # bracket [0, 2^k] with the least k >= 0 where excess <= 0; excess falls
-    # as lam grows, so galloping on k finds it in O(log k) evaluations
+    # as lam grows, so galloping on k finds it in O(log k) evaluations.  Past
+    # 2^1023 the top is the largest float
     k_out, k = -1, 0
-    while excess(np.ldexp(1.0, k)) > 0.0:
+    while k <= 1023 and excess(np.ldexp(1.0, k)) > 0.0:
         k_out, k = k, 2 * k + 1
-    while k - k_out > 1:
-        mid = (k_out + k) // 2
-        k_out, k = (mid, k) if excess(np.ldexp(1.0, mid)) > 0.0 else (k_out, mid)
-    lam = brentq(excess, 0.0, float(np.ldexp(1.0, k)), xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    if k > 1023:
+        top = float(np.finfo(float).max)
+    else:
+        while k - k_out > 1:
+            mid = (k_out + k) // 2
+            k_out, k = (mid, k) if excess(np.ldexp(1.0, mid)) > 0.0 else (k_out, mid)
+        top = float(np.ldexp(1.0, k))
+    try:
+        lam = brentq(excess, 0.0, top, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    except (RuntimeError, ValueError) as exc:
+        raise ProjectionNotConverged(
+            f"lq-ball projection: no multiplier in [0, {top:.3e}] solves it") from exc
     return magnitudes(lam)
 
 
@@ -611,6 +644,17 @@ class SpectralBall(ConvexSet):
         Y = _mat(v, self._shape())
         W = _mat(w, self._shape())
         return _flat(-W @ _sym(X.T @ Y) - Y @ _sym(X.T @ W))
+
+    def _dq_form_cols(self, x, v, W):
+        # _dq_form over the (k, m, s) stack of W's columns as matrices; with
+        # contiguous columns each is a view with the strides _mat gives a
+        # contiguous w, so each product takes the same BLAS path as there
+        X = _mat(x, self._shape())
+        Y = _mat(v, self._shape())
+        Ws = W.T.reshape(W.shape[1], self.s, self.m).swapaxes(-1, -2)
+        M = X.T @ Ws
+        R = -Ws @ _sym(X.T @ Y) - Y @ (0.5 * (M + M.swapaxes(-1, -2)))
+        return R.swapaxes(-1, -2).reshape(W.shape[1], self.n).T
 
     def affine_hull_projector(self):
         return np.eye(self.n)
@@ -868,6 +912,10 @@ class Product(ConvexSet):
 
     def _dq_form(self, x, v, w):
         return self._each("_dq_form", (x, v, w))
+
+    def _dq_form_cols(self, x, v, W):
+        return np.concatenate([f._dq_form_cols(x[s], v[s], W[s])
+                               for f, s in zip(self.factors, self._slices)])
 
     def affine_hull_projector(self):
         P = np.zeros((self.n, self.n))

@@ -502,3 +502,60 @@ def test_stencil_blocks_give_the_one_block_reports_bit_for_bit(name, monkeypatch
     assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
     sizes = [min(7, 4 * prob.n - start) for start in range(0, 4 * prob.n, 7)]
     assert rows == [(m, prob.n) for m in sizes] * len(points)
+
+
+# ---------------------------------------------------------------- block vjps
+
+
+def assumption_a_per_vector(amap, cmap, domain, points):
+    """assumption_a_check with one vjp per vector: the kernel samples drawn
+    and applied one at a time, the Jacobian built column by column."""
+    thr_fix, thr_ker, thr_idem = diagnostics.ASSUMPTION_A_THRESHOLDS
+    rng = np.random.default_rng(0)
+    P_E = domain.affine_hull_projector()
+    details, worst = [], 0.0
+    for x in points:
+        point = {}
+        fix = float(np.max(np.abs(amap.value(x, point) - x)))
+        ker = span = 0.0
+        for _ in range(diagnostics.KERNEL_SAMPLES):
+            lam = rng.standard_normal(cmap.p)
+            v = amap.vjp(x, cmap.jac_t_apply(x, lam), point)
+            resid = _norm(v) / max(1.0, _norm(lam))
+            if resid > ker:
+                ker = resid
+                d_pos = _norm(v - domain.normal_cone_project(x, v))
+                d_neg = _norm(v + domain.normal_cone_project(x, -v))
+                span = min(d_pos, d_neg) / max(1.0, _norm(lam))
+        J = np.column_stack([amap.vjp(x, e, point) for e in np.eye(x.size)])
+        idem = float(np.linalg.norm(P_E @ (J @ J - J), 2))
+        rec = {"fixed_point": fix, "kernel": ker, "kernel_outside_normal_span": span,
+               "idempotency": idem,
+               "ratio": max(fix / thr_fix, ker / thr_ker, idem / thr_idem)}
+        worst = max(worst, rec["ratio"])
+        details.append(rec)
+    return CheckReport.build("assumption_a_check", len(details), worst, 1.0, details)
+
+
+@pytest.mark.parametrize("gen,dims", [(gen_npca, (6, 3)), (gen_qpb, (6,)),
+                                      (gen_fpca, (4, 2, 3))], ids=["npca", "qpb", "fpca"])
+def test_assumption_a_block_vjps_give_the_per_vector_report(gen, dims):
+    inst, prob = gen(*dims, seed=1)
+    points = feasible_points(inst, 3, seed=4)
+    calls = []
+
+    def counted(name, fn):
+        def call(x, *args):
+            calls.append((name, np.shape(args[0]) if name == "vjp" else None))
+            return fn(x, *args)
+        return call
+
+    amap = dataclasses.replace(prob.amap, value=counted("A", prob.amap.value),
+                               vjp=counted("vjp", prob.amap.vjp))
+    got = assumption_a_check(amap, prob.cmap, prob.domain, points)
+    want = assumption_a_per_vector(prob.amap, prob.cmap, prob.domain, points)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    # three map products per point: A(x), the kernel block and the identity
+    n = prob.n
+    assert calls == [("A", None), ("vjp", (n, diagnostics.KERNEL_SAMPLES)),
+                     ("vjp", (n, n))] * len(points)

@@ -27,7 +27,7 @@ from dissolve.problems import (
     near_feasible_points,
 )
 
-from conftest import _fd_vjp, run_fresh
+from conftest import _fd_vjp, make_catalog, run_fresh, sample_smooth_point
 
 
 def sphere_cmap(n):
@@ -974,3 +974,98 @@ def test_h_value_over_a_stack_is_each_point_h_value(gen, dims):
     assert got.shape == (7,)
     for i, x in enumerate(X):
         assert same_bits(got[i:i + 1], np.array([h_value(prob, x.copy())])), i
+
+
+# ---------------------------------------------------------------- vjp over a block
+
+
+def quadratic_cmap(n, rng, p=2):
+    """c_i(x) = x^T M_i x / 2 - r_i for symmetric M_i: a map without stacked
+    callbacks, with exact Hessian products."""
+    M = [B + B.T for B in rng.standard_normal((p, n, n))]
+    r = rng.random(p)
+    return ConstraintMap(
+        p=p,
+        value=lambda x: np.array([0.5 * (x @ (Mi @ x)) for Mi in M]) - r,
+        jac_t_apply=lambda x, v: sum(v[i] * (M[i] @ x) for i in range(p)),
+        jac_apply=lambda x, d: np.array([(Mi @ x) @ d for Mi in M]),
+        hess_apply=lambda x, lam, d: sum(lam[i] * (M[i] @ d) for i in range(p)),
+    )
+
+
+def block_vjp_cases():
+    """(name, map, points): the generic map over every catalog set, fpca's
+    (stacked constraint map) and qpb's (not stacked), npca's sphere map and
+    the p = 0 identity."""
+    rng = np.random.default_rng(43)
+    for domain in make_catalog():
+        yield (domain.kind, build_aq(domain, quadratic_cmap(domain.n, rng)),
+               [sample_smooth_point(domain, rng) for _ in range(2)])
+    for name, gen, dims in (("fpca", gen_fpca, (6, 2, 2)), ("qpb", gen_qpb, (8,)),
+                            ("sphere", gen_npca, (7, 3))):
+        inst, prob = gen(*dims, seed=2)
+        yield (name, prob.amap,
+               feasible_points(inst, 1, seed=1) + near_feasible_points(inst, 1, seed=2))
+    domain = NonnegOrthant(5)
+    yield ("identity", build_aq(domain, empty_constraint_map(5)),
+           [sample_smooth_point(domain, rng)])
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_vjp_of_a_block_is_the_column_by_column_vjp(layout):
+    rng = np.random.default_rng(47)
+    for name, amap, points in block_vjp_cases():
+        for x in points:
+            n = x.size
+            for m in (0, 1, 7):
+                W = rng.standard_normal((n, m))
+                W[:1] = -0.0
+                W = np.asfortranarray(W) if layout == "F" else W
+                shared = {}
+                for point in (shared, None, shared):
+                    got = amap.vjp(x, W, point)
+                    cols = [amap.vjp(x, np.ascontiguousarray(W[:, j]), point)
+                            for j in range(m)]
+                    want = np.column_stack(cols) if cols else np.zeros((n, 0))
+                    assert got.flags.c_contiguous, (name, m)
+                    assert same_bits(got, want), (name, m)
+
+
+def fpca_hess_loop(data, lam, dd):
+    """fpca's Hessian product as a loop over the groups, skipping a group
+    whose multiplier is zero."""
+    n, d, k = data["n"], data["d"], data["k"]
+    DP = dd[:n * d].reshape((n, d), order="F")
+    lam = lam.tolist()
+    HP = np.zeros((n, d))
+    for i, A in enumerate(data["A"]):
+        if lam[i] != 0.0:
+            HP += lam[i] * (-2.0 / float(data["m"][i])) * ((A.T @ A) @ DP)
+    HP += lam[k] * 2.0 * DP
+    out = np.zeros(dd.size)
+    out[:n * d] = HP.reshape(-1, order="F")
+    return out
+
+
+def test_hess_stack_rows_are_the_one_row_products():
+    rng = np.random.default_rng(53)
+    inst, fpca = gen_fpca(5, 3, 2, seed=0)
+    _, qpb = gen_qpb(6, seed=0)
+    for prob in (fpca, qpb):
+        x, n, p = prob.domain.project(rng.standard_normal(prob.n)), prob.n, prob.cmap.p
+        for m in (0, 1, 6):
+            Lam, D = rng.standard_normal((m, p)), rng.standard_normal((m, n))
+            if m > 1:
+                Lam[0] = 0.0
+                Lam[1, 0] = -0.0
+                D[0, 0] = np.inf  # behind zero multipliers only
+            with np.errstate(invalid="ignore"):  # 0 * inf in the last term
+                got = prob.cmap.hess_stack(x, Lam, D)
+                rows = [prob.cmap.hess_apply(x, lam, d.copy()) for lam, d in zip(Lam, D)]
+                loops = ([fpca_hess_loop(inst.data, lam, d) for lam, d in zip(Lam, D)]
+                         if prob is fpca else [])
+            assert got.shape == (m, n)
+            for j, row in enumerate(rows):
+                assert same_bits(got[j], row), j
+            for j, loop in enumerate(loops):
+                assert same_bits(got[j], loop), j

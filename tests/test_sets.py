@@ -409,6 +409,41 @@ def test_lq_ball_projection_of_huge_points_is_exact(q):
         assert np.abs(asym - ref).max() <= 1e-12, m
 
 
+# the lq ball near the largest float, in a fresh interpreter where a
+# RuntimeWarning is an error: the multiplier's bracket grew to 2^2047 = inf
+# and the root finder failed (q = 1.5), and lam * q overflowed against a
+# zero magnitude term, inf * 0 (q = 7).  The last point needs a multiplier
+# beyond the largest float
+LQ_NEAR_MAX = """
+import json
+import numpy as np
+from dissolve.sets import NormBall, ProjectionNotConverged
+d = np.array([1.0, -0.25, 0.5])
+out = [[q, m, NormBall(3, 1.5, exponent=q).project(m * d).tolist()]
+       for q, m in ((1.5, 1.7e308), (7.0, 1e200), (3.0, 1.7e308))]
+try:
+    NormBall(2, 1e-4, exponent=1.5).project(np.array([1e308, 1e308]))
+except ProjectionNotConverged:
+    out.append("ProjectionNotConverged")
+print(json.dumps(out))
+"""
+
+
+def test_lq_ball_projection_near_the_largest_float():
+    u = 1.5
+    *points, beyond = json.loads(run_fresh(LQ_NEAR_MAX, "-W", "error::RuntimeWarning"))
+    assert beyond == "ProjectionNotConverged"
+    for q, m, y in points:
+        y, a = np.array(y), m * np.array([1.0, 0.25, 0.5])
+        assert np.array_equal(np.sign(y), [1.0, -1.0, 1.0]), q
+        t = np.abs(y)
+        assert np.sum(t ** q) == pytest.approx(u ** q, rel=1e-14), q
+        # x - y is normal to the sphere at y: a_i / t_i^(q-1) = lam q for all
+        # i, with a_i - t_i = a_i at this scale
+        ratio = a / t ** (q - 1.0)
+        assert ratio.max() / ratio.min() - 1.0 <= 1e-12, q
+
+
 @pytest.mark.parametrize("q", [1.5, 3.0, 4.0, 7.0])
 @pytest.mark.parametrize("u", [0.3, 0.9, 1.2, 7.7])
 def test_lq_ball_projection_of_axis_points_is_the_radius(q, u):
@@ -566,6 +601,22 @@ def test_q_cols_matches_column_stack_of_q(catalog, spread):
                 assert same_bits(got[i], stack), (domain.kind, m, i)
         assert domain._q_cols(x, np.zeros((domain.n, 0))).shape == (domain.n, 0)
         assert domain._q_cols(x[None], np.zeros((1, domain.n, 0))).shape == (1, domain.n, 0)
+
+
+@pytest.mark.parametrize("spread", [0.1, 3.0])
+def test_dq_form_cols_matches_column_stack_of_dq_form(catalog, spread):
+    # the block derivative kernel at one x and v, over contiguous columns as
+    # the dissolving map's vjp passes them
+    rng = np.random.default_rng(41)
+    for domain in catalog + [SpectralBall(30, 4), SpectralBall(1, 6)]:
+        for m in (0, 1, 2, 7):
+            x = sample_smooth_point(domain, rng, spread)
+            v = rng.standard_normal(domain.n)
+            W = np.asfortranarray(rng.standard_normal((domain.n, m)))
+            W[:1] = -0.0
+            cols = [domain._dq_form(x, v, W[:, j]) for j in range(m)]
+            stack = np.column_stack(cols) if cols else np.zeros((domain.n, 0))
+            assert same_bits(domain._dq_form_cols(x, v, W), stack), (domain.kind, m)
 
 
 @pytest.mark.parametrize("m,s", [(1, 1), (4, 3), (5, 5), (7, 1), (1, 6), (30, 4),
