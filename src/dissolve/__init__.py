@@ -7,15 +7,10 @@ from .sets import (
     ConvexSet,
     DimensionMismatch,
     DomainViolation,
-    LinearInequalities,
     NonnegOrthant,
     NormBall,
     Product,
     ProjectionNotConverged,
-    PsdCone,
-    PsdSpectralBall,
-    SecondOrderCone,
-    Simplex,
     SpectralBall,
 )
 from .mappings import (

@@ -1,4 +1,11 @@
-"""Catalog of closed convex sets used as feasible domains.
+"""Closed convex sets used as feasible domains.
+
+The dissolving construction needs of a set only its projection and its
+projective mapping, so any closed convex set enters by subclassing
+`ConvexSet` with its kernels.  This module holds the sets the problem
+families, the CLI, the diagnostics and the benchmark build: boxes (pinned
+coordinates included) and the nonnegative orthant, l2 and lq norm balls, the
+spectral-norm ball of matrices, and Cartesian products of these.
 
 Every descriptor knows how to project onto itself, expose the orthogonal
 projector onto the subspace parallel to its affine hull, evaluate its
@@ -16,20 +23,18 @@ build needs, at one point x with an n-by-m matrix or at an (N, n) stack of
 points with an (N, n, m) stack of matrices: a box scales all columns of all
 points at once, a product splits the points and the matrices once, and the
 spectral ball takes one X^T Y and one X S over the stack of all columns of
-all points.  Each equals the stack of `_q(x_i, V_i[:, j])` bit for bit; other
-sets loop over those calls.  `_dq_form_cols(x, v, W)` is the derivative
+all points.  Each equals the stack of `_q(x_i, V_i[:, j])` bit for bit; the
+norm balls loop over those calls.  `_dq_form_cols(x, v, W)` is the derivative
 kernel over a block, as the dissolving map's vjp over a block of directions
 needs: `_dq_form(x, v, W[:, j])` for each column of an n-by-m W, with x and
 v fixed.  A box scales all columns at once, a product splits W once, and the
 spectral ball takes each product once over the stack of all columns; each
-equals `_dq_form` on a contiguous copy of the column bit for bit, and other
-sets loop over `_dq_form`.
+equals `_dq_form` on a contiguous copy of the column bit for bit, and the
+norm balls loop over `_dq_form`.
 
 This module imports numpy only.  scipy is imported on first use, by the
-lq-ball projection for exponents other than 1, 2 and inf (`brentq`) and by
-`LinearInequalities.project` at a point outside the polyhedron and
-`LinearInequalities.normal_cone_project` (`nnls`), so `import dissolve` and
-every other set leave it unloaded.
+lq-ball projection of a point outside the ball (`brentq`), so
+`import dissolve` and every other set leave it unloaded.
 """
 
 from __future__ import annotations
@@ -49,12 +54,7 @@ __all__ = [
     "Box",
     "NonnegOrthant",
     "NormBall",
-    "Simplex",
-    "SecondOrderCone",
     "SpectralBall",
-    "PsdCone",
-    "PsdSpectralBall",
-    "LinearInequalities",
     "Product",
 ]
 
@@ -68,7 +68,8 @@ class DomainViolation(ValueError):
 
 
 class ProjectionNotConverged(RuntimeError):
-    """A projection failed its feasibility certificate (e.g. an empty polyhedron)."""
+    """A projection could not be computed, e.g. the lq-ball multiplier search
+    found no root."""
 
 
 def _vec(x, n, name="x"):
@@ -120,7 +121,8 @@ class ConvexSet:
     def _q_cols(self, x, V):
         """Q(x) applied to each column of the n-by-m V, or, for an (N, n)
         stack x, Q(x_i) to each column of V_i in an (N, n, m) stack V; equals
-        the stack of _q(x_i, V_i[:, j]) bit for bit."""
+        _q(x_i, .) on a contiguous copy of each column bit for bit when V's
+        columns are contiguous."""
         out = np.empty(V.shape)
         if x.ndim == 2:
             for i in range(x.shape[0]):
@@ -452,151 +454,6 @@ def _lq_ball_shrink(a, u, q):
     return magnitudes(lam)
 
 
-class Simplex(ConvexSet):
-    """{x : x >= 0, sum(x) = 1}."""
-
-    kind = "simplex"
-
-    def __init__(self, n):
-        self._n = int(n)
-
-    @property
-    def n(self):
-        return self._n
-
-    def _project(self, x):
-        # sort-and-threshold; O(n log n) and exact.  The projection is the
-        # same after a shift of every coordinate, so x is shifted to a largest
-        # entry of 0, which keeps the first threshold test at 1 > 0 for a
-        # huge x instead of cancelling to 0 > 0
-        y = x - np.max(x)
-        u = np.sort(y)[::-1]
-        css = np.cumsum(u)
-        j = np.arange(1, self.n + 1)
-        hits = np.flatnonzero(u - (css - 1.0) / j > 0.0)
-        if hits.size == 0:  # a NaN or +inf entry
-            raise ValueError("simplex projection found no threshold; x must be finite")
-        k = hits[-1] + 1
-        tau = (css[k - 1] - 1.0) / k
-        return np.maximum(y - tau, 0.0)
-
-    def _m_apply(self, x, v):
-        # M = Diag(x) - x x^T
-        return x * v - x * (x @ v)
-
-    def _q(self, x, v):
-        return self._m_apply(x, self._m_apply(x, v))
-
-    def _dq_form(self, x, v, w):
-        def phi(a, b):
-            return a * b - (x @ b) * a - (x @ a) * b
-
-        return phi(w, self._m_apply(x, v)) + phi(self._m_apply(x, w), v)
-
-    def affine_hull_projector(self):
-        return np.eye(self.n) - np.full((self.n, self.n), 1.0 / self.n)
-
-    def _normal_cone_project(self, x, z, tol):
-        # normal cone: g_i = t on the support, g_i <= t off it; exact 1-d solve
-        supp = x > tol
-        z_in = z[supp]
-        z_out = np.sort(z[~supp])[::-1]
-        base = float(np.sum(z_in))
-        m = z_in.size
-        # t_k averages the support with the k largest off-support values; the
-        # answer is the first k whose split is consistent on both sides
-        ks = np.arange(z_out.size + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (base + np.concatenate([[0.0], np.cumsum(z_out)])) / (m + ks)
-        ok = np.ones(ks.size, dtype=bool)
-        ok[1:] &= z_out > t[1:] - 1e-15
-        ok[:-1] &= z_out <= t[:-1] + 1e-15
-        hits = np.flatnonzero(ok)
-        # numerical tie fallback
-        best_t = float(t[hits[0]]) if hits.size else base / max(m, 1)
-        out = np.minimum(z, best_t)
-        out[supp] = best_t
-        return out
-
-    def _params(self):
-        return {"n": self.n}
-
-
-class SecondOrderCone(ConvexSet):
-    """{(x, y) in R^n x R : ||x|| <= y}; ambient dimension n + 1."""
-
-    kind = "second_order_cone"
-
-    def __init__(self, n):
-        self._nx = int(n)
-
-    @property
-    def n(self):
-        return self._nx + 1
-
-    def _split(self, z):
-        return z[:-1], z[-1]
-
-    def _project(self, z):
-        _require_finite(z, "second-order-cone projection")
-        x, y = self._split(z)
-        nx = np.linalg.norm(x)
-        if not math.isfinite(nx):
-            # the norm of a finite z overflowed; P(s z) = s P(z) for s > 0
-            s = np.max(np.abs(z))
-            return s * self._project(z / s)
-        if nx <= y:
-            return z.copy()
-        if nx <= -y:
-            return np.zeros_like(z)
-        alpha = 0.5 * (nx + y)
-        out = np.empty_like(z)
-        out[:-1] = alpha * x / nx
-        out[-1] = alpha
-        return out
-
-    def _parts(self, z):
-        x, y = self._split(z)
-        g = z.copy()
-        g[-1] = -y
-        s = float(z @ z)           # ||x||^2 + y^2
-        e = float(np.exp(x @ x - y * y))
-        return g, s, e
-
-    def _q(self, z, v):
-        g, s, e = self._parts(z)
-        return s * v - e * (g @ v) * g
-
-    def _dq_form(self, z, v, w):
-        g, s, e = self._parts(z)
-        vtil = v.copy()
-        vtil[-1] = -v[-1]
-        wtil = w.copy()
-        wtil[-1] = -w[-1]
-        gv, gw = g @ v, g @ w
-        return (2.0 * (w @ v) * z - 2.0 * e * gv * gw * g
-                - e * (gw * vtil + gv * wtil))
-
-    def affine_hull_projector(self):
-        return np.eye(self.n)
-
-    def _normal_cone_project(self, z, w, tol):
-        _require_finite(z, "second-order-cone normal cone")
-        x, y = self._split(z)
-        scale = 1.0 + np.linalg.norm(z)
-        if np.linalg.norm(z) <= tol * scale:
-            return w - self._project(w)  # polar cone at the apex
-        if y - np.linalg.norm(x) > tol * scale:
-            return np.zeros_like(w)
-        g = z.copy()
-        g[-1] = -y
-        t = max(0.0, (w @ g) / (g @ g))
-        return t * g
-
-    def _params(self):
-        return {"n": self._nx}
-
-
 class SpectralBall(ConvexSet):
     """{X in R^(m x s) : ||X||_2 <= 1}, flattened column-major."""
 
@@ -679,198 +536,6 @@ class SpectralBall(ConvexSet):
 def _psd_part(B):
     vals, vecs = np.linalg.eigh(B)
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
-
-
-class PsdCone(ConvexSet):
-    """{X in R^(s x s) : X symmetric positive semidefinite}, flattened column-major.
-    Eigenvalues are capped at `_cap`: inf here, 1 in PsdSpectralBall, which
-    shares this projection and normal cone."""
-
-    kind = "psd_cone"
-    _cap = np.inf
-
-    def __init__(self, s):
-        self.s = int(s)
-
-    @property
-    def n(self):
-        return self.s * self.s
-
-    def _shape(self):
-        return (self.s, self.s)
-
-    def _project(self, x):
-        # else NaN comes back, or eigh raises LinAlgError
-        _require_finite(x, f"{self.kind.replace('_', '-')} projection")
-        X = _sym(_mat(x, self._shape()))
-        vals, vecs = np.linalg.eigh(X)
-        if (vals.size and vals[0] >= 0.0 and vals[-1] <= self._cap
-                and np.array_equal(X, _mat(x, self._shape()))):
-            return x.copy()
-        return _flat((vecs * np.clip(vals, 0.0, self._cap)) @ vecs.T)
-
-    def _q(self, x, v):
-        X = _mat(x, self._shape())
-        Y = _mat(v, self._shape())
-        return _flat(X @ Y @ X)
-
-    def _dq_form(self, x, v, w):
-        X = _mat(x, self._shape())
-        Y = _mat(v, self._shape())
-        W = _mat(w, self._shape())
-        return _flat(W @ X.T @ Y.T + Y.T @ X.T @ W)
-
-    def affine_hull_projector(self):
-        return _symmetrizer_matrix(self.s)
-
-    def _normal_cone_project(self, x, z, tol):
-        # else the eigensolver fails or a NaN point reads as interior
-        _require_finite(x, f"{self.kind.replace('_', '-')} normal cone")
-        X = _sym(_mat(x, self._shape()))
-        Z = _sym(_mat(z, self._shape()))
-        vals, vecs = np.linalg.eigh(X)
-        out = np.zeros((self.s, self.s))
-        low = vals <= tol
-        high = vals >= self._cap - tol  # never, for the cone
-        if np.any(low):
-            V0 = vecs[:, low]
-            out -= V0 @ _psd_part(-V0.T @ Z @ V0) @ V0.T
-        if np.any(high):
-            V1 = vecs[:, high]
-            out += V1 @ _psd_part(V1.T @ Z @ V1) @ V1.T
-        return _flat(out)
-
-    def _params(self):
-        return {"s": self.s}
-
-
-def _symmetrizer_matrix(s):
-    """Orthogonal projector of R^(s*s) onto symmetric matrices (column-major)."""
-    n = s * s
-    P = np.zeros((n, n))
-    for j in range(s):
-        for i in range(s):
-            row = j * s + i
-            P[row, row] += 0.5
-            P[row, i * s + j] += 0.5
-    return P
-
-
-class PsdSpectralBall(PsdCone):
-    """{X : X psd, ||X||_2 <= 1}."""
-
-    kind = "psd_spectral_ball"
-    _cap = 1.0
-
-    def _q(self, x, v):
-        X = _mat(x, self._shape())
-        Y = _mat(v, self._shape())
-        X2 = X @ X
-        return _flat(X @ Y @ X - X2 @ Y @ X2)
-
-    def _dq_form(self, x, v, w):
-        X = _mat(x, self._shape())
-        Y = _mat(v, self._shape())
-        W = _mat(w, self._shape())
-        Xt = X.T
-        X2t = (X @ X).T
-        g = (W @ Xt @ Y.T + Y.T @ Xt @ W
-             - W @ X2t @ Y.T @ Xt - Xt @ W @ X2t @ Y.T
-             - Y.T @ X2t @ W @ Xt - Xt @ Y.T @ X2t @ W)
-        return _flat(g)
-
-
-class LinearInequalities(ConvexSet):
-    """{x : A^T x <= b} with A of shape (n, m).
-
-    The affine-hull projector assumes a full-dimensional polyhedron (a Slater
-    point exists); degenerate instances are out of scope.
-    """
-
-    kind = "linear_inequalities"
-
-    def __init__(self, A, b):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[1],):
-            raise DimensionMismatch("A must be (n, m) with b of length m")
-        norms = np.linalg.norm(A, axis=0)
-        if np.any(norms == 0.0):
-            raise ValueError("columns of A must be nonzero")
-        self.A = A
-        self.b = b
-        self._norms = norms
-        self._pinv = np.linalg.pinv(A)      # (m, n)
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.A.shape[1]
-
-    def _project(self, x):
-        # least-distance programming (Lawson & Hanson, ch. 23): y = x + d with
-        # min ||d|| s.t. A^T d <= slack is one NNLS solve, min ||E u - e||
-        # over u >= 0; its residual r gives d = -r[:-1] / r[-1], and r = 0
-        # (no d) means the polyhedron is empty.  The slack is divided by
-        # sigma, the largest distance to a violated halfspace, so the scaled
-        # step is about 1 long and r[-1] = -1 / (1 + ||d / sigma||^2) does
-        # not cancel for far points.  A NaN or inf x fails the solve's
-        # finiteness check with a ValueError
-        slack = self.b - self.A.T @ x
-        if np.all(slack >= 0.0):
-            return x.copy()
-        from scipy.optimize import nnls
-
-        sigma = np.max(-slack / self._norms)
-        E = np.vstack([-self.A, -slack / sigma])
-        e = np.zeros(self.n + 1)
-        e[-1] = 1.0
-        try:
-            u = nnls(E, e)[0]
-        except RuntimeError as exc:
-            raise ProjectionNotConverged(
-                "linear-inequality projection: nnls stopped at its limit of "
-                f"3*m = {3 * self.m} active-set iterations") from exc
-        r = E @ u - e
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = x - sigma * (r[:-1] / r[-1])
-            gap = float(np.max(self.A.T @ y - self.b))
-        if not gap <= DEFAULT_TOL * (1.0 + np.linalg.norm(x)):
-            raise ProjectionNotConverged(
-                f"linear-inequality projection violates a constraint by {gap:.3e}; "
-                "the polyhedron may be empty")
-        return y
-
-    def _slack(self, x):
-        return np.maximum(self.b - self.A.T @ x, 0.0)
-
-    def _q(self, x, v):
-        s = self._slack(x)
-        pv = self._pinv @ v
-        return v + self._pinv.T @ ((s * s - 1.0) * pv)
-
-    def _dq_form(self, x, v, w):
-        s = self._slack(x)
-        pv = self._pinv @ v
-        pw = self._pinv @ w
-        return -2.0 * self.A @ (s * pv * pw)
-
-    def affine_hull_projector(self):
-        return np.eye(self.n)
-
-    def _normal_cone_project(self, x, z, tol):
-        # (b_i - a_i^T x) / ||a_i|| <= tol * (1 + |b_i| / ||a_i||), scale-free
-        active = self.b - self.A.T @ x <= tol * (self._norms + np.abs(self.b))
-        if not np.any(active):
-            return np.zeros_like(z)
-        from scipy.optimize import nnls
-
-        Aact = self.A[:, active]
-        lam, _ = nnls(Aact, z)
-        return Aact @ lam
 
 
 class Product(ConvexSet):

@@ -157,13 +157,46 @@ def estimate_grad_lipschitz(prob, x0):
     return L
 
 
+def _first_step(g, nx):
+    """The BB rule's first trial step at an iterate of norm nx and gradient g.
+    Its displacement is capped at a fraction of the point scale: the penalty
+    objective can be unbounded below far from the feasible set, and an
+    uncapped first step can clear the barrier around it."""
+    return min(1.0,
+               1.0 / max(float(np.abs(g).max()), 1e-16),
+               0.1 * (1.0 + nx) / max(_norm(g), 1e-16))
+
+
+def _backtrack(prob, x, g, alpha, h_ref, step_cap, trial):
+    """Halve the step from alpha, clipped to [BB_MIN, BB_MAX], until the trial
+    P(x - a g) moves at most step_cap and passes the Armijo test against
+    h_ref, `h_value` filling `trial` there.  Returns (a, trial point, its
+    displacement d, d.d, its h), or the last step and four Nones once
+    MAX_BACKTRACKS halvings have failed."""
+    a = float(min(max(alpha, BB_MIN), BB_MAX))
+    for _ in range(MAX_BACKTRACKS + 1):
+        x_trial = prob.domain.project(x - a * g)
+        d = x_trial - x
+        dd = float(d @ d)
+        if math.sqrt(dd) <= step_cap:
+            h_trial = h_value(prob, x_trial, trial)
+            if math.isfinite(h_trial) and h_trial <= h_ref + ARMIJO_C * float(g @ d):
+                return a, x_trial, d, dd, h_trial
+        a *= BACKTRACK_FACTOR
+    return a, None, None, None, None
+
+
 def solve(prob, x0, config=None):
     """Projected gradient iteration x <- P(x - a * grad h(x)).
 
     The step `a` is config.eta (estimated from x0 when None) under the fixed
     rule; under "bb_nonmonotone" it is a clipped BB step, backtracked until
     the trial moves at most MAX_STEP_SCALE * (1 + ||x||) and passes a
-    non-monotone Armijo test over the last NM_MEMORY values of h.  The loop
+    non-monotone Armijo test over the last NM_MEMORY values of h.  When
+    MAX_BACKTRACKS halvings fail, the search restarts once from the first
+    step's rule with h(x) as the only memory, the safeguard of spectral
+    projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim. 2000);
+    only a failed restart ends the solve in a line-search failure.  The loop
     carries the point dict `h_value` fills for the iterate, the trial and the
     best iterate, and every exit reads its numbers from those points and the
     gradient it holds.  Each iterate's norm and each trial's d.d are computed
@@ -187,12 +220,7 @@ def solve(prob, x0, config=None):
     nx = _norm(x)
     if bb:
         memory = deque([hval], maxlen=NM_MEMORY)
-        # first trial displacement is capped at a fraction of the point scale:
-        # the penalty objective can be unbounded below far from the feasible
-        # set, and an uncapped first step can clear the barrier around it
-        alpha = min(1.0,
-                    1.0 / max(float(np.abs(g).max()), 1e-16),
-                    0.1 * (1.0 + nx) / max(_norm(g), 1e-16))
+        alpha = _first_step(g, nx)
         # projections return arrays the loop never mutates, so the best
         # point is kept without a copy
         best_h, best_x, best_pt = hval, x, pt
@@ -210,19 +238,14 @@ def solve(prob, x0, config=None):
 
         trial = {}
         if bb:
-            h_ref = max(memory)
-            a = float(min(max(alpha, BB_MIN), BB_MAX))
             step_cap = MAX_STEP_SCALE * (1.0 + nx)
-            for _ in range(MAX_BACKTRACKS + 1):
-                x_trial = prob.domain.project(x - a * g)
-                d = x_trial - x
-                dd = float(d @ d)
-                if math.sqrt(dd) <= step_cap:
-                    h_trial = h_value(prob, x_trial, trial)
-                    if math.isfinite(h_trial) and h_trial <= h_ref + ARMIJO_C * float(g @ d):
-                        break
-                a *= BACKTRACK_FACTOR
-            else:
+            a, x_trial, d, dd, h_trial = _backtrack(prob, x, g, alpha, max(memory),
+                                                    step_cap, trial)
+            if x_trial is None:
+                memory = deque([hval], maxlen=NM_MEMORY)
+                a, x_trial, d, dd, h_trial = _backtrack(prob, x, g, _first_step(g, nx),
+                                                        hval, step_cap, trial)
+            if x_trial is None:
                 g_best = h_grad(prob, best_x, best_pt)
                 stat, feas = _metrics(prob, best_x, g_best, best_pt, _norm(best_x))
                 trace.append((best_h, feas, stat, a))

@@ -131,6 +131,38 @@ def test_solver_breakdown_exits_3_with_row_written(tmp_path):
     assert float(rows[0]["feas"]) > 1e-4  # stationary for h yet far from feasible
 
 
+def test_fpca_reaches_tol_1e_6_through_line_search_restarts(tmp_path, monkeypatch):
+    # near feasibility the BB line search on this instance runs out of
+    # backtracks; each such iterate restarts from the first step's rule and
+    # adds no trace row, and the solve converges instead of exiting 3
+    searches, results = [], []
+    backtrack, solve = cli.solvers._backtrack, cli.solvers.solve
+
+    def recording_backtrack(prob, x, g, alpha, h_ref, step_cap, trial):
+        out = backtrack(prob, x, g, alpha, h_ref, step_cap, trial)
+        searches.append((alpha, cli.solvers._first_step(g, cli.solvers._norm(x)),
+                         out[1] is None))
+        return out
+
+    def recording_solve(prob, x0, config):
+        results.append(solve(prob, x0, config))
+        return results[-1]
+
+    monkeypatch.setattr(cli.solvers, "_backtrack", recording_backtrack)
+    monkeypatch.setattr(cli.solvers, "solve", recording_solve)
+    csv_path = tmp_path / "runs.csv"
+    rc = main(["solve", "--family", "fpca", "--n", "100", "--k", "5", "--d", "3",
+               "--seed", "0", "--tol-stat", "1e-6", "--tol-feas", "1e-6",
+               "--csv", str(csv_path)])
+    assert rc == 0
+    assert read_rows(csv_path)[0]["status"] == "converged"
+    res, = results
+    restarts = [after for before, after in zip(searches, searches[1:]) if before[2]]
+    assert restarts and all(alpha == first for alpha, first, _ in restarts)
+    assert len(searches) == res.iters + len(restarts)
+    assert len(res.trace) == res.iters + 1
+
+
 def test_solve_reference_configuration(tmp_path):
     csv_path = tmp_path / "runs.csv"
     rc = main(["solve", "--family", "npca", "--n", "100", "--cols", "50",

@@ -22,7 +22,7 @@ from dissolve.mappings import (
     h_grad,
     h_value,
 )
-from dissolve.sets import Box, NormBall, Product, Simplex
+from dissolve.sets import Box, NormBall, Product
 from dissolve.solvers import _norm
 from dissolve.problems import (
     feasible_points,
@@ -186,18 +186,18 @@ def test_pi_sigma_duplicated_rows_flag_degeneracy():
 
 
 def test_pi_sigma_projects_out_affine_hull():
-    # constraint gradient along the all-ones direction disappears inside the
-    # simplex hull, so the projected singular value is strictly smaller
-    n = 3
-    a = np.array([1.0, 1.0, 1.0]) + np.array([0.5, 0.0, -0.5])
+    # the constraint gradient's component along a pinned coordinate
+    # disappears inside the box's hull, so the projected singular value is
+    # strictly smaller
+    a = np.array([1.0, 2.0, -1.0])
     cmap = ConstraintMap(
         p=1,
         value=lambda x: np.array([a @ x]),
         jac_t_apply=lambda x, v: a * v[0],
         jac_apply=lambda x, d: np.array([a @ d]),
     )
-    domain = Simplex(n)
-    x = np.full(n, 1.0 / n)
+    domain = Box([0.0, 0.0, 0.5], [1.0, 1.0, 0.5])
+    x = np.full(3, 0.5)
     P = domain.affine_hull_projector()
     expect = np.linalg.svd((P @ a)[:, None], compute_uv=False)[0]
     assert pi_sigma(cmap, domain, x) == pytest.approx(expect, rel=1e-12)
@@ -315,11 +315,11 @@ def use_probe_radii(monkeypatch, radii):
         monkeypatch.setattr(diagnostics, "PROBE_RADII", tuple(sorted(radii)))
 
 
-def simplex_ball_case():
-    # simplex x ball, where P_E is not the identity; c_0 = sin(w^T (x - x0))
-    # loses its gradient on far parts of the larger balls, so the bound fails
-    # there with a positive violation
-    w = np.array([3.0, 1.0, 0.0, -2.0])
+def pinned_box_ball_case():
+    # a box with a pinned coordinate x ball, where P_E is not the identity;
+    # c_0 = sin(w^T (x - x0)) loses its gradient on far parts of the larger
+    # balls, so the bound fails there with a positive violation
+    w = np.array([3.0, 1.0, 2.0, -2.0])
     x0 = np.array([0.4, 0.3, 0.2, 0.1, 0.5, 0.5])
 
     def value(x):
@@ -329,7 +329,8 @@ def simplex_ball_case():
         return np.concatenate([np.cos(w @ (x[:4] - x0[:4])) * v[0] * w, 2.0 * v[1] * x[4:]])
 
     cmap = ConstraintMap(p=2, value=value, jac_t_apply=jac_t, jac_apply=None)
-    return cmap, Product([Simplex(4), NormBall(2)]), x0
+    box = Box([0.0, 0.0, 0.2, 0.0], [1.0, 1.0, 0.2, 1.0])
+    return cmap, Product([box, NormBall(2)]), x0
 
 
 def fpca_case():
@@ -355,11 +356,11 @@ def blowup_case():
     return cmap, Box(np.full(3, -np.inf), np.full(3, np.inf)), np.zeros(3)
 
 
-@pytest.mark.parametrize("case", [fpca_case, simplex_ball_case, blowup_case])
+@pytest.mark.parametrize("case", [fpca_case, pinned_box_ball_case, blowup_case])
 def test_probe_with_identity_skip_matches_the_hull_product_loop(case, monkeypatch):
     cmap, domain, x = case()
     identity = np.array_equal(domain.affine_hull_projector(), np.eye(domain.n))
-    assert identity == (case is not simplex_ball_case)
+    assert identity == (case is not pinned_box_ball_case)
     for seed, radii in ((0, None), (4, [0.25, 1.0, 4.0])):
         use_probe_radii(monkeypatch, radii)
         with np.errstate(invalid="ignore"):
@@ -399,8 +400,9 @@ def grad_check_per_point(prob, points, threshold=1e-6):
     return CheckReport.build("grad_check", len(details), worst, threshold, details)
 
 
-def simplex_problem():
-    # a sphere constraint over the simplex, whose P_E is not the identity
+def pinned_box_problem():
+    # a sphere constraint over a box whose third coordinate is pinned at 0.3,
+    # so that P_E is not the identity
     n = 4
     t = np.array([0.1, 0.5, 0.3, 0.1])
     cmap = ConstraintMap(
@@ -410,7 +412,7 @@ def simplex_problem():
         jac_apply=lambda x, d: np.array([2.0 * (x @ d)]),
         hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
     )
-    domain = Simplex(n)
+    domain = Box([0.0, 0.0, 0.3, 0.0], [1.0, 1.0, 0.3, 1.0])
     prob = PenaltyProblem(f_value=lambda x: 0.5 * float((x - t) @ (x - t)),
                           f_grad=lambda x: x - t, cmap=cmap,
                           amap=build_aq(domain, cmap), domain=domain, beta=3.0)
@@ -429,14 +431,14 @@ STACK_CASES = {
     "npca": lambda: family_case(gen_npca, (6, 3)),
     "qpb": lambda: family_case(gen_qpb, (6,)),
     "fpca": lambda: family_case(gen_fpca, (4, 2, 3)),
-    "simplex": simplex_problem,
+    "pinned_box": pinned_box_problem,
 }
 
 
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
 def test_stacked_reports_equal_the_per_point_loops(name, monkeypatch):
     prob, points, x = STACK_CASES[name]()
-    assert (name == "simplex") == (
+    assert (name == "pinned_box") == (
         not np.array_equal(prob.domain.affine_hull_projector(), np.eye(prob.n)))
     got = grad_check(prob, points)
     want = grad_check_per_point(prob, points)
@@ -537,11 +539,31 @@ def assumption_a_per_vector(amap, cmap, domain, points):
     return CheckReport.build("assumption_a_check", len(details), worst, 1.0, details)
 
 
-@pytest.mark.parametrize("gen,dims", [(gen_npca, (6, 3)), (gen_qpb, (6,)),
-                                      (gen_fpca, (4, 2, 3))], ids=["npca", "qpb", "fpca"])
-def test_assumption_a_block_vjps_give_the_per_vector_report(gen, dims):
+def family_feasible_case(gen, dims):
     inst, prob = gen(*dims, seed=1)
-    points = feasible_points(inst, 3, seed=4)
+    return prob, feasible_points(inst, 3, seed=4)
+
+
+def pinned_box_feasible_case():
+    # points of the pinned-box problem's sphere x.x = 0.4, whose free
+    # coordinates hold the remaining 0.31
+    prob = pinned_box_problem()[0]
+    free = np.abs(np.random.default_rng(73).standard_normal((3, 3)))
+    free *= np.sqrt(0.31) / np.linalg.norm(free, axis=1, keepdims=True)
+    return prob, [np.insert(f, 2, 0.3) for f in free]
+
+
+FEASIBLE_CASES = {
+    "npca": lambda: family_feasible_case(gen_npca, (6, 3)),
+    "qpb": lambda: family_feasible_case(gen_qpb, (6,)),
+    "fpca": lambda: family_feasible_case(gen_fpca, (4, 2, 3)),
+    "pinned_box": pinned_box_feasible_case,
+}
+
+
+@pytest.mark.parametrize("name", list(FEASIBLE_CASES))
+def test_assumption_a_block_vjps_give_the_per_vector_report(name):
+    prob, points = FEASIBLE_CASES[name]()
     calls = []
 
     def counted(name, fn):

@@ -1,4 +1,4 @@
-"""`import dissolve`, the paths the benchmark runs and a polyhedral projection
+"""`import dissolve`, the paths the benchmark runs and an lq-ball projection
 at a member point leave scipy unloaded.
 
 Each check runs in a fresh interpreter, since this test process has scipy
@@ -39,10 +39,10 @@ assert [r["check_name"] for r in json.loads(out.getvalue())] == [
 mark("check --family fpca")
 
 import numpy as np
-from dissolve.sets import LinearInequalities
-poly = LinearInequalities(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
-assert poly.project(np.array([0.5, -3.0])).tolist() == [0.5, -3.0]
-mark("polyhedral project at a member")
+from dissolve.sets import NormBall
+ball = NormBall(2, 1.0, exponent=4.0)
+assert ball.project(np.array([0.5, -0.75])).tolist() == [0.5, -0.75]
+mark("lq-ball project at a member")
 print(json.dumps(loaded))
 """ % (HEAVY,)
 
@@ -50,5 +50,5 @@ print(json.dumps(loaded))
 def test_scipy_subpackages_stay_unloaded():
     loaded = json.loads(run_fresh(PROBE).splitlines()[-1])
     assert list(loaded) == ["import dissolve", "import dissolve.cli", "npca solve",
-                            "check --family fpca", "polyhedral project at a member"]
+                            "check --family fpca", "lq-ball project at a member"]
     assert loaded == {step: [] for step in loaded}
