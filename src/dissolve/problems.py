@@ -314,18 +314,9 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
         return out
 
     def jac_t(x, v):
-        P = mat_p(x)
-        coef = (v[..., :k] * g2_arr)[..., None, None]
-        terms = coef * (AtA_stack @ P[..., None, :, :])
-        if not (coef != 0.0).all():
-            # a zero multiplier adds nothing, even against a non-finite term
-            terms = np.where(coef != 0.0, terms, 0.0)
-        GP = np.zeros(P.shape)
-        for i in range(k):
-            GP += terms[..., i, :, :]
-        GP += (v[..., k] * 2.0)[..., None, None] * P
-        out = np.zeros(x.shape)
-        out[..., :pe] = GP.swapaxes(-1, -2).reshape(x.shape[:-1] + (pe,))
+        # every constraint is quadratic in P, so the P block of G(x) v is the
+        # Hessian product along P itself
+        out = hess(x, v, x)
         out[..., pe:ye] = v[..., :k]
         out[..., ye] = -v[..., :k].sum(axis=-1)
         return out

@@ -15,22 +15,18 @@ form the dissolving map's vjp needs.  Matrix-shaped sets act on column-major
 flattened vectors.
 
 The public methods of `ConvexSet` validate their arguments once and call a
-kernel (`_project`, `_normal_cone_project`, `_q`, `_dq_form`); the
-subclasses supply only kernels, and a product calls its factors' kernels.
-
-`_q_cols` applies Q(x) to every column of a matrix, as the dissolving-map
-build needs, at one point x with an n-by-m matrix or at an (N, n) stack of
-points with an (N, n, m) stack of matrices: a box scales all columns of all
-points at once, a product splits the points and the matrices once, and the
-spectral ball takes one X^T Y and one X S over the stack of all columns of
-all points.  Each equals the stack of `_q(x_i, V_i[:, j])` bit for bit; the
-norm balls loop over those calls.  `_dq_form_cols(x, v, W)` is the derivative
-kernel over a block, as the dissolving map's vjp over a block of directions
-needs: `_dq_form(x, v, W[:, j])` for each column of an n-by-m W, with x and
-v fixed.  A box scales all columns at once, a product splits W once, and the
-spectral ball takes each product once over the stack of all columns; each
-equals `_dq_form` on a contiguous copy of the column bit for bit, and the
-norm balls loop over `_dq_form`.
+kernel; the subclasses supply only kernels, and a product calls its factors'
+kernels.  A set supplies Q and its derivative as block kernels only.
+`_q_cols(x, V)` applies Q(x) to every column of a matrix, at one point x
+with an n-by-m matrix or at an (N, n) stack of points with an (N, n, m)
+stack of matrices, as the dissolving-map build needs.  `_dq_form_cols(x, v,
+W)` is the derivative kernel over the columns of an n-by-m W at one x and v,
+as the dissolving map's vjp over a block of directions needs.  A box scales
+all columns of all points at once, a product splits the points and the
+matrices once, the spectral ball takes each product once over the stack of
+all columns of all points, and a norm ball takes each column's dot products
+as one stacked (1, n) @ (n, 1) matmul.  Column j equals the kernel on that
+column alone bit for bit; `_q` and `_dq_form` are those one-column blocks.
 
 This module imports numpy only.  scipy is imported on first use, by the
 lq-ball projection of a point outside the ball (`brentq`), so
@@ -92,6 +88,13 @@ def _flat(M):
     return M.reshape(-1, order="F")
 
 
+def _col_dots(a, B):
+    """a @ B[..., :, j] for each column j of the (..., n, m) stack B, as a
+    (..., m) array: one stacked (1, n) @ (n, 1) matmul, whose slices keep the
+    bits of that one-column product."""
+    return (a[..., None, None, :] @ B.swapaxes(-1, -2)[..., None])[..., 0, 0]
+
+
 def _require_finite(x, what):
     if not np.isfinite(x).all():
         raise ValueError(f"{what} needs a finite point; x has a NaN or infinite entry")
@@ -115,33 +118,22 @@ class ConvexSet:
     def _project(self, x):
         raise NotImplementedError
 
-    def _q(self, x, v):
-        raise NotImplementedError
-
     def _q_cols(self, x, V):
-        """Q(x) applied to each column of the n-by-m V, or, for an (N, n)
-        stack x, Q(x_i) to each column of V_i in an (N, n, m) stack V; equals
-        _q(x_i, .) on a contiguous copy of each column bit for bit when V's
-        columns are contiguous."""
-        out = np.empty(V.shape)
-        if x.ndim == 2:
-            for i in range(x.shape[0]):
-                out[i] = self._q_cols(x[i], V[i])
-            return out
-        for j in range(V.shape[1]):
-            out[:, j] = self._q(x, V[:, j])
-        return out
-
-    def _dq_form(self, x, v, w):
+        """Q(x) applied to each column of the n-by-m V, as an n-by-m array,
+        or, for an (N, n) stack x, Q(x_i) to each column of V_i in an
+        (N, n, m) stack V."""
         raise NotImplementedError
 
     def _dq_form_cols(self, x, v, W):
-        """_dq_form(x, v, W[:, j]) for each column of the n-by-m W, as an
-        n-by-m array; bit for bit when W's columns are contiguous."""
-        out = np.empty(W.shape)
-        for j in range(W.shape[1]):
-            out[:, j] = self._dq_form(x, v, W[:, j])
-        return out
+        """For each column w of the n-by-m W, the gradient of the scalar map
+        d -> <w, (DQ(x)[d]) v>, as an n-by-m array."""
+        raise NotImplementedError
+
+    def _q(self, x, v):
+        return self._q_cols(x, v[:, None])[:, 0]
+
+    def _dq_form(self, x, v, w):
+        return self._dq_form_cols(x, v, w[:, None])[:, 0]
 
     def affine_hull_projector(self):
         raise NotImplementedError
@@ -188,17 +180,17 @@ class ConvexSet:
 
     def dq_apply(self, x, d, v, validate=True):
         """Directional derivative of x -> Q(x) v along d:  (DQ(x)[d]) v, whose
-        entry i is <dq_form_grad(x, v, e_i), d>: n kernel calls, for tests and
-        small n (no solve or check calls it)."""
+        entry i is <dq_form_grad(x, v, e_i), d>: one block kernel call over
+        the identity, for tests and small n (no solve or check calls it)."""
         x = self._check_point(x, validate)
         d = _vec(d, self.n, "d")
         v = _vec(v, self.n, "v")
-        return np.array([self._dq_form(x, v, e) @ d for e in np.eye(self.n)])
+        return self._dq_form_cols(x, v, np.eye(self.n)).T @ d
 
     def dq_form_grad(self, x, v, w, validate=True):
-        """Gradient of the scalar map d -> <w, (DQ(x)[d]) v>: each set's one
-        derivative kernel, in closed form so that the dissolving map's vjp
-        stays O(n)."""
+        """Gradient of the scalar map d -> <w, (DQ(x)[d]) v>: the set's
+        derivative kernel on the one direction w, in closed form so that the
+        dissolving map's vjp stays O(n)."""
         x = self._check_point(x, validate)
         v = _vec(v, self.n, "v")
         w = _vec(w, self.n, "w")
@@ -219,8 +211,10 @@ class Box(ConvexSet):
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DimensionMismatch("lower/upper must be 1-d of equal length")
-        if np.any(lower > upper):
-            raise ValueError("requires lower <= upper componentwise")
+        # a NaN bound fails too; a +inf lower or -inf upper bound is an empty set
+        if not np.all((lower <= upper) & (lower < np.inf) & (upper > -np.inf)):
+            raise ValueError("requires lower <= upper componentwise, lower < inf, "
+                             "upper > -inf and no NaN bound")
         self.lower = lower
         self.upper = upper
         self._lo_fin = np.isfinite(lower)
@@ -275,14 +269,8 @@ class Box(ConvexSet):
         dw[up] = -1.0
         return dw
 
-    def _q(self, x, v):
-        return self._weights(x) * v
-
     def _q_cols(self, x, V):
         return self._weights(x)[..., None] * V
-
-    def _dq_form(self, x, v, w):
-        return self._weights_deriv(x) * v * w
 
     def _dq_form_cols(self, x, v, W):
         return (self._weights_deriv(x) * v)[:, None] * W
@@ -319,13 +307,14 @@ class NormBall(ConvexSet):
     kind = "norm_ball"
 
     def __init__(self, n, radius=1.0, exponent=2.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        if exponent <= 1:
-            raise ValueError("exponent must exceed 1")
         self._n = int(n)
         self.radius = float(radius)
         self.exponent = float(exponent)
+        # the negations reject NaN too
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if not 1.0 < self.exponent < math.inf:
+            raise ValueError("exponent must exceed 1 and be finite")
 
     @property
     def n(self):
@@ -355,31 +344,37 @@ class NormBall(ConvexSet):
             return x.copy()
         return np.sign(x) * _lq_ball_shrink(a, u, q)
 
-    def _q(self, x, v):
+    def _q_cols(self, x, V):
+        # each column's scalars come as rows (..., 1, m), x and its weights
+        # as columns (..., n, 1)
         u, q = self.radius, self.exponent
+        xv = _col_dots(x, V)[..., None, :]
+        xc = x[..., None]
         if self._is_l2:
-            return v - x * (x @ v) / u ** 2
+            return V - xc * xv / u ** 2
         w = np.sign(x) * np.abs(x) ** (q - 1.0)
-        s = np.sum(np.abs(x) ** (2.0 * q - 2.0))
-        return (v - (w * (x @ v) + x * (w @ v)) / u ** q
-                + s * x * (x @ v) / u ** (2.0 * q))
+        s = np.sum(np.abs(x) ** (2.0 * q - 2.0), axis=-1)[..., None, None]
+        wv = _col_dots(w, V)[..., None, :]
+        return (V - (w[..., None] * xv + xc * wv) / u ** q
+                + s * xc * xv / u ** (2.0 * q))
 
-    def _dq_form(self, x, v, w):
+    def _dq_form_cols(self, x, v, W):
         u, q = self.radius, self.exponent
+        vc = v[:, None]
+        xv, xw = x @ v, _col_dots(x, W)
         if self._is_l2:
-            return -((x @ v) * w + (x @ w) * v) / u ** 2
+            return -(xv * W + xw * vc) / u ** 2
         ax = np.abs(x)
         if q < 2.0 and np.any(ax < 1e-14):
             raise DomainViolation("derivative of the lq projective mapping is unbounded at "
                                   "zero coordinates for exponents below 2")
         wx = np.sign(x) * ax ** (q - 1.0)
-        kappa = (q - 1.0) * ax ** (q - 2.0)
-        tau = (2.0 * q - 2.0) * np.sign(x) * ax ** (2.0 * q - 3.0)
+        kappa = ((q - 1.0) * ax ** (q - 2.0))[:, None]
+        tau = ((2.0 * q - 2.0) * np.sign(x) * ax ** (2.0 * q - 3.0))[:, None]
         s = np.sum(ax ** (2.0 * q - 2.0))
         uq, u2q = u ** q, u ** (2.0 * q)
-        xv, xw = x @ v, x @ w
-        return (-(xv * kappa * w + (w @ wx) * v + (wx @ v) * w + xw * kappa * v) / uq
-                + (xv * xw * tau + s * (xv * w + xw * v)) / u2q)
+        return (-(xv * kappa * W + _col_dots(wx, W) * vc + (wx @ v) * W + xw * kappa * vc) / uq
+                + (xv * xw * tau + s * (xv * W + xw * vc)) / u2q)
 
     def affine_hull_projector(self):
         return np.eye(self.n)
@@ -479,16 +474,11 @@ class SpectralBall(ConvexSet):
             return x.copy()
         return _flat(U @ np.diag(np.minimum(sv, 1.0)) @ Vt)
 
-    def _q(self, x, v):
-        X = _mat(x, self._shape())
-        Y = _mat(v, self._shape())
-        return _flat(Y - X @ _sym(X.T @ Y))
-
     def _q_cols(self, x, V):
-        # _q over the (..., p, m, s) stack of columns of every point: one
-        # X^T Y, one X S.  Each X and each column's Y is a view with the
-        # strides _mat gives x_i and V_i[:, j], so each product takes the same
-        # BLAS path as in _q
+        # Y - X sym(X^T Y) over the (..., p, m, s) stack of columns of every
+        # point: one X^T Y, one X S.  Each X and each column's Y is a view
+        # with the strides _mat gives x_i and V_i[:, j], so each product takes
+        # the BLAS path of that column alone
         lead = x.shape[:-1]
         X = x.reshape(lead + (self.s, self.m)).swapaxes(-1, -2)[..., None, :, :]
         Y = V.swapaxes(-1, -2).reshape(lead + (V.shape[-1], self.s, self.m)).swapaxes(-1, -2)
@@ -496,16 +486,11 @@ class SpectralBall(ConvexSet):
         R = Y - X @ (0.5 * (M + M.swapaxes(-1, -2)))
         return np.ascontiguousarray(R.swapaxes(-1, -3).reshape(V.shape))
 
-    def _dq_form(self, x, v, w):
-        X = _mat(x, self._shape())
-        Y = _mat(v, self._shape())
-        W = _mat(w, self._shape())
-        return _flat(-W @ _sym(X.T @ Y) - Y @ _sym(X.T @ W))
-
     def _dq_form_cols(self, x, v, W):
-        # _dq_form over the (k, m, s) stack of W's columns as matrices; with
-        # contiguous columns each is a view with the strides _mat gives a
-        # contiguous w, so each product takes the same BLAS path as there
+        # -W sym(X^T Y) - Y sym(X^T W) over the (k, m, s) stack of W's
+        # columns as matrices; with contiguous columns each is a view with the
+        # strides _mat gives a contiguous w, so each product takes the BLAS
+        # path of that column alone
         X = _mat(x, self._shape())
         Y = _mat(v, self._shape())
         Ws = W.T.reshape(W.shape[1], self.s, self.m).swapaxes(-1, -2)
@@ -567,20 +552,13 @@ class Product(ConvexSet):
     def _project(self, x):
         return self._each("_project", (x,))
 
-    def _q(self, x, v):
-        return self._each("_q", (x, v))
-
     def _q_cols(self, x, V):
         # blocks run along the last axis of x and the rows of each V
         return np.concatenate([f._q_cols(x[..., s], V[..., s, :])
                                for f, s in zip(self.factors, self._slices)], axis=-2)
 
-    def _dq_form(self, x, v, w):
-        return self._each("_dq_form", (x, v, w))
-
     def _dq_form_cols(self, x, v, W):
-        return np.concatenate([f._dq_form_cols(x[s], v[s], W[s])
-                               for f, s in zip(self.factors, self._slices)])
+        return self._each("_dq_form_cols", (x, v, W))
 
     def affine_hull_projector(self):
         P = np.zeros((self.n, self.n))

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dissolve.sets import Box, NonnegOrthant, NormBall, Product, SpectralBall
+from dissolve.sets import (Box, DomainViolation, NonnegOrthant, NormBall, Product,
+                           SpectralBall, _flat, _mat, _sym)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -80,3 +81,79 @@ def sample_smooth_point(domain, rng, spread=0.8):
 @pytest.fixture(scope="session")
 def catalog():
     return make_catalog()
+
+
+# The sets' one-vector formulas for Q(x) v and the derivative kernel
+# <w, (DQ(x)[.]) v>, kept as the oracle that their block kernels `_q_cols`
+# and `_dq_form_cols` must match column by column, bit for bit.
+
+def _box_q(self, x, v):
+    return self._weights(x) * v
+
+
+def _box_dq_form(self, x, v, w):
+    return self._weights_deriv(x) * v * w
+
+
+def _norm_ball_q(self, x, v):
+    u, q = self.radius, self.exponent
+    if self._is_l2:
+        return v - x * (x @ v) / u ** 2
+    w = np.sign(x) * np.abs(x) ** (q - 1.0)
+    s = np.sum(np.abs(x) ** (2.0 * q - 2.0))
+    return (v - (w * (x @ v) + x * (w @ v)) / u ** q
+            + s * x * (x @ v) / u ** (2.0 * q))
+
+
+def _norm_ball_dq_form(self, x, v, w):
+    u, q = self.radius, self.exponent
+    if self._is_l2:
+        return -((x @ v) * w + (x @ w) * v) / u ** 2
+    ax = np.abs(x)
+    if q < 2.0 and np.any(ax < 1e-14):
+        raise DomainViolation("derivative of the lq projective mapping is unbounded at "
+                              "zero coordinates for exponents below 2")
+    wx = np.sign(x) * ax ** (q - 1.0)
+    kappa = (q - 1.0) * ax ** (q - 2.0)
+    tau = (2.0 * q - 2.0) * np.sign(x) * ax ** (2.0 * q - 3.0)
+    s = np.sum(ax ** (2.0 * q - 2.0))
+    uq, u2q = u ** q, u ** (2.0 * q)
+    xv, xw = x @ v, x @ w
+    return (-(xv * kappa * w + (w @ wx) * v + (wx @ v) * w + xw * kappa * v) / uq
+            + (xv * xw * tau + s * (xv * w + xw * v)) / u2q)
+
+
+def _spectral_ball_q(self, x, v):
+    X = _mat(x, self._shape())
+    Y = _mat(v, self._shape())
+    return _flat(Y - X @ _sym(X.T @ Y))
+
+
+def _spectral_ball_dq_form(self, x, v, w):
+    X = _mat(x, self._shape())
+    Y = _mat(v, self._shape())
+    W = _mat(w, self._shape())
+    return _flat(-W @ _sym(X.T @ Y) - Y @ _sym(X.T @ W))
+
+
+_ORACLES = {Box: (_box_q, _box_dq_form), NormBall: (_norm_ball_q, _norm_ball_dq_form),
+            SpectralBall: (_spectral_ball_q, _spectral_ball_dq_form)}
+
+
+def _oracle(which, domain, x, *vectors):
+    if isinstance(domain, Product):
+        return np.concatenate([_oracle(which, f, x[s], *[a[s] for a in vectors])
+                               for f, s in zip(domain.factors, domain._slices)])
+    kind = next(k for k in _ORACLES if isinstance(domain, k))
+    return _ORACLES[kind][which](domain, x, *vectors)
+
+
+def q_oracle(domain, x, v):
+    """Q(x) v by the one-vector formula of each set."""
+    return _oracle(0, domain, x, v)
+
+
+def dq_form_oracle(domain, x, v, w):
+    """The gradient of d -> <w, (DQ(x)[d]) v> by the one-vector formula of
+    each set."""
+    return _oracle(1, domain, x, v, w)

@@ -1,8 +1,9 @@
 """The benchmark's reference solves, checked at test time.
 
-`perfbench/run.py` at seed 0 compares every npca and fpca solve with
-`perfbench/reference.json`: the iteration count must match and `f_val` must
-lie within the workload's tolerance.  A rounding slip on the solve path
+`perfbench/run.py` at seed 0 compares every npca, fpca and qpb-l4 solve
+with `perfbench/reference.json`: the iteration count must match and `f_val`
+must lie within the workload's tolerance.  qpb-l4 is the one workload on the
+lq ball's kernels.  A rounding slip on the solve path
 fails that comparison, and this test makes it fail here instead of at
 benchmark time.  It solves each reference instance once, with the
 benchmark's own workloads and its `check_records`, in a child process that
@@ -40,7 +41,7 @@ print(json.dumps({"pool": w.pool, "reference": sorted(reference or {}),
 """
 
 
-@pytest.mark.parametrize("workload", ["npca", "fpca"])
+@pytest.mark.parametrize("workload", ["npca", "fpca", "qpb-l4"])
 def test_reference_solves_match_at_seed_0(workload):
     proc = subprocess.run(
         [sys.executable, "-c", CHECK, workload], cwd=ROOT / "perfbench",

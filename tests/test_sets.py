@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dissolve import sets
 from dissolve.sets import (
     Box,
+    ConvexSet,
     DimensionMismatch,
     DomainViolation,
     NonnegOrthant,
@@ -19,7 +20,8 @@ from dissolve.sets import (
     SpectralBall,
 )
 
-from conftest import SRC, make_catalog, run_fresh, sample_point, sample_smooth_point
+from conftest import (SRC, dq_form_oracle, make_catalog, q_oracle, run_fresh, sample_point,
+                      sample_smooth_point)
 
 
 # ---------------------------------------------------------------- projection
@@ -409,16 +411,20 @@ def test_q_cols_matches_column_stack_of_q(catalog, spread):
             x = sample_point(domain, rng, spread)
             # a row block of a wider matrix, as the generic map passes it
             V = rng.standard_normal((domain.n + 2, m))[1:-1]
-            stack = np.column_stack([domain._q(x, V[:, j]) for j in range(m)])
-            assert same_bits(domain._q_cols(x, V), stack), (domain.kind, m)
+            got = domain._q_cols(x, V)
+            # each column equals the one-vector formula and that column alone
+            for q in (q_oracle, ConvexSet._q):
+                stack = np.column_stack([q(domain, x, V[:, j]) for j in range(m)])
+                assert same_bits(got, stack), (domain.kind, m, q.__name__)
             # a stack of points, each with a row block of a wider matrix
             X = np.array([sample_point(domain, rng, spread) for _ in range(3)])
             Vs = rng.standard_normal((3, domain.n + 2, m))[:, 1:-1]
             got = domain._q_cols(X, Vs)
             assert got.shape == Vs.shape, (domain.kind, m)
             for i in range(3):
-                stack = np.column_stack([domain._q(X[i], Vs[i][:, j]) for j in range(m)])
-                assert same_bits(got[i], stack), (domain.kind, m, i)
+                for q in (q_oracle, ConvexSet._q):
+                    stack = np.column_stack([q(domain, X[i], Vs[i][:, j]) for j in range(m)])
+                    assert same_bits(got[i], stack), (domain.kind, m, i, q.__name__)
         assert domain._q_cols(x, np.zeros((domain.n, 0))).shape == (domain.n, 0)
         assert domain._q_cols(x[None], np.zeros((1, domain.n, 0))).shape == (1, domain.n, 0)
 
@@ -434,9 +440,12 @@ def test_dq_form_cols_matches_column_stack_of_dq_form(catalog, spread):
             v = rng.standard_normal(domain.n)
             W = np.asfortranarray(rng.standard_normal((domain.n, m)))
             W[:1] = -0.0
-            cols = [domain._dq_form(x, v, W[:, j]) for j in range(m)]
-            stack = np.column_stack(cols) if cols else np.zeros((domain.n, 0))
-            assert same_bits(domain._dq_form_cols(x, v, W), stack), (domain.kind, m)
+            got = domain._dq_form_cols(x, v, W)
+            # each column equals the one-vector formula and that column alone
+            for dq in (dq_form_oracle, ConvexSet._dq_form):
+                cols = [dq(domain, x, v, W[:, j]) for j in range(m)]
+                stack = np.column_stack(cols) if cols else np.zeros((domain.n, 0))
+                assert same_bits(got, stack), (domain.kind, m, dq.__name__)
 
 
 @pytest.mark.parametrize("m,s", [(1, 1), (4, 3), (5, 5), (7, 1), (1, 6), (30, 4),
@@ -458,7 +467,7 @@ def test_spectral_ball_stacked_q_cols_is_column_stack_of_q(m, s):
         for name, V in layouts.items():
             V[:1] = 0.0
             V[-1:] = -0.0
-            cols = [ball._q(x, V[:, j]) for j in range(p)]
+            cols = [q_oracle(ball, x, V[:, j]) for j in range(p)]
             stack = np.column_stack(cols) if cols else np.zeros((n, 0))
             got = ball._q_cols(x, V)
             assert got.flags.c_contiguous, (name, p)
@@ -662,11 +671,20 @@ def test_repr_shows_scalar_constructor_arguments(catalog):
 
 
 def test_invalid_construction():
-    with pytest.raises(ValueError):
-        Box([1.0], [0.0])
-    with pytest.raises(ValueError):
-        NormBall(2, radius=-1.0)
-    with pytest.raises(ValueError):
-        NormBall(2, radius=1.0, exponent=1.0)
+    nan, inf = np.nan, np.inf
+    # an infinite exponent or radius, or a NaN parameter, gave a wrong set:
+    # the l-inf "ball" of radius 2 kept [5, 0, 0], an infinite radius gave a
+    # nonzero normal cone inside the ball, a NaN bound projected to NaN, and
+    # the empty box [inf, inf] contained 0
+    for lower, upper in (([1.0], [0.0]), ([nan, 0.0], [1.0, 1.0]), ([0.0], [nan]),
+                         ([inf], [inf]), ([-inf], [-inf])):
+        with pytest.raises(ValueError):
+            Box(lower, upper)
+    for radius, exponent in ((-1.0, 2.0), (0.0, 2.0), (inf, 2.0), (nan, 2.0),
+                             (1.0, 1.0), (2.0, inf), (1.0, nan)):
+        with pytest.raises(ValueError):
+            NormBall(3, radius=radius, exponent=exponent)
     with pytest.raises(DimensionMismatch):
         Box([0.0, 0.0], [1.0])
+    # infinite box bounds stay allowed
+    assert Box([-inf, 0.0], [inf, inf]).contains([-5.0, 3.0])
