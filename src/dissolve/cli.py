@@ -140,8 +140,7 @@ def cmd_solve(args):
 
 
 def _bench_task(payload):
-    family, dims, seed, beta_grid, solver_name, max_iter = payload
-    config = _solver_config(family, solver_name, max_iter)
+    family, dims, seed, beta_grid, solver_name, config = payload
     best = None
     for beta in beta_grid:
         inst, prob = problems.gen_instance(family, seed=seed, beta=beta, **dims)
@@ -171,9 +170,10 @@ def cmd_bench(args):
     if empty:
         raise ValueError(f"{', '.join(empty)} lists no value, so the grid has no task")
     beta_grid = [args.beta] if args.beta is not None else list(family.beta_grid)
+    config = _solver_config(args.family, args.solver, args.max_iter)
 
     tasks = [(args.family, _dims_from_args(args, n=n, rho=rho), seed, beta_grid,
-              args.solver, args.max_iter)
+              args.solver, config)
              for n in ns for rho in rhos for seed in seeds]
     for task in tasks:  # every task's dims before any solve
         family.check(**task[1])

@@ -14,9 +14,13 @@ whose null space spans the normal cone), and differentiate Q in the adjoint
 form the dissolving map's vjp needs.  Matrix-shaped sets act on column-major
 flattened vectors.
 
-The public methods of `ConvexSet` validate their arguments once and call a
-kernel; the subclasses supply only kernels, and a product calls its factors'
-kernels.  A set supplies Q and its derivative as block kernels only.
+The public methods `project`, `normal_cone_project` and `contains` validate
+their arguments once and call a kernel; the subclasses supply only kernels,
+and a product calls its factors' kernels.  A new set defines `n`, `_project`,
+`_q_cols`, `_dq_form_cols`, `_normal_cone_project(x, z)` and
+`affine_hull_projector`; membership and the normal cone's active set are
+judged at `DEFAULT_TOL`.  Q and its derivative are reached only through the
+block kernels, which the dissolving map calls on arrays it built itself.
 `_q_cols(x, V)` applies Q(x) to every column of a matrix, at one point x
 with an n-by-m matrix or at an (N, n) stack of points with an (N, n, m)
 stack of matrices, as the dissolving-map build needs.  `_dq_form_cols(x, v,
@@ -36,6 +40,7 @@ lq-ball projection of a point outside the ball (`brentq`), so
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -60,7 +65,8 @@ class DimensionMismatch(ValueError):
 
 
 class DomainViolation(ValueError):
-    """Point lies outside the set beyond the membership tolerance."""
+    """The derivative of Q is not defined at the point, as at a zero
+    coordinate of an lq ball with exponent below 2."""
 
 
 class ProjectionNotConverged(RuntimeError):
@@ -95,6 +101,14 @@ def _col_dots(a, B):
     return (a[..., None, None, :] @ B.swapaxes(-1, -2)[..., None])[..., 0, 0]
 
 
+def _size(value, name):
+    """`value` as a set dimension: a nonnegative whole number, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value >= 0 and float(value).is_integer())):
+        raise ValueError(f"{name} must be a nonnegative integer; got {value!r}")
+    return int(value)
+
+
 def _require_finite(x, what):
     if not np.isfinite(x).all():
         raise ValueError(f"{what} needs a finite point; x has a NaN or infinite entry")
@@ -106,8 +120,6 @@ class ConvexSet:
     The public methods validate their arguments and call a kernel; a
     subclass supplies the kernels and never validates again.
     """
-
-    kind = "abstract"
 
     @property
     def n(self) -> int:
@@ -138,7 +150,7 @@ class ConvexSet:
     def affine_hull_projector(self):
         raise NotImplementedError
 
-    def _normal_cone_project(self, x, z, tol):
+    def _normal_cone_project(self, x, z):
         raise NotImplementedError
 
     def _params(self):
@@ -151,50 +163,14 @@ class ConvexSet:
         """Euclidean projection of x onto the set."""
         return self._project(_vec(x, self.n))
 
-    def normal_cone_project(self, x, z, tol=DEFAULT_TOL):
+    def normal_cone_project(self, x, z):
         """Euclidean projection of z onto the normal cone at x (x in the set)."""
-        return self._normal_cone_project(_vec(x, self.n), _vec(z, self.n, "z"), tol)
+        return self._normal_cone_project(_vec(x, self.n), _vec(z, self.n, "z"))
 
-    def contains(self, x, tol=DEFAULT_TOL) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x lies within DEFAULT_TOL of the set."""
         x = _vec(x, self.n)
-        return float(np.linalg.norm(x - self.project(x))) <= tol
-
-    def _check_point(self, x, validate):
-        x = _vec(x, self.n)
-        if validate and not np.linalg.norm(x - self._project(x)) <= DEFAULT_TOL:
-            raise DomainViolation(
-                f"point is outside {self.kind} beyond tol={DEFAULT_TOL}; "
-                "the projective mapping is only defined on the set"
-            )
-        return x
-
-    def q_apply(self, x, v, validate=True):
-        """Apply the projective mapping:  Q(x) v."""
-        x = self._check_point(x, validate)
-        v = _vec(v, self.n, "v")
-        return self._q(x, v)
-
-    def q_matrix(self, x, validate=True):
-        """Materialize Q(x) as a dense n-by-n matrix (cheap only for small n)."""
-        return self._q_cols(self._check_point(x, validate), np.eye(self.n))
-
-    def dq_apply(self, x, d, v, validate=True):
-        """Directional derivative of x -> Q(x) v along d:  (DQ(x)[d]) v, whose
-        entry i is <dq_form_grad(x, v, e_i), d>: one block kernel call over
-        the identity, for tests and small n (no solve or check calls it)."""
-        x = self._check_point(x, validate)
-        d = _vec(d, self.n, "d")
-        v = _vec(v, self.n, "v")
-        return self._dq_form_cols(x, v, np.eye(self.n)).T @ d
-
-    def dq_form_grad(self, x, v, w, validate=True):
-        """Gradient of the scalar map d -> <w, (DQ(x)[d]) v>: the set's
-        derivative kernel on the one direction w, in closed form so that the
-        dissolving map's vjp stays O(n)."""
-        x = self._check_point(x, validate)
-        v = _vec(v, self.n, "v")
-        w = _vec(w, self.n, "w")
-        return self._dq_form(x, v, w)
+        return float(np.linalg.norm(x - self.project(x))) <= DEFAULT_TOL
 
     def __repr__(self):
         params = ", ".join(f"{k}={v!r}" for k, v in self._params().items())
@@ -203,8 +179,6 @@ class ConvexSet:
 
 class Box(ConvexSet):
     """{x : lower <= x <= upper}, entries may be infinite."""
-
-    kind = "box"
 
     def __init__(self, lower, upper):
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -278,11 +252,11 @@ class Box(ConvexSet):
     def affine_hull_projector(self):
         return np.diag((self.lower < self.upper).astype(float))
 
-    def _normal_cone_project(self, x, z, tol):
+    def _normal_cone_project(self, x, z):
         out = np.zeros_like(z)
-        pinned = self.upper - self.lower <= 2.0 * tol
-        at_lo = self._lo_fin & (x - self.lower <= tol) & ~pinned
-        at_up = self._up_fin & (self.upper - x <= tol) & ~pinned
+        pinned = self.upper - self.lower <= 2.0 * DEFAULT_TOL
+        at_lo = self._lo_fin & (x - self.lower <= DEFAULT_TOL) & ~pinned
+        at_up = self._up_fin & (self.upper - x <= DEFAULT_TOL) & ~pinned
         out[pinned] = z[pinned]
         out[at_lo] = np.minimum(z[at_lo], 0.0)
         out[at_up] = np.maximum(z[at_up], 0.0)
@@ -292,9 +266,8 @@ class Box(ConvexSet):
 class NonnegOrthant(Box):
     """{x : x >= 0}."""
 
-    kind = "nonneg_orthant"
-
     def __init__(self, n):
+        n = _size(n, "n")
         super().__init__(np.zeros(n), np.full(n, np.inf))
 
     def _params(self):
@@ -304,10 +277,8 @@ class NonnegOrthant(Box):
 class NormBall(ConvexSet):
     """{x : ||x||_q <= radius}; q = 2 gets dedicated closed forms."""
 
-    kind = "norm_ball"
-
     def __init__(self, n, radius=1.0, exponent=2.0):
-        self._n = int(n)
+        self._n = _size(n, "n")
         self.radius = float(radius)
         self.exponent = float(exponent)
         # the negations reject NaN too
@@ -379,11 +350,11 @@ class NormBall(ConvexSet):
     def affine_hull_projector(self):
         return np.eye(self.n)
 
-    def _normal_cone_project(self, x, z, tol):
+    def _normal_cone_project(self, x, z):
         _require_finite(x, "l2-ball normal cone" if self._is_l2 else "lq-ball normal cone")
         q, u = self.exponent, self.radius
         nrm = np.linalg.norm(x) if self._is_l2 else np.sum(np.abs(x) ** q) ** (1.0 / q)
-        if nrm < u - tol * max(1.0, u):
+        if nrm < u - DEFAULT_TOL * max(1.0, u):
             return np.zeros_like(z)
         g = x if self._is_l2 else np.sign(x) * np.abs(x) ** (q - 1.0)
         gg = g @ g
@@ -452,11 +423,9 @@ def _lq_ball_shrink(a, u, q):
 class SpectralBall(ConvexSet):
     """{X in R^(m x s) : ||X||_2 <= 1}, flattened column-major."""
 
-    kind = "spectral_ball"
-
     def __init__(self, m, s):
-        self.m = int(m)
-        self.s = int(s)
+        self.m = _size(m, "m")
+        self.s = _size(s, "s")
 
     @property
     def n(self):
@@ -501,12 +470,12 @@ class SpectralBall(ConvexSet):
     def affine_hull_projector(self):
         return np.eye(self.n)
 
-    def _normal_cone_project(self, x, z, tol):
+    def _normal_cone_project(self, x, z):
         _require_finite(x, "spectral-ball normal cone")
         X = _mat(x, self._shape())
         Z = _mat(z, self._shape())
         U, sv, Vt = np.linalg.svd(X, full_matrices=False)
-        top = sv >= 1.0 - tol
+        top = sv >= 1.0 - DEFAULT_TOL
         if not np.any(top):
             return np.zeros(self.n)
         U1 = U[:, top]
@@ -526,8 +495,6 @@ def _psd_part(B):
 class Product(ConvexSet):
     """Cartesian product of descriptors; vectors are concatenated blocks."""
 
-    kind = "product"
-
     def __init__(self, factors):
         factors = list(factors)
         if not factors:
@@ -543,10 +510,10 @@ class Product(ConvexSet):
     def n(self):
         return self._n
 
-    def _each(self, kernel, arrays, *rest):
+    def _each(self, kernel, arrays):
         """Concatenate, in factor order, each factor's `kernel` applied to its
-        block of every array in `arrays` and then to `rest`."""
-        return np.concatenate([getattr(f, kernel)(*[a[s] for a in arrays], *rest)
+        block of every array in `arrays`."""
+        return np.concatenate([getattr(f, kernel)(*[a[s] for a in arrays])
                                for f, s in zip(self.factors, self._slices)])
 
     def _project(self, x):
@@ -566,5 +533,5 @@ class Product(ConvexSet):
             P[s, s] = f.affine_hull_projector()
         return P
 
-    def _normal_cone_project(self, x, z, tol):
-        return self._each("_normal_cone_project", (x, z), tol)
+    def _normal_cone_project(self, x, z):
+        return self._each("_normal_cone_project", (x, z))

@@ -9,6 +9,7 @@ projecting after each step.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -57,8 +58,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.tol_stat < math.inf and 0 < self.tol_feas < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        # NaN, 2.5 and True pass a plain `<= 0` test; a NaN cap would never fire
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter <= 0):
+            raise ValueError(f"max_iter must be a positive integer; got {self.max_iter!r}")
         if self.step_rule not in ("fixed", "bb_nonmonotone"):
             raise ValueError(f"unknown step_rule {self.step_rule!r}")
 

@@ -157,3 +157,15 @@ def dq_form_oracle(domain, x, v, w):
     """The gradient of d -> <w, (DQ(x)[d]) v> by the one-vector formula of
     each set."""
     return _oracle(1, domain, x, v, w)
+
+
+def q_matrix(domain, x):
+    """Q(x) as a dense n-by-n matrix: the block kernel over the identity."""
+    return domain._q_cols(np.asarray(x, dtype=float), np.eye(domain.n))
+
+
+def dq_apply(domain, x, d, v):
+    """(DQ(x)[d]) v, whose entry i is the derivative kernel on e_i dotted with
+    d: one block kernel call over the identity."""
+    x, d, v = (np.asarray(a, dtype=float) for a in (x, d, v))
+    return domain._dq_form_cols(x, v, np.eye(domain.n)).T @ d

@@ -306,6 +306,16 @@ def test_bad_beta_exits_2_without_rows(tmp_path, capsys, command, beta):
     assert captured.out == "" and "beta" in captured.err
 
 
+def test_bench_max_iter_0_exits_2_without_a_file(tmp_path, capsys):
+    # the solver config is built before the CSV opens, not in each task
+    out = tmp_path / "out.csv"
+    assert main(["bench", "--family", "npca", "--n", "10", "--cols", "5", "--max-iter", "0",
+                 "--seeds", "0", "--jobs", "1", "--csv", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_iter" in captured.err
+
+
 @pytest.mark.parametrize("flags", [["--solver", "pg", "--eta", "inf"],
                                    ["--tol-stat", "inf"], ["--tol-feas", "inf"]])
 def test_non_finite_step_or_tolerance_exits_2_without_rows(tmp_path, capsys, flags):

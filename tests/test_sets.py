@@ -20,8 +20,8 @@ from dissolve.sets import (
     SpectralBall,
 )
 
-from conftest import (SRC, dq_form_oracle, make_catalog, q_oracle, run_fresh, sample_point,
-                      sample_smooth_point)
+from conftest import (SRC, dq_apply, dq_form_oracle, make_catalog, q_matrix, q_oracle,
+                      run_fresh, sample_point, sample_smooth_point)
 
 
 # ---------------------------------------------------------------- projection
@@ -106,16 +106,18 @@ def test_lazy_scipy_calls_match_a_fresh_interpreter(capsys):
 
 
 def test_contains_examples():
-    assert Box([0.0, 0.5], [1.0, 0.5]).contains([1.0, 0.5], tol=0.0)
-    assert not NormBall(2).contains([1 + 1e-3, 0.0], tol=1e-6)
-    assert Box([0.0], [np.inf]).contains([-1e-9], tol=1e-8)
+    # membership is judged at DEFAULT_TOL = 1e-8
+    assert Box([0.0, 0.5], [1.0, 0.5]).contains([1.0, 0.5])
+    assert not NormBall(2).contains([1 + 1e-3, 0.0])
+    assert Box([0.0], [np.inf]).contains([-1e-9])
+    assert not Box([0.0], [np.inf]).contains([-2e-8])
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         NormBall(3).project([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
-        Box([0.0, 0.0], [1.0, 1.0]).q_apply([0.5, 0.5], [1.0])
+        Box([0.0, 0.0], [1.0, 1.0]).contains([0.5])
 
 
 def test_projections_reject_wrong_lengths(catalog):
@@ -148,7 +150,6 @@ for value in (np.nan, np.inf, -np.inf):
         x = x0.copy()
         x[j] = value
         for name, call in (("project", lambda: domain.project(x)),
-                           ("q_apply", lambda: domain.q_apply(x, v)),
                            ("normal_cone_project", lambda: domain.normal_cone_project(x, v))):
             print(name, value, j, end=" ", flush=True)
             try:
@@ -165,7 +166,7 @@ def must_raise_value_error(domain):
     an eigensolver or the lq-ball multiplier search can spin or fail on it,
     and instead of a projection that comes back NaN or a silent zero."""
     if isinstance(domain, (SpectralBall, NormBall)):
-        return {"project", "q_apply", "normal_cone_project"}
+        return {"project", "normal_cone_project"}
     return set()
 
 
@@ -184,7 +185,7 @@ def test_calls_at_non_finite_points_return_or_raise(index):
         pytest.fail(f"{domain!r} did not return within 60 s: {last}")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3 * 2 * 3
+    assert len(lines) == 3 * 2 * 2
     raising = must_raise_value_error(domain)
     for line in lines:
         if line.split()[0] in raising:
@@ -337,56 +338,24 @@ def test_product_affine_hull_projector_equals_block_diag(prod):
 
 def test_q_apply_examples():
     ball = NormBall(2)
-    assert np.allclose(ball.q_apply([0.0, 0.0], [0.3, -0.7]), [0.3, -0.7])
-    assert np.allclose(ball.q_apply([1.0, 0.0], [1.0, 1.0]), [0.0, 1.0])
+    assert np.allclose(ball._q(np.array([0.0, 0.0]), np.array([0.3, -0.7])), [0.3, -0.7])
+    assert np.allclose(ball._q(np.array([1.0, 0.0]), np.array([1.0, 1.0])), [0.0, 1.0])
     # an active bound and a pinned coordinate both have weight zero
-    assert np.allclose(Box([0.0, 0.5], [1.0, 0.5]).q_apply([1.0, 0.5], [0.4, 0.6]),
+    assert np.allclose(Box([0.0, 0.5], [1.0, 0.5])._q(np.array([1.0, 0.5]),
+                                                      np.array([0.4, 0.6])),
                        [0.0, 0.0])
     # at X = I the spectral ball keeps the skew part of Y: Y - X sym(X^T Y)
     Y = np.array([[0.3, 0.1], [-0.2, 0.4]])
-    out = SpectralBall(2, 2).q_apply(np.eye(2).reshape(-1, order="F"),
-                                     Y.reshape(-1, order="F"))
+    out = SpectralBall(2, 2)._q(np.eye(2).reshape(-1, order="F"), Y.reshape(-1, order="F"))
     assert np.allclose(out.reshape(2, 2, order="F"), 0.5 * (Y - Y.T))
 
 
 def test_q_matrix_examples():
-    assert np.allclose(NonnegOrthant(2).q_matrix([3.0, 0.0]), np.diag([3.0, 0.0]))
+    assert np.allclose(q_matrix(NonnegOrthant(2), [3.0, 0.0]), np.diag([3.0, 0.0]))
     # hand evaluation: I - x x^T on the unit l2 ball
-    assert np.allclose(NormBall(2).q_matrix([0.6, 0.8]),
+    assert np.allclose(q_matrix(NormBall(2), [0.6, 0.8]),
                        [[0.64, -0.48], [-0.48, 0.36]])
-    sb = SpectralBall(2, 2)
-    assert np.allclose(sb.q_matrix(np.zeros(4)), np.eye(4))
-
-
-def test_q_apply_rejects_points_outside_domain():
-    with pytest.raises(DomainViolation):
-        NormBall(2).q_apply([2.0, 0.0], [1.0, 0.0])
-    with pytest.raises(DomainViolation):
-        Box([0.0, 0.5], [1.0, 0.5]).q_apply([0.5, 0.6], [1.0, 0.0])
-    # a NaN point has no distance to the set and is rejected too; the l2
-    # ball's projection names it before the membership test
-    with pytest.raises(DomainViolation):
-        Box([0.0, 0.0], [1.0, 1.0]).q_apply([np.nan, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError, match="l2-ball projection needs a finite point"):
-        NormBall(2).q_apply([np.nan, 0.0], [1.0, 0.0])
-
-
-def test_validated_q_methods_check_each_argument_once(monkeypatch):
-    # membership runs the projection kernel on the x already validated
-    calls = []
-    vec = sets._vec
-
-    def counting_vec(x, n, name="x"):
-        calls.append(name)
-        return vec(x, n, name)
-
-    monkeypatch.setattr(sets, "_vec", counting_vec)
-    ball = NormBall(2)
-    ball.q_apply([0.6, 0.0], [1.0, 0.0])
-    assert calls == ["x", "v"]
-    calls.clear()
-    ball.dq_form_grad([0.6, 0.0], [1.0, 0.0], [0.0, 1.0])
-    assert calls == ["x", "v", "w"]
+    assert np.allclose(q_matrix(SpectralBall(2, 2), np.zeros(4)), np.eye(4))
 
 
 def test_q_symmetric_psd_on_samples(catalog):
@@ -394,7 +363,7 @@ def test_q_symmetric_psd_on_samples(catalog):
     for domain in catalog:
         for _ in range(100):
             x = sample_point(domain, rng)
-            Q = domain.q_matrix(x)
+            Q = q_matrix(domain, x)
             assert np.abs(Q - Q.T).max() <= 1e-12
             assert np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() >= -1e-10
 
@@ -415,16 +384,16 @@ def test_q_cols_matches_column_stack_of_q(catalog, spread):
             # each column equals the one-vector formula and that column alone
             for q in (q_oracle, ConvexSet._q):
                 stack = np.column_stack([q(domain, x, V[:, j]) for j in range(m)])
-                assert same_bits(got, stack), (domain.kind, m, q.__name__)
+                assert same_bits(got, stack), (domain, m, q.__name__)
             # a stack of points, each with a row block of a wider matrix
             X = np.array([sample_point(domain, rng, spread) for _ in range(3)])
             Vs = rng.standard_normal((3, domain.n + 2, m))[:, 1:-1]
             got = domain._q_cols(X, Vs)
-            assert got.shape == Vs.shape, (domain.kind, m)
+            assert got.shape == Vs.shape, (domain, m)
             for i in range(3):
                 for q in (q_oracle, ConvexSet._q):
                     stack = np.column_stack([q(domain, X[i], Vs[i][:, j]) for j in range(m)])
-                    assert same_bits(got[i], stack), (domain.kind, m, i, q.__name__)
+                    assert same_bits(got[i], stack), (domain, m, i, q.__name__)
         assert domain._q_cols(x, np.zeros((domain.n, 0))).shape == (domain.n, 0)
         assert domain._q_cols(x[None], np.zeros((1, domain.n, 0))).shape == (1, domain.n, 0)
 
@@ -445,7 +414,7 @@ def test_dq_form_cols_matches_column_stack_of_dq_form(catalog, spread):
             for dq in (dq_form_oracle, ConvexSet._dq_form):
                 cols = [dq(domain, x, v, W[:, j]) for j in range(m)]
                 stack = np.column_stack(cols) if cols else np.zeros((domain.n, 0))
-                assert same_bits(got, stack), (domain.kind, m, dq.__name__)
+                assert same_bits(got, stack), (domain, m, dq.__name__)
 
 
 @pytest.mark.parametrize("m,s", [(1, 1), (4, 3), (5, 5), (7, 1), (1, 6), (30, 4),
@@ -516,8 +485,7 @@ def test_box_constant_weights_are_read_only_and_never_returned():
         d, v, w = rng.standard_normal((3, 5))
         V = rng.standard_normal((5, 3))
         outs = [box._q(x, v), box._q_cols(x, V), box._dq_form(x, v, w),
-                box.q_apply(x, v), box.q_matrix(x), box.dq_apply(x, d, v),
-                box.dq_form_grad(x, v, w)]
+                box._dq_form_cols(x, v, V), q_matrix(box, x), dq_apply(box, x, d, v)]
         for out in outs:
             assert out.flags.writeable
             assert not any(np.shares_memory(out, a) for a in consts)
@@ -558,8 +526,8 @@ def test_null_space_matches_normal_cone_span():
     cases.append((lq, xq, wq[:, None]))
     for domain, x, normal_basis in cases:
         Pn = _span_projector(normal_basis)
-        Pq = _span_projector(_null_space(domain.q_matrix(x)))
-        assert np.abs(Pn - Pq).max() < 1e-7, domain.kind
+        Pq = _span_projector(_null_space(q_matrix(domain, x)))
+        assert np.abs(Pn - Pq).max() < 1e-7, domain
 
 
 def test_box_pinned_coordinate():
@@ -567,7 +535,7 @@ def test_box_pinned_coordinate():
     # mapping weight vanishes, and the hull projector drops the direction
     box = Box([0.0, 1.0], [2.0, 1.0])
     assert np.allclose(box.project([5.0, 5.0]), [2.0, 1.0])
-    assert np.allclose(box.q_matrix([0.5, 1.0]), np.diag([0.75, 0.0]))
+    assert np.allclose(q_matrix(box, [0.5, 1.0]), np.diag([0.75, 0.0]))
     assert np.allclose(box.affine_hull_projector(), np.diag([1.0, 0.0]))
     p = box.normal_cone_project(np.array([0.5, 1.0]), np.array([0.3, -0.7]))
     assert np.allclose(p, [0.0, -0.7])  # pinned directions are fully normal
@@ -583,8 +551,8 @@ def test_normal_cone_projection_optimality():
             p = domain.normal_cone_project(x, z)
             scale = max(1.0, np.linalg.norm(z))
             p2 = domain.normal_cone_project(x, p)
-            assert np.linalg.norm(p2 - p) <= 1e-8 * scale, domain.kind
-            assert abs((z - p) @ p) <= 1e-8 * scale ** 2, domain.kind
+            assert np.linalg.norm(p2 - p) <= 1e-8 * scale, domain
+            assert abs((z - p) @ p) <= 1e-8 * scale ** 2, domain
 
 
 def test_normal_cone_projection_interior_is_zero():
@@ -605,20 +573,20 @@ def test_normal_cone_projection_interior_is_zero():
 
 def test_dq_apply_examples():
     ball = NormBall(2)
-    assert np.allclose(ball.dq_apply([1.0, 0.0], [0.0, 1.0], [1.0, 0.0]), [0.0, -1.0])
+    assert np.allclose(dq_apply(ball, [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]), [0.0, -1.0])
     # DQ(X)[D] Y = -D sym(X^T Y) - X sym(D^T Y), which is -2 I at X = D = Y = I
     I4 = np.eye(2).reshape(-1, order="F")
-    assert np.allclose(SpectralBall(2, 2).dq_apply(I4, I4, I4).reshape(2, 2, order="F"),
+    assert np.allclose(dq_apply(SpectralBall(2, 2), I4, I4, I4).reshape(2, 2, order="F"),
                        -2.0 * np.eye(2))
     for domain in (ball, Box([0.0, 0.5], [1.0, 0.5]), SpectralBall(2, 3)):
         rng = np.random.default_rng(0)
         x = sample_point(domain, rng)
         v = rng.standard_normal(domain.n)
-        assert np.allclose(domain.dq_apply(x, np.zeros(domain.n), v), 0.0)
+        assert np.allclose(dq_apply(domain, x, np.zeros(domain.n), v), 0.0)
 
 
 def test_dq_matches_finite_differences(catalog):
-    # dq_apply, and the kernel every generic-map vjp runs on its own: the
+    # (DQ(x)[d]) v, and the kernel every generic-map vjp runs on its own: the
     # unit w comes from a second generator, so x, d and v stay as they were
     rng = np.random.default_rng(7)
     rng_w = np.random.default_rng(8)
@@ -632,13 +600,12 @@ def test_dq_matches_finite_differences(catalog):
             w = rng_w.standard_normal(domain.n)
             w /= np.linalg.norm(w)
             step = eps * (1.0 + np.linalg.norm(x))
-            fd = (domain.q_apply(x + step * d, v, validate=False)
-                  - domain.q_apply(x - step * d, v, validate=False)) / (2 * step)
+            fd = (domain._q(x + step * d, v) - domain._q(x - step * d, v)) / (2 * step)
             tol = 1e-6 * max(1.0, np.linalg.norm(fd))
-            an = domain.dq_apply(x, d, v, validate=False)
-            assert np.linalg.norm(an - fd) <= tol, domain.kind
-            form = domain.dq_form_grad(x, v, w, validate=False) @ d
-            assert abs(form - w @ fd) <= tol, domain.kind
+            an = dq_apply(domain, x, d, v)
+            assert np.linalg.norm(an - fd) <= tol, domain
+            form = domain._dq_form(x, v, w) @ d
+            assert abs(form - w @ fd) <= tol, domain
 
 
 def test_dq_form_grad_is_adjoint_of_dq_apply(catalog):
@@ -648,17 +615,16 @@ def test_dq_form_grad_is_adjoint_of_dq_apply(catalog):
             x = sample_point(domain, rng)
             v = rng.standard_normal(domain.n)
             w = rng.standard_normal(domain.n)
-            g = domain.dq_form_grad(x, v, w)
-            probe = np.array([w @ domain.dq_apply(x, e, v, validate=False)
-                              for e in np.eye(domain.n)])
+            g = domain._dq_form(x, v, w)
+            probe = np.array([w @ dq_apply(domain, x, e, v) for e in np.eye(domain.n)])
             assert np.abs(g - probe).max() <= 1e-10 * max(1.0, np.abs(probe).max())
 
 
 def test_lq_ball_derivative_domain_error_below_two():
     ball = NormBall(2, radius=1.0, exponent=1.5)
     with pytest.raises(DomainViolation):
-        ball.dq_apply([0.5, 0.0], [1.0, 1.0], [1.0, 1.0])
-    out = ball.dq_apply([0.4, 0.3], [1.0, 1.0], [1.0, 1.0])
+        dq_apply(ball, [0.5, 0.0], [1.0, 1.0], [1.0, 1.0])
+    out = dq_apply(ball, [0.4, 0.3], [1.0, 1.0], [1.0, 1.0])
     assert np.all(np.isfinite(out))
 
 
@@ -684,7 +650,74 @@ def test_invalid_construction():
                              (1.0, 1.0), (2.0, inf), (1.0, nan)):
         with pytest.raises(ValueError):
             NormBall(3, radius=radius, exponent=exponent)
+    # a negative ball size made every later call raise DimensionMismatch, and
+    # a fractional one was truncated (an orthant's raised TypeError)
+    for make in (lambda: NormBall(-3), lambda: NormBall(2.7), lambda: SpectralBall(-2, 3),
+                 lambda: SpectralBall(2, 1.5), lambda: NonnegOrthant(2.7),
+                 lambda: NonnegOrthant(-1)):
+        with pytest.raises(ValueError):
+            make()
     with pytest.raises(DimensionMismatch):
         Box([0.0, 0.0], [1.0])
     # infinite box bounds stay allowed
     assert Box([-inf, 0.0], [inf, inf]).contains([-5.0, 3.0])
+
+
+# ---------------------------------------------------------------- a user set
+
+
+class ScaledBox(ConvexSet):
+    """{x : |x_i| <= r_i}, defined through the subclass kernels alone; Q(x)
+    scales coordinate i by r_i^2 - x_i^2, which vanishes on its bounds."""
+
+    def __init__(self, r):
+        self.r = np.asarray(r, dtype=float)
+
+    @property
+    def n(self):
+        return self.r.size
+
+    def _project(self, x):
+        return np.clip(x, -self.r, self.r)
+
+    def _q_cols(self, x, V):
+        return (self.r ** 2 - x ** 2)[..., None] * V
+
+    def _dq_form_cols(self, x, v, W):
+        return (-2.0 * x * v)[:, None] * W
+
+    def _normal_cone_project(self, x, z):
+        out = np.zeros_like(z)
+        up, lo = self.r - x <= sets.DEFAULT_TOL, x + self.r <= sets.DEFAULT_TOL
+        out[up] = np.maximum(z[up], 0.0)
+        out[lo] = np.minimum(z[lo], 0.0)
+        return out
+
+    def affine_hull_projector(self):
+        return np.eye(self.n)
+
+
+def test_a_user_set_enters_through_the_kernels_alone():
+    # min ||x - t||^2 / 2 subject to sum(x) = 1 over |x| <= (0.5, 1, 2): the
+    # first bound is active at the solution x* = (0.5, 0.75, -0.25)
+    from dissolve import (ConstraintMap, PenaltyProblem, SolverConfig, assumption_a_check,
+                          build_aq, grad_check, solve)
+
+    domain = ScaledBox([0.5, 1.0, 2.0])
+    t = np.array([2.0, 0.0, -1.0])
+    cmap = ConstraintMap(p=1, value=lambda x: np.array([x.sum() - 1.0]),
+                         jac_t_apply=lambda x, v: np.full(x.size, v[0]),
+                         jac_apply=lambda x, d: np.array([d.sum()]),
+                         hess_apply=lambda x, lam, d: np.zeros(x.size))
+    prob = PenaltyProblem(f_value=lambda x: 0.5 * float((x - t) @ (x - t)),
+                          f_grad=lambda x: x - t, cmap=cmap,
+                          amap=build_aq(domain, cmap), domain=domain, beta=10.0)
+    rng = np.random.default_rng(53)
+    assert grad_check(prob, [domain.project(rng.standard_normal(3)) for _ in range(3)]).passed
+    # feasible points inside the box and on its first bound
+    report = assumption_a_check(prob.amap, cmap, domain,
+                                [np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.75, -0.25])])
+    assert report.passed, report.worst_violation
+    res = solve(prob, np.zeros(3), SolverConfig(tol_stat=1e-9, tol_feas=1e-9))
+    assert res.status == "converged"
+    assert np.abs(res.x_final - [0.5, 0.75, -0.25]).max() <= 1e-6

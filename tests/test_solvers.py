@@ -226,6 +226,10 @@ def test_solve_dispatch():
     {"tol_feas": float("-inf")},
     {"tol_stat": float("inf")},
     {"tol_feas": float("inf")},
+    # a NaN cap never fired: fpca ran 4,059 iterations at max_iter=nan
+    {"max_iter": float("nan")},
+    {"max_iter": 2.5},
+    {"max_iter": True},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
