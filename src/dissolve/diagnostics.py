@@ -76,6 +76,8 @@ def grad_check(prob, points):
         rel = _norm(g - gfd) / max(1.0, _norm(gfd))
         worst = max(worst, rel)
         details.append({"rel_error": rel, "grad_norm": _norm(gfd)})
+    if not details:
+        raise ValueError("grad_check needs at least one point")
     return CheckReport.build("grad_check", len(details), worst, GRAD_CHECK_THRESHOLD, details)
 
 
@@ -160,6 +162,8 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         rec["ratio"] = max(fix / thr_fix, ker / thr_ker, idem / thr_idem)
         worst = max(worst, rec["ratio"])
         details.append(rec)
+    if not details:
+        raise ValueError("assumption_a_check needs at least one point")
     return CheckReport.build("assumption_a_check", len(details), worst, 1.0, details)
 
 
@@ -189,6 +193,8 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
     sample satisfied the bound ("held_radius").  When P_E is the identity
     its products are skipped: on finite samples they return their argument
     bit for bit."""
+    if n_samples < 1:
+        raise ValueError(f"local_error_bound_probe needs n_samples >= 1; got {n_samples}")
     x = np.asarray(x_feasible, dtype=float)
     rng = np.random.default_rng(seed)
     P_E = domain.affine_hull_projector()

@@ -77,11 +77,12 @@ __all__ = [
 class ConstraintMap:
     """Smooth equality constraints c : R^n -> R^p with Jacobian products.
 
-    jac_t_apply(x, v) returns G(x) v (columns of G are constraint gradients);
-    jac_apply(x, d) returns G(x)^T d; hess_apply(x, lam, d) returns
-    sum_i lam_i * Hess(c_i)(x) d, which `build_aq` needs when p >= 1;
-    jac_columns(x), when present, returns the whole n-by-p G(x) and must
-    equal the stack of jac_t_apply(x, e_i) bit for bit.
+    The library calls value(x) = c(x), jac_t_apply(x, v) = G(x) v (columns
+    of G are constraint gradients), hess_apply(x, lam, d) = sum_i lam_i
+    Hess(c_i)(x) d (`build_aq` needs it when p >= 1) and, if given,
+    jac_columns(x) = the n-by-p G(x), the stack of jac_t_apply(x, e_i) bit
+    for bit.  It never calls jac_apply(x, d) = G(x)^T d: only the
+    benchmark's tracer and qpb-l4 workload pass it; ROADMAP item 2 drops it.
 
     `stacked=True` declares that value, jac_t_apply and jac_columns (then
     required) also take an (N, n) stack of points, with an (N, p) stack of
@@ -96,7 +97,7 @@ class ConstraintMap:
     p: int
     value: Callable[[np.ndarray], np.ndarray]
     jac_t_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jac_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     jac_columns: Optional[Callable[[np.ndarray], np.ndarray]] = None
     stacked: bool = False
@@ -155,7 +156,6 @@ def empty_constraint_map(n):
         p=0,
         value=lambda x: np.zeros(0),
         jac_t_apply=lambda x, v: np.zeros(n),
-        jac_apply=lambda x, d: np.zeros(0),
         hess_apply=lambda x, lam, d: np.zeros(n),
     )
 

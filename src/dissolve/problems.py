@@ -149,7 +149,6 @@ def build_npca_problem(B, rho, beta=None):
         p=1,
         value=lambda x: np.array([x @ x - 1.0]),
         jac_t_apply=lambda x, v: 2.0 * v[0] * x,
-        jac_apply=lambda x, d: np.array([2.0 * (x @ d)]),
         hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
     )
     domain = NonnegOrthant(n)
@@ -197,7 +196,6 @@ def build_qpb_problem(Qmat, qvec, beta=None):
         p=1,
         value=lambda x: np.array([(x - d) @ (x - d) - 1.0]),
         jac_t_apply=lambda x, v: 2.0 * v[0] * (x - d),
-        jac_apply=lambda x, dd: np.array([2.0 * ((x - d) @ dd)]),
         hess_apply=lambda x, lam, dd: 2.0 * lam[0] * dd,
     )
     domain = NormBall(n, radius=1.0, exponent=2.0)
@@ -261,19 +259,14 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
     k = len(A_list)
     n = A_list[0].shape[1]
     d = int(d)
-    AtA = [A.T @ A for A in A_list]
     pe, ye = n * d, n * d + k  # end of the P block, end of the y block
     dim = ye + 1
     hat = np.array(hat_sq, dtype=float)
     msz = np.array(m_sizes, dtype=float)
-    # per-group -2/m as Python floats for jac's loop: the same doubles,
-    # cheaper to combine
-    g2 = [-2.0 / m for m in msz.tolist()]
     # the k groups stacked, so that c_value, jac_t, jac_columns and hess take
-    # one product over all groups; each slice is the per-group array it was
-    # stacked from
-    AtA_stack = np.stack(AtA)
-    g2_arr = np.array(g2)
+    # one product over all groups
+    AtA_stack = np.stack([A.T @ A for A in A_list])
+    g2_arr = -2.0 / msz
     g2_col = g2_arr[:, None, None]
     eye_k = np.eye(k)
 
@@ -335,17 +328,6 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
         G[..., ye, k] = -0.0
         return G
 
-    def jac(x, dd):
-        P = x[:pe].reshape((n, d), order="F")
-        DP = dd[:pe].reshape((n, d), order="F")
-        dy = dd[pe:ye].tolist()
-        dz = float(dd[ye])
-        out = np.empty(k + 1)
-        for i in range(k):
-            out[i] = g2[i] * ((AtA[i] @ P) * DP).sum() + dy[i] - dz
-        out[k] = 2.0 * (P * DP).sum()
-        return out
-
     def hess(x, lam, dd):
         # one (lam, dd) or, at the one point x, an (m, p) and (m, n) stack
         DP = mat_p(dd)
@@ -363,8 +345,7 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
         return out
 
     cmap = ConstraintMap(p=k + 1, value=c_value, jac_t_apply=jac_t,
-                         jac_apply=jac, hess_apply=hess, jac_columns=jac_columns,
-                         stacked=True)
+                         hess_apply=hess, jac_columns=jac_columns, stacked=True)
     domain = Product([SpectralBall(n, d), NonnegOrthant(k),
                       Box([-np.inf], [np.inf])])
     amap = build_aq(domain, cmap)

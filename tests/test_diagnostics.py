@@ -41,7 +41,6 @@ def test_grad_check_quadratic_affine_closed_form():
         p=1,
         value=lambda x: np.array([a @ x - 0.5]),
         jac_t_apply=lambda x, v: a * v[0],
-        jac_apply=lambda x, d: np.array([a @ d]),
         hess_apply=lambda x, lam, d: np.zeros(n),
     )
     domain = NormBall(n, radius=3.0)
@@ -95,6 +94,16 @@ def test_assumption_check_rejects_infeasible_points():
     with pytest.raises(ValueError):
         assumption_a_check(prob.amap, prob.cmap, prob.domain,
                            [np.full(6, 0.5)])
+    # a check over no point or no sample would pass having checked nothing
+    inst, prob = gen_fpca(4, 2, 3, seed=0)
+    x = feasible_points(inst, 1, seed=0)[0]
+    with pytest.raises(ValueError):
+        grad_check(prob, [])
+    with pytest.raises(ValueError):
+        assumption_a_check(prob.amap, prob.cmap, prob.domain, [])
+    for n_samples in (0, -5):
+        with pytest.raises(ValueError):
+            local_error_bound_probe(prob.cmap, prob.domain, x, n_samples=n_samples)
 
 
 def test_assumption_check_counterexamples():
@@ -160,7 +169,6 @@ def sphere_cmap(n, radius=1.0):
         p=1,
         value=lambda x: np.array([x @ x - radius ** 2]),
         jac_t_apply=lambda x, v: 2.0 * v[0] * x,
-        jac_apply=lambda x, d: np.array([2.0 * (x @ d)]),
         hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
     )
 
@@ -176,7 +184,6 @@ def test_pi_sigma_duplicated_rows_flag_degeneracy():
         p=2,
         value=lambda x: np.array([x[0] + x[1], 2 * x[0] + 2 * x[1]]),
         jac_t_apply=lambda x, v: np.array([v[0] + 2 * v[1], v[0] + 2 * v[1]]),
-        jac_apply=lambda x, d: np.array([d[0] + d[1], 2 * d[0] + 2 * d[1]]),
     )
     domain = Box(np.full(n, -np.inf), np.full(n, np.inf))
     x = np.zeros(2)
@@ -194,7 +201,6 @@ def test_pi_sigma_projects_out_affine_hull():
         p=1,
         value=lambda x: np.array([a @ x]),
         jac_t_apply=lambda x, v: a * v[0],
-        jac_apply=lambda x, d: np.array([a @ d]),
     )
     domain = Box([0.0, 0.0, 0.5], [1.0, 1.0, 0.5])
     x = np.full(3, 0.5)
@@ -214,7 +220,6 @@ def test_probe_affine_holds_everywhere():
         p=1,
         value=lambda x: np.array([a @ x]),
         jac_t_apply=lambda x, v: a * v[0],
-        jac_apply=lambda x, d: np.array([a @ d]),
     )
     domain = Box(np.full(n, -np.inf), np.full(n, np.inf))
     report = local_error_bound_probe(cmap, domain, np.zeros(n),
@@ -240,7 +245,6 @@ def test_probe_flags_degenerate_constraint():
         p=1,
         value=lambda x: np.array([(x @ x - 1.0) ** 2]),
         jac_t_apply=lambda x, v: 4.0 * (x @ x - 1.0) * v[0] * x,
-        jac_apply=lambda x, d: np.array([4.0 * (x @ x - 1.0) * (x @ d)]),
     )
     domain = NormBall(2, radius=2.0)
     report = local_error_bound_probe(cmap, domain, np.array([1.0, 0.0]),
@@ -328,7 +332,7 @@ def pinned_box_ball_case():
     def jac_t(x, v):
         return np.concatenate([np.cos(w @ (x[:4] - x0[:4])) * v[0] * w, 2.0 * v[1] * x[4:]])
 
-    cmap = ConstraintMap(p=2, value=value, jac_t_apply=jac_t, jac_apply=None)
+    cmap = ConstraintMap(p=2, value=value, jac_t_apply=jac_t)
     box = Box([0.0, 0.0, 0.2, 0.0], [1.0, 1.0, 0.2, 1.0])
     return cmap, Product([box, NormBall(2)]), x0
 
@@ -352,7 +356,7 @@ def blowup_case():
         return out
 
     cmap = ConstraintMap(p=1, value=lambda x: np.array([np.sin(a @ x)]),
-                         jac_t_apply=jac_t, jac_apply=None)
+                         jac_t_apply=jac_t)
     return cmap, Box(np.full(3, -np.inf), np.full(3, np.inf)), np.zeros(3)
 
 
@@ -409,7 +413,6 @@ def pinned_box_problem():
         p=1,
         value=lambda x: np.array([x @ x - 0.4]),
         jac_t_apply=lambda x, v: 2.0 * v[0] * x,
-        jac_apply=lambda x, d: np.array([2.0 * (x @ d)]),
         hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
     )
     domain = Box([0.0, 0.0, 0.3, 0.0], [1.0, 1.0, 0.3, 1.0])

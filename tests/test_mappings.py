@@ -35,7 +35,6 @@ def sphere_cmap(n):
         p=1,
         value=lambda x: np.array([x @ x - 1.0]),
         jac_t_apply=lambda x, v: 2.0 * v[0] * x,
-        jac_apply=lambda x, d: np.array([2.0 * (x @ d)]),
         hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
     )
 
@@ -46,7 +45,6 @@ def affine_cmap(a, b):
         p=1,
         value=lambda x: np.array([a @ x - b]),
         jac_t_apply=lambda x, v: a * v[0],
-        jac_apply=lambda x, d: np.array([a @ d]),
         hess_apply=lambda x, lam, d: np.zeros_like(a),
     )
 
@@ -54,31 +52,20 @@ def affine_cmap(a, b):
 # ---------------------------------------------------------------- constraint maps
 
 
-def test_jacobian_adjoint_pairing():
-    rng = np.random.default_rng(0)
-    _, prob = gen_fpca(6, 2, 2, seed=0)
-    cmap = prob.cmap
-    n = prob.n
-    for _ in range(20):
-        x = rng.standard_normal(n)
-        d = rng.standard_normal(n)
-        v = rng.standard_normal(cmap.p)
-        lhs = cmap.jac_apply(x, d) @ v
-        rhs = d @ cmap.jac_t_apply(x, v)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
 def test_jacobian_matches_value_differences():
-    _, prob = gen_qpb(8, seed=1)
-    cmap = prob.cmap
+    # G(x)^T d, from the G each family supplies through jac_t_apply or
+    # jac_columns, against central differences of c along d
     rng = np.random.default_rng(1)
     eps = np.cbrt(np.finfo(float).eps)
-    for _ in range(10):
-        x = rng.standard_normal(8)
-        d = rng.standard_normal(8)
-        d /= np.linalg.norm(d)
-        fd = (cmap.value(x + eps * d) - cmap.value(x - eps * d)) / (2 * eps)
-        assert np.linalg.norm(cmap.jac_apply(x, d) - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+    for _, prob in (gen_npca(8, 4, seed=1), gen_qpb(8, seed=1), gen_fpca(4, 2, 3, seed=1)):
+        cmap = prob.cmap
+        for _ in range(10):
+            x = rng.standard_normal(prob.n)
+            d = rng.standard_normal(prob.n)
+            d /= np.linalg.norm(d)
+            fd = (cmap.value(x + eps * d) - cmap.value(x - eps * d)) / (2 * eps)
+            jd = cmap.jac_matrix(x).T @ d
+            assert np.linalg.norm(jd - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
 # ---------------------------------------------------------------- generic map
@@ -409,7 +396,6 @@ def test_point_cache_never_serves_a_nan_point(monkeypatch):
         p=1,
         value=lambda x: np.array([x[0] - 0.5]),
         jac_t_apply=lambda x, v: np.array([v[0], 0.0]),
-        jac_apply=lambda x, d: np.array([d[0]]),
         hess_apply=lambda x, lam, d: np.zeros(2),
     )
     amap = build_aq(Box([-np.inf] * 2, [np.inf] * 2), cmap)
@@ -478,15 +464,6 @@ def parent_fpca_oracles(data):
         out[ye] = -np.sum(v[:k])
         return out
 
-    def jac(x, dd):
-        P, _, _ = split(x)
-        DP, dy, dz = split(dd)
-        out = np.empty(k + 1)
-        for i in range(k):
-            out[i] = (-2.0 / m_sizes[i]) * np.sum((AtA[i] @ P) * DP) + dy[i] - dz
-        out[k] = 2.0 * np.sum(P * DP)
-        return out
-
     def hess(x, lam, dd):
         DP, _, _ = split(dd)
         HP = np.zeros((n, d))
@@ -498,13 +475,13 @@ def parent_fpca_oracles(data):
         out[:pe] = HP.reshape(-1, order="F")
         return out
 
-    return c_value, jac_t, jac, hess
+    return c_value, jac_t, hess
 
 
 @pytest.mark.parametrize("dims", [(4, 2, 3), (7, 3, 2), (5, 1, 1)])
 def test_fpca_oracles_match_plain_formulas(dims):
     inst, prob = gen_fpca(*dims, seed=2)
-    c_value, jac_t, jac, hess = parent_fpca_oracles(inst.data)
+    c_value, jac_t, hess = parent_fpca_oracles(inst.data)
     cmap = prob.cmap
     rng = np.random.default_rng(12)
     for trial in range(10):
@@ -517,7 +494,6 @@ def test_fpca_oracles_match_plain_formulas(dims):
             v[0], lam[-1], v[-1], lam[0] = 0.0, -0.0, -0.0, 0.0
         assert same_bits(cmap.value(x), c_value(x))
         assert same_bits(cmap.jac_t_apply(x, v), jac_t(x, v))
-        assert same_bits(cmap.jac_apply(x, dd), jac(x, dd))
         assert same_bits(cmap.hess_apply(x, lam, dd), hess(x, lam, dd))
 
 
@@ -593,7 +569,6 @@ def test_penalty_at_a_non_finite_point_builds_once(monkeypatch):
         p=1,
         value=lambda x: np.array([x[0] - 0.5]),
         jac_t_apply=lambda x, v: np.array([v[0], 0.0]),
-        jac_apply=lambda x, d: np.array([d[0]]),
         hess_apply=lambda x, lam, d: np.zeros(2),
     )
     domain = Box([-np.inf] * 2, [np.inf] * 2)
@@ -674,7 +649,6 @@ def nan_point_problem():
         p=1,
         value=lambda x: np.array([x[0] - 0.5]),
         jac_t_apply=lambda x, v: np.array([v[0], 0.0]),
-        jac_apply=lambda x, d: np.array([d[0]]),
         hess_apply=lambda x, lam, d: np.zeros(2),
     )
     domain = Box([-np.inf] * 2, [np.inf] * 2)
@@ -988,7 +962,6 @@ def quadratic_cmap(n, rng, p=2):
         p=p,
         value=lambda x: np.array([0.5 * (x @ (Mi @ x)) for Mi in M]) - r,
         jac_t_apply=lambda x, v: sum(v[i] * (M[i] @ x) for i in range(p)),
-        jac_apply=lambda x, d: np.array([(Mi @ x) @ d for Mi in M]),
         hess_apply=lambda x, lam, d: sum(lam[i] * (M[i] @ d) for i in range(p)),
     )
 

@@ -699,7 +699,8 @@ class ScaledBox(ConvexSet):
 
 def test_a_user_set_enters_through_the_kernels_alone():
     # min ||x - t||^2 / 2 subject to sum(x) = 1 over |x| <= (0.5, 1, 2): the
-    # first bound is active at the solution x* = (0.5, 0.75, -0.25)
+    # first bound is active at the solution x* = (0.5, 0.75, -0.25); the
+    # constraint map supplies p, value, jac_t_apply and hess_apply alone
     from dissolve import (ConstraintMap, PenaltyProblem, SolverConfig, assumption_a_check,
                           build_aq, grad_check, solve)
 
@@ -707,7 +708,6 @@ def test_a_user_set_enters_through_the_kernels_alone():
     t = np.array([2.0, 0.0, -1.0])
     cmap = ConstraintMap(p=1, value=lambda x: np.array([x.sum() - 1.0]),
                          jac_t_apply=lambda x, v: np.full(x.size, v[0]),
-                         jac_apply=lambda x, d: np.array([d.sum()]),
                          hess_apply=lambda x, lam, d: np.zeros(x.size))
     prob = PenaltyProblem(f_value=lambda x: 0.5 * float((x - t) @ (x - t)),
                           f_grad=lambda x: x - t, cmap=cmap,

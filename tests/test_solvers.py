@@ -267,7 +267,6 @@ def test_feasibility_measure_cases():
         p=1,
         value=lambda x: np.array([(x - d) @ (x - d) - 1.0]),
         jac_t_apply=lambda x, v: 2.0 * v[0] * (x - d),
-        jac_apply=lambda x, dd: np.array([2.0 * ((x - d) @ dd)]),
         hess_apply=lambda x, lam, dd: 2.0 * lam[0] * dd,
     )
     domain = NormBall(n)
