@@ -4,20 +4,21 @@ Reports fold multi-threshold checks into one normalized ratio: each sub-check
 contributes violation / sub_threshold, the report threshold is 1.0, and
 `passed` is equivalent to worst_violation <= threshold.
 
-Checks that evaluate many points evaluate them as stacks: grad_check's
-4n finite-difference points around each gradient point are stacked
-`h_value` calls of at most STENCIL_ROWS points each, and the error-bound
-probe's samples at each radius are one stacked c and one stacked G c, each
+Checks that evaluate many points evaluate them as stacks of at most
+STACK_ROWS rows: grad_check's 4n finite-difference points around each
+gradient point are stacked `h_value` calls, and the error-bound probe's
+samples at all its radii, drawn at once, are stacked c and G c calls, each
 row bit-identical to the per-point call (see `dissolve.mappings`).
 Wrappers of `h_value` or of the constraint callbacks therefore see one call
-per stack.  Checks that take many products at one point take them as
-blocks: `assumption_a_check`'s kernel samples are one stacked G lam and one
-vjp over their block, and its Jacobian one vjp over the identity, each
-column bit-identical to the one-vector vjp.
+per stack.  Checks that take many products at one point take them as one
+block: `assumption_a_check`'s kernel samples (one stacked G lam) and the
+identity for its Jacobian are the columns of one vjp, each column
+bit-identical to the one-vector vjp.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ __all__ = [
 IDEMPOTENCY_DIM_GUARD = 200  # materializing the Jacobian is O(n) map products
 GRAD_CHECK_THRESHOLD = 1e-6  # relative gradient error grad_check allows
 ASSUMPTION_A_THRESHOLDS = (1e-10, 1e-8, 1e-6)  # fixed point, kernel, idempotency
-STENCIL_ROWS = 256  # points per stacked h_value call of grad_check's stencil
+STACK_ROWS = 256  # rows per stacked call of grad_check's stencil and the probe
 KERNEL_SAMPLES = 10  # random multipliers per point of assumption_a_check's kernel test
 PROBE_RADII = tuple(0.5 ** j for j in range(7, 0, -1))  # 1/128 up to 1/2, ascending
 
@@ -86,15 +87,15 @@ def _fd_grad(prob, x):
     # rank-degenerate constraint systems make h stiff near the feasible set
     # and a plain second-order stencil cannot certify 1e-6 there.  The 4n
     # stencil points x + delta e_j, x + half e_j, x - delta e_j, x - half e_j
-    # go to h_value in stacks of at most STENCIL_ROWS rows, each x + S or
+    # go to h_value in stacks of at most STACK_ROWS rows, each x + S or
     # x - S with one-hot rows of S, so memory stays bounded in n
     n = x.size
     delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(x))
     half = 0.5 * delta
     steps = np.concatenate([delta, half])
     h = np.empty(4 * n)
-    for start in range(0, 4 * n, STENCIL_ROWS):
-        rows = np.arange(start, min(start + STENCIL_ROWS, 4 * n))
+    for start in range(0, 4 * n, STACK_ROWS):
+        rows = np.arange(start, min(start + STACK_ROWS, 4 * n))
         S = np.zeros((rows.size, n))
         S[np.arange(rows.size), rows % n] = steps[rows % (2 * n)]
         h[rows] = h_value(prob, np.where((rows < 2 * n)[:, None], x + S, x - S))
@@ -111,14 +112,15 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     residual ||gradA(x) G(x) lam|| / max(1, ||lam||) over KERNEL_SAMPLES
     random lam (one generator seeded 0 for all points), and the
     affine-hull-projected idempotency residual of the materialized Jacobian.
-    Each point takes three map products: A(x), one vjp over the block of
-    the samples' G(x) lam and one over the identity.  Points must satisfy
+    Each point takes two map products: A(x) and one vjp over the block of
+    the samples' G(x) lam and the identity.  Points must satisfy
     ||c(x)|| <= 1e-10 and lie in the domain.
     """
     thr_fix, thr_ker, thr_idem = thresholds
     rng = np.random.default_rng(0)
     P_E = domain.affine_hull_projector()
     n = domain.n
+    k = KERNEL_SAMPLES if cmap.p else 0
     details = []
     worst = 0.0
     for x in feasible_points:
@@ -126,32 +128,34 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         if _norm(cmap.value(x)) > 1e-10 or not domain.contains(x):
             raise ValueError("assumption_a_check needs exactly feasible points")
         rec = {}
-        point = {}  # A(x) and every vjp at x share one build of the map
+        point = {}  # A(x) and the vjp at x share one build of the map
 
         fix = float(np.max(np.abs(amap.value(x, point) - x))) if n else 0.0
         rec["fixed_point"] = fix
 
+        # the samples' G(x) lam, then the identity, as the columns of one block
+        Lam = rng.standard_normal((k, cmap.p))
+        W = [cmap.jac_t_stack(np.broadcast_to(x, (k, n)), Lam).T] if k else []
+        if n <= IDEMPOTENCY_DIM_GUARD:
+            W.append(np.eye(n))
+        V = amap.vjp(x, np.hstack(W), point) if W else np.zeros((n, 0))
+
         ker = 0.0
         ker_span_dist = 0.0
-        if cmap.p:
-            # the samples' G(x) lam as the columns of one block, one vjp over it
-            Lam = rng.standard_normal((KERNEL_SAMPLES, cmap.p))
-            GLam = cmap.jac_t_stack(np.broadcast_to(x, (KERNEL_SAMPLES, n)), Lam)
-            V = amap.vjp(x, GLam.T, point)
-            for lam, v in zip(Lam, V.T.copy()):
-                resid = _norm(v) / max(1.0, _norm(lam))
-                if resid > ker:
-                    ker = resid
-                    # violations inside span(N(x)) flag a constraint gradient
-                    # that is normal to the domain, not a broken map
-                    d_pos = _norm(v - domain.normal_cone_project(x, v))
-                    d_neg = _norm(v + domain.normal_cone_project(x, -v))
-                    ker_span_dist = min(d_pos, d_neg) / max(1.0, _norm(lam))
+        for lam, v in zip(Lam, V[:, :k].T.copy()):
+            resid = _norm(v) / max(1.0, _norm(lam))
+            if resid > ker:
+                ker = resid
+                # violations inside span(N(x)) flag a constraint gradient
+                # that is normal to the domain, not a broken map
+                d_pos = _norm(v - domain.normal_cone_project(x, v))
+                d_neg = _norm(v + domain.normal_cone_project(x, -v))
+                ker_span_dist = min(d_pos, d_neg) / max(1.0, _norm(lam))
         rec["kernel"] = ker
         rec["kernel_outside_normal_span"] = ker_span_dist
 
         if n <= IDEMPOTENCY_DIM_GUARD:
-            J = amap.vjp(x, np.eye(n), point)
+            J = V[:, k:].copy()
             idem = float(np.linalg.norm(P_E @ (J @ J - J), 2))
             rec["idempotency"] = idem
         else:
@@ -188,26 +192,28 @@ def pi_sigma(cmap, domain, x):
 def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
     """Check ||P_E G(y) c(y)|| >= (pi/2) ||c(y)|| on balls of the PROBE_RADII
     around a feasible point, with pi = pi_sigma at that point and n_samples
-    samples per radius inside the affine hull.  The last entry of the
-    report's details holds pi and the largest radius up to which every
-    sample satisfied the bound ("held_radius").  When P_E is the identity
-    its products are skipped: on finite samples they return their argument
-    bit for bit."""
-    if n_samples < 1:
-        raise ValueError(f"local_error_bound_probe needs n_samples >= 1; got {n_samples}")
+    samples per radius inside the affine hull.  The samples of all radii are
+    one draw of directions, then one of radius fractions, row i at radius
+    i // n_samples.  The last entry of the report's details holds pi and the
+    largest radius up to which every sample satisfied the bound
+    ("held_radius").  When P_E is the identity its products are skipped: on
+    finite samples they return their argument bit for bit."""
+    # 2.5 or True would pass `< 1`; a bad point would fail later in the SVD
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral)
+            or n_samples < 1):
+        raise ValueError(f"local_error_bound_probe needs an integer n_samples >= 1; "
+                         f"got {n_samples!r}")
     x = np.asarray(x_feasible, dtype=float)
+    if x.shape != (domain.n,) or not np.isfinite(x).all():
+        raise ValueError(f"local_error_bound_probe needs a finite point of shape "
+                         f"({domain.n},); got shape {x.shape}")
     rng = np.random.default_rng(seed)
     P_E = domain.affine_hull_projector()
     if np.array_equal(P_E, np.eye(x.size)):
-        def hull(v):
-            return v
-
-        hull_rows = hull
+        def hull_rows(V):
+            return V
     else:
-        def hull(v):
-            return P_E @ v
-
-        def hull_rows(V):  # P_E @ v for each row v of V, as hull takes it
+        def hull_rows(V):  # P_E @ v for each row v of V, bit for bit
             return (P_E @ V[:, :, None])[:, :, 0]
     pi_val = pi_sigma(cmap, domain, x)
     if pi_val <= 1e-10:
@@ -215,30 +221,29 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
                     "note": "constraint gradients degenerate at base point"}]
         return CheckReport.build("local_error_bound_probe", 0, np.inf, 0.0, details)
 
-    def violation_at(radius):
-        # samples drawn one at a time, then c and G c over all of them at once
-        ys = []
-        for _ in range(n_samples):
-            u = hull(rng.standard_normal(x.size))
-            nu = _norm(u)
-            if nu == 0.0:
-                continue
-            ys.append(x + radius * rng.random() * u / nu)
-        if not ys:
-            return 0.0
-        Y = np.array(ys)
-        C = cmap.value_stack(Y)
-        lhs = _row_norms(hull_rows(cmap.jac_t_stack(Y, C)))
-        gap = 0.5 * pi_val * _row_norms(C) - lhs
-        # the running max from 0.0 that Python's max takes: a NaN is skipped
-        worse = gap[gap > 0.0]
-        return float(worse.max()) if worse.size else 0.0
+    m = len(PROBE_RADII) * n_samples
+    U = hull_rows(rng.standard_normal((m, x.size)))
+    frac = rng.random(m)
+    nu = _row_norms(U)
+    keep = nu != 0.0  # a zero direction is skipped
+    radii = np.repeat(PROBE_RADII, n_samples)[keep]
+    Y = x + (radii * frac[keep])[:, None] * U[keep] / nu[keep, None]
+    C = np.empty((len(Y), cmap.p))
+    lhs = np.empty(len(Y))
+    for start in range(0, len(Y), STACK_ROWS):
+        rows = slice(start, start + STACK_ROWS)
+        C[rows] = cmap.value_stack(Y[rows])
+        lhs[rows] = _row_norms(hull_rows(cmap.jac_t_stack(Y[rows], C[rows])))
+    gap = np.zeros(m)
+    gap[keep] = 0.5 * pi_val * _row_norms(C) - lhs
+    # the running max from 0.0 that Python's max takes: a NaN is skipped
+    gap[~(gap > 0.0)] = 0.0
+    worst = gap.reshape(len(PROBE_RADII), n_samples).max(axis=1)
 
     slack = 1e-12 * (1.0 + pi_val)
     details = []
     held_radius = 0.0
-    for radius in PROBE_RADII:
-        v = violation_at(radius)
+    for radius, v in zip(PROBE_RADII, worst.tolist()):
         details.append({"radius": radius, "worst_violation": v, "held": v <= slack})
         if all(d["held"] for d in details):
             held_radius = radius

@@ -82,7 +82,7 @@ class ConstraintMap:
     Hess(c_i)(x) d (`build_aq` needs it when p >= 1) and, if given,
     jac_columns(x) = the n-by-p G(x), the stack of jac_t_apply(x, e_i) bit
     for bit.  It never calls jac_apply(x, d) = G(x)^T d: only the
-    benchmark's tracer and qpb-l4 workload pass it; ROADMAP item 2 drops it.
+    benchmark's tracer and qpb-l4 workload pass it; ROADMAP item 4 drops it.
 
     `stacked=True` declares that value, jac_t_apply and jac_columns (then
     required) also take an (N, n) stack of points, with an (N, p) stack of

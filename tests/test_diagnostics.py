@@ -268,7 +268,9 @@ def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None
                              seed=0):
     """local_error_bound_probe as it was written before the identity skip and
     before stacked samples: c and G c one sample at a time, both products
-    with P_E taken on every sample."""
+    with P_E taken on every sample.  The samples are drawn as the probe
+    draws them: one block of directions for all radii, then one of radius
+    fractions, row i at the i // n_samples-th radius."""
     x = np.asarray(x_feasible, dtype=float)
     rng = np.random.default_rng(seed)
     P_E = domain.affine_hull_projector()
@@ -281,24 +283,23 @@ def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None
                     "note": "constraint gradients degenerate at base point"}]
         return CheckReport.build("local_error_bound_probe", 0, np.inf, 0.0, details)
 
-    def violation_at(radius):
-        worst = 0.0
-        for _ in range(n_samples):
-            u = P_E @ rng.standard_normal(x.size)
-            nu = _norm(u)
-            if nu == 0.0:
-                continue
-            y = x + radius * rng.random() * u / nu
-            c = cmap.value(y)
-            lhs = _norm(P_E @ cmap.jac_t_apply(y, c))
-            rhs = 0.5 * pi_val * _norm(c)
-            worst = max(worst, rhs - lhs)
-        return worst
+    directions = rng.standard_normal((len(radii) * n_samples, x.size))
+    fractions = rng.random(len(radii) * n_samples)
+    worst = [0.0] * len(radii)
+    for i, (d, frac) in enumerate(zip(directions, fractions)):
+        u = P_E @ d
+        nu = _norm(u)
+        if nu == 0.0:
+            continue
+        y = x + radii[i // n_samples] * frac * u / nu
+        c = cmap.value(y)
+        lhs = _norm(P_E @ cmap.jac_t_apply(y, c))
+        rhs = 0.5 * pi_val * _norm(c)
+        worst[i // n_samples] = max(worst[i // n_samples], rhs - lhs)
 
     slack = 1e-12 * (1.0 + pi_val)
     details, held_radius, prefix_ok, worst_smallest = [], 0.0, True, None
-    for radius in radii:
-        v = violation_at(radius)
+    for radius, v in zip(radii, worst):
         if worst_smallest is None:
             worst_smallest = v
         ok = v <= slack
@@ -482,7 +483,58 @@ def test_one_stacked_build_per_grad_point_and_one_c_per_probe_radius(monkeypatch
                                jac_t_apply=counted("Gc", prob.cmap.jac_t_apply))
     x = feasible_points(inst, 1, seed=2)[0]
     local_error_bound_probe(cmap, prob.domain, x, n_samples=20, seed=3)
-    assert calls == [("c", (20, n)), ("Gc", (20, n))] * 7
+    assert calls == [("c", (140, n)), ("Gc", (140, n))]
+
+
+@pytest.mark.parametrize("case", [fpca_case, pinned_box_ball_case])
+def test_probe_row_blocks_give_the_one_block_report_bit_for_bit(case, monkeypatch):
+    cmap, domain, x = case()
+    n, m = domain.n, 7 * 20
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append((name, np.shape(args[0])))
+            return fn(*args)
+        return call
+
+    def block_calls(k):
+        # a stacked map takes a block in one call, any other map row by row
+        if cmap.stacked:
+            return [("c", (k, n)), ("Gc", (k, n))]
+        return [("c", (n,))] * k + [("Gc", (n,))] * k
+
+    # pi_sigma's G(x) is jac_columns for a stacked map, else p products G e_i
+    pi_calls = [] if cmap.stacked else [("Gc", (n,))] * cmap.p
+    cmap = dataclasses.replace(cmap, value=counted("c", cmap.value),
+                               jac_t_apply=counted("Gc", cmap.jac_t_apply))
+    one_block = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=6)
+    assert calls == pi_calls + block_calls(m)
+    for cap in (7, 9):  # 9 does not divide m and leaves a last block of 5
+        calls.clear()
+        monkeypatch.setattr(diagnostics, "STACK_ROWS", cap)
+        blocks = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=6)
+        assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
+        sizes = [min(cap, m - start) for start in range(0, m, cap)]
+        assert calls == pi_calls + [c for k in sizes for c in block_calls(k)]
+
+
+def test_probe_rejects_bad_sample_counts_and_base_points():
+    cmap, domain, x = fpca_case()
+    # before the checks 2.5 raised TypeError and True ran 7 samples
+    for n_samples in (True, False, 2.5, 20.0, "20", None):
+        with pytest.raises(ValueError, match="n_samples"):
+            local_error_bound_probe(cmap, domain, x, n_samples=n_samples)
+    assert local_error_bound_probe(cmap, domain, x, n_samples=np.int64(3)).samples == 21
+    # before the checks these failed inside the SVD or a matmul
+    for bad in (x[:-1], np.append(x, 0.0), x[None, :], np.float64(0.5)):
+        with pytest.raises(ValueError, match="shape"):
+            local_error_bound_probe(cmap, domain, bad, n_samples=5)
+    for entry in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[1] = entry
+        with pytest.raises(ValueError, match="finite"):
+            local_error_bound_probe(cmap, domain, y, n_samples=5)
 
 
 @pytest.mark.parametrize("name", ["npca", "qpb", "fpca"])
@@ -498,11 +550,11 @@ def test_stencil_blocks_give_the_one_block_reports_bit_for_bit(name, monkeypatch
         return h_value(prob, x, point)
 
     monkeypatch.setattr(diagnostics, "h_value", counted_h_value)
-    monkeypatch.setattr(diagnostics, "STENCIL_ROWS", 4 * prob.n)
+    monkeypatch.setattr(diagnostics, "STACK_ROWS", 4 * prob.n)
     one_block = grad_check(prob, points)
     assert rows == [(4 * prob.n, prob.n)] * len(points)
     rows.clear()
-    monkeypatch.setattr(diagnostics, "STENCIL_ROWS", 7)
+    monkeypatch.setattr(diagnostics, "STACK_ROWS", 7)
     blocks = grad_check(prob, points)
     assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
     sizes = [min(7, 4 * prob.n - start) for start in range(0, 4 * prob.n, 7)]
@@ -580,7 +632,8 @@ def test_assumption_a_block_vjps_give_the_per_vector_report(name):
     got = assumption_a_check(amap, prob.cmap, prob.domain, points)
     want = assumption_a_per_vector(prob.amap, prob.cmap, prob.domain, points)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
-    # three map products per point: A(x), the kernel block and the identity
+    # two map products per point: A(x), and one vjp over the kernel block
+    # and the identity side by side
     n = prob.n
-    assert calls == [("A", None), ("vjp", (n, diagnostics.KERNEL_SAMPLES)),
-                     ("vjp", (n, n))] * len(points)
+    assert calls == [("A", None),
+                     ("vjp", (n, diagnostics.KERNEL_SAMPLES + n))] * len(points)
