@@ -2,6 +2,8 @@
 
 CSV schema (fixed order):
     family,n,extra_dims,rho,seed,solver,beta,fval,feas,stat,iters,time_s,status
+`solver` is always "pgbb", `solvers.solve`'s projected gradient with the
+Barzilai-Borwein step.
 Exit codes: 0 success, 1 failed check, 2 invalid configuration, 3 solver
 numerical failure (the row/record is still written).
 """
@@ -48,24 +50,23 @@ def _dims_from_args(args, **override):
     return dims
 
 
-def _solver_config(family, solver_name, max_iter, tol_stat=None, tol_feas=None, eta=None):
-    """The config of `--solver solver_name`, at the family's tolerance by default."""
+def _solver_config(family, max_iter, tol_stat=None, tol_feas=None):
+    """The solver config, at the family's tolerance by default."""
     tol = problems.FAMILIES[family].tol
     return solvers.SolverConfig(
         tol_stat=tol_stat if tol_stat is not None else tol,
         tol_feas=tol_feas if tol_feas is not None else tol,
-        max_iter=max_iter, eta=eta,
-        step_rule="fixed" if solver_name == "pg" else "bb_nonmonotone")
+        max_iter=max_iter)
 
 
-def _row(family, dims, seed, solver_name, beta, result):
+def _row(family, dims, seed, beta, result):
     return {
         "family": family,
         "n": dims["n"],
         "extra_dims": problems.FAMILIES[family].extra_dims.format(**dims),
         "rho": dims.get("rho", 0.0),
         "seed": seed,
-        "solver": solver_name,
+        "solver": "pgbb",
         "beta": f"{beta:.17g}",
         "fval": f"{result.f_val:.17g}",
         "feas": f"{result.feas:.17g}",
@@ -97,25 +98,19 @@ def cmd_solve(args):
         if given:
             raise ValueError("--instance takes the family, dims and seed from its "
                              f"file; drop {', '.join(given)}")
-    if args.eta is not None and args.solver != "pg":
-        raise ValueError("--eta is the fixed step of --solver pg; "
-                         f"--solver {args.solver} takes none")
     inst = problems.ProblemInstance.load(args.instance) if args.instance else None
     family = args.family if inst is None else inst.family
-    config = _solver_config(family, args.solver, args.max_iter, args.tol_stat,
-                            args.tol_feas, args.eta)
+    config = _solver_config(family, args.max_iter, args.tol_stat, args.tol_feas)
     if inst is None:
         dims = _dims_from_args(args)
         problems.FAMILIES[family].check(**dims)
     else:
         dims = {k: inst.data[k] for k in problems.FAMILIES[family].cli_dims
                 if k in inst.data}
-    # a value PenaltyProblem or solve would reject and a path that cannot be
-    # written both exit 2 before an instance is generated or solved
+    # a beta PenaltyProblem would reject and a path that cannot be written
+    # both exit 2 before an instance is generated or solved
     if args.beta is not None:
         mappings._check_beta(args.beta)
-    if args.eta is not None:
-        solvers._check_step(args.eta)
     with contextlib.ExitStack() as stack:
         csv_fh, dump_fh, json_fh = (
             path and stack.enter_context(open(path, mode, newline=""))
@@ -125,7 +120,7 @@ def cmd_solve(args):
         else:
             prob = problems.build_problem(inst, beta=args.beta)
         result = solvers.solve(prob, inst.x0, config)
-        row = _row(family, dims, inst.seed, args.solver, prob.beta, result)
+        row = _row(family, dims, inst.seed, prob.beta, result)
         if dump_fh:
             json.dump(inst.to_json(), dump_fh)
         if csv_fh:
@@ -140,7 +135,7 @@ def cmd_solve(args):
 
 
 def _bench_task(payload):
-    family, dims, seed, beta_grid, solver_name, config = payload
+    family, dims, seed, beta_grid, config = payload
     best = None
     for beta in beta_grid:
         inst, prob = problems.gen_instance(family, seed=seed, beta=beta, **dims)
@@ -150,7 +145,7 @@ def _bench_task(payload):
         if best is None or key < best[0]:
             best = (key, beta, result)
     _, beta, result = best
-    return _row(family, dims, seed, solver_name, beta, result)
+    return _row(family, dims, seed, beta, result)
 
 
 def _comma_list(text, kind):
@@ -170,10 +165,9 @@ def cmd_bench(args):
     if empty:
         raise ValueError(f"{', '.join(empty)} lists no value, so the grid has no task")
     beta_grid = [args.beta] if args.beta is not None else list(family.beta_grid)
-    config = _solver_config(args.family, args.solver, args.max_iter)
+    config = _solver_config(args.family, args.max_iter)
 
-    tasks = [(args.family, _dims_from_args(args, n=n, rho=rho), seed, beta_grid,
-              args.solver, config)
+    tasks = [(args.family, _dims_from_args(args, n=n, rho=rho), seed, beta_grid, config)
              for n in ns for rho in rhos for seed in seeds]
     for task in tasks:  # every task's dims before any solve
         family.check(**task[1])
@@ -203,18 +197,18 @@ def cmd_check(args):
     pts_grad = problems.near_feasible_points(inst, args.grad_points, seed=seed + 1)
     pts_struct = problems.feasible_points(inst, args.struct_points, seed=seed + 2)
 
-    reports = []
-    reports.append(diagnostics.grad_check(prob, pts_grad))
-    reports.append(diagnostics.assumption_a_check(prob.amap, prob.cmap,
-                                                  prob.domain, pts_struct))
-    pi_val = diagnostics.pi_sigma(prob.cmap, prob.domain, pts_struct[0])
-    reports.append(diagnostics.CheckReport.build(
-        "pi_sigma", 1, 0.0 if pi_val > 1e-10 else np.inf, 1.0,
-        [{"pi": pi_val}]))
+    reports = [diagnostics.grad_check(prob, pts_grad),
+               diagnostics.assumption_a_check(prob.amap, prob.cmap,
+                                              prob.domain, pts_struct)]
+    # the probe takes pi_sigma at its base point, which the pi_sigma report reuses
     probe = diagnostics.local_error_bound_probe(prob.cmap, prob.domain,
                                                 pts_struct[0],
                                                 n_samples=args.probe_samples,
                                                 seed=seed + 3)
+    pi_val = probe.details[-1]["pi"]
+    reports.append(diagnostics.CheckReport.build(
+        "pi_sigma", 1, 0.0 if pi_val > 1e-10 else np.inf, 1.0,
+        [{"pi": pi_val}]))
     reports.append(probe)
 
     if args.json:
@@ -263,8 +257,6 @@ def build_parser():
     ps = sub.add_parser("solve", help="generate (or load) one instance and solve it")
     _add_dim_flags(ps, family_required=False)
     ps.add_argument("--beta", type=float, default=None)
-    ps.add_argument("--solver", choices=("pgbb", "pg"), default="pgbb")
-    ps.add_argument("--eta", type=float, default=None, help="fixed step for pg")
     ps.add_argument("--tol-stat", type=float, default=None)
     ps.add_argument("--tol-feas", type=float, default=None)
     ps.add_argument("--max-iter", type=int, default=20000)
@@ -285,7 +277,6 @@ def build_parser():
     pb.add_argument("--seeds", default=None, help="comma list")
     pb.add_argument("--beta", type=float, default=None,
                     help="fixed beta (defaults to the family's grid)")
-    pb.add_argument("--solver", choices=("pgbb", "pg"), default="pgbb")
     pb.add_argument("--max-iter", type=int, default=20000)
     pb.add_argument("--jobs", type=int, default=None)
     pb.add_argument("--csv", required=True)

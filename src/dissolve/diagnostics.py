@@ -112,8 +112,9 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     residual ||gradA(x) G(x) lam|| / max(1, ||lam||) over KERNEL_SAMPLES
     random lam (one generator seeded 0 for all points), and the
     affine-hull-projected idempotency residual of the materialized Jacobian.
-    Each point takes two map products: A(x) and one vjp over the block of
-    the samples' G(x) lam and the identity.  Points must satisfy
+    Each point takes two map products, A(x) and one vjp over the block of
+    the samples' G(x) lam and the identity, and projects onto the normal
+    cone only at the largest kernel residual.  Points must satisfy
     ||c(x)|| <= 1e-10 and lie in the domain.
     """
     thr_fix, thr_ker, thr_idem = thresholds
@@ -140,17 +141,21 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
             W.append(np.eye(n))
         V = amap.vjp(x, np.hstack(W), point) if W else np.zeros((n, 0))
 
-        ker = 0.0
-        ker_span_dist = 0.0
-        for lam, v in zip(Lam, V[:, :k].T.copy()):
-            resid = _norm(v) / max(1.0, _norm(lam))
-            if resid > ker:
-                ker = resid
-                # violations inside span(N(x)) flag a constraint gradient
-                # that is normal to the domain, not a broken map
-                d_pos = _norm(v - domain.normal_cone_project(x, v))
-                d_neg = _norm(v + domain.normal_cone_project(x, -v))
-                ker_span_dist = min(d_pos, d_neg) / max(1.0, _norm(lam))
+        # each sample's ||gradA G lam|| / max(1, ||lam||), a NaN norm scaling
+        # by 1; the report takes the first largest, a NaN residual skipped
+        Vk = V[:, :k].T.copy()
+        scale = np.fmax(_row_norms(Lam), 1.0)
+        resid = _row_norms(Vk) / scale
+        resid = np.where(resid > 0.0, resid, 0.0)
+        ker = ker_span_dist = 0.0
+        if resid.any():
+            i = int(np.argmax(resid))
+            v, ker = Vk[i], float(resid[i])
+            # violations inside span(N(x)) flag a constraint gradient that is
+            # normal to the domain, not a broken map
+            d_pos = _norm(v - domain.normal_cone_project(x, v))
+            d_neg = _norm(v + domain.normal_cone_project(x, -v))
+            ker_span_dist = float(min(d_pos, d_neg) / scale[i])
         rec["kernel"] = ker
         rec["kernel_outside_normal_span"] = ker_span_dist
 

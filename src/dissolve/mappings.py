@@ -409,8 +409,9 @@ def _h_stack(prob, x):
     point = {}
     a = prob.amap.value(x, point)
     c = _penalty_c(prob, x, point)
-    return np.array([float(prob.f_value(ai) + 0.5 * prob.beta * (ci @ ci))
-                     for ai, ci in zip(a, c)], dtype=float)
+    fa = np.array([float(prob.f_value(ai)) for ai in a])
+    cc = (c[:, None, :] @ c[:, :, None])[:, 0, 0]  # c_i . c_i, as c @ c takes it
+    return fa + 0.5 * prob.beta * cc
 
 
 def h_grad(prob, x, point=None):

@@ -1,9 +1,9 @@
 """Projection-based minimization of the penalty objective over the domain.
 
-One projected gradient method, `solve`, with two step rules: a fixed step,
-and a long Barzilai-Borwein steplength safeguarded by a step cap and a
-non-monotone Armijo line search.  Every iterate stays inside the domain by
-projecting after each step.
+One projected gradient method, `solve`, with one step rule: a long
+Barzilai-Borwein steplength safeguarded by a step cap and a non-monotone
+Armijo line search.  Every iterate stays inside the domain by projecting
+after each step.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "feasibility_measure",
     "solve",
     "kkt_residual_original",
-    "estimate_grad_lipschitz",
 ]
 
 CONVERGED = "converged"
@@ -42,7 +41,6 @@ MAX_BACKTRACKS = 50
 # keeps iterates from clearing the barrier around the feasible region when
 # the penalty objective is unbounded below on a noncompact domain
 MAX_STEP_SCALE = 0.25
-LIPSCHITZ_ITERS = 20
 KKT_ROUNDS = 100
 KKT_TOL_CHANGE = 1e-12
 
@@ -52,8 +50,6 @@ class SolverConfig:
     tol_stat: float = 1e-6
     tol_feas: float = 1e-6
     max_iter: int = 5000
-    step_rule: str = "bb_nonmonotone"  # or "fixed"
-    eta: float | None = None           # fixed step; estimated from x0 when None
 
     def __post_init__(self):
         if not (0 < self.tol_stat < math.inf and 0 < self.tol_feas < math.inf):
@@ -62,8 +58,6 @@ class SolverConfig:
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter <= 0):
             raise ValueError(f"max_iter must be a positive integer; got {self.max_iter!r}")
-        if self.step_rule not in ("fixed", "bb_nonmonotone"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
 
 
 @dataclass
@@ -93,7 +87,7 @@ def _pg_residual(prob, x, g, nx):
 def stationarity_measure(prob, x):
     """Normalized projected-gradient residual ||x - P(x - grad h(x))|| / (1 + ||x||).
 
-    The solvers report the same number as `SolveResult.stat` and in the trace.
+    `solve` reports the same number as `SolveResult.stat` and in the trace.
     """
     x = np.asarray(x, dtype=float)
     return _pg_residual(prob, x, h_grad(prob, x), _norm(x))
@@ -138,28 +132,6 @@ def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
                        wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
 
 
-def _check_step(a):
-    if not 0 < a < math.inf:
-        raise ValueError("step size must be positive and finite")
-
-
-def estimate_grad_lipschitz(prob, x0):
-    """LIPSCHITZ_ITERS power steps on a finite-difference Hessian operator of h at x0."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    v = 1.0 + np.arange(n) / max(n, 1)
-    v /= np.linalg.norm(v)
-    eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
-    L = 1.0
-    for _ in range(LIPSCHITZ_ITERS):
-        w = (h_grad(prob, x0 + eps * v) - h_grad(prob, x0 - eps * v)) / (2.0 * eps)
-        L = float(np.linalg.norm(w))
-        if L <= 1e-12 or not np.isfinite(L):
-            return max(L, 1e-12)
-        v = w / L
-    return L
-
-
 def _first_step(g, nx):
     """The BB rule's first trial step at an iterate of norm nx and gradient g.
     Its displacement is capped at a fraction of the point scale: the penalty
@@ -192,26 +164,21 @@ def _backtrack(prob, x, g, alpha, h_ref, step_cap, trial):
 def solve(prob, x0, config=None):
     """Projected gradient iteration x <- P(x - a * grad h(x)).
 
-    The step `a` is config.eta (estimated from x0 when None) under the fixed
-    rule; under "bb_nonmonotone" it is a clipped BB step, backtracked until
-    the trial moves at most MAX_STEP_SCALE * (1 + ||x||) and passes a
-    non-monotone Armijo test over the last NM_MEMORY values of h.  When
-    MAX_BACKTRACKS halvings fail, the search restarts once from the first
-    step's rule with h(x) as the only memory, the safeguard of spectral
-    projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim. 2000);
-    only a failed restart ends the solve in a line-search failure.  The loop
-    carries the point dict `h_value` fills for the iterate, the trial and the
-    best iterate, and every exit reads its numbers from those points and the
-    gradient it holds.  Each iterate's norm and each trial's d.d are computed
-    once and shared by the residual, the step cap and the BB step.
+    The step `a` is a clipped BB step, backtracked until the trial moves at
+    most MAX_STEP_SCALE * (1 + ||x||) and passes a non-monotone Armijo test
+    over the last NM_MEMORY values of h.  When MAX_BACKTRACKS halvings fail,
+    the search restarts once from the first step's rule with h(x) as the
+    only memory, the safeguard of spectral projected gradient (Birgin,
+    Martinez & Raydan, SIAM J. Optim. 2000); only a failed restart ends the
+    solve in a line-search failure.  The loop carries the point dict
+    `h_value` fills for the iterate, the trial and the best iterate, and
+    every exit reads its numbers from those points and the gradient it
+    holds.  Each iterate's norm and each trial's d.d are computed once and
+    shared by the residual, the step cap and the BB step.
     """
     config = config or SolverConfig()
-    bb = config.step_rule == "bb_nonmonotone"
     t0 = time.perf_counter()
     x = prob.domain.project(np.asarray(x0, dtype=float))
-    if not bb:
-        a = config.eta if config.eta is not None else 1.0 / estimate_grad_lipschitz(prob, x)
-        _check_step(a)
 
     pt = {}
     hval = h_value(prob, x, pt)
@@ -221,12 +188,11 @@ def solve(prob, x0, config=None):
                        [(hval, float("nan"), float("nan"), 0.0)])
 
     nx = _norm(x)
-    if bb:
-        memory = deque([hval], maxlen=NM_MEMORY)
-        alpha = _first_step(g, nx)
-        # projections return arrays the loop never mutates, so the best
-        # point is kept without a copy
-        best_h, best_x, best_pt = hval, x, pt
+    memory = deque([hval], maxlen=NM_MEMORY)
+    alpha = _first_step(g, nx)
+    # projections return arrays the loop never mutates, so the best point is
+    # kept without a copy
+    best_h, best_x, best_pt = hval, x, pt
     trace = []
     accepted_step = 0.0
     k = 0
@@ -240,42 +206,37 @@ def solve(prob, x0, config=None):
             return _result(prob, x, pt, g, hval, k, t0, MAX_ITER, trace, (stat, feas))
 
         trial = {}
-        if bb:
-            step_cap = MAX_STEP_SCALE * (1.0 + nx)
-            a, x_trial, d, dd, h_trial = _backtrack(prob, x, g, alpha, max(memory),
-                                                    step_cap, trial)
-            if x_trial is None:
-                memory = deque([hval], maxlen=NM_MEMORY)
-                a, x_trial, d, dd, h_trial = _backtrack(prob, x, g, _first_step(g, nx),
-                                                        hval, step_cap, trial)
-            if x_trial is None:
-                g_best = h_grad(prob, best_x, best_pt)
-                stat, feas = _metrics(prob, best_x, g_best, best_pt, _norm(best_x))
-                trace.append((best_h, feas, stat, a))
-                return _result(prob, best_x, best_pt, g_best, best_h, k + 1, t0,
-                               LINE_SEARCH_FAILURE, trace, (stat, feas))
-        else:
-            x_trial = prob.domain.project(x - a * g)
-            h_trial = h_value(prob, x_trial, trial)
+        step_cap = MAX_STEP_SCALE * (1.0 + nx)
+        a, x_trial, d, dd, h_trial = _backtrack(prob, x, g, alpha, max(memory),
+                                                step_cap, trial)
+        if x_trial is None:
+            memory = deque([hval], maxlen=NM_MEMORY)
+            a, x_trial, d, dd, h_trial = _backtrack(prob, x, g, _first_step(g, nx),
+                                                    hval, step_cap, trial)
+        if x_trial is None:
+            g_best = h_grad(prob, best_x, best_pt)
+            stat, feas = _metrics(prob, best_x, g_best, best_pt, _norm(best_x))
+            trace.append((best_h, feas, stat, a))
+            return _result(prob, best_x, best_pt, g_best, best_h, k + 1, t0,
+                           LINE_SEARCH_FAILURE, trace, (stat, feas))
 
         g_new = h_grad(prob, x_trial, trial)
         if not _finite(h_trial, g_new):
             trace.append((h_trial, float("nan"), float("nan"), a))
             return _result(prob, x_trial, trial, g_new, h_trial, k + 1, t0,
                            NUMERICAL_FAILURE, trace)
-        if bb:
-            y = g_new - g
-            sy = float(d @ y)
-            if sy > 0.0:
-                alpha = dd / sy
-            else:
-                # nonpositive curvature: fall back to the local spectral scale
-                # rather than BB_MAX, which would allow barrier-clearing steps
-                ny = _norm(y)
-                alpha = min(BB_MAX, math.sqrt(dd) / ny if ny > 0.0 else BB_MAX)
-            memory.append(h_trial)
-            if h_trial < best_h:
-                best_h, best_x, best_pt = h_trial, x_trial, trial
+        y = g_new - g
+        sy = float(d @ y)
+        if sy > 0.0:
+            alpha = dd / sy
+        else:
+            # nonpositive curvature: fall back to the local spectral scale
+            # rather than BB_MAX, which would allow barrier-clearing steps
+            ny = _norm(y)
+            alpha = min(BB_MAX, math.sqrt(dd) / ny if ny > 0.0 else BB_MAX)
+        memory.append(h_trial)
+        if h_trial < best_h:
+            best_h, best_x, best_pt = h_trial, x_trial, trial
         x, g, hval, pt, nx = x_trial, g_new, h_trial, trial, _norm(x_trial)
         accepted_step = a
         k += 1

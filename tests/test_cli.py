@@ -33,17 +33,6 @@ def test_solve_writes_csv_and_json(tmp_path):
     assert len(record["x_final"]) == 30
 
 
-def test_solve_fixed_step_solver(tmp_path):
-    csv_path = tmp_path / "runs.csv"
-    rc = main(["solve", "--family", "npca", "--n", "10", "--cols", "5",
-               "--seed", "0", "--solver", "pg", "--max-iter", "20000",
-               "--csv", str(csv_path)])
-    assert rc == 0
-    row = read_rows(csv_path)[0]
-    assert row["solver"] == "pg" and row["status"] == "converged"
-    assert float(row["stat"]) <= 1e-6
-
-
 def test_solve_qpb_small_matches_oracle(tmp_path):
     inst_path = tmp_path / "inst.json"
     csv_path = tmp_path / "runs.csv"
@@ -237,27 +226,48 @@ def test_check_json_output(capsys):
     assert all(r["passed"] for r in reports)
 
 
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_check_takes_pi_sigma_once(capsys, monkeypatch, degenerate):
+    # the pi_sigma report reads the value the error-bound probe took at the
+    # same point, also when the probe stops at a degenerate pi
+    values = []
+    pi_sigma = cli.diagnostics.pi_sigma
+
+    def counting(*args):
+        values.append(0.0 if degenerate else pi_sigma(*args))
+        return values[-1]
+
+    monkeypatch.setattr(cli.diagnostics, "pi_sigma", counting)
+    rc = main(["check", "--family", "qpb", "--n", "10", "--seed", "0",
+               "--struct-points", "5", "--grad-points", "5",
+               "--probe-samples", "20", "--json"])
+    assert rc == (1 if degenerate else 0)
+    assert len(values) == 1
+    reports = {r["check_name"]: r for r in json.loads(capsys.readouterr().out)}
+    assert reports["pi_sigma"]["details"] == [{"pi": values[0]}]
+    assert reports["pi_sigma"]["passed"] is not degenerate
+
+
 def test_solve_and_bench_run_through_solvers_solve(tmp_path, monkeypatch):
-    rules = []
+    configs = []
     solve = cli.solvers.solve
 
     def recording(prob, x0, config):
-        rules.append(config.step_rule)
+        configs.append(config)
         return solve(prob, x0, config)
 
     monkeypatch.setattr(cli.solvers, "solve", recording)
     inst_path = tmp_path / "inst.json"
     base = ["--family", "npca", "--n", "10", "--cols", "5", "--seed", "0"]
     assert main(["solve", *base, "--dump-instance", str(inst_path)]) == 0
-    assert main(["solve", "--instance", str(inst_path), "--solver", "pg"]) == 0
-    assert rules == ["bb_nonmonotone", "fixed"]
+    assert main(["solve", "--instance", str(inst_path), "--max-iter", "300"]) == 0
     csv_path = tmp_path / "bench.csv"
     assert main(["bench", "--family", "npca", "--n", "10", "--cols", "5",
-                 "--seeds", "0", "--solver", "pg", "--jobs", "1",
-                 "--csv", str(csv_path)]) == 0
-    assert rules[2:] == ["fixed"]
+                 "--seeds", "0", "--jobs", "1", "--csv", str(csv_path)]) == 0
+    assert [c.max_iter for c in configs] == [20000, 300, 20000]
+    assert {(c.tol_stat, c.tol_feas) for c in configs} == {(1e-6, 1e-6)}
     row = read_rows(csv_path)[0]
-    assert row["solver"] == "pg" and row["status"] == "converged"
+    assert row["solver"] == "pgbb" and row["status"] == "converged"
 
 
 @pytest.mark.parametrize("command", ["solve", "bench", "check", "dump-instance"])
@@ -316,8 +326,7 @@ def test_bench_max_iter_0_exits_2_without_a_file(tmp_path, capsys):
     assert captured.out == "" and "max_iter" in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--solver", "pg", "--eta", "inf"],
-                                   ["--tol-stat", "inf"], ["--tol-feas", "inf"]])
+@pytest.mark.parametrize("flags", [["--tol-stat", "inf"], ["--tol-feas", "inf"]])
 def test_non_finite_step_or_tolerance_exits_2_without_rows(tmp_path, capsys, flags):
     out = tmp_path / "out.csv"
     assert main(["solve", "--family", "npca", "--n", "20", "--cols", "5", *flags,
@@ -393,16 +402,20 @@ def test_loaded_instance_row_matches_generated_row(tmp_path, dims):
             assert generated[col] == loaded[col], col
 
 
-@pytest.mark.parametrize("solver", [[], ["--solver", "pgbb"]])
+@pytest.mark.parametrize("solver", [[], ["--solver", "pg"]])
 def test_eta_without_fixed_step_solver_exits_2(tmp_path, capsys, solver):
+    # the fixed-step solver is gone, and argparse rejects its flags
     csv_path = tmp_path / "runs.csv"
-    base = ["solve", "--family", "npca", "--n", "10", "--cols", "5", "--seed", "0",
-            "--max-iter", "50", "--eta", "0.001", "--csv", str(csv_path)]
-    assert main([*base, *solver]) == 2
-    assert not csv_path.exists()
-    assert "--eta" in capsys.readouterr().err
-    assert main([*base, "--solver", "pg"]) == 0
-    assert read_rows(csv_path)[0]["solver"] == "pg"
+    base = ["--family", "npca", "--n", "10", "--cols", "5", "--max-iter", "50",
+            "--csv", str(csv_path)]
+    for argv in (["solve", *base, "--eta", "0.001", *solver],
+                 ["solve", *base, "--solver", "pgbb"],
+                 ["bench", *base, "--seeds", "0", "--jobs", "1", "--solver", "pgbb"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not csv_path.exists()
+        assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [

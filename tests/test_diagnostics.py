@@ -637,3 +637,43 @@ def test_assumption_a_block_vjps_give_the_per_vector_report(name):
     n = prob.n
     assert calls == [("A", None),
                      ("vjp", (n, diagnostics.KERNEL_SAMPLES + n))] * len(points)
+
+
+@pytest.mark.parametrize("nan_cols", [1, diagnostics.KERNEL_SAMPLES])
+def test_assumption_a_projects_once_at_the_running_max(monkeypatch, nan_cols):
+    # the kernel sample reported is the one a running max over the residuals
+    # picks, a NaN residual skipped; the normal cone is projected onto only
+    # there, once each way, and not at all when no residual is above 0
+    prob, points = FEASIBLE_CASES["fpca"]()
+    k = diagnostics.KERNEL_SAMPLES
+    blocks, projections = [], []
+
+    def vjp(x, w, point=None):
+        V = prob.amap.vjp(x, w, point)
+        V[:, :nan_cols] = np.nan
+        blocks.append(V[:, :k].T.copy())
+        return V
+
+    project = prob.domain.normal_cone_project
+
+    def counted(x, z):
+        projections.append(z)
+        return project(x, z)
+
+    monkeypatch.setattr(prob.domain, "normal_cone_project", counted)
+    amap = dataclasses.replace(prob.amap, vjp=vjp)
+    got = assumption_a_check(amap, prob.cmap, prob.domain, points)
+
+    rng = np.random.default_rng(0)
+    want = []
+    for x, Vk in zip(points, blocks):
+        ker = span = 0.0
+        for lam, v in zip(rng.standard_normal((k, prob.cmap.p)), Vk):
+            resid = _norm(v) / max(1.0, _norm(lam))
+            if resid > ker:
+                ker = resid
+                span = min(_norm(v - project(x, v)), _norm(v + project(x, -v)))
+                span /= max(1.0, _norm(lam))
+        want.append((ker, span))
+    assert [(d["kernel"], d["kernel_outside_normal_span"]) for d in got.details] == want
+    assert len(projections) == (2 * len(points) if nan_cols < k else 0)

@@ -16,7 +16,6 @@ from dissolve.sets import Box, NonnegOrthant, NormBall
 from dissolve.solvers import (
     SolverConfig,
     _norm,
-    estimate_grad_lipschitz,
     feasibility_measure,
     kkt_residual_original,
     solve,
@@ -57,40 +56,15 @@ def box_quadratic(n, seed=0):
     )
 
 
-# ---------------------------------------------------------------- fixed step
-
-
-def test_projected_gradient_one_step_on_quadratic():
-    prob = unconstrained_quadratic(2)
-    cfg = SolverConfig(step_rule="fixed", eta=1.0, tol_stat=1e-12, tol_feas=1e-12)
-    res = solve(prob, np.array([1.0, 1.0]), cfg)
-    assert res.status == "converged"
-    assert res.iters == 1
-    assert np.allclose(res.x_final, 0.0)
-    assert len(res.trace) == res.iters + 1
+# ---------------------------------------------------------------- exits
 
 
 def test_projected_gradient_zero_iterations_at_stationary_point():
     prob = unconstrained_quadratic(3)
-    cfg = SolverConfig(step_rule="fixed", eta=0.5)
-    res = solve(prob, np.zeros(3), cfg)
+    res = solve(prob, np.zeros(3))
     assert res.status == "converged"
     assert res.iters == 0
     assert len(res.trace) == 1
-
-
-def test_projected_gradient_with_estimated_step_on_npca():
-    inst, prob = gen_npca(10, 5, seed=0)
-    L = estimate_grad_lipschitz(prob, inst.x0)
-    assert np.isfinite(L) and L > 0
-    cfg = SolverConfig(step_rule="fixed", eta=1.0 / L, max_iter=20000)
-    res = solve(prob, inst.x0, cfg)
-    assert res.status == "converged"
-    assert res.feas <= 1e-6 and res.stat <= 1e-6
-    # cross-check against the BB rule reaching the same objective
-    res_bb = solve(prob, inst.x0)
-    assert res_bb.status == "converged"
-    assert abs(res.f_val - res_bb.f_val) <= 1e-6 * max(1.0, abs(res.f_val))
 
 
 def test_projected_gradient_numerical_failure_status():
@@ -102,11 +76,7 @@ def test_projected_gradient_numerical_failure_status():
         f_grad=lambda x: np.array([np.exp(x[0])]),
         cmap=cmap, amap=amap, domain=domain, beta=0.0)
     with np.errstate(over="ignore"):
-        cfg = SolverConfig(step_rule="fixed", eta=-1.0)
-        with pytest.raises(ValueError):
-            solve(prob, np.array([1.0]), cfg)
-        cfg = SolverConfig(step_rule="fixed", eta=1e6, max_iter=10)
-        res = solve(prob, np.array([720.0]), cfg)  # exp overflows
+        res = solve(prob, np.array([720.0]), SolverConfig(max_iter=10))  # exp overflows
     assert res.status == "numerical_failure"
 
 
@@ -204,18 +174,7 @@ def test_pg_bb_line_search_failure_returns_best_iterate(monkeypatch):
     assert res.trace[-1][1:3] == (res.feas, res.stat)
 
 
-def test_solve_dispatch():
-    prob = unconstrained_quadratic(2)
-    res = solve(prob, np.array([1.0, -1.0]),
-                SolverConfig(step_rule="fixed", eta=1.0))
-    assert res.iters == 1
-    res = solve(prob, np.array([1.0, -1.0]), SolverConfig())
-    assert res.status == "converged"
-
-
 @pytest.mark.parametrize("kwargs", [
-    {"step_rule": "fxied"},
-    {"step_rule": ""},
     {"tol_stat": -1.0},
     {"tol_feas": 0.0},
     {"max_iter": -1},
@@ -237,16 +196,12 @@ def test_solver_config_rejects_bad_values(kwargs):
 
 
 def test_solver_config_fields_and_fixed_step_check():
+    # the Barzilai-Borwein step is the only rule: no fixed step to configure
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "tol_stat", "tol_feas", "max_iter", "step_rule", "eta"]
-    with pytest.raises(TypeError):
-        SolverConfig(beta_schedule="fixed")
-    prob = unconstrained_quadratic(2)
-    # a bad step is rejected when the solve starts, not at construction
-    for eta in (0.0, -1.0, float("nan"), float("inf")):
-        cfg = SolverConfig(step_rule="fixed", eta=eta)
-        with pytest.raises(ValueError):
-            solve(prob, np.ones(2), cfg)
+        "tol_stat", "tol_feas", "max_iter"]
+    for kwargs in ({"beta_schedule": "fixed"}, {"step_rule": "fixed"}, {"eta": 0.5}):
+        with pytest.raises(TypeError):
+            SolverConfig(**kwargs)
 
 
 # ---------------------------------------------------------------- measures
@@ -316,19 +271,14 @@ def counted_solve(monkeypatch, prob, x0, cfg):
     return solve(dataclasses.replace(prob, amap=amap), x0, cfg), calls
 
 
-@pytest.mark.parametrize("rule,eta,max_iter,status", [
-    ("fixed", None, 5000, "converged"), ("fixed", 0.01, 40, "max_iter"),
-    ("bb_nonmonotone", None, 5000, "converged"), ("bb_nonmonotone", None, 20, "max_iter"),
-])
-def test_result_reuses_the_final_point(rule, eta, max_iter, status, monkeypatch):
+@pytest.mark.parametrize("max_iter,status", [(5000, "converged"), (20, "max_iter")])
+def test_result_reuses_the_final_point(max_iter, status, monkeypatch):
     # one gradient at x0 and one per step, none again for the returned point,
     # whose A(x) comes from the last h_value
     inst, prob = gen_npca(20, 8, seed=1)
-    cfg = SolverConfig(step_rule=rule, eta=eta, max_iter=max_iter)
+    cfg = SolverConfig(max_iter=max_iter)
     plain = solve(prob, inst.x0, cfg)
-    # the step estimate of the fixed rule evaluates gradients of its own
-    res, calls = counted_solve(monkeypatch, prob, inst.x0,
-                               dataclasses.replace(cfg, eta=eta or plain.trace[1][3]))
+    res, calls = counted_solve(monkeypatch, prob, inst.x0, cfg)
     assert res.status == status
     assert calls["h_grad"] == res.iters + 1
     assert calls["A"] == calls["h_value"]
@@ -346,6 +296,15 @@ def exp_problem(sign):
         cmap=cmap, amap=build_aq(domain, cmap, sigma=1.0), domain=domain, beta=0.0)
 
 
+def half_line_sqrt_problem():
+    """sqrt(x) on [0, inf), whose gradient is infinite at the minimizer 0."""
+    domain = Box([0.0], [np.inf])
+    cmap = empty_constraint_map(1)
+    return PenaltyProblem(
+        f_value=lambda x: float(np.sqrt(x[0])), f_grad=lambda x: np.array([0.5 / np.sqrt(x[0])]),
+        cmap=cmap, amap=build_aq(domain, cmap, sigma=1.0), domain=domain, beta=0.0)
+
+
 def reversed_box_problem():
     """x on [-1, 1] with a reversed gradient: every Armijo test fails."""
     domain = Box([-1.0], [1.0])
@@ -358,11 +317,9 @@ def reversed_box_problem():
 @pytest.mark.parametrize("make,x0,cfg,status,iters", [
     (reversed_box_problem, 0.5, SolverConfig(max_iter=50), "line_search_failure", 1),
     # exp(720) overflows at x0 itself
-    (lambda: exp_problem(1.0), 720.0, SolverConfig(step_rule="fixed", eta=1e6, max_iter=10),
-     "numerical_failure", 0),
-    # the reversed gradient steps from 700 to about 1e304, where exp overflows
-    (lambda: exp_problem(-1.0), 700.0, SolverConfig(step_rule="fixed", eta=1.0, max_iter=10),
-     "numerical_failure", 1),
+    (lambda: exp_problem(1.0), 720.0, SolverConfig(max_iter=10), "numerical_failure", 0),
+    # the first step projects 0.01 onto 0, where the gradient is infinite
+    (half_line_sqrt_problem, 0.01, SolverConfig(max_iter=10), "numerical_failure", 1),
 ])
 def test_failure_exits_take_one_gradient_per_point(make, x0, cfg, status, iters,
                                                     monkeypatch):
@@ -370,7 +327,7 @@ def test_failure_exits_take_one_gradient_per_point(make, x0, cfg, status, iters,
     # second gradient and no second A(x) at the returned point
     monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 5)
     x0 = np.array([x0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         plain = solve(make(), x0, cfg)
         res, calls = counted_solve(monkeypatch, make(), x0, cfg)
     assert (res.status, res.iters) == (status, iters)
