@@ -207,7 +207,7 @@ def cmd_check(args):
                                                 seed=seed + 3)
     pi_val = probe.details[-1]["pi"]
     reports.append(diagnostics.CheckReport.build(
-        "pi_sigma", 1, 0.0 if pi_val > 1e-10 else np.inf, 1.0,
+        "pi_sigma", 1, 0.0 if pi_val > diagnostics.PI_SIGMA_FLOOR else np.inf, 1.0,
         [{"pi": pi_val}]))
     reports.append(probe)
 

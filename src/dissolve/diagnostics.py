@@ -40,6 +40,7 @@ ASSUMPTION_A_THRESHOLDS = (1e-10, 1e-8, 1e-6)  # fixed point, kernel, idempotenc
 STACK_ROWS = 256  # rows per stacked call of grad_check's stencil and the probe
 KERNEL_SAMPLES = 10  # random multipliers per point of assumption_a_check's kernel test
 PROBE_RADII = tuple(0.5 ** j for j in range(7, 0, -1))  # 1/128 up to 1/2, ascending
+PI_SIGMA_FLOOR = 1e-10  # a pi_sigma at or below it flags degenerate constraint gradients
 
 
 @dataclass
@@ -110,8 +111,8 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
 
     Per point: the fixed-point residual ||A(x) - x||_inf, the Jacobian kernel
     residual ||gradA(x) G(x) lam|| / max(1, ||lam||) over KERNEL_SAMPLES
-    random lam (one generator seeded 0 for all points), and the
-    affine-hull-projected idempotency residual of the materialized Jacobian.
+    random lam (one generator seeded 0 for all points), and the idempotency
+    residual ||J J - J||_2 of the materialized Jacobian J.
     Each point takes two map products, A(x) and one vjp over the block of
     the samples' G(x) lam and the identity, and projects onto the normal
     cone only at the largest kernel residual.  Points must satisfy
@@ -119,7 +120,6 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     """
     thr_fix, thr_ker, thr_idem = thresholds
     rng = np.random.default_rng(0)
-    P_E = domain.affine_hull_projector()
     n = domain.n
     k = KERNEL_SAMPLES if cmap.p else 0
     details = []
@@ -161,7 +161,7 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
 
         if n <= IDEMPOTENCY_DIM_GUARD:
             J = V[:, k:].copy()
-            idem = float(np.linalg.norm(P_E @ (J @ J - J), 2))
+            idem = float(np.linalg.norm(J @ J - J, 2))
             rec["idempotency"] = idem
         else:
             idem = 0.0
@@ -183,26 +183,23 @@ def _row_norms(V):
 
 
 def pi_sigma(cmap, domain, x):
-    """Least singular value of P_E G(x) above 1e-10 times the largest (its
-    r-th largest, r the numerical rank), else 0.0; small values flag a
-    near-degenerate constraint qualification."""
+    """Least singular value of G(x) above 1e-10 times the largest (its r-th
+    largest, r the numerical rank), else 0.0; small values flag a near-degenerate
+    constraint qualification.  `domain` does not enter: its affine hull is R^n."""
     x = np.asarray(x, dtype=float)
     G = cmap.jac_matrix(x)
-    PG = domain.affine_hull_projector() @ G
-    svals = np.linalg.svd(PG, compute_uv=False) if min(PG.shape) else np.zeros(0)
+    svals = np.linalg.svd(G, compute_uv=False) if min(G.shape) else np.zeros(0)
     r = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
     return float(svals[r - 1]) if r else 0.0
 
 
 def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
-    """Check ||P_E G(y) c(y)|| >= (pi/2) ||c(y)|| on balls of the PROBE_RADII
+    """Check ||G(y) c(y)|| >= (pi/2) ||c(y)|| on balls of the PROBE_RADII
     around a feasible point, with pi = pi_sigma at that point and n_samples
-    samples per radius inside the affine hull.  The samples of all radii are
-    one draw of directions, then one of radius fractions, row i at radius
-    i // n_samples.  The last entry of the report's details holds pi and the
-    largest radius up to which every sample satisfied the bound
-    ("held_radius").  When P_E is the identity its products are skipped: on
-    finite samples they return their argument bit for bit."""
+    samples per radius.  The samples of all radii are one draw of directions,
+    then one of radius fractions, row i at radius i // n_samples.  The last
+    entry of the report's details holds pi and the largest radius up to which
+    every sample satisfied the bound ("held_radius")."""
     # 2.5 or True would pass `< 1`; a bad point would fail later in the SVD
     if (isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral)
             or n_samples < 1):
@@ -213,21 +210,14 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
         raise ValueError(f"local_error_bound_probe needs a finite point of shape "
                          f"({domain.n},); got shape {x.shape}")
     rng = np.random.default_rng(seed)
-    P_E = domain.affine_hull_projector()
-    if np.array_equal(P_E, np.eye(x.size)):
-        def hull_rows(V):
-            return V
-    else:
-        def hull_rows(V):  # P_E @ v for each row v of V, bit for bit
-            return (P_E @ V[:, :, None])[:, :, 0]
     pi_val = pi_sigma(cmap, domain, x)
-    if pi_val <= 1e-10:
+    if pi_val <= PI_SIGMA_FLOOR:
         details = [{"pi": pi_val, "held_radius": 0.0,
                     "note": "constraint gradients degenerate at base point"}]
         return CheckReport.build("local_error_bound_probe", 0, np.inf, 0.0, details)
 
     m = len(PROBE_RADII) * n_samples
-    U = hull_rows(rng.standard_normal((m, x.size)))
+    U = rng.standard_normal((m, x.size))
     frac = rng.random(m)
     nu = _row_norms(U)
     keep = nu != 0.0  # a zero direction is skipped
@@ -238,7 +228,7 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
     for start in range(0, len(Y), STACK_ROWS):
         rows = slice(start, start + STACK_ROWS)
         C[rows] = cmap.value_stack(Y[rows])
-        lhs[rows] = _row_norms(hull_rows(cmap.jac_t_stack(Y[rows], C[rows])))
+        lhs[rows] = _row_norms(cmap.jac_t_stack(Y[rows], C[rows]))
     gap = np.zeros(m)
     gap[keep] = 0.5 * pi_val * _row_norms(C) - lhs
     # the running max from 0.0 that Python's max takes: a NaN is skipped

@@ -83,9 +83,11 @@ class ProblemInstance:
 
     @staticmethod
     def from_json(obj):
-        """Rebuild an instance; a NaN or infinite entry in x0 or in a data
-        array raises ValueError."""
+        """Rebuild an instance; a seed that is not a nonnegative integer, or a
+        NaN or infinite entry in x0 or in a data array, raises ValueError."""
         fam = get_family(obj["family"])
+        if type(obj["seed"]) is not int or obj["seed"] < 0:  # int() takes 2.7, true, "3"
+            raise ValueError(f"instance seed {obj['seed']!r} is not a nonnegative integer")
         data = dict(obj["data"])
         x0 = np.array(obj["x0"], dtype=float)
         for key in fam.arrays:
@@ -100,7 +102,7 @@ class ProblemInstance:
                 raise ValueError(f"instance {name} has a NaN or infinite entry")
         return ProblemInstance(
             family=obj["family"],
-            seed=int(obj["seed"]),
+            seed=obj["seed"],
             x0=x0,
             data=data,
         )
@@ -179,12 +181,13 @@ def gen_npca(n, m_cols, rho=0.0, seed=0, beta=None):
 # ---------------------------------------------------------------- qpb
 
 
-def build_qpb_problem(Qmat, qvec, beta=None):
+def build_qpb_problem(Qmat, qvec, d, beta=None):
     Qmat = np.asarray(Qmat, dtype=float)
     qvec = np.asarray(qvec, dtype=float)
+    d = np.asarray(d, dtype=float)
     n = qvec.size
-    d = np.zeros(n)
-    d[0] = 0.5
+    if d.shape != (n,):  # a one-entry d would broadcast to another sphere
+        raise ValueError(f"qpb needs a centre d of shape ({n},); got {d.shape}")
 
     def f_value(x):
         return 0.5 * float(x @ (Qmat @ x)) + float(qvec @ x)
@@ -233,12 +236,11 @@ def gen_qpb(n, edge_density=0.5, seed=0, beta=None):
     x0 = g / np.linalg.norm(g)
     while np.linalg.norm(x0) > 1.0:  # land inside the ball exactly
         x0 = x0 / np.linalg.norm(x0)
-    d = np.zeros(n)
-    d[0] = 0.5
+    d = 0.5 * np.eye(1, n)[0]
     inst = ProblemInstance(family="qpb", seed=seed, x0=x0,
                            data={"Qmat": Qmat, "qvec": qvec, "d": d,
                                  "n": int(n), "edge_density": float(edge_density)})
-    return inst, build_qpb_problem(Qmat, qvec, beta=beta)
+    return inst, build_qpb_problem(Qmat, qvec, d, beta=beta)
 
 
 # ---------------------------------------------------------------- fpca
@@ -396,19 +398,23 @@ def _npca_feasible(data, rng):
     return g / np.linalg.norm(g)
 
 
+def _qpb_centre(data):  # the sampler's and the oracle's closed forms know only 0.5 e_1
+    if not np.array_equal(data["d"], 0.5 * np.eye(1, data["n"])[0]):
+        raise ValueError("qpb's feasible sampler and oracle need the centre d = 0.5 e_1")
+    return data["d"]
+
+
 def _qpb_feasible(data, rng):
-    n = data["n"]
-    d = np.zeros(n)
-    d[0] = 0.5
+    d = _qpb_centre(data)
     for _ in range(200):  # rejection keeps the ball constraint
-        u = rng.standard_normal(n)
+        u = rng.standard_normal(d.size)
         u /= np.linalg.norm(u)
         if np.linalg.norm(d + u) <= 1.0:
             return d + u
     # the feasible cap needs u_1 <= -1/4, which a uniform sphere direction
     # almost never hits at large n; build it directly
     s = 0.25 + 0.75 * rng.random()
-    w = rng.standard_normal(n - 1)
+    w = rng.standard_normal(d.size - 1)
     w *= np.sqrt(max(0.0, 1.0 - s * s)) / np.linalg.norm(w)
     u = np.concatenate([[-s], w])
     u /= np.linalg.norm(u)
@@ -449,6 +455,7 @@ def _npca_oracle(data):
 def _qpb_oracle(data):
     if data["n"] != 2:
         raise ValueError("oracle supports qpb only at n = 2")
+    _qpb_centre(data)
     Qm, qv = data["Qmat"], data["qvec"]
     # arc of the shifted unit circle inside the unit ball: cos(theta) <= -1/4
     t0 = np.arccos(-0.25)
@@ -489,7 +496,7 @@ FAMILIES = {
         extra_dims="cols={m_cols}", tol=1e-6, beta=100.0, beta_grid=(100.0,)),
     "qpb": Family(
         generate=gen_qpb, check=_check_qpb,
-        build=lambda data, beta: build_qpb_problem(data["Qmat"], data["qvec"], beta=beta),
+        build=lambda data, beta: build_qpb_problem(data["Qmat"], data["qvec"], data["d"], beta),
         arrays=("Qmat", "qvec", "d"), feasible=_qpb_feasible, oracle=_qpb_oracle,
         subseed=22, cli_dims={"n": "n", "edge_density": "edge_density"},
         extra_dims="", tol=1e-6, beta=10.0, beta_grid=(10.0,)),

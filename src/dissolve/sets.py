@@ -3,24 +3,24 @@
 The dissolving construction needs of a set only its projection and its
 projective mapping, so any closed convex set enters by subclassing
 `ConvexSet` with its kernels.  This module holds the sets the problem
-families, the CLI, the diagnostics and the benchmark build: boxes (pinned
-coordinates included) and the nonnegative orthant, l2 and lq norm balls, the
-spectral-norm ball of matrices, and Cartesian products of these.
+families, the CLI, the diagnostics and the benchmark build: boxes and the
+nonnegative orthant, l2 and lq norm balls, the spectral-norm ball of
+matrices, and Cartesian products of these.  Every set has an interior (a box
+needs lower < upper in each coordinate), so its affine hull is all of R^n.
 
-Every descriptor knows how to project onto itself, expose the orthogonal
-projector onto the subspace parallel to its affine hull, evaluate its
-projective mapping Q(x) (a smooth, symmetric, positive-semidefinite operator
-whose null space spans the normal cone), and differentiate Q in the adjoint
-form the dissolving map's vjp needs.  Matrix-shaped sets act on column-major
+Every descriptor knows how to project onto itself, evaluate its projective
+mapping Q(x) (a smooth, symmetric, positive-semidefinite operator whose null
+space spans the normal cone), and differentiate Q in the adjoint form the
+dissolving map's vjp needs.  Matrix-shaped sets act on column-major
 flattened vectors.
 
 The public methods `project`, `normal_cone_project` and `contains` validate
 their arguments once and call a kernel; the subclasses supply only kernels,
 and a product calls its factors' kernels.  A new set defines `n`, `_project`,
-`_q_cols`, `_dq_form_cols`, `_normal_cone_project(x, z)` and
-`affine_hull_projector`; membership and the normal cone's active set are
-judged at `DEFAULT_TOL`.  Q and its derivative are reached only through the
-block kernels, which the dissolving map calls on arrays it built itself.
+`_q_cols`, `_dq_form_cols` and `_normal_cone_project(x, z)`; membership and
+the normal cone's active set are judged at `DEFAULT_TOL`.  Q and its
+derivative are reached only through the block kernels, which the dissolving
+map calls on arrays it built itself.
 `_q_cols(x, V)` applies Q(x) to every column of a matrix, at one point x
 with an n-by-m matrix or at an (N, n) stack of points with an (N, n, m)
 stack of matrices, as the dissolving-map build needs.  `_dq_form_cols(x, v,
@@ -147,9 +147,6 @@ class ConvexSet:
     def _dq_form(self, x, v, w):
         return self._dq_form_cols(x, v, w[:, None])[:, 0]
 
-    def affine_hull_projector(self):
-        raise NotImplementedError
-
     def _normal_cone_project(self, x, z):
         raise NotImplementedError
 
@@ -178,17 +175,16 @@ class ConvexSet:
 
 
 class Box(ConvexSet):
-    """{x : lower <= x <= upper}, entries may be infinite."""
+    """{x : lower <= x <= upper} with lower < upper; entries may be infinite."""
 
     def __init__(self, lower, upper):
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DimensionMismatch("lower/upper must be 1-d of equal length")
-        # a NaN bound fails too; a +inf lower or -inf upper bound is an empty set
-        if not np.all((lower <= upper) & (lower < np.inf) & (upper > -np.inf)):
-            raise ValueError("requires lower <= upper componentwise, lower < inf, "
-                             "upper > -inf and no NaN bound")
+        # an interior in every coordinate; this rejects NaN, +inf lower and -inf upper too
+        if not np.all(lower < upper):
+            raise ValueError("requires lower < upper componentwise and no NaN bound")
         self.lower = lower
         self.upper = upper
         self._lo_fin = np.isfinite(lower)
@@ -249,15 +245,14 @@ class Box(ConvexSet):
     def _dq_form_cols(self, x, v, W):
         return (self._weights_deriv(x) * v)[:, None] * W
 
-    def affine_hull_projector(self):
-        return np.diag((self.lower < self.upper).astype(float))
-
     def _normal_cone_project(self, x, z):
         out = np.zeros_like(z)
-        pinned = self.upper - self.lower <= 2.0 * DEFAULT_TOL
-        at_lo = self._lo_fin & (x - self.lower <= DEFAULT_TOL) & ~pinned
-        at_up = self._up_fin & (self.upper - x <= DEFAULT_TOL) & ~pinned
-        out[pinned] = z[pinned]
+        # on a coordinate thinner than 2 * DEFAULT_TOL both bounds are active
+        # within the tolerance at every x, so its whole axis is normal
+        both_active = self.upper - self.lower <= 2.0 * DEFAULT_TOL
+        at_lo = self._lo_fin & (x - self.lower <= DEFAULT_TOL) & ~both_active
+        at_up = self._up_fin & (self.upper - x <= DEFAULT_TOL) & ~both_active
+        out[both_active] = z[both_active]
         out[at_lo] = np.minimum(z[at_lo], 0.0)
         out[at_up] = np.maximum(z[at_up], 0.0)
         return out
@@ -346,9 +341,6 @@ class NormBall(ConvexSet):
         uq, u2q = u ** q, u ** (2.0 * q)
         return (-(xv * kappa * W + _col_dots(wx, W) * vc + (wx @ v) * W + xw * kappa * vc) / uq
                 + (xv * xw * tau + s * (xv * W + xw * vc)) / u2q)
-
-    def affine_hull_projector(self):
-        return np.eye(self.n)
 
     def _normal_cone_project(self, x, z):
         _require_finite(x, "l2-ball normal cone" if self._is_l2 else "lq-ball normal cone")
@@ -467,9 +459,6 @@ class SpectralBall(ConvexSet):
         R = -Ws @ _sym(X.T @ Y) - Y @ (0.5 * (M + M.swapaxes(-1, -2)))
         return R.swapaxes(-1, -2).reshape(W.shape[1], self.n).T
 
-    def affine_hull_projector(self):
-        return np.eye(self.n)
-
     def _normal_cone_project(self, x, z):
         _require_finite(x, "spectral-ball normal cone")
         X = _mat(x, self._shape())
@@ -526,12 +515,6 @@ class Product(ConvexSet):
 
     def _dq_form_cols(self, x, v, W):
         return self._each("_dq_form_cols", (x, v, W))
-
-    def affine_hull_projector(self):
-        P = np.zeros((self.n, self.n))
-        for f, s in zip(self.factors, self._slices):
-            P[s, s] = f.affine_hull_projector()
-        return P
 
     def _normal_cone_project(self, x, z):
         return self._each("_normal_cone_project", (x, z))

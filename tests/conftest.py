@@ -41,15 +41,15 @@ def make_catalog():
     return [
         Box([-1.0, 0.0, -inf], [1.5, 2.0, inf]),
         NonnegOrthant(4),
-        # upper-only, lower-only and pinned coordinates: a non-identity affine hull
-        Box([-inf, 0.0, 0.5, -1.0], [1.0, inf, 0.5, 2.0]),
+        # upper-only, lower-only and two-sided coordinates in one box
+        Box([-inf, 0.0, 0.2, -1.0], [1.0, inf, 0.5, 2.0]),
         Box([-inf] * 3, [inf] * 3),
         NormBall(3, radius=1.5, exponent=2.0),
         NormBall(3, radius=1.0, exponent=4.0),
         NormBall(3, radius=1.0, exponent=1.5),
         SpectralBall(4, 3),
         SpectralBall(2, 4),
-        Product([Box([0.0, 0.3], [2.0, 0.3]), NormBall(2, radius=1.0), SpectralBall(2, 2)]),
+        Product([Box([0.0, 0.3], [2.0, 0.8]), NormBall(2, radius=1.0), SpectralBall(2, 2)]),
         Product([Product([NormBall(2, radius=1.0), NonnegOrthant(1)]),
                  Box([-1.0], [1.0])]),
     ]

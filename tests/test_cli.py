@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from dissolve import cli
 from dissolve.cli import CSV_COLUMNS, main
 from dissolve.mappings import DissolvingMap
-from dissolve.problems import ProblemInstance, reference_small_oracle
+from dissolve.problems import (ProblemInstance, feasible_points, gen_qpb,
+                               reference_small_oracle)
 
 
 def read_rows(path):
@@ -43,6 +45,29 @@ def test_solve_qpb_small_matches_oracle(tmp_path):
     oracle = reference_small_oracle(inst)
     row = read_rows(csv_path)[0]
     assert abs(float(row["fval"]) - oracle) <= 1e-4
+
+
+def test_loaded_qpb_instance_solves_on_its_own_sphere(tmp_path):
+    # the file's centre d is the sphere's: moved to 0.9 e_6, the solve ends on
+    # ||x - d|| = 1 (it used to solve about 0.5 e_1 whatever d said); the
+    # feasible sampler and the oracle, closed forms for 0.5 e_1, refuse it
+    inst_path = tmp_path / "inst.json"
+    json_path = tmp_path / "rec.json"
+    assert main(["dump-instance", "--family", "qpb", "--n", "6", "--out", str(inst_path)]) == 0
+    obj = json.loads(inst_path.read_text())
+    obj["data"]["d"] = [0.0] * 5 + [0.9]
+    inst_path.write_text(json.dumps(obj))
+    assert main(["solve", "--instance", str(inst_path), "--json-out", str(json_path)]) == 0
+    x = np.array(json.loads(json_path.read_text())["x_final"])
+    assert abs(np.linalg.norm(x - obj["data"]["d"]) - 1.0) <= 1e-6
+    with pytest.raises(ValueError, match="centre"):
+        feasible_points(ProblemInstance.from_json(obj), 1)
+    inst, _ = gen_qpb(2)
+    with pytest.raises(ValueError, match="centre"):
+        reference_small_oracle(dataclasses.replace(inst, data={**inst.data, "d": [0.0, 0.9]}))
+    obj["data"]["d"] = [0.9]  # one entry would broadcast to the sphere about 0.9 (1, ..., 1)
+    inst_path.write_text(json.dumps(obj))
+    assert main(["solve", "--instance", str(inst_path)]) == 2
 
 
 def test_unknown_family_exits_2_without_files(tmp_path, capsys):
@@ -450,17 +475,24 @@ def test_bench_checks_every_task_before_solving_any(tmp_path, capsys, monkeypatc
     ("npca", ["--n", "10", "--cols", "5"], "x0", float("nan")),
     ("qpb", ["--n", "6"], "qvec", float("-inf")),
     ("fpca", ["--n", "4", "--k", "2", "--d", "3"], "A", float("nan")),
+    ("qpb", ["--n", "6"], "seed", 2.7),
+    ("qpb", ["--n", "6"], "seed", -1),
+    ("qpb", ["--n", "6"], "seed", True),
+    ("qpb", ["--n", "6"], "seed", "3"),
 ])
 def test_non_finite_instance_exits_2_without_rows(tmp_path, capsys, family, dims,
                                                   field, value):
     # an infinite fpca start used to hang the solve's first projection; a NaN
-    # npca start used to print a numerical_failure row and exit 0
+    # npca start used to print a numerical_failure row and exit 0; a seed of
+    # 2.7 was written to the row as 2, and -1, true and "3" passed int()
     inst_path = tmp_path / "inst.json"
     csv_path = tmp_path / "runs.csv"
     assert main(["dump-instance", "--family", family, *dims, "--out", str(inst_path)]) == 0
     obj = json.loads(inst_path.read_text())
     if field == "x0":
         obj["x0"][0] = value
+    elif field == "seed":
+        obj["seed"] = value
     elif field == "A":
         obj["data"]["A"][1][0][0] = value
     else:
@@ -469,7 +501,8 @@ def test_non_finite_instance_exits_2_without_rows(tmp_path, capsys, family, dims
     assert main(["solve", "--instance", str(inst_path), "--csv", str(csv_path)]) == 2
     assert not csv_path.exists()
     err = capsys.readouterr().err
-    assert "error:" in err and "NaN or infinite" in err
+    assert "error:" in err
+    assert ("nonnegative integer" if field == "seed" else "NaN or infinite") in err
     with pytest.raises(ValueError, match=f"instance {field}"):
         ProblemInstance.from_json(obj)
 

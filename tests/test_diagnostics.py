@@ -22,7 +22,7 @@ from dissolve.mappings import (
     h_grad,
     h_value,
 )
-from dissolve.sets import Box, NormBall, Product
+from dissolve.sets import Box, NormBall
 from dissolve.solvers import _norm
 from dissolve.problems import (
     feasible_points,
@@ -192,24 +192,6 @@ def test_pi_sigma_duplicated_rows_flag_degeneracy():
     assert pi_sigma(cmap, domain, x) == pytest.approx(np.sqrt(10.0), rel=1e-12)
 
 
-def test_pi_sigma_projects_out_affine_hull():
-    # the constraint gradient's component along a pinned coordinate
-    # disappears inside the box's hull, so the projected singular value is
-    # strictly smaller
-    a = np.array([1.0, 2.0, -1.0])
-    cmap = ConstraintMap(
-        p=1,
-        value=lambda x: np.array([a @ x]),
-        jac_t_apply=lambda x, v: a * v[0],
-    )
-    domain = Box([0.0, 0.0, 0.5], [1.0, 1.0, 0.5])
-    x = np.full(3, 0.5)
-    P = domain.affine_hull_projector()
-    expect = np.linalg.svd((P @ a)[:, None], compute_uv=False)[0]
-    assert pi_sigma(cmap, domain, x) == pytest.approx(expect, rel=1e-12)
-    assert pi_sigma(cmap, domain, x) < np.linalg.norm(a)
-
-
 # ---------------------------------------------------------------- probe
 
 
@@ -264,16 +246,13 @@ def test_reports_reproducible_from_seed():
     assert p1.to_json() == p2.to_json()
 
 
-def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None,
-                             seed=0):
-    """local_error_bound_probe as it was written before the identity skip and
-    before stacked samples: c and G c one sample at a time, both products
-    with P_E taken on every sample.  The samples are drawn as the probe
-    draws them: one block of directions for all radii, then one of radius
+def probe_per_sample(cmap, domain, x_feasible, n_samples=200, radii=None, seed=0):
+    """local_error_bound_probe as it was written before stacked samples: c
+    and G c one sample at a time.  The samples are drawn as the probe draws
+    them: one block of directions for all radii, then one of radius
     fractions, row i at the i // n_samples-th radius."""
     x = np.asarray(x_feasible, dtype=float)
     rng = np.random.default_rng(seed)
-    P_E = domain.affine_hull_projector()
     if radii is None:
         radii = [0.5 * 0.5 ** j for j in range(7)]
     radii = sorted(radii)
@@ -286,14 +265,13 @@ def probe_with_hull_products(cmap, domain, x_feasible, n_samples=200, radii=None
     directions = rng.standard_normal((len(radii) * n_samples, x.size))
     fractions = rng.random(len(radii) * n_samples)
     worst = [0.0] * len(radii)
-    for i, (d, frac) in enumerate(zip(directions, fractions)):
-        u = P_E @ d
+    for i, (u, frac) in enumerate(zip(directions, fractions)):
         nu = _norm(u)
         if nu == 0.0:
             continue
         y = x + radii[i // n_samples] * frac * u / nu
         c = cmap.value(y)
-        lhs = _norm(P_E @ cmap.jac_t_apply(y, c))
+        lhs = _norm(cmap.jac_t_apply(y, c))
         rhs = 0.5 * pi_val * _norm(c)
         worst[i // n_samples] = max(worst[i // n_samples], rhs - lhs)
 
@@ -320,24 +298,6 @@ def use_probe_radii(monkeypatch, radii):
         monkeypatch.setattr(diagnostics, "PROBE_RADII", tuple(sorted(radii)))
 
 
-def pinned_box_ball_case():
-    # a box with a pinned coordinate x ball, where P_E is not the identity;
-    # c_0 = sin(w^T (x - x0)) loses its gradient on far parts of the larger
-    # balls, so the bound fails there with a positive violation
-    w = np.array([3.0, 1.0, 2.0, -2.0])
-    x0 = np.array([0.4, 0.3, 0.2, 0.1, 0.5, 0.5])
-
-    def value(x):
-        return np.array([np.sin(w @ (x[:4] - x0[:4])), x[4:] @ x[4:] - 0.5])
-
-    def jac_t(x, v):
-        return np.concatenate([np.cos(w @ (x[:4] - x0[:4])) * v[0] * w, 2.0 * v[1] * x[4:]])
-
-    cmap = ConstraintMap(p=2, value=value, jac_t_apply=jac_t)
-    box = Box([0.0, 0.0, 0.2, 0.0], [1.0, 1.0, 0.2, 1.0])
-    return cmap, Product([box, NormBall(2)]), x0
-
-
 def fpca_case():
     inst, prob = gen_fpca(4, 2, 3, seed=0)
     return prob.cmap, prob.domain, feasible_points(inst, 1, seed=2)[0]
@@ -361,17 +321,14 @@ def blowup_case():
     return cmap, Box(np.full(3, -np.inf), np.full(3, np.inf)), np.zeros(3)
 
 
-@pytest.mark.parametrize("case", [fpca_case, pinned_box_ball_case, blowup_case])
-def test_probe_with_identity_skip_matches_the_hull_product_loop(case, monkeypatch):
+@pytest.mark.parametrize("case", [fpca_case, blowup_case])
+def test_probe_matches_the_per_sample_loop(case, monkeypatch):
     cmap, domain, x = case()
-    identity = np.array_equal(domain.affine_hull_projector(), np.eye(domain.n))
-    assert identity == (case is not pinned_box_ball_case)
     for seed, radii in ((0, None), (4, [0.25, 1.0, 4.0])):
         use_probe_radii(monkeypatch, radii)
         with np.errstate(invalid="ignore"):
             got = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=seed)
-            want = probe_with_hull_products(cmap, domain, x, n_samples=20, seed=seed,
-                                            radii=radii)
+            want = probe_per_sample(cmap, domain, x, n_samples=20, seed=seed, radii=radii)
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
@@ -405,26 +362,6 @@ def grad_check_per_point(prob, points, threshold=1e-6):
     return CheckReport.build("grad_check", len(details), worst, threshold, details)
 
 
-def pinned_box_problem():
-    # a sphere constraint over a box whose third coordinate is pinned at 0.3,
-    # so that P_E is not the identity
-    n = 4
-    t = np.array([0.1, 0.5, 0.3, 0.1])
-    cmap = ConstraintMap(
-        p=1,
-        value=lambda x: np.array([x @ x - 0.4]),
-        jac_t_apply=lambda x, v: 2.0 * v[0] * x,
-        hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
-    )
-    domain = Box([0.0, 0.0, 0.3, 0.0], [1.0, 1.0, 0.3, 1.0])
-    prob = PenaltyProblem(f_value=lambda x: 0.5 * float((x - t) @ (x - t)),
-                          f_grad=lambda x: x - t, cmap=cmap,
-                          amap=build_aq(domain, cmap), domain=domain, beta=3.0)
-    rng = np.random.default_rng(71)
-    points = [domain.project(rng.random(n)) for _ in range(3)]
-    return prob, points, domain.project(np.array([0.6, 0.4, 0.3, 0.1]))
-
-
 def family_case(gen, dims):
     inst, prob = gen(*dims, seed=1)
     return (prob, near_feasible_points(inst, 3, seed=2),
@@ -435,15 +372,12 @@ STACK_CASES = {
     "npca": lambda: family_case(gen_npca, (6, 3)),
     "qpb": lambda: family_case(gen_qpb, (6,)),
     "fpca": lambda: family_case(gen_fpca, (4, 2, 3)),
-    "pinned_box": pinned_box_problem,
 }
 
 
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
 def test_stacked_reports_equal_the_per_point_loops(name, monkeypatch):
     prob, points, x = STACK_CASES[name]()
-    assert (name == "pinned_box") == (
-        not np.array_equal(prob.domain.affine_hull_projector(), np.eye(prob.n)))
     got = grad_check(prob, points)
     want = grad_check_per_point(prob, points)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
@@ -451,8 +385,8 @@ def test_stacked_reports_equal_the_per_point_loops(name, monkeypatch):
         use_probe_radii(monkeypatch, radii)
         got = local_error_bound_probe(prob.cmap, prob.domain, x, n_samples=20,
                                       seed=seed)
-        want = probe_with_hull_products(prob.cmap, prob.domain, x, n_samples=20,
-                                        seed=seed, radii=radii)
+        want = probe_per_sample(prob.cmap, prob.domain, x, n_samples=20, seed=seed,
+                                radii=radii)
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
@@ -486,7 +420,7 @@ def test_one_stacked_build_per_grad_point_and_one_c_per_probe_radius(monkeypatch
     assert calls == [("c", (140, n)), ("Gc", (140, n))]
 
 
-@pytest.mark.parametrize("case", [fpca_case, pinned_box_ball_case])
+@pytest.mark.parametrize("case", [fpca_case, blowup_case])
 def test_probe_row_blocks_give_the_one_block_report_bit_for_bit(case, monkeypatch):
     cmap, domain, x = case()
     n, m = domain.n, 7 * 20
@@ -569,7 +503,6 @@ def assumption_a_per_vector(amap, cmap, domain, points):
     and applied one at a time, the Jacobian built column by column."""
     thr_fix, thr_ker, thr_idem = diagnostics.ASSUMPTION_A_THRESHOLDS
     rng = np.random.default_rng(0)
-    P_E = domain.affine_hull_projector()
     details, worst = [], 0.0
     for x in points:
         point = {}
@@ -585,7 +518,7 @@ def assumption_a_per_vector(amap, cmap, domain, points):
                 d_neg = _norm(v + domain.normal_cone_project(x, -v))
                 span = min(d_pos, d_neg) / max(1.0, _norm(lam))
         J = np.column_stack([amap.vjp(x, e, point) for e in np.eye(x.size)])
-        idem = float(np.linalg.norm(P_E @ (J @ J - J), 2))
+        idem = float(np.linalg.norm(J @ J - J, 2))
         rec = {"fixed_point": fix, "kernel": ker, "kernel_outside_normal_span": span,
                "idempotency": idem,
                "ratio": max(fix / thr_fix, ker / thr_ker, idem / thr_idem)}
@@ -599,20 +532,10 @@ def family_feasible_case(gen, dims):
     return prob, feasible_points(inst, 3, seed=4)
 
 
-def pinned_box_feasible_case():
-    # points of the pinned-box problem's sphere x.x = 0.4, whose free
-    # coordinates hold the remaining 0.31
-    prob = pinned_box_problem()[0]
-    free = np.abs(np.random.default_rng(73).standard_normal((3, 3)))
-    free *= np.sqrt(0.31) / np.linalg.norm(free, axis=1, keepdims=True)
-    return prob, [np.insert(f, 2, 0.3) for f in free]
-
-
 FEASIBLE_CASES = {
     "npca": lambda: family_feasible_case(gen_npca, (6, 3)),
     "qpb": lambda: family_feasible_case(gen_qpb, (6,)),
     "fpca": lambda: family_feasible_case(gen_fpca, (4, 2, 3)),
-    "pinned_box": pinned_box_feasible_case,
 }
 
 

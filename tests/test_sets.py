@@ -35,8 +35,8 @@ def test_box_projection_clamps():
     ([0.0] * 6, [np.inf] * 6),                                    # orthant
     ([-np.inf] * 6, [np.inf] * 6),                                # free
     ([-np.inf] * 6, [1.0, 0.0, -0.0, 2.0, 0.5, 3.0]),             # upper only
-    ([-1.0, 0.0, -0.0, -2.0, 0.5, -3.0], [1.0, 0.0, 0.0, 2.0, 1.5, 3.0]),
-    ([-1.0, 0.0, -np.inf, -np.inf, -0.0, 2.0], [1.5, np.inf, 2.0, np.inf, 0.0, 2.0]),
+    ([-1.0, 0.0, -0.0, -2.0, 0.5, -3.0], [1.0, 0.5, 0.5, 2.0, 1.5, 3.0]),
+    ([-1.0, 0.0, -np.inf, -np.inf, -0.0, 2.0], [1.5, np.inf, 2.0, np.inf, 0.5, 2.5]),
 ])
 def test_box_projection_skips_unbounded_sides_bit_for_bit(lower, upper):
     # a side with no finite bound skips its clamp; the result must still be
@@ -107,7 +107,7 @@ def test_lazy_scipy_calls_match_a_fresh_interpreter(capsys):
 
 def test_contains_examples():
     # membership is judged at DEFAULT_TOL = 1e-8
-    assert Box([0.0, 0.5], [1.0, 0.5]).contains([1.0, 0.5])
+    assert Box([0.0, 0.5], [1.0, 0.8]).contains([1.0, 0.5])
     assert not NormBall(2).contains([1 + 1e-3, 0.0])
     assert Box([0.0], [np.inf]).contains([-1e-9])
     assert not Box([0.0], [np.inf]).contains([-2e-8])
@@ -293,46 +293,6 @@ def test_lq_ball_projection_of_axis_points_is_the_radius(q, u):
             assert np.abs(p - target).max() <= 4e-16 * u, (m, x)
 
 
-# ---------------------------------------------------------------- affine hull
-
-
-def test_affine_hull_projector_examples():
-    assert np.allclose(Box([0.0, -1.0], [1.0, 2.0]).affine_hull_projector(), np.eye(2))
-    # a pinned coordinate drops out of the hull
-    assert np.allclose(Box([0.0, 0.5], [1.0, 0.5]).affine_hull_projector(),
-                       np.diag([1.0, 0.0]))
-    prod = Product([NormBall(2), Box([0.5], [0.5])])
-    assert np.allclose(prod.affine_hull_projector(), np.diag([1.0, 1.0, 0.0]))
-
-
-def test_affine_hull_projector_idempotent_symmetric(catalog):
-    for domain in catalog:
-        P = domain.affine_hull_projector()
-        assert np.abs(P - P.T).max() <= 1e-12
-        assert np.abs(P @ P - P).max() <= 1e-12
-
-
-def scipy_block_diag(domain):
-    from scipy.linalg import block_diag
-
-    if isinstance(domain, Product):
-        return block_diag(*[scipy_block_diag(f) for f in domain.factors])
-    return domain.affine_hull_projector()
-
-
-@pytest.mark.parametrize("prod", [
-    Product([SpectralBall(4, 3), NonnegOrthant(2), Box([-np.inf], [np.inf])]),
-    Product([Product([Box([0.5, 0.0], [0.5, 1.0]), NormBall(2)]), Box([0.0], [1.0]),
-             SpectralBall(2, 2)]),
-    Product([Box([0.0], [1.0]), Box([0.0, 0.3, -1.0], [1.0, 0.3, 1.0])]),
-], ids=["fpca", "nested", "pinned_box"])
-def test_product_affine_hull_projector_equals_block_diag(prod):
-    expected = scipy_block_diag(prod)
-    got = prod.affine_hull_projector()
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-
-
 # ---------------------------------------------------------------- Q mapping
 
 
@@ -340,8 +300,8 @@ def test_q_apply_examples():
     ball = NormBall(2)
     assert np.allclose(ball._q(np.array([0.0, 0.0]), np.array([0.3, -0.7])), [0.3, -0.7])
     assert np.allclose(ball._q(np.array([1.0, 0.0]), np.array([1.0, 1.0])), [0.0, 1.0])
-    # an active bound and a pinned coordinate both have weight zero
-    assert np.allclose(Box([0.0, 0.5], [1.0, 0.5])._q(np.array([1.0, 0.5]),
+    # an active upper and an active lower bound both have weight zero
+    assert np.allclose(Box([0.0, 0.5], [1.0, 0.8])._q(np.array([1.0, 0.5]),
                                                       np.array([0.4, 0.6])),
                        [0.0, 0.0])
     # at X = I the spectral ball keeps the skew part of Y: Y - X sym(X^T Y)
@@ -462,7 +422,7 @@ def test_box_weights_match_masked_formulas():
     boxes = [NonnegOrthant(5),
              Box([-1.0, 2.0, 0.0, -3.0, 0.5], [inf] * 5),
              Box([-inf] * 5, [inf] * 5),
-             Box([-1.0, 0.0, -inf, -inf, 0.0], [1.5, inf, 2.0, inf, 0.0])]
+             Box([-1.0, 0.0, -inf, -inf, 0.0], [1.5, inf, 2.0, inf, 0.5])]
     rng = np.random.default_rng(31)
     for box in boxes:
         points = [np.array([-0.0, 0.0, -0.0, 1.0, -0.0])]
@@ -516,9 +476,9 @@ def test_null_space_matches_normal_cone_span():
     ball = NormBall(3, radius=1.5)
     xb = 1.5 * np.array([3.0, -1.0, 1.0]) / np.linalg.norm([3.0, -1.0, 1.0])
     cases.append((ball, xb, xb[:, None]))
-    # an active upper-only bound and a pinned coordinate
-    pinned = Box([-np.inf, 0.0, 0.5, -1.0], [1.0, np.inf, 0.5, 2.0])
-    cases.append((pinned, np.array([1.0, 0.7, 0.5, 0.0]), np.eye(4)[:, [0, 2]]))
+    # an active upper-only bound and an active upper bound of a two-sided coordinate
+    mixed = Box([-np.inf, 0.0, 0.2, -1.0], [1.0, np.inf, 0.5, 2.0])
+    cases.append((mixed, np.array([1.0, 0.7, 0.5, 0.0]), np.eye(4)[:, [0, 2]]))
     lq = NormBall(3, radius=1.0, exponent=4.0)
     xq = np.array([0.7, -0.5, 0.4])
     xq /= np.sum(np.abs(xq) ** 4.0) ** 0.25
@@ -528,17 +488,6 @@ def test_null_space_matches_normal_cone_span():
         Pn = _span_projector(normal_basis)
         Pq = _span_projector(_null_space(q_matrix(domain, x)))
         assert np.abs(Pn - Pq).max() < 1e-7, domain
-
-
-def test_box_pinned_coordinate():
-    # a coordinate with lower == upper is pinned: projection fixes it, the
-    # mapping weight vanishes, and the hull projector drops the direction
-    box = Box([0.0, 1.0], [2.0, 1.0])
-    assert np.allclose(box.project([5.0, 5.0]), [2.0, 1.0])
-    assert np.allclose(q_matrix(box, [0.5, 1.0]), np.diag([0.75, 0.0]))
-    assert np.allclose(box.affine_hull_projector(), np.diag([1.0, 0.0]))
-    p = box.normal_cone_project(np.array([0.5, 1.0]), np.array([0.3, -0.7]))
-    assert np.allclose(p, [0.0, -0.7])  # pinned directions are fully normal
 
 
 def test_normal_cone_projection_optimality():
@@ -568,6 +517,14 @@ def test_normal_cone_projection_interior_is_zero():
                           np.zeros(4))
 
 
+def test_box_thin_coordinate_is_normal_along_its_axis():
+    # both bounds of a coordinate thinner than 2 * DEFAULT_TOL are active at
+    # every point, so the normal cone holds that coordinate's whole axis
+    box = Box([0.0, 1.0], [2.0, 1.0 + 1e-8])
+    p = box.normal_cone_project(np.array([0.5, 1.0 + 5e-9]), np.array([0.3, -0.7]))
+    assert np.array_equal(p, [0.0, -0.7])
+
+
 # ---------------------------------------------------------------- derivatives
 
 
@@ -578,7 +535,7 @@ def test_dq_apply_examples():
     I4 = np.eye(2).reshape(-1, order="F")
     assert np.allclose(dq_apply(SpectralBall(2, 2), I4, I4, I4).reshape(2, 2, order="F"),
                        -2.0 * np.eye(2))
-    for domain in (ball, Box([0.0, 0.5], [1.0, 0.5]), SpectralBall(2, 3)):
+    for domain in (ball, Box([0.0, 0.5], [1.0, 0.8]), SpectralBall(2, 3)):
         rng = np.random.default_rng(0)
         x = sample_point(domain, rng)
         v = rng.standard_normal(domain.n)
@@ -641,9 +598,11 @@ def test_invalid_construction():
     # an infinite exponent or radius, or a NaN parameter, gave a wrong set:
     # the l-inf "ball" of radius 2 kept [5, 0, 0], an infinite radius gave a
     # nonzero normal cone inside the ball, a NaN bound projected to NaN, and
-    # the empty box [inf, inf] contained 0
+    # the empty box [inf, inf] contained 0; every set has an interior, so a
+    # pinned coordinate (lower == upper) is rejected too
     for lower, upper in (([1.0], [0.0]), ([nan, 0.0], [1.0, 1.0]), ([0.0], [nan]),
-                         ([inf], [inf]), ([-inf], [-inf])):
+                         ([inf], [inf]), ([-inf], [-inf]), ([0.0, 1.0], [2.0, 1.0]),
+                         ([0.0, 0.5], [1.0, 0.5]), ([-0.0], [0.0])):
         with pytest.raises(ValueError):
             Box(lower, upper)
     for radius, exponent in ((-1.0, 2.0), (0.0, 2.0), (inf, 2.0), (nan, 2.0),
@@ -692,9 +651,6 @@ class ScaledBox(ConvexSet):
         out[up] = np.maximum(z[up], 0.0)
         out[lo] = np.minimum(z[lo], 0.0)
         return out
-
-    def affine_hull_projector(self):
-        return np.eye(self.n)
 
 
 def test_a_user_set_enters_through_the_kernels_alone():
