@@ -517,10 +517,16 @@ def test_normal_cone_projection_interior_is_zero():
                           np.zeros(4))
 
 
-def test_box_thin_coordinate_is_normal_along_its_axis():
-    # both bounds of a coordinate thinner than 2 * DEFAULT_TOL are active at
-    # every point, so the normal cone holds that coordinate's whole axis
+def test_box_pinned_coordinate():
+    # a pinned coordinate (lower == upper) leaves the box without an interior
+    # and is rejected; a pinned variable belongs out of the problem instead
+    with pytest.raises(ValueError):
+        Box([0.0, 1.0], [2.0, 1.0])
+    # a coordinate thinner than 2 * DEFAULT_TOL is built: projection keeps it
+    # within its bounds, and both bounds are active at every point, so the
+    # normal cone holds that coordinate's whole axis
     box = Box([0.0, 1.0], [2.0, 1.0 + 1e-8])
+    assert np.array_equal(box.project([5.0, 5.0]), [2.0, 1.0 + 1e-8])
     p = box.normal_cone_project(np.array([0.5, 1.0 + 5e-9]), np.array([0.3, -0.7]))
     assert np.array_equal(p, [0.0, -0.7])
 
