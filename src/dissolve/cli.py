@@ -5,7 +5,8 @@ CSV schema (fixed order):
 `solver` is always "pgbb", `solvers.solve`'s projected gradient with the
 Barzilai-Borwein step.
 Exit codes: 0 success, 1 failed check, 2 invalid configuration, 3 solver
-numerical failure (the row/record is still written).
+failure: numerical, line search or an infeasible stationary point (the
+row/record is still written).
 """
 
 from __future__ import annotations
@@ -129,9 +130,7 @@ def cmd_solve(args):
             json.dump({**row, "x_final": result.x_final.tolist(), "h_val": result.h_val},
                       json_fh)
     print(",".join(str(row[c]) for c in CSV_COLUMNS))
-    if result.status in (solvers.NUMERICAL_FAILURE, solvers.LINE_SEARCH_FAILURE):
-        return 3
-    return 0
+    return 0 if result.status in (solvers.CONVERGED, solvers.MAX_ITER) else 3
 
 
 def _bench_task(payload):

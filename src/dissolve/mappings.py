@@ -167,19 +167,20 @@ class DissolvingMap:
     Both are called as value(x, point=None) and vjp(x, w, point=None).
     `point` is a dict the caller carries for one x and one map; the map may
     store work done at x there and reuse it on later calls with the same
-    dict.  The generic map's value also takes an (N, n) stack of points
-    and returns the (N, n) stack of A(x_i), built at once.  Every vjp takes
-    one direction w (n,) or an n-by-m block W of directions, one direction
-    being the block of one.  For a block it returns gradA(x) W as a
-    C-ordered n-by-m array whose column j is vjp(x, W[:, j]) bit for bit,
-    the column taken as a contiguous vector.  The generic map stores its
-    core build in the point under "build", the closed-form sphere map
-    x^T x; the p = 0 identity map stores nothing.  Every vjp is exact.
+    dict.  Every value also takes an (N, n) stack of points and returns the
+    (N, n) stack of A(x_i), row i bit for bit A(x_i) alone; the generic map
+    builds the stack at once.  Every vjp takes one direction w (n,) or an
+    n-by-m block W of directions, one direction being the block of one.
+    For a block it returns gradA(x) W as a C-ordered n-by-m array whose
+    column j is vjp(x, W[:, j]) bit for bit, the column taken as a
+    contiguous vector.  The generic map stores its core build in the point
+    under "build", the closed-form sphere map x^T x; the p = 0 identity map
+    stores nothing.  Every vjp is exact.
     """
 
     value: Callable[..., np.ndarray]
     vjp: Callable[..., np.ndarray]
-    mode: str  # closed_form | generic_analytic
+    mode: str  # closed_form | generic_analytic; the library never reads it
     sigma: Optional[float] = None
 
 
@@ -339,13 +340,14 @@ def sphere_nonneg_map():
     """npca's hand-differentiated dissolving map for the unit sphere over the
     nonnegative orthant: A(x) = x - x (x^T x - 1) / 2, with
     gradA(x) w = (3 - x^T x) w / 2 - x (x^T w), for one w or each column
-    of a block."""
+    of a block.  The value also takes an (N, n) stack of points."""
 
     def xx(x, point):
-        # x^T x, which value and vjp share, kept in the point
+        # x^T x, which value and vjp share, kept in the point; for a stack, one
+        # stacked (1, n) @ (n, 1) matmul, whose slices keep the bits of x_i @ x_i
         if point is not None and "build" in point:
             return point["build"]
-        out = x @ x
+        out = x @ x if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0]
         if point is not None:
             point["build"] = out
         return out
@@ -386,8 +388,8 @@ def h_value(prob, x, point=None):
     f(A(x)) under "fa", c(x) under "c" and the map's build at x, for
     `h_grad` at the same x.
     For an (N, n) stack x it returns the N values, each bit for bit what x_i
-    alone gives, and keeps no point: a generic map builds over the whole
-    stack at once, a closed-form map is called per row.
+    alone gives, from one call of the map's value over the whole stack, and
+    keeps no point.
     Callers are expected to supply x in the domain (within tolerance); the
     smooth formulas extend off the set, which finite-difference oracles rely
     on.
@@ -404,8 +406,6 @@ def h_value(prob, x, point=None):
 
 
 def _h_stack(prob, x):
-    if prob.amap.mode == "closed_form":
-        return np.array([h_value(prob, row) for row in x], dtype=float)
     point = {}
     a = prob.amap.value(x, point)
     c = _penalty_c(prob, x, point)

@@ -7,7 +7,7 @@ qpb  -- indefinite quadratic over the unit ball with a shifted-sphere
         equality: f(x) = x^T Qmat x / 2 + q^T x, c(x) = ||x - d||^2 - 1.
 fpca -- min-max reformulation of group-fair PCA in variables (P, y, z):
         f = z, per-group equalities plus a Frobenius-norm equality, domain
-        spectral ball x orthant x free scalar.
+        spectral ball x box, the box y >= 0 with z free.
 
 All generators are bit-reproducible functions of (dims, seed); tensors draw
 from fixed sub-seeds.  fpca's constraint value, Jacobian columns, transposed
@@ -83,8 +83,9 @@ class ProblemInstance:
 
     @staticmethod
     def from_json(obj):
-        """Rebuild an instance; a seed that is not a nonnegative integer, or a
-        NaN or infinite entry in x0 or in a data array, raises ValueError."""
+        """Rebuild an instance; a seed that is not a nonnegative integer, a
+        NaN or infinite entry in x0 or in a data array, or a stored dim that
+        disagrees with the arrays raises ValueError."""
         fam = get_family(obj["family"])
         if type(obj["seed"]) is not int or obj["seed"] < 0:  # int() takes 2.7, true, "3"
             raise ValueError(f"instance seed {obj['seed']!r} is not a nonnegative integer")
@@ -100,6 +101,9 @@ class ProblemInstance:
         for name, v in named:
             if not np.isfinite(v).all():
                 raise ValueError(f"instance {name} has a NaN or infinite entry")
+        for what, shape, want in fam.shapes(data):
+            if shape != want:
+                raise ValueError(f"instance {what} {shape} disagrees with stored dims: {want}")
         return ProblemInstance(
             family=obj["family"],
             seed=obj["seed"],
@@ -348,8 +352,9 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
 
     cmap = ConstraintMap(p=k + 1, value=c_value, jac_t_apply=jac_t,
                          hess_apply=hess, jac_columns=jac_columns, stacked=True)
-    domain = Product([SpectralBall(n, d), NonnegOrthant(k),
-                      Box([-np.inf], [np.inf])])
+    # y >= 0 and z free as one box, so each Q kernel makes one Box call
+    domain = Product([SpectralBall(n, d),
+                      Box(np.r_[np.zeros(k), -np.inf], np.full(k + 1, np.inf))])
     amap = build_aq(domain, cmap)
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
                           domain=domain, beta=FAMILIES["fpca"].beta if beta is None else beta)
@@ -484,6 +489,7 @@ class Family:
     beta: float             # default penalty weight
     beta_grid: tuple        # betas `dissolve bench` tries
     oracle: Callable | None  # (data) -> brute-force optimum of a tiny instance
+    shapes: Callable        # (data) -> [(what, the arrays' shape, the stored dims' shape)]
     array_lists: tuple = ()  # data fields that JSON holds as lists of arrays
 
 
@@ -492,12 +498,15 @@ FAMILIES = {
         generate=gen_npca, check=_check_npca,
         build=lambda data, beta: build_npca_problem(data["B"], data["rho"], beta=beta),
         arrays=("B",), feasible=_npca_feasible, oracle=_npca_oracle, subseed=11,
+        shapes=lambda d: [("B shape", d["B"].shape, (d["n"], d["m_cols"]))],
         cli_dims={"n": "n", "m_cols": "cols", "rho": "rho"},
         extra_dims="cols={m_cols}", tol=1e-6, beta=100.0, beta_grid=(100.0,)),
     "qpb": Family(
         generate=gen_qpb, check=_check_qpb,
         build=lambda data, beta: build_qpb_problem(data["Qmat"], data["qvec"], data["d"], beta),
         arrays=("Qmat", "qvec", "d"), feasible=_qpb_feasible, oracle=_qpb_oracle,
+        shapes=lambda d: [(key + " shape", d[key].shape, want) for key, want in (
+            ("Qmat", (d["n"], d["n"])), ("qvec", (d["n"],)), ("d", (d["n"],)))],
         subseed=22, cli_dims={"n": "n", "edge_density": "edge_density"},
         extra_dims="", tol=1e-6, beta=10.0, beta_grid=(10.0,)),
     "fpca": Family(
@@ -505,6 +514,10 @@ FAMILIES = {
         build=lambda data, beta: build_fpca_problem(
             data["A"], data["d"], hat_sq=data["hat_sq"], m_sizes=data["m"], beta=beta),
         arrays=("hat_sq", "m"), array_lists=("A",), feasible=_fpca_feasible,
+        shapes=lambda d: [
+            ("hat_sq shape", d["hat_sq"].shape, (d["k"],)), ("m shape", d["m"].shape, (d["k"],)),
+            ("A group count", (len(d["A"]),), (d["k"],)),
+            *((f"A[{i}] column count", A.shape[1:], (d["n"],)) for i, A in enumerate(d["A"]))],
         oracle=None, subseed=33, cli_dims={"n": "n", "k": "k", "d": "d"},
         extra_dims="k={k};d={d}", tol=1e-4, beta=1.0, beta_grid=FPCA_BETA_GRID),
 }

@@ -189,21 +189,15 @@ class Box(ConvexSet):
         self.upper = upper
         self._lo_fin = np.isfinite(lower)
         self._up_fin = np.isfinite(upper)
-        # which bounds shape the weights of Q: both, lower only, upper only
         self._both = self._lo_fin & self._up_fin
-        self._lo_only = self._lo_fin & ~self._up_fin
-        self._up_only = ~self._lo_fin & self._up_fin
+        # lower + upper where both bounds are finite (0 elsewhere: no inf - inf),
+        # and the other weights' derivative: 1 lower only, -1 upper only, 0 free
+        self._lu = np.add(lower, upper, out=np.zeros(lower.size), where=self._both)
+        self._dw = np.subtract(self._lo_fin, self._up_fin, dtype=float)
         # a side without a finite bound leaves every entry, NaN and -0.0 too,
         # as it is, so project skips its clamp
         self._clamp_lo = bool(self._lo_fin.any())
         self._clamp_up = bool(self._up_fin.any())
-        # whole-box patterns whose weights need no masks
-        self._orthant = bool(self._lo_only.all())
-        self._free = not (self._clamp_lo or self._clamp_up)
-        # the x-free weights of those patterns, built once and read-only; the
-        # kernels multiply them into new arrays
-        self._ones, self._zeros = np.ones(self.n), np.zeros(self.n)
-        self._ones.flags.writeable = self._zeros.flags.writeable = False
 
     @property
     def n(self):
@@ -214,30 +208,14 @@ class Box(ConvexSet):
         return np.minimum(out, self.upper, out=out) if self._clamp_up else out
 
     def _weights(self, x):
-        # smooth weights vanishing exactly on active bounds, positive inside
-        if self._orthant:
-            return x - self.lower
-        if self._free:
-            return self._ones
-        # x may be a stack of points: the masks index its last axis
-        w = np.ones_like(x)
-        both, lo, up = self._both, self._lo_only, self._up_only
-        w[..., both] = (x[..., both] - self.lower[both]) * (self.upper[both] - x[..., both])
-        w[..., lo] = x[..., lo] - self.lower[lo]
-        w[..., up] = self.upper[up] - x[..., up]
-        return w
+        # (x - lower) (upper - x) with each infinite bound's factor 1: smooth,
+        # vanishing exactly on active bounds, positive inside; x may be a
+        # stack of points
+        return (np.where(self._lo_fin, x - self.lower, 1.0)
+                * np.where(self._up_fin, self.upper - x, 1.0))
 
     def _weights_deriv(self, x):
-        if self._orthant:
-            return self._ones
-        if self._free:
-            return self._zeros
-        dw = np.zeros_like(x)
-        both, lo, up = self._both, self._lo_only, self._up_only
-        dw[both] = self.lower[both] + self.upper[both] - 2.0 * x[both]
-        dw[lo] = 1.0
-        dw[up] = -1.0
-        return dw
+        return np.where(self._both, self._lu - 2.0 * x, self._dw)
 
     def _q_cols(self, x, V):
         return self._weights(x)[..., None] * V

@@ -31,6 +31,7 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 LINE_SEARCH_FAILURE = "line_search_failure"
 NUMERICAL_FAILURE = "numerical_failure"
+INFEASIBLE_STATIONARY = "infeasible_stationary"
 
 BB_MIN, BB_MAX = 1e-10, 1e10
 NM_MEMORY = 10
@@ -41,6 +42,9 @@ MAX_BACKTRACKS = 50
 # keeps iterates from clearing the barrier around the feasible region when
 # the penalty objective is unbounded below on a noncompact domain
 MAX_STEP_SCALE = 0.25
+# stat below this fraction of tol_stat with feas above tol_feas marks a
+# stationary point of h off the feasible set
+STATIONARY_FRACTION = 1e-3
 KKT_ROUNDS = 100
 KKT_TOL_CHANGE = 1e-12
 
@@ -113,20 +117,21 @@ def _metrics(prob, x, g, point, nx):
     return _pg_residual(prob, x, g, nx), _norm(point["c"])
 
 
-def _result(prob, x, point, g, hval, iters, t0, status, trace, metrics=None):
-    """The outcome at x, from the loop's gradient g and `point` at x.
-    (stat, feas) is `metrics` when the caller has it, else evaluated from g
-    and `point` when x is finite; stat is NaN when g is not finite, since
-    some projections reject a non-finite point.  f(A(x)) is the one
-    `h_value` stored."""
-    if metrics is None:
-        if not np.isfinite(x).all():
-            metrics = (float("nan"), float("nan"))
-        elif not np.isfinite(g).all():
-            metrics = (float("nan"), _norm(point["c"]))
-        else:
-            metrics = _metrics(prob, x, g, point, _norm(x))
-    stat, feas = metrics
+def _failure_metrics(prob, x, g, point):
+    """(stat, feas) at a point whose h or gradient g is not finite: stat is
+    NaN when g is not finite, since some projections reject a non-finite
+    point, and both are NaN when x is not finite."""
+    if not np.isfinite(x).all():
+        return float("nan"), float("nan")
+    if not np.isfinite(g).all():
+        return float("nan"), _norm(point["c"])
+    return _metrics(prob, x, g, point, _norm(x))
+
+
+def _result(x, point, iters, t0, status, trace):
+    """The outcome at x from its `point`, whose f(A(x)) `h_value` stored, and
+    from the last trace row, which holds h, feas and stat at x."""
+    hval, feas, stat, _ = trace[-1]
     return SolveResult(x_final=x, f_val=float(point["fa"]), h_val=float(hval),
                        feas=feas, stat=stat, iters=iters,
                        wall_time_s=time.perf_counter() - t0, status=status, trace=trace)
@@ -170,11 +175,14 @@ def solve(prob, x0, config=None):
     the search restarts once from the first step's rule with h(x) as the
     only memory, the safeguard of spectral projected gradient (Birgin,
     Martinez & Raydan, SIAM J. Optim. 2000); only a failed restart ends the
-    solve in a line-search failure.  The loop carries the point dict
-    `h_value` fills for the iterate, the trial and the best iterate, and
-    every exit reads its numbers from those points and the gradient it
-    holds.  Each iterate's norm and each trial's d.d are computed once and
-    shared by the residual, the step cap and the BB step.
+    solve in a line-search failure.  An iterate with stat at most
+    STATIONARY_FRACTION * tol_stat and feas above tol_feas, a stationary
+    point of h off the feasible set, ends it as `infeasible_stationary`.
+    The loop carries the point dict `h_value` fills for the iterate, the
+    trial and the best iterate; every exit reads its numbers from those
+    points and the gradient it holds, and writes them as its last trace row.
+    Each iterate's norm and each trial's d.d are computed once and shared by
+    the residual, the step cap and the BB step.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -184,8 +192,8 @@ def solve(prob, x0, config=None):
     hval = h_value(prob, x, pt)
     g = h_grad(prob, x, pt)
     if not _finite(hval, g):
-        return _result(prob, x, pt, g, hval, 0, t0, NUMERICAL_FAILURE,
-                       [(hval, float("nan"), float("nan"), 0.0)])
+        stat, feas = _failure_metrics(prob, x, g, pt)
+        return _result(x, pt, 0, t0, NUMERICAL_FAILURE, [(hval, feas, stat, 0.0)])
 
     nx = _norm(x)
     memory = deque([hval], maxlen=NM_MEMORY)
@@ -201,9 +209,11 @@ def solve(prob, x0, config=None):
         stat, feas = _metrics(prob, x, g, pt, nx)
         trace.append((hval, feas, stat, accepted_step))
         if stat <= config.tol_stat and feas <= config.tol_feas:
-            return _result(prob, x, pt, g, hval, k, t0, CONVERGED, trace, (stat, feas))
+            return _result(x, pt, k, t0, CONVERGED, trace)
+        if stat <= STATIONARY_FRACTION * config.tol_stat and feas > config.tol_feas:
+            return _result(x, pt, k, t0, INFEASIBLE_STATIONARY, trace)
         if k >= config.max_iter:
-            return _result(prob, x, pt, g, hval, k, t0, MAX_ITER, trace, (stat, feas))
+            return _result(x, pt, k, t0, MAX_ITER, trace)
 
         trial = {}
         step_cap = MAX_STEP_SCALE * (1.0 + nx)
@@ -217,14 +227,13 @@ def solve(prob, x0, config=None):
             g_best = h_grad(prob, best_x, best_pt)
             stat, feas = _metrics(prob, best_x, g_best, best_pt, _norm(best_x))
             trace.append((best_h, feas, stat, a))
-            return _result(prob, best_x, best_pt, g_best, best_h, k + 1, t0,
-                           LINE_SEARCH_FAILURE, trace, (stat, feas))
+            return _result(best_x, best_pt, k + 1, t0, LINE_SEARCH_FAILURE, trace)
 
         g_new = h_grad(prob, x_trial, trial)
         if not _finite(h_trial, g_new):
-            trace.append((h_trial, float("nan"), float("nan"), a))
-            return _result(prob, x_trial, trial, g_new, h_trial, k + 1, t0,
-                           NUMERICAL_FAILURE, trace)
+            stat, feas = _failure_metrics(prob, x_trial, g_new, trial)
+            trace.append((h_trial, feas, stat, a))
+            return _result(x_trial, trial, k + 1, t0, NUMERICAL_FAILURE, trace)
         y = g_new - g
         sy = float(d @ y)
         if sy > 0.0:

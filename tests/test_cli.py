@@ -133,16 +133,19 @@ def test_bench_matrix_and_fpca_beta_grid(tmp_path):
 
 
 def test_solver_breakdown_exits_3_with_row_written(tmp_path):
-    # a too-weak penalty on this fpca instance descends in z until the line
-    # search gives up; the row is still recorded with its status
+    # a too-weak penalty on this fpca instance stalls at a stationary point
+    # of h far from feasibility, which ends the solve under its own status;
+    # the row is still recorded
     csv_path = tmp_path / "runs.csv"
     rc = main(["solve", "--family", "fpca", "--n", "8", "--k", "2", "--d", "2",
                "--seed", "0", "--beta", "0.1", "--csv", str(csv_path)])
     assert rc == 3
     rows = read_rows(csv_path)
     assert len(rows) == 1
-    assert rows[0]["status"] == "line_search_failure"
+    assert rows[0]["status"] == "infeasible_stationary"
     assert float(rows[0]["feas"]) > 1e-4  # stationary for h yet far from feasible
+    assert float(rows[0]["stat"]) <= 1e-3 * 1e-4
+    assert int(rows[0]["iters"]) < 1000
 
 
 def test_fpca_reaches_tol_1e_6_through_line_search_restarts(tmp_path, monkeypatch):
@@ -504,6 +507,30 @@ def test_non_finite_instance_exits_2_without_rows(tmp_path, capsys, family, dims
     assert "error:" in err
     assert ("nonnegative integer" if field == "seed" else "NaN or infinite") in err
     with pytest.raises(ValueError, match=f"instance {field}"):
+        ProblemInstance.from_json(obj)
+
+
+@pytest.mark.parametrize("family,dims,key,value", [
+    ("npca", ["--n", "10", "--cols", "5"], "n", 11),
+    ("npca", ["--n", "10", "--cols", "5"], "m_cols", 4),
+    ("qpb", ["--n", "6"], "n", 7),
+    ("fpca", ["--n", "4", "--k", "2", "--d", "3"], "n", 5),
+    ("fpca", ["--n", "4", "--k", "2", "--d", "3"], "k", 3),
+])
+def test_instance_whose_dims_disagree_with_its_arrays_exits_2(tmp_path, capsys, family,
+                                                              dims, key, value):
+    # a qpb (6) file edited to "n": 7 solved the 6-dimensional instance and
+    # printed qpb,7,... with exit 0
+    inst_path = tmp_path / "inst.json"
+    csv_path = tmp_path / "runs.csv"
+    assert main(["dump-instance", "--family", family, *dims, "--out", str(inst_path)]) == 0
+    obj = json.loads(inst_path.read_text())
+    obj["data"][key] = value
+    inst_path.write_text(json.dumps(obj))
+    assert main(["solve", "--instance", str(inst_path), "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
+    assert "stored dims" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="stored dims"):
         ProblemInstance.from_json(obj)
 
 

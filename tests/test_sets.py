@@ -422,7 +422,9 @@ def test_box_weights_match_masked_formulas():
     boxes = [NonnegOrthant(5),
              Box([-1.0, 2.0, 0.0, -3.0, 0.5], [inf] * 5),
              Box([-inf] * 5, [inf] * 5),
-             Box([-1.0, 0.0, -inf, -inf, 0.0], [1.5, inf, 2.0, inf, 0.5])]
+             Box([-1.0, 0.0, -inf, -inf, 0.0], [1.5, inf, 2.0, inf, 0.5]),
+             # fpca's box: k = 4 slacks y >= 0 and the free scalar z
+             Box(np.r_[np.zeros(4), -inf], np.full(5, inf))]
     rng = np.random.default_rng(31)
     for box in boxes:
         points = [np.array([-0.0, 0.0, -0.0, 1.0, -0.0])]
@@ -431,24 +433,31 @@ def test_box_weights_match_masked_formulas():
             w, dw = masked_weights(box, x)
             assert same_bits(box._weights(x), w)
             assert same_bits(box._weights_deriv(x), dw)
+        # a stack of points takes the weights of each row alone
+        stack = box._weights(np.array(points))
+        assert same_bits(stack, np.array([masked_weights(box, x)[0] for x in points]))
 
 
-def test_box_constant_weights_are_read_only_and_never_returned():
-    # an orthant's derivative weights and a free box's weights and derivative
-    # weights do not depend on x: built once, read-only, and every kernel
-    # returns a new array
+def test_box_kernels_return_fresh_writeable_arrays():
+    # no kernel hands out a bound or an array the box keeps: every result is
+    # a new writeable array, even where it does not depend on x
+    inf = np.inf
     rng = np.random.default_rng(37)
-    for box in (NonnegOrthant(5), Box([-np.inf] * 5, [np.inf] * 5)):
-        consts = [box._ones, box._zeros]
-        assert not any(a.flags.writeable for a in consts)
+    for box in (NonnegOrthant(5), Box([-inf] * 5, [inf] * 5),
+                Box([-1.0, 0.0, -inf, -inf, 0.0], [1.5, inf, 2.0, inf, 0.5]),
+                Box(np.r_[np.zeros(4), -inf], np.full(5, inf))):
+        kept = [a for a in vars(box).values() if isinstance(a, np.ndarray)]
+        assert any(a is box.lower for a in kept) and any(a is box.upper for a in kept)
         x = box.project(rng.standard_normal(5))
         d, v, w = rng.standard_normal((3, 5))
         V = rng.standard_normal((5, 3))
-        outs = [box._q(x, v), box._q_cols(x, V), box._dq_form(x, v, w),
-                box._dq_form_cols(x, v, V), q_matrix(box, x), dq_apply(box, x, d, v)]
+        outs = [box.project(x), box._weights(x), box._weights_deriv(x),
+                box._weights(np.stack([x, x])), box._q(x, v), box._q_cols(x, V),
+                box._dq_form(x, v, w), box._dq_form_cols(x, v, V), q_matrix(box, x),
+                dq_apply(box, x, d, v), box.normal_cone_project(x, v)]
         for out in outs:
             assert out.flags.writeable
-            assert not any(np.shares_memory(out, a) for a in consts)
+            assert not any(np.shares_memory(out, a) for a in kept)
 
 
 def _null_space(Q, tol=1e-8):

@@ -79,6 +79,19 @@ def test_projected_gradient_numerical_failure_status():
         res = solve(prob, np.array([720.0]), SolverConfig(max_iter=10))  # exp overflows
     assert res.status == "numerical_failure"
 
+    # an infinite h at a finite start with a finite gradient: the last trace
+    # row holds the result's own (feas, stat)
+    domain = NormBall(2)
+    cmap = ConstraintMap(p=1, value=lambda x: np.array([x @ x - 0.25]),
+                         jac_t_apply=lambda x, v: 2.0 * v[0] * x,
+                         hess_apply=lambda x, lam, d: 2.0 * lam[0] * d)
+    prob = PenaltyProblem(f_value=lambda a: np.inf, f_grad=lambda a: np.ones(2), cmap=cmap,
+                          amap=build_aq(domain, cmap), domain=domain, beta=1.0)
+    res = solve(prob, np.array([0.3, 0.1]))
+    assert (res.status, res.iters) == ("numerical_failure", 0)
+    assert res.feas == pytest.approx(0.15) and np.isfinite(res.stat)
+    assert res.trace[-1][1:3] == (res.feas, res.stat)
+
 
 @pytest.mark.parametrize("gen,dims", [(gen_npca, (10, 5)), (gen_qpb, (10,)),
                                       (gen_fpca, (6, 2, 2))])
@@ -331,6 +344,7 @@ def test_failure_exits_take_one_gradient_per_point(make, x0, cfg, status, iters,
         plain = solve(make(), x0, cfg)
         res, calls = counted_solve(monkeypatch, make(), x0, cfg)
     assert (res.status, res.iters) == (status, iters)
+    assert repr(res.trace[-1][1:3]) == repr((res.feas, res.stat))
     assert calls["h_grad"] == res.iters + 1
     assert calls["A"] == calls["h_value"]
     fields = ("status", "iters", "f_val", "h_val", "feas", "stat", "trace")
