@@ -4,16 +4,19 @@ Reports fold multi-threshold checks into one normalized ratio: each sub-check
 contributes violation / sub_threshold, the report threshold is 1.0, and
 `passed` is equivalent to worst_violation <= threshold.
 
-Checks that evaluate many points evaluate them as stacks of at most
-STACK_ROWS rows: grad_check's 4n finite-difference points around each
-gradient point are stacked `h_value` calls, and the error-bound probe's
-samples at all its radii, drawn at once, are stacked c and G c calls, each
-row bit-identical to the per-point call (see `dissolve.mappings`).
-Wrappers of `h_value` or of the constraint callbacks therefore see one call
-per stack.  Checks that take many products at one point take them as one
-block: `assumption_a_check`'s kernel samples (one stacked G lam) and the
-identity for its Jacobian are the columns of one vjp, each column
-bit-identical to the one-vector vjp.
+Checks that evaluate many points evaluate each distinct point once, in
+stacks of at most STACK_ROWS rows: grad_check's gradient points, each
+followed by its 4n finite-difference points, are stacked `h_value` calls,
+and `h_grad` at a gradient point reads that point's row of its stack; the
+error-bound probe's samples at all its radii, drawn at once, are stacked c
+and G c calls.  Each row is bit-identical to the per-point call (see
+`dissolve.mappings`), and wrappers of `h_value` or of the constraint
+callbacks see one call per stack.  Checks that take many products at one
+point take them as one block: `assumption_a_check`'s kernel samples (one
+stacked G lam) and the identity for its Jacobian are the columns of one
+vjp, each column bit-identical to the one-vector vjp, and it projects the
+worst sample's v and -v onto the normal cone as the two columns of one
+block kernel call (see `dissolve.sets`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .mappings import h_grad, h_value
+from .mappings import h_grad, h_value, point_row
 from .solvers import _norm
 
 __all__ = [
@@ -68,41 +71,51 @@ class CheckReport:
 
 
 def grad_check(prob, points):
-    """Compare the analytic penalty gradient with central differences."""
+    """Compare the analytic penalty gradient with central differences.
+
+    Richardson-extrapolated central differences with per-coordinate steps;
+    rank-degenerate constraint systems make h stiff near the feasible set
+    and a plain second-order stencil cannot certify 1e-6 there.  Each point
+    x is one row, then its 4n stencil points x + delta e_j, x + half e_j,
+    x - delta e_j, x - half e_j, each x + S or x - S with one-hot rows of S.
+    The rows of all points go to `h_value` in stacks of at most STACK_ROWS
+    rows, so memory stays bounded in n and in the point count, and `h_grad`
+    at x reads x's row of its stack (`point_row`).
+    """
+    X = np.array([np.asarray(x, dtype=float) for x in points])
+    if not len(X):
+        raise ValueError("grad_check needs at least one point")
+    k, n = X.shape
+    per = 4 * n + 1  # a point's rows: itself, then its stencil
+    delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(X))
+    half = 0.5 * delta
+    steps = np.concatenate([delta, half], axis=1)
+    h = np.empty(k * per)
+    grads = [None] * k
+    for start in range(0, k * per, STACK_ROWS):
+        rows = np.arange(start, min(start + STACK_ROWS, k * per))
+        at, s = np.divmod(rows, per)
+        j = s - 1  # the stencil index; -1 on a point's own row, which x - 0 keeps
+        S = np.zeros((rows.size, n))
+        S[np.arange(rows.size), j % n] = np.where(j >= 0, steps[at, j % (2 * n)], 0.0)
+        Y = X[at]
+        plus = ((j >= 0) & (j < 2 * n))[:, None]
+        block = {}
+        h[rows] = h_value(prob, np.where(plus, Y + S, Y - S), block)
+        for r in range(-start % per, rows.size, per):  # the points' own rows
+            i = (start + r) // per
+            grads[i] = h_grad(prob, X[i], point_row(block, r))
+    H = h.reshape(k, per)[:, 1:]
+    d1 = (H[:, :n] - H[:, 2 * n:3 * n]) / (2.0 * delta)
+    d2 = (H[:, n:2 * n] - H[:, 3 * n:]) / (2.0 * half)
+    gfd = (4.0 * d2 - d1) / 3.0
     details = []
     worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        g = h_grad(prob, x)
-        gfd = _fd_grad(prob, x)
-        rel = _norm(g - gfd) / max(1.0, _norm(gfd))
+    for g, fd in zip(grads, gfd):
+        rel = _norm(g - fd) / max(1.0, _norm(fd))
         worst = max(worst, rel)
-        details.append({"rel_error": rel, "grad_norm": _norm(gfd)})
-    if not details:
-        raise ValueError("grad_check needs at least one point")
+        details.append({"rel_error": rel, "grad_norm": _norm(fd)})
     return CheckReport.build("grad_check", len(details), worst, GRAD_CHECK_THRESHOLD, details)
-
-
-def _fd_grad(prob, x):
-    # Richardson-extrapolated central differences with per-coordinate steps;
-    # rank-degenerate constraint systems make h stiff near the feasible set
-    # and a plain second-order stencil cannot certify 1e-6 there.  The 4n
-    # stencil points x + delta e_j, x + half e_j, x - delta e_j, x - half e_j
-    # go to h_value in stacks of at most STACK_ROWS rows, each x + S or
-    # x - S with one-hot rows of S, so memory stays bounded in n
-    n = x.size
-    delta = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(x))
-    half = 0.5 * delta
-    steps = np.concatenate([delta, half])
-    h = np.empty(4 * n)
-    for start in range(0, 4 * n, STACK_ROWS):
-        rows = np.arange(start, min(start + STACK_ROWS, 4 * n))
-        S = np.zeros((rows.size, n))
-        S[np.arange(rows.size), rows % n] = steps[rows % (2 * n)]
-        h[rows] = h_value(prob, np.where((rows < 2 * n)[:, None], x + S, x - S))
-    d1 = (h[:n] - h[2 * n:3 * n]) / (2.0 * delta)
-    d2 = (h[n:2 * n] - h[3 * n:]) / (2.0 * half)
-    return (4.0 * d2 - d1) / 3.0
 
 
 def assumption_a_check(amap, cmap, domain, feasible_points,
@@ -114,9 +127,9 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     random lam (one generator seeded 0 for all points), and the idempotency
     residual ||J J - J||_2 of the materialized Jacobian J.
     Each point takes two map products, A(x) and one vjp over the block of
-    the samples' G(x) lam and the identity, and projects onto the normal
-    cone only at the largest kernel residual.  Points must satisfy
-    ||c(x)|| <= 1e-10 and lie in the domain.
+    the samples' G(x) lam and the identity, and one normal-cone projection
+    of the block [v, -v] at the largest kernel residual v.  Points must
+    satisfy ||c(x)|| <= 1e-10 and lie in the domain.
     """
     thr_fix, thr_ker, thr_idem = thresholds
     rng = np.random.default_rng(0)
@@ -152,9 +165,11 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
             i = int(np.argmax(resid))
             v, ker = Vk[i], float(resid[i])
             # violations inside span(N(x)) flag a constraint gradient that is
-            # normal to the domain, not a broken map
-            d_pos = _norm(v - domain.normal_cone_project(x, v))
-            d_neg = _norm(v + domain.normal_cone_project(x, -v))
+            # normal to the domain, not a broken map; v and -v are projected
+            # as the two columns of one block
+            N = domain._normal_cone_project(x, np.column_stack([v, -v]))
+            d_pos = _norm(v - N[:, 0])
+            d_neg = _norm(v + N[:, 1])
             ker_span_dist = float(min(d_pos, d_neg) / scale[i])
         rec["kernel"] = ker
         rec["kernel_outside_normal_span"] = ker_span_dist

@@ -21,10 +21,13 @@ map declared `stacked` (fpca's), one per-point callback per row for any
 other; the stacked callbacks are optional.  Every product over the stack is
 a matmul whose slices keep the strides of the one-point product, and the N
 cores take one stacked SVD, so row i is bit-identical to a build at x_i
-alone.  `h_value(prob, X)` on an (N, n) stack returns the N penalty values
-from one build; the diagnostics call it so for grad_check's
-finite-difference stencil, so a wrapper of `h_value` sees that stack as one
-call.
+alone.  `h_value(prob, X, point)` on an (N, n) stack returns the N penalty
+values from one build and fills `point` with the stacked parts, and
+`point_row(point, i)` hands out row i's one-point dict, bit for bit what
+`h_value(prob, x_i, {})` fills, for every map.  grad_check sends each
+gradient point in the stack of its finite-difference stencil and takes
+`h_grad` at it from its row, so a wrapper of `h_value` sees each stack as
+one call and no point is built twice.
 
 A vjp runs over an n-by-m block of directions in the same way, and one
 direction is the block of one: gradA(x) W, column j bit-identical to the
@@ -39,8 +42,9 @@ never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
 point)` store the map's x-only parts there under "build" and reuse them, so
 A(x) and any number of vjps at x share one build: the generic map's core,
 or x^T x for the closed-form sphere map.  `h_value(prob, x, point)` clears
-the dict and fills it with A(x), f(A(x)), c(x) and the build; `h_grad(prob,
-x, point)` reads them instead of evaluating them again.  c(x) and G(x) c(x)
+the dict and fills it with A(x), f(A(x)), c(x), c(x)^T c(x) and the build;
+`h_grad(prob, x, point)` reads them instead of evaluating them again, and
+the solver reads the feasibility ||c(x)|| from c(x)^T c(x).  c(x) and G(x) c(x)
 come from the build only when the map was built over the problem's
 constraint map; otherwise the constraint map is called.  Without a point,
 every call builds afresh.  The solve loop holds one dict per iterate, trial
@@ -69,6 +73,7 @@ __all__ = [
     "build_aq",
     "sphere_nonneg_map",
     "h_value",
+    "point_row",
     "h_grad",
 ]
 
@@ -173,9 +178,12 @@ class DissolvingMap:
     n-by-m block W of directions, one direction being the block of one.
     For a block it returns gradA(x) W as a C-ordered n-by-m array whose
     column j is vjp(x, W[:, j]) bit for bit, the column taken as a
-    contiguous vector.  The generic map stores its core build in the point
-    under "build", the closed-form sphere map x^T x; the p = 0 identity map
-    stores nothing.  Every vjp is exact.
+    contiguous vector.  A map stores its x-only work in the point under
+    "build" as a tuple of arrays whose leading axis runs over the points,
+    one point being the stack of one, so each part's [i:i + 1] is row i's
+    build (`point_row`): the generic map its core build, the closed-form
+    sphere map x^T x; the p = 0 identity map stores nothing.  Every vjp is
+    exact.
     """
 
     value: Callable[..., np.ndarray]
@@ -343,14 +351,16 @@ def sphere_nonneg_map():
     of a block.  The value also takes an (N, n) stack of points."""
 
     def xx(x, point):
-        # x^T x, which value and vjp share, kept in the point; for a stack, one
-        # stacked (1, n) @ (n, 1) matmul, whose slices keep the bits of x_i @ x_i
+        # x^T x, which value and vjp share, kept in the point as the (N, 1)
+        # stack of each point's; for a stack, one stacked (1, n) @ (n, 1)
+        # matmul, whose slices keep the bits of x_i @ x_i
         if point is not None and "build" in point:
-            return point["build"]
-        out = x @ x if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0]
-        if point is not None:
-            point["build"] = out
-        return out
+            out = point["build"][0]
+        else:
+            out = (x @ x).reshape(1, 1) if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0]
+            if point is not None:
+                point["build"] = (out,)
+        return out[0, 0] if x.ndim == 1 else out
 
     def value(x, point=None):
         x = np.asarray(x, dtype=float)
@@ -385,33 +395,40 @@ def h_value(prob, x, point=None):
     """Penalty objective f(A(x)) + (beta/2)||c(x)||^2.
 
     When `point` is a dict, it is cleared and filled with A(x) under "a",
-    f(A(x)) under "fa", c(x) under "c" and the map's build at x, for
-    `h_grad` at the same x.
+    f(A(x)) under "fa", c(x) under "c", c(x)^T c(x) under "cc" and the map's
+    build at x, for `h_grad` at the same x.
     For an (N, n) stack x it returns the N values, each bit for bit what x_i
     alone gives, from one call of the map's value over the whole stack, and
-    keeps no point.
+    fills `point` with the stacks of those parts, whose row i `point_row`
+    hands out.
     Callers are expected to supply x in the domain (within tolerance); the
     smooth formulas extend off the set, which finite-difference oracles rely
     on.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return _h_stack(prob, x)
     point = {} if point is None else point
     point.clear()
     point["a"] = prob.amap.value(x, point)
-    point["fa"] = prob.f_value(point["a"])
+    if x.ndim == 1:
+        point["fa"] = prob.f_value(point["a"])
+        c = _penalty_c(prob, x, point)
+        point["cc"] = c @ c
+        return float(point["fa"] + 0.5 * prob.beta * point["cc"])
+    point["fa"] = [prob.f_value(a) for a in point["a"]]
     c = _penalty_c(prob, x, point)
-    return float(point["fa"] + 0.5 * prob.beta * (c @ c))
+    point["cc"] = (c[:, None, :] @ c[:, :, None])[:, 0, 0]  # c_i . c_i, as c @ c takes it
+    return np.array([float(fa) for fa in point["fa"]]) + 0.5 * prob.beta * point["cc"]
 
 
-def _h_stack(prob, x):
-    point = {}
-    a = prob.amap.value(x, point)
-    c = _penalty_c(prob, x, point)
-    fa = np.array([float(prob.f_value(ai)) for ai in a])
-    cc = (c[:, None, :] @ c[:, :, None])[:, 0, 0]  # c_i . c_i, as c @ c takes it
-    return fa + 0.5 * prob.beta * cc
+def point_row(point, i):
+    """The dict `h_value(prob, x_i, {})` fills, bit for bit, read off row i of
+    a dict `h_value` filled over a stack, for `h_grad` at x_i."""
+    row = {key: point[key][i] for key in ("a", "fa", "c", "cc")}
+    if "build" in point:
+        row["build"] = tuple(part[i:i + 1] for part in point["build"])
+    if "built_over" in point:
+        row["built_over"] = point["built_over"]
+    return row
 
 
 def h_grad(prob, x, point=None):

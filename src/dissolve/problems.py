@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,12 +85,19 @@ class ProblemInstance:
     @staticmethod
     def from_json(obj):
         """Rebuild an instance; a seed that is not a nonnegative integer, a
-        NaN or infinite entry in x0 or in a data array, or a stored dim that
-        disagrees with the arrays raises ValueError."""
+        stored dim that is not a real number or that the family's generator
+        would reject, a NaN or infinite entry in x0 or in a data array, or a
+        stored dim that disagrees with the arrays raises ValueError."""
         fam = get_family(obj["family"])
         if type(obj["seed"]) is not int or obj["seed"] < 0:  # int() takes 2.7, true, "3"
             raise ValueError(f"instance seed {obj['seed']!r} is not a nonnegative integer")
         data = dict(obj["data"])
+        dims = {key: data[key] for key in fam.cli_dims}
+        for key, value in dims.items():
+            # a bool is a numbers.Real; a string would print as it is in the CSV row
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"instance dim {key} {value!r} is not a real number")
+        fam.check(**dims)
         x0 = np.array(obj["x0"], dtype=float)
         for key in fam.arrays:
             data[key] = np.array(data[key], dtype=float)

@@ -17,10 +17,16 @@ flattened vectors.
 The public methods `project`, `normal_cone_project` and `contains` validate
 their arguments once and call a kernel; the subclasses supply only kernels,
 and a product calls its factors' kernels.  A new set defines `n`, `_project`,
-`_q_cols`, `_dq_form_cols` and `_normal_cone_project(x, z)`; membership and
+`_q_cols`, `_dq_form_cols` and `_normal_cone_project(x, Z)`; membership and
 the normal cone's active set are judged at `DEFAULT_TOL`.  Q and its
 derivative are reached only through the block kernels, which the dissolving
 map calls on arrays it built itself.
+`_normal_cone_project(x, Z)` projects each column of an n-by-m Z onto the
+normal cone at x, as `assumption_a_check` needs for v and -v; the public
+`normal_cone_project(x, z)` is its block of one.  The spectral ball takes
+one SVD of X for all columns and stacks each column's U1^T Z_j V1 and its
+`eigh`; the box masks rows and a norm ball takes each column's dot with
+the normal as one stacked matmul.
 `_q_cols(x, V)` applies Q(x) to every column of a matrix, at one point x
 with an n-by-m matrix or at an (N, n) stack of points with an (N, n, m)
 stack of matrices, as the dissolving-map build needs.  `_dq_form_cols(x, v,
@@ -82,7 +88,8 @@ def _vec(x, n, name="x"):
 
 
 def _sym(M):
-    return 0.5 * (M + M.T)
+    # of M or of each matrix of a stack M
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _mat(x, shape):
@@ -147,7 +154,9 @@ class ConvexSet:
     def _dq_form(self, x, v, w):
         return self._dq_form_cols(x, v, w[:, None])[:, 0]
 
-    def _normal_cone_project(self, x, z):
+    def _normal_cone_project(self, x, Z):
+        """The projection of each column of the n-by-m Z onto the normal cone
+        at x, as an n-by-m array."""
         raise NotImplementedError
 
     def _params(self):
@@ -162,7 +171,7 @@ class ConvexSet:
 
     def normal_cone_project(self, x, z):
         """Euclidean projection of z onto the normal cone at x (x in the set)."""
-        return self._normal_cone_project(_vec(x, self.n), _vec(z, self.n, "z"))
+        return self._normal_cone_project(_vec(x, self.n), _vec(z, self.n, "z")[:, None])[:, 0]
 
     def contains(self, x) -> bool:
         """Whether x lies within DEFAULT_TOL of the set."""
@@ -223,16 +232,17 @@ class Box(ConvexSet):
     def _dq_form_cols(self, x, v, W):
         return (self._weights_deriv(x) * v)[:, None] * W
 
-    def _normal_cone_project(self, x, z):
-        out = np.zeros_like(z)
+    def _normal_cone_project(self, x, Z):
+        # the masks pick rows: coordinate i of every column
+        out = np.zeros_like(Z)
         # on a coordinate thinner than 2 * DEFAULT_TOL both bounds are active
         # within the tolerance at every x, so its whole axis is normal
         both_active = self.upper - self.lower <= 2.0 * DEFAULT_TOL
         at_lo = self._lo_fin & (x - self.lower <= DEFAULT_TOL) & ~both_active
         at_up = self._up_fin & (self.upper - x <= DEFAULT_TOL) & ~both_active
-        out[both_active] = z[both_active]
-        out[at_lo] = np.minimum(z[at_lo], 0.0)
-        out[at_up] = np.maximum(z[at_up], 0.0)
+        out[both_active] = Z[both_active]
+        out[at_lo] = np.minimum(Z[at_lo], 0.0)
+        out[at_up] = np.maximum(Z[at_up], 0.0)
         return out
 
 
@@ -320,18 +330,20 @@ class NormBall(ConvexSet):
         return (-(xv * kappa * W + _col_dots(wx, W) * vc + (wx @ v) * W + xw * kappa * vc) / uq
                 + (xv * xw * tau + s * (xv * W + xw * vc)) / u2q)
 
-    def _normal_cone_project(self, x, z):
+    def _normal_cone_project(self, x, Z):
+        # the cone is the ray along g: column j goes to max(0, z_j . g / g . g) g,
+        # a NaN multiple taken as 0 as Python's max takes it
         _require_finite(x, "l2-ball normal cone" if self._is_l2 else "lq-ball normal cone")
         q, u = self.exponent, self.radius
         nrm = np.linalg.norm(x) if self._is_l2 else np.sum(np.abs(x) ** q) ** (1.0 / q)
         if nrm < u - DEFAULT_TOL * max(1.0, u):
-            return np.zeros_like(z)
+            return np.zeros_like(Z)
         g = x if self._is_l2 else np.sign(x) * np.abs(x) ** (q - 1.0)
         gg = g @ g
         if gg == 0.0:
-            return np.zeros_like(z)
-        t = max(0.0, (z @ g) / gg)
-        return t * g
+            return np.zeros_like(Z)
+        t = _col_dots(g, Z) / gg
+        return g[:, None] * np.where(t > 0.0, t, 0.0)
 
     def _params(self):
         return {"n": self.n, "radius": self.radius, "exponent": self.exponent}
@@ -422,7 +434,7 @@ class SpectralBall(ConvexSet):
         X = x.reshape(lead + (self.s, self.m)).swapaxes(-1, -2)[..., None, :, :]
         Y = V.swapaxes(-1, -2).reshape(lead + (V.shape[-1], self.s, self.m)).swapaxes(-1, -2)
         M = X.swapaxes(-1, -2) @ Y
-        R = Y - X @ (0.5 * (M + M.swapaxes(-1, -2)))
+        R = Y - X @ _sym(M)
         return np.ascontiguousarray(R.swapaxes(-1, -3).reshape(V.shape))
 
     def _dq_form_cols(self, x, v, W):
@@ -434,29 +446,35 @@ class SpectralBall(ConvexSet):
         Y = _mat(v, self._shape())
         Ws = W.T.reshape(W.shape[1], self.s, self.m).swapaxes(-1, -2)
         M = X.T @ Ws
-        R = -Ws @ _sym(X.T @ Y) - Y @ (0.5 * (M + M.swapaxes(-1, -2)))
+        R = -Ws @ _sym(X.T @ Y) - Y @ _sym(M)
         return R.swapaxes(-1, -2).reshape(W.shape[1], self.n).T
 
-    def _normal_cone_project(self, x, z):
+    def _normal_cone_project(self, x, Z):
+        # U1 psd(sym(U1^T Z_j V1)) V1^T over the (k, m, s) stack of Z's columns
+        # as matrices, from one SVD of X; with the columns made contiguous, each
+        # matrix is a view with the strides _mat gives a contiguous z, so each
+        # product takes the BLAS path of that column alone
         _require_finite(x, "spectral-ball normal cone")
         X = _mat(x, self._shape())
-        Z = _mat(z, self._shape())
         U, sv, Vt = np.linalg.svd(X, full_matrices=False)
         top = sv >= 1.0 - DEFAULT_TOL
         if not np.any(top):
-            return np.zeros(self.n)
+            return np.zeros(Z.shape)
         U1 = U[:, top]
         V1 = Vt[top, :].T
-        S = _psd_part(_sym(U1.T @ Z @ V1))
-        return _flat(U1 @ S @ V1.T)
+        Zs = np.asfortranarray(Z).T.reshape(Z.shape[1], self.s, self.m).swapaxes(-1, -2)
+        M = U1.T @ Zs @ V1
+        R = U1 @ _psd_part(_sym(M)) @ V1.T
+        return R.swapaxes(-1, -2).reshape(Z.shape[1], self.n).T
 
     def _params(self):
         return {"m": self.m, "s": self.s}
 
 
 def _psd_part(B):
+    # for B or each matrix of a stack B
     vals, vecs = np.linalg.eigh(B)
-    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
+    return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 class Product(ConvexSet):
@@ -494,5 +512,5 @@ class Product(ConvexSet):
     def _dq_form_cols(self, x, v, W):
         return self._each("_dq_form_cols", (x, v, W))
 
-    def _normal_cone_project(self, x, z):
-        return self._each("_normal_cone_project", (x, z))
+    def _normal_cone_project(self, x, Z):
+        return self._each("_normal_cone_project", (x, Z))

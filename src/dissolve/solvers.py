@@ -111,10 +111,16 @@ def _finite(hval, g):
     return math.isfinite(hval) and np.isfinite(g).all()
 
 
+def _feas(point):
+    """||c(x)|| from the c(x)^T c(x) `h_value` stored in x's point, bit for
+    bit _norm(c(x))."""
+    return math.sqrt(float(point["cc"]))
+
+
 def _metrics(prob, x, g, point, nx):
     """(stationarity, ||c(x)||) at an iterate x of norm nx whose gradient is
     g and whose point `h_value` filled."""
-    return _pg_residual(prob, x, g, nx), _norm(point["c"])
+    return _pg_residual(prob, x, g, nx), _feas(point)
 
 
 def _failure_metrics(prob, x, g, point):
@@ -124,7 +130,7 @@ def _failure_metrics(prob, x, g, point):
     if not np.isfinite(x).all():
         return float("nan"), float("nan")
     if not np.isfinite(g).all():
-        return float("nan"), _norm(point["c"])
+        return float("nan"), _feas(point)
     return _metrics(prob, x, g, point, _norm(x))
 
 

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dissolve.sets import (Box, DomainViolation, NonnegOrthant, NormBall, Product,
-                           SpectralBall, _flat, _mat, _sym)
+from dissolve.sets import (DEFAULT_TOL, Box, DomainViolation, NonnegOrthant, NormBall,
+                           Product, SpectralBall, _flat, _mat, _sym)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -136,8 +136,50 @@ def _spectral_ball_dq_form(self, x, v, w):
     return _flat(-W @ _sym(X.T @ Y) - Y @ _sym(X.T @ W))
 
 
-_ORACLES = {Box: (_box_q, _box_dq_form), NormBall: (_norm_ball_q, _norm_ball_dq_form),
-            SpectralBall: (_spectral_ball_q, _spectral_ball_dq_form)}
+# ... and the one-vector normal-cone projections, which the block kernel
+# `_normal_cone_project` must match column by column, bit for bit.
+
+def _box_normal_cone(self, x, z):
+    out = np.zeros_like(z)
+    both_active = self.upper - self.lower <= 2.0 * DEFAULT_TOL
+    at_lo = self._lo_fin & (x - self.lower <= DEFAULT_TOL) & ~both_active
+    at_up = self._up_fin & (self.upper - x <= DEFAULT_TOL) & ~both_active
+    out[both_active] = z[both_active]
+    out[at_lo] = np.minimum(z[at_lo], 0.0)
+    out[at_up] = np.maximum(z[at_up], 0.0)
+    return out
+
+
+def _norm_ball_normal_cone(self, x, z):
+    q, u = self.exponent, self.radius
+    nrm = np.linalg.norm(x) if self._is_l2 else np.sum(np.abs(x) ** q) ** (1.0 / q)
+    if nrm < u - DEFAULT_TOL * max(1.0, u):
+        return np.zeros_like(z)
+    g = x if self._is_l2 else np.sign(x) * np.abs(x) ** (q - 1.0)
+    gg = g @ g
+    if gg == 0.0:
+        return np.zeros_like(z)
+    t = max(0.0, (z @ g) / gg)
+    return t * g
+
+
+def _spectral_ball_normal_cone(self, x, z):
+    X = _mat(x, self._shape())
+    Z = _mat(z, self._shape())
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    top = sv >= 1.0 - DEFAULT_TOL
+    if not np.any(top):
+        return np.zeros(self.n)
+    U1 = U[:, top]
+    V1 = Vt[top, :].T
+    vals, vecs = np.linalg.eigh(_sym(U1.T @ Z @ V1))
+    S = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+    return _flat(U1 @ S @ V1.T)
+
+
+_ORACLES = {Box: (_box_q, _box_dq_form, _box_normal_cone),
+            NormBall: (_norm_ball_q, _norm_ball_dq_form, _norm_ball_normal_cone),
+            SpectralBall: (_spectral_ball_q, _spectral_ball_dq_form, _spectral_ball_normal_cone)}
 
 
 def _oracle(which, domain, x, *vectors):
@@ -157,6 +199,12 @@ def dq_form_oracle(domain, x, v, w):
     """The gradient of d -> <w, (DQ(x)[d]) v> by the one-vector formula of
     each set."""
     return _oracle(1, domain, x, v, w)
+
+
+def normal_cone_oracle(domain, x, z):
+    """The projection of z onto the normal cone at x by the one-vector
+    formula of each set."""
+    return _oracle(2, domain, x, z)
 
 
 def q_matrix(domain, x):

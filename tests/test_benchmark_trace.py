@@ -17,17 +17,19 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # calls per diagnostic suite on the check-fpca pool; the same at seeds 1, 2, 7.
-# A stacked call counts once: grad_check's 60 stencil points are one h_value,
-# one A(x) and one c(x), and the probe's 140 samples over its 7 radii are one
-# c(x) and one G(x) c; f stays one call per point.  A vjp over a block counts
-# once too: one in h_grad, and assumption_a_check's one over its 10 kernel
-# directions and the identity side by side.  Each vjp makes one stacked
-# Hessian call, and the first at a point one _q and one G(x) c; the block
-# products of Q and DQ go through kernels the tracer does not wrap
+# A stacked call counts once: grad_check's gradient point and its 60 stencil
+# points are one h_value, one A(x) and one c(x), h_grad reading the point's
+# row, and the probe's 140 samples over its 7 radii are one c(x) and one
+# G(x) c; f stays one call per point.  A vjp over a block counts once too:
+# one in h_grad, and assumption_a_check's one over its 10 kernel directions
+# and the identity side by side.  Each vjp makes one stacked Hessian call,
+# and the first at a point one _q and one G(x) c; the block products of Q and
+# DQ and the block normal-cone projection go through kernels the tracer does
+# not wrap
 CHECK_FPCA_CALLS = {
-    "mappings.h_value": 1, "mappings.h_grad": 1, "mappings.A_value": 3,
-    "mappings.A_vjp": 2, "sets.project": 1, "sets.q": 2, "problems.f": 61,
-    "problems.c_value": 5, "problems.c_jac": 6,
+    "mappings.h_value": 1, "mappings.h_grad": 1, "mappings.A_value": 2,
+    "mappings.A_vjp": 2, "sets.project": 1, "sets.q": 2, "problems.f": 62,
+    "problems.c_value": 4, "problems.c_jac": 6,
 }
 
 

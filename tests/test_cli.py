@@ -534,6 +534,42 @@ def test_instance_whose_dims_disagree_with_its_arrays_exits_2(tmp_path, capsys, 
         ProblemInstance.from_json(obj)
 
 
+@pytest.mark.parametrize("family,dims,key,value,message", [
+    # NaN solved to a numerical_failure row with exit 3; "0.5" and true exited 0
+    # and printed 0.5 or True in the CSV row
+    ("npca", ["--n", "6", "--cols", "3"], "rho", float("nan"), "finite rho"),
+    ("npca", ["--n", "6", "--cols", "3"], "rho", float("inf"), "finite rho"),
+    ("npca", ["--n", "6", "--cols", "3"], "rho", "0.5", "not a real number"),
+    ("npca", ["--n", "6", "--cols", "3"], "rho", True, "not a real number"),
+    ("npca", ["--n", "6", "--cols", "3"], "rho", None, "not a real number"),
+    ("npca", ["--n", "6", "--cols", "3"], "n", "6", "not a real number"),
+    ("qpb", ["--n", "6"], "edge_density", 1.5, "edge_density in"),
+    ("qpb", ["--n", "6"], "edge_density", float("nan"), "edge_density in"),
+    ("qpb", ["--n", "6"], "edge_density", "0.5", "not a real number"),
+    ("qpb", ["--n", "6"], "edge_density", False, "not a real number"),
+    ("fpca", ["--n", "4", "--k", "2", "--d", "3"], "d", [3], "not a real number"),
+    ("fpca", ["--n", "4", "--k", "2", "--d", "3"], "d", 5, "d <= n"),
+])
+def test_instance_whose_scalar_dims_the_family_rejects_exits_2(tmp_path, capsys, family,
+                                                               dims, key, value, message):
+    # a loaded file's dims pass the checks the generator's do, so solve
+    # --instance exits 2 with no row where solve --family would
+    inst_path = tmp_path / "inst.json"
+    csv_path = tmp_path / "runs.csv"
+    assert main(["dump-instance", "--family", family, *dims, "--out", str(inst_path)]) == 0
+    obj = json.loads(inst_path.read_text())
+    obj["data"][key] = value
+    inst_path.write_text(json.dumps(obj))
+    assert main(["solve", "--instance", str(inst_path), "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
+    assert message in capsys.readouterr().err
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance.from_json(obj)
+    obj["data"].pop(key)
+    with pytest.raises(KeyError):
+        ProblemInstance.from_json(obj)
+
+
 @pytest.mark.parametrize("flag", ["--instance", "--csv", "--json-out", "--dump-instance",
                                   "--csv and --json-out", "bench --csv",
                                   "dump-instance --out"])

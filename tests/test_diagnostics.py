@@ -32,6 +32,8 @@ from dissolve.problems import (
     near_feasible_points,
 )
 
+from conftest import normal_cone_oracle
+
 
 def test_grad_check_quadratic_affine_closed_form():
     # quadratic objective, affine constraint, generic map: low curvature case
@@ -401,9 +403,18 @@ def test_one_stacked_build_per_grad_point_and_one_c_per_probe_radius(monkeypatch
         return pinv(core)
 
     monkeypatch.setattr(mappings, "_core_pinv", counting_pinv)
-    grad_check(prob, near_feasible_points(inst, 3, seed=1))
-    # per point: h_grad's build at x, then the 4n stencil points in one build
-    assert cores == [(1, p, p), (4 * n, p, p)] * 3
+    points = near_feasible_points(inst, 3, seed=1)
+    grad_check(prob, points)
+    # each point and its 4n stencil points, all three points in one build:
+    # h_grad at a point reads its row, with no build of its own
+    assert cores == [(3 * (4 * n + 1), p, p)]
+    for cap in (50, 61):  # blocks across point boundaries, then one per point
+        cores.clear()
+        monkeypatch.setattr(diagnostics, "STACK_ROWS", cap)
+        grad_check(prob, points)
+        total = 3 * (4 * n + 1)
+        assert cores == [(min(cap, total - start), p, p) for start in range(0, total, cap)]
+    monkeypatch.undo()
 
     calls = []
 
@@ -484,15 +495,39 @@ def test_stencil_blocks_give_the_one_block_reports_bit_for_bit(name, monkeypatch
         return h_value(prob, x, point)
 
     monkeypatch.setattr(diagnostics, "h_value", counted_h_value)
-    monkeypatch.setattr(diagnostics, "STACK_ROWS", 4 * prob.n)
+    total = len(points) * (4 * prob.n + 1)  # each point's row and its stencil
+    monkeypatch.setattr(diagnostics, "STACK_ROWS", total)
     one_block = grad_check(prob, points)
-    assert rows == [(4 * prob.n, prob.n)] * len(points)
-    rows.clear()
-    monkeypatch.setattr(diagnostics, "STACK_ROWS", 7)
-    blocks = grad_check(prob, points)
-    assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
-    sizes = [min(7, 4 * prob.n - start) for start in range(0, 4 * prob.n, 7)]
-    assert rows == [(m, prob.n) for m in sizes] * len(points)
+    assert rows == [(total, prob.n)]
+    for cap in (7, 4 * prob.n + 1):  # blocks across point boundaries, then one per point
+        rows.clear()
+        monkeypatch.setattr(diagnostics, "STACK_ROWS", cap)
+        blocks = grad_check(prob, points)
+        assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
+        assert rows == [(min(cap, total - start), prob.n) for start in range(0, total, cap)]
+
+
+@pytest.mark.parametrize("name", ["npca", "qpb", "fpca"])
+def test_grad_check_blocks_across_points_give_the_per_point_report(name, monkeypatch):
+    # a block holds the end of one point's stencil and the start of the
+    # next point's rows; h_grad runs once per point, on its row of a block
+    prob, points, _ = STACK_CASES[name]()
+    points = points + [points[0].copy()]  # a repeated point
+    grads = []
+
+    def counted_h_grad(prob, x, point=None):
+        grads.append(point is not None and point.keys() >= {"a", "fa", "c", "cc"})
+        return h_grad(prob, x, point)
+
+    monkeypatch.setattr(diagnostics, "h_grad", counted_h_grad)
+    want = grad_check_per_point(prob, points)
+    per = 4 * prob.n + 1
+    for cap in (5, 7, per - 1, per + 3, 2 * per + 1):
+        grads.clear()
+        monkeypatch.setattr(diagnostics, "STACK_ROWS", cap)
+        got = grad_check(prob, points)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json()), cap
+        assert grads == [True] * len(points)
 
 
 # ---------------------------------------------------------------- block vjps
@@ -566,7 +601,8 @@ def test_assumption_a_block_vjps_give_the_per_vector_report(name):
 def test_assumption_a_projects_once_at_the_running_max(monkeypatch, nan_cols):
     # the kernel sample reported is the one a running max over the residuals
     # picks, a NaN residual skipped; the normal cone is projected onto only
-    # there, once each way, and not at all when no residual is above 0
+    # there, v and -v as the two columns of one block call, and not at all
+    # when no residual is above 0
     prob, points = FEASIBLE_CASES["fpca"]()
     k = diagnostics.KERNEL_SAMPLES
     blocks, projections = [], []
@@ -577,26 +613,30 @@ def test_assumption_a_projects_once_at_the_running_max(monkeypatch, nan_cols):
         blocks.append(V[:, :k].T.copy())
         return V
 
-    project = prob.domain.normal_cone_project
+    kernel = prob.domain._normal_cone_project
 
-    def counted(x, z):
-        projections.append(z)
-        return project(x, z)
+    def counted(x, Z):
+        projections.append(Z.copy())
+        return kernel(x, Z)
 
-    monkeypatch.setattr(prob.domain, "normal_cone_project", counted)
+    monkeypatch.setattr(prob.domain, "_normal_cone_project", counted)
     amap = dataclasses.replace(prob.amap, vjp=vjp)
     got = assumption_a_check(amap, prob.cmap, prob.domain, points)
 
     rng = np.random.default_rng(0)
-    want = []
+    want, picked = [], []
     for x, Vk in zip(points, blocks):
         ker = span = 0.0
         for lam, v in zip(rng.standard_normal((k, prob.cmap.p)), Vk):
             resid = _norm(v) / max(1.0, _norm(lam))
             if resid > ker:
-                ker = resid
-                span = min(_norm(v - project(x, v)), _norm(v + project(x, -v)))
+                ker, best = resid, v
+                span = min(_norm(v - normal_cone_oracle(prob.domain, x, v)),
+                           _norm(v + normal_cone_oracle(prob.domain, x, -v)))
                 span /= max(1.0, _norm(lam))
         want.append((ker, span))
+        if ker:
+            picked.append(np.column_stack([best, -best]))
     assert [(d["kernel"], d["kernel_outside_normal_span"]) for d in got.details] == want
-    assert len(projections) == (2 * len(points) if nan_cols < k else 0)
+    assert len(projections) == (len(points) if nan_cols < k else 0)
+    assert all(np.array_equal(Z, P) for Z, P in zip(projections, picked, strict=True))

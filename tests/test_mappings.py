@@ -950,6 +950,59 @@ def test_h_value_over_a_stack_is_each_point_h_value(gen, dims):
         assert same_bits(got[i:i + 1], np.array([h_value(prob, x.copy())])), i
 
 
+def same_point(a, b):
+    """Whether two point dicts hold the same keys and bit-identical parts of
+    the same types."""
+    if a.keys() != b.keys():
+        return False
+    for key in a:
+        u, v = a[key], b[key]
+        if key == "built_over":
+            ok = u is v
+        elif key == "build":
+            ok = len(u) == len(v) and all(map(same_bits, u, v))
+        else:
+            ok = type(u) is type(v) and same_bits(np.asarray(u), np.asarray(v))
+        if not ok:
+            return False
+    return True
+
+
+def identity_case(n=5):
+    domain = NonnegOrthant(n)
+    cmap = empty_constraint_map(n)
+    return PenaltyProblem(f_value=lambda a: float(a @ a), f_grad=lambda a: 2.0 * a,
+                          cmap=cmap, amap=build_aq(domain, cmap), domain=domain, beta=3.0)
+
+
+@pytest.mark.parametrize("case", ["npca", "npca-500", "qpb", "fpca", "identity"])
+def test_point_row_is_the_one_point_dict(case):
+    # the sphere map, the generic map over a per-row and a stacked constraint
+    # map, and the p = 0 identity: row i of a stack's dict is the dict h_value
+    # fills at x_i alone, and h_grad reads it to the same bits
+    rng = np.random.default_rng(5)
+    if case == "identity":
+        prob = identity_case()
+        X = np.abs(rng.standard_normal((4, prob.n)))
+    else:
+        gen, dims = {"npca": (gen_npca, (6, 3)), "npca-500": (gen_npca, (500, 30)),
+                     "qpb": (gen_qpb, (6,)), "fpca": (gen_fpca, (4, 2, 3))}[case]
+        inst, prob = gen(*dims, seed=2)
+        X = np.array(near_feasible_points(inst, 4, seed=3))
+    X[1, :2] = -0.0
+    block = {}
+    values = h_value(prob, X, block)
+    for i in range(len(X)):
+        x = X[i].copy()
+        one = {}
+        assert same_bits(values[i:i + 1], np.array([h_value(prob, x, one)])), i
+        row = mappings.point_row(block, i)
+        assert same_point(row, one), (i, sorted(one))
+        g = h_grad(prob, x, row)
+        assert same_bits(g, h_grad(prob, x, one)), i
+        assert same_bits(g, h_grad(prob, x)), i
+
+
 # ---------------------------------------------------------------- vjp over a block
 
 

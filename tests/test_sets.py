@@ -20,8 +20,8 @@ from dissolve.sets import (
     SpectralBall,
 )
 
-from conftest import (SRC, dq_apply, dq_form_oracle, make_catalog, q_matrix, q_oracle,
-                      run_fresh, sample_point, sample_smooth_point)
+from conftest import (SRC, dq_apply, dq_form_oracle, make_catalog, normal_cone_oracle,
+                      q_matrix, q_oracle, run_fresh, sample_point, sample_smooth_point)
 
 
 # ---------------------------------------------------------------- projection
@@ -526,6 +526,70 @@ def test_normal_cone_projection_interior_is_zero():
                           np.zeros(4))
 
 
+def cone_points(domain, rng):
+    """Named points of a catalog set: inside, on the boundary with one active
+    constraint, at a corner with several (box bounds, zero coordinates on a
+    norm sphere, repeated unit singular values) and within DEFAULT_TOL of
+    that corner."""
+    if isinstance(domain, Product):
+        parts = [cone_points(f, rng) for f in domain.factors]
+        return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+    if isinstance(domain, Box):
+        lo_fin, up_fin = np.isfinite(domain.lower), np.isfinite(domain.upper)
+        lo = np.where(lo_fin, domain.lower, np.minimum(domain.upper, 0.0) - 2.0)
+        up = np.where(up_fin, domain.upper, lo + 3.0)
+        inner = 0.5 * (lo + up)
+        corner = np.where(lo_fin, lo, np.where(up_fin, up, inner))
+        boundary = inner.copy()
+        active = np.flatnonzero(lo_fin | up_fin)[:1]
+        boundary[active] = corner[active]
+        near = corner + 5e-9 * np.sign(inner - corner)
+    elif isinstance(domain, NormBall):
+        u = rng.standard_normal(domain.n)
+        boundary = domain.radius * u / np.sum(np.abs(u) ** domain.exponent) ** (
+            1.0 / domain.exponent)
+        inner = 0.5 * boundary
+        corner = domain.radius * np.eye(1, domain.n)[0]
+        near = (1.0 - 1e-9) * corner
+    else:
+        m, s = domain._shape()
+        r = min(m, s)
+        U = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        V = np.linalg.qr(rng.standard_normal((s, r)))[0]
+
+        def point(sv):
+            return (U * sv) @ V.T
+
+        inner = point(np.full(r, 0.5))
+        boundary = point(np.linspace(1.0, 0.2, r))
+        corner = point(np.ones(r))
+        near = point(np.r_[1.0, np.full(r - 1, 1.0 - 5e-9)])
+        inner, boundary, corner, near = (M.reshape(-1, order="F")
+                                         for M in (inner, boundary, corner, near))
+    return {"inner": inner, "boundary": boundary, "corner": corner, "near corner": near}
+
+
+def test_normal_cone_block_columns_are_the_one_vector_projection(catalog):
+    rng = np.random.default_rng(61)
+    for domain in catalog + [SpectralBall(30, 4), SpectralBall(1, 6)]:
+        for where, x in cone_points(domain, rng).items():
+            assert domain.contains(x), (domain, where)
+            for m in (1, 2, 5):
+                Z = rng.standard_normal((domain.n, m))
+                Z[:1] = -0.0
+                Z[:, 0] = x  # along the outer normal of a ball's boundary
+                for order, block in (("C", Z), ("F", np.asfortranarray(Z))):
+                    got = domain._normal_cone_project(x, block)
+                    assert got.shape == (domain.n, m), (domain, where, order)
+                    for j in range(m):
+                        z = Z[:, j].copy()
+                        want = normal_cone_oracle(domain, x, z)
+                        assert same_bits(np.ascontiguousarray(got[:, j]), want), (
+                            domain, where, order, m, j)
+                        assert same_bits(domain.normal_cone_project(x, z), want), (
+                            domain, where, j)
+
+
 def test_box_pinned_coordinate():
     # a pinned coordinate (lower == upper) leaves the box without an interior
     # and is rejected; a pinned variable belongs out of the problem instead
@@ -660,11 +724,12 @@ class ScaledBox(ConvexSet):
     def _dq_form_cols(self, x, v, W):
         return (-2.0 * x * v)[:, None] * W
 
-    def _normal_cone_project(self, x, z):
-        out = np.zeros_like(z)
+    def _normal_cone_project(self, x, Z):
+        # the masks pick coordinate i of every column of Z
+        out = np.zeros_like(Z)
         up, lo = self.r - x <= sets.DEFAULT_TOL, x + self.r <= sets.DEFAULT_TOL
-        out[up] = np.maximum(z[up], 0.0)
-        out[lo] = np.minimum(z[lo], 0.0)
+        out[up] = np.maximum(Z[up], 0.0)
+        out[lo] = np.minimum(Z[lo], 0.0)
         return out
 
 
