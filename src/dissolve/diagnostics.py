@@ -149,7 +149,7 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
 
         # the samples' G(x) lam, then the identity, as the columns of one block
         Lam = rng.standard_normal((k, cmap.p))
-        W = [cmap.jac_t_stack(np.broadcast_to(x, (k, n)), Lam).T] if k else []
+        W = [cmap.jac_t_apply(np.broadcast_to(x, (k, n)), Lam).T] if k else []
         if n <= IDEMPOTENCY_DIM_GUARD:
             W.append(np.eye(n))
         V = amap.vjp(x, np.hstack(W), point) if W else np.zeros((n, 0))
@@ -202,7 +202,7 @@ def pi_sigma(cmap, domain, x):
     largest, r the numerical rank), else 0.0; small values flag a near-degenerate
     constraint qualification.  `domain` does not enter: its affine hull is R^n."""
     x = np.asarray(x, dtype=float)
-    G = cmap.jac_matrix(x)
+    G = cmap.jac_columns(x)
     svals = np.linalg.svd(G, compute_uv=False) if min(G.shape) else np.zeros(0)
     r = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
     return float(svals[r - 1]) if r else 0.0
@@ -242,8 +242,8 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
     lhs = np.empty(len(Y))
     for start in range(0, len(Y), STACK_ROWS):
         rows = slice(start, start + STACK_ROWS)
-        C[rows] = cmap.value_stack(Y[rows])
-        lhs[rows] = _row_norms(cmap.jac_t_stack(Y[rows], C[rows]))
+        C[rows] = cmap.value(Y[rows])
+        lhs[rows] = _row_norms(cmap.jac_t_apply(Y[rows], C[rows]))
     gap = np.zeros(m)
     gap[keep] = 0.5 * pi_val * _row_norms(C) - lhs
     # the running max from 0.0 that Python's max takes: a NaN is skipped

@@ -15,14 +15,14 @@ LinAlgError on a non-finite core.  A build applies Q(x) to all p columns of
 G in one `_q_cols` call and adds the map's prebuilt p-by-p identity.
 
 A build runs over an (N, n) stack of points, and one point is the stack of
-one.  c and G come from the constraint map's `value_stack` and `jac_stack`
-(and the error-bound probe's G c from `jac_t_stack`): one call each for a
-map declared `stacked` (fpca's), one per-point callback per row for any
-other; the stacked callbacks are optional.  Every product over the stack is
-a matmul whose slices keep the strides of the one-point product, and the N
-cores take one stacked SVD, so row i is bit-identical to a build at x_i
-alone.  `h_value(prob, X, point)` on an (N, n) stack returns the N penalty
-values from one build and fills `point` with the stacked parts, and
+one.  Every constraint map takes stacks (see `ConstraintMap`; a one-point
+map is wrapped once, when it is built), so c and G come from one `value`
+and one `jac_columns` call over the stack, and the error-bound probe's G c
+from one `jac_t_apply` call.  Every product over the stack is a matmul
+whose slices keep the strides of the one-point product, and the N cores
+take one stacked SVD, so row i is bit-identical to a build at x_i alone.
+`h_value(prob, X, point)` on an (N, n) stack returns the N penalty values
+from one build and fills `point` with the stacked parts, and
 `point_row(point, i)` hands out row i's one-point dict, bit for bit what
 `h_value(prob, x_i, {})` fills, for every map.  grad_check sends each
 gradient point in the stack of its finite-difference stencil and takes
@@ -33,9 +33,9 @@ A vjp runs over an n-by-m block of directions in the same way, and one
 direction is the block of one: gradA(x) W, column j bit-identical to the
 vjp of W[:, j] alone.  The generic map applies Q and the derivative kernel
 to the block through the domain's `_q_cols` and `_dq_form_cols`, and the
-constraint Hessians through `hess_stack`, one call for a stacked map and
-one per row for any other; its products with G and the core are stacked
-matrix-vector products, each slice on the one-direction BLAS path.
+constraint Hessians through one `hess_apply` call over a stack of rows;
+its products with G and the core are stacked matrix-vector products, each
+slice on the one-direction BLAS path.
 
 Work done at one point lives in a dict the caller carries for that point,
 never in the map or the problem.  `A.value(x, point)` and `A.vjp(x, w,
@@ -82,21 +82,25 @@ __all__ = [
 class ConstraintMap:
     """Smooth equality constraints c : R^n -> R^p with Jacobian products.
 
-    The library calls value(x) = c(x), jac_t_apply(x, v) = G(x) v (columns
-    of G are constraint gradients), hess_apply(x, lam, d) = sum_i lam_i
-    Hess(c_i)(x) d (`build_aq` needs it when p >= 1) and, if given,
-    jac_columns(x) = the n-by-p G(x), the stack of jac_t_apply(x, e_i) bit
-    for bit.  It never calls jac_apply(x, d) = G(x)^T d: only the
-    benchmark's tracer and qpb-l4 workload pass it; ROADMAP item 4 drops it.
+    Every callback takes one point x (n,) or an (N, n) stack X of points:
+    value(X) = c(x), or the (N, p) stack of c(x_i); jac_t_apply(X, V) =
+    G(x) v for one v (p,) (columns of G are constraint gradients), or the
+    (N, n) stack of G(x_i) v_i for an (N, p) V; jac_columns(X) = the n-by-p
+    G(x), or the (N, n, p) stack, column j being jac_t_apply(x, e_j) bit for
+    bit.  hess_apply(x, lam, d) = sum_i lam_i Hess(c_i)(x) d at one x, for
+    one (lam, d) or for an (m, p) stack of multipliers with an (m, n) stack
+    of directions, as the (m, n) stack (`build_aq` needs it when p >= 1).
+    Row i of every stacked result is the one-row call's, bit for bit.
 
-    `stacked=True` declares that value, jac_t_apply and jac_columns (then
-    required) also take an (N, n) stack of points, with an (N, p) stack of
-    multipliers for jac_t_apply, and return the (N, p), (N, n) and (N, n, p)
-    stacks of their per-point results, bit for bit; and that hess_apply
-    takes, at one point, an (m, p) stack of multipliers with an (m, n)
-    stack of directions and returns the (m, n) stack of its results, bit
-    for bit.  The `*_stack` methods evaluate a stack through them in one
-    call, or, for a map without them, through one call per row.
+    Passing jac_columns declares that contract.  A map built without it is
+    a one-point map: its callbacks take one point (and one lam and d), and
+    the constructor wraps value, jac_t_apply and hess_apply once to loop
+    over the rows of a stack, and derives jac_columns from jac_t_apply on
+    the unit vectors.  A `dataclasses.replace` of the map carries that
+    jac_columns, so nothing is wrapped twice: a callback passed to it must
+    take stacks, and a wrapper of a callback sees one call per stack.  The
+    library never calls jac_apply(x, d) = G(x)^T d: only the benchmark's
+    tracer and qpb-l4 workload pass it; ROADMAP item 4 drops it.
     """
 
     p: int
@@ -105,46 +109,33 @@ class ConstraintMap:
     jac_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     jac_columns: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    stacked: bool = False
 
     def __post_init__(self):
-        if self.stacked and self.jac_columns is None:
-            raise ValueError("a stacked constraint map needs jac_columns")
-
-    def jac_matrix(self, x):
-        """Materialize G(x) as an n-by-p array, one column per constraint."""
-        x = np.asarray(x, dtype=float)
-        if self.p == 0:
-            return np.zeros((x.size, 0))
         if self.jac_columns is not None:
-            return self.jac_columns(x)
-        cols = [self.jac_t_apply(x, e) for e in np.eye(self.p)]
-        return np.column_stack(cols)
+            return
+        p, value, jac_t, hess = self.p, self.value, self.jac_t_apply, self.hess_apply
+        eye = np.eye(p)
 
-    def value_stack(self, X):
-        """c(x_i) for each row of the (N, n) X, as an (N, p) array."""
-        if self.stacked:
-            return self.value(X)
-        return _per_row(self.value, (len(X), self.p), X)
+        def columns(x):
+            G = np.empty((x.size, p))
+            for j in range(p):
+                G[:, j] = jac_t(x, eye[j])
+            return G
 
-    def jac_t_stack(self, X, V):
-        """G(x_i) v_i for each row of X and of the (N, p) V, as an (N, n) array."""
-        if self.stacked:
-            return self.jac_t_apply(X, V)
-        return _per_row(self.jac_t_apply, X.shape, X, V)
-
-    def jac_stack(self, X):
-        """G(x_i) for each row of X, as an (N, n, p) array."""
-        if self.stacked:
-            return self.jac_columns(X)
-        return _per_row(self.jac_matrix, X.shape + (self.p,), X)
-
-    def hess_stack(self, x, Lam, D):
-        """hess_apply(x, lam_j, d_j) at one x for each row of the (m, p) Lam
-        and of the (m, n) D, as an (m, n) array."""
-        if self.stacked:
-            return self.hess_apply(x, Lam, D)
-        return _per_row(lambda lam, d: self.hess_apply(x, lam, d), D.shape, Lam, D)
+        rowwise = {
+            "value": lambda X: (value(X) if np.ndim(X) == 1
+                                else _per_row(value, (len(X), p), X)),
+            "jac_t_apply": lambda X, V: (jac_t(X, V) if np.ndim(X) == 1
+                                         else _per_row(jac_t, X.shape, X, V)),
+            "jac_columns": lambda X: (columns(X) if np.ndim(X) == 1
+                                      else _per_row(columns, X.shape + (p,), X)),
+        }
+        if hess is not None:
+            rowwise["hess_apply"] = lambda x, Lam, D: (
+                hess(x, Lam, D) if np.ndim(D) == 1
+                else _per_row(lambda lam, d: hess(x, lam, d), D.shape, Lam, D))
+        for name, fn in rowwise.items():
+            object.__setattr__(self, name, fn)
 
 
 def _per_row(fn, shape, *stacks):
@@ -159,9 +150,10 @@ def empty_constraint_map(n):
     """Constraint map with p = 0 (no equality constraints)."""
     return ConstraintMap(
         p=0,
-        value=lambda x: np.zeros(0),
-        jac_t_apply=lambda x, v: np.zeros(n),
-        hess_apply=lambda x, lam, d: np.zeros(n),
+        value=lambda X: np.zeros(np.shape(X)[:-1] + (0,)),
+        jac_t_apply=lambda X, V: np.zeros(np.shape(X)),
+        hess_apply=lambda x, Lam, D: np.zeros(np.shape(D)),
+        jac_columns=lambda X: np.zeros(np.shape(X) + (0,)),
     )
 
 
@@ -237,8 +229,8 @@ def _aq_value_parts(domain, cmap, sigma, x, eye):
     stacked matmul, whose slices take the BLAS path of the one-point
     product, so row i equals a build at x_i alone bit for bit."""
     x = np.asarray(x, dtype=float)
-    c = cmap.value_stack(x)
-    G = cmap.jac_stack(x)
+    c = cmap.value(x)
+    G = cmap.jac_columns(x)
     QG = domain._q_cols(x, G)
     GtQG = G.swapaxes(-1, -2) @ QG
     cc = c[:, None, :] @ c[:, :, None]  # c_i . c_i, as c @ c takes it
@@ -275,7 +267,7 @@ class _GenericMap:
     one point and a block of directions, one direction being the block of
     one, and applies Q, the derivative kernel and the constraint Hessians
     to the whole block: two `_q_cols` calls, one `_dq_form_cols` call over
-    the 2m columns of its two `dq_form` terms, and one `hess_stack` call
+    the 2m columns of its two `dq_form` terms, and one `hess_apply` call
     over the 3m rows of its three Hessian terms.  Work done at x lives in
     the `point` dict the caller carries for that x: the stacked value parts
     (c, G, QG, core_pinv, u) under "build", with the constraint map they
@@ -333,7 +325,7 @@ class _GenericMap:
         Lam[m:2 * m] = A[:, :, 0]
         au = (A.swapaxes(-1, -2) @ u[:, None])[:, 0, 0]  # a_j . u, as a @ u takes it
         DQ = domain._dq_form_cols(x, Gu, np.concatenate([R, GA]).T).T
-        H = self.cmap.hess_stack(x, Lam, D)
+        H = self.cmap.hess_apply(x, Lam, D)
         grad_phi = (DQ[:m]
                     + H[:m]
                     + GA
@@ -387,7 +379,7 @@ def _penalty_c(prob, x, point):
             c = point["build"][0]
             point["c"] = c if x.ndim == 2 else c[0]
         else:
-            point["c"] = prob.cmap.value_stack(x) if x.ndim == 2 else prob.cmap.value(x)
+            point["c"] = prob.cmap.value(x)
     return point["c"]
 
 

@@ -10,15 +10,14 @@ fpca -- min-max reformulation of group-fair PCA in variables (P, y, z):
         spectral ball x box, the box y >= 0 with z free.
 
 All generators are bit-reproducible functions of (dims, seed); tensors draw
-from fixed sub-seeds.  fpca's constraint value, Jacobian columns, transposed
-Jacobian products and Hessian products each take one product over the k
-stacked group matrices, with the per-group arithmetic of a loop over the
-groups, so all four are bit-identical to that loop.  The first three also
-take an (N, n) stack of points (its constraint map is `stacked`) in one
-product over all points and groups, and the Hessian product an (m, p) stack
-of multipliers with an (m, n) stack of directions at one point; each
-point's P and each direction's a view with the strides of a single one's,
-so row i is bit-identical to a call with row i alone.
+from fixed sub-seeds.  Every family's constraint map takes stacks (see
+`ConstraintMap`): row i of a call over an (N, n) stack of points, or of
+multipliers and directions for the Hessian product, is bit-identical to a
+call with row i alone.  npca and qpb share the closed form `_sphere_cmap`.
+fpca's four callbacks take one product over the k stacked group matrices
+and all points, with the per-group arithmetic of a loop over the groups, so
+they are bit-identical to that loop; each point's P and each direction's is
+a view with the strides of a single one's.
 """
 
 from __future__ import annotations
@@ -136,6 +135,22 @@ def _rng(family, seed, tensor):
 # ---------------------------------------------------------------- npca
 
 
+def _sphere_cmap(d):
+    """c(x) = ||x - d||^2 - 1, the unit sphere about d: npca's with d = 0,
+    qpb's about its centre.  Each dot product is a stacked (1, n) @ (n, 1)
+    matmul, whose slices keep the bits of the one-point (x - d) @ (x - d);
+    p = 1, so a multiplier v is its own v[..., :1]."""
+
+    def value(x):
+        r = x - d
+        return (r[..., None, :] @ r[..., :, None])[..., 0] - 1.0
+
+    return ConstraintMap(p=1, value=value,
+                         jac_t_apply=lambda x, v: 2.0 * v * (x - d),
+                         hess_apply=lambda x, lam, dd: 2.0 * lam * dd,
+                         jac_columns=lambda x: np.stack([2.0 * (x - d)], axis=-1))
+
+
 def build_npca_problem(B, rho, beta=None):
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
@@ -159,12 +174,7 @@ def build_npca_problem(B, rho, beta=None):
     def f_grad(x):
         return -(B @ bt(x)) + rho
 
-    cmap = ConstraintMap(
-        p=1,
-        value=lambda x: np.array([x @ x - 1.0]),
-        jac_t_apply=lambda x, v: 2.0 * v[0] * x,
-        hess_apply=lambda x, lam, d: 2.0 * lam[0] * d,
-    )
+    cmap = _sphere_cmap(0.0)
     domain = NonnegOrthant(n)
     amap = sphere_nonneg_map()
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
@@ -207,12 +217,7 @@ def build_qpb_problem(Qmat, qvec, d, beta=None):
     def f_grad(x):
         return Qmat @ x + qvec
 
-    cmap = ConstraintMap(
-        p=1,
-        value=lambda x: np.array([(x - d) @ (x - d) - 1.0]),
-        jac_t_apply=lambda x, v: 2.0 * v[0] * (x - d),
-        hess_apply=lambda x, lam, dd: 2.0 * lam[0] * dd,
-    )
+    cmap = _sphere_cmap(d)
     domain = NormBall(n, radius=1.0, exponent=2.0)
     amap = build_aq(domain, cmap)
     return PenaltyProblem(f_value=f_value, f_grad=f_grad, cmap=cmap, amap=amap,
@@ -359,7 +364,7 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
         return out
 
     cmap = ConstraintMap(p=k + 1, value=c_value, jac_t_apply=jac_t,
-                         hess_apply=hess, jac_columns=jac_columns, stacked=True)
+                         hess_apply=hess, jac_columns=jac_columns)
     # y >= 0 and z free as one box, so each Q kernel makes one Box call
     domain = Product([SpectralBall(n, d),
                       Box(np.r_[np.zeros(k), -np.inf], np.full(k + 1, np.inf))])

@@ -267,7 +267,7 @@ def kkt_residual_original(prob, x):
     """
     x = np.asarray(x, dtype=float)
     g0 = np.asarray(prob.f_grad(x), dtype=float)
-    G = prob.cmap.jac_matrix(x)
+    G = prob.cmap.jac_columns(x)
     p = prob.cmap.p
     nu = np.zeros_like(g0)
     prev = np.inf

@@ -443,25 +443,20 @@ def test_probe_row_blocks_give_the_one_block_report_bit_for_bit(case, monkeypatc
             return fn(*args)
         return call
 
-    def block_calls(k):
-        # a stacked map takes a block in one call, any other map row by row
-        if cmap.stacked:
-            return [("c", (k, n)), ("Gc", (k, n))]
-        return [("c", (n,))] * k + [("Gc", (n,))] * k
-
-    # pi_sigma's G(x) is jac_columns for a stacked map, else p products G e_i
-    pi_calls = [] if cmap.stacked else [("Gc", (n,))] * cmap.p
+    # every map takes a block in one call, fpca's stacked one and the
+    # one-point blowup map through its constructor's row loop, and pi_sigma's
+    # G(x) is one jac_columns call, which the wrappers do not see
     cmap = dataclasses.replace(cmap, value=counted("c", cmap.value),
                                jac_t_apply=counted("Gc", cmap.jac_t_apply))
     one_block = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=6)
-    assert calls == pi_calls + block_calls(m)
+    assert calls == [("c", (m, n)), ("Gc", (m, n))]
     for cap in (7, 9):  # 9 does not divide m and leaves a last block of 5
         calls.clear()
         monkeypatch.setattr(diagnostics, "STACK_ROWS", cap)
         blocks = local_error_bound_probe(cmap, domain, x, n_samples=20, seed=6)
         assert json.dumps(blocks.to_json()) == json.dumps(one_block.to_json())
         sizes = [min(cap, m - start) for start in range(0, m, cap)]
-        assert calls == pi_calls + [c for k in sizes for c in block_calls(k)]
+        assert calls == [c for k in sizes for c in [("c", (k, n)), ("Gc", (k, n))]]
 
 
 def test_probe_rejects_bad_sample_counts_and_base_points():

@@ -19,6 +19,7 @@ from dissolve.mappings import (
 from dissolve.sets import Box, NonnegOrthant, NormBall
 from dissolve.solvers import SolverConfig
 from dissolve.problems import (
+    _sphere_cmap,
     build_fpca_problem,
     feasible_points,
     gen_fpca,
@@ -53,8 +54,8 @@ def affine_cmap(a, b):
 
 
 def test_jacobian_matches_value_differences():
-    # G(x)^T d, from the G each family supplies through jac_t_apply or
-    # jac_columns, against central differences of c along d
+    # G(x)^T d, from each family's jac_columns, against central differences
+    # of c along d
     rng = np.random.default_rng(1)
     eps = np.cbrt(np.finfo(float).eps)
     for _, prob in (gen_npca(8, 4, seed=1), gen_qpb(8, seed=1), gen_fpca(4, 2, 3, seed=1)):
@@ -64,8 +65,105 @@ def test_jacobian_matches_value_differences():
             d = rng.standard_normal(prob.n)
             d /= np.linalg.norm(d)
             fd = (cmap.value(x + eps * d) - cmap.value(x - eps * d)) / (2 * eps)
-            jd = cmap.jac_matrix(x).T @ d
+            jd = cmap.jac_columns(x).T @ d
             assert np.linalg.norm(jd - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+def one_point_calls(cmap):
+    """A one-point map over cmap's callbacks, which record the shape of each
+    point they are called at, and that record."""
+    shapes = []
+
+    def record(fn):
+        def call(x, *args):
+            shapes.append(np.shape(x))
+            return fn(x, *args)
+        return call
+
+    return ConstraintMap(p=cmap.p, value=record(cmap.value),
+                         jac_t_apply=record(cmap.jac_t_apply),
+                         hess_apply=record(cmap.hess_apply)), shapes
+
+
+@pytest.mark.parametrize("case", ["sphere", "quadratic", "fpca"])
+def test_one_point_map_takes_stacks_row_for_row(case):
+    # a map built without jac_columns loops each stack over its one-point
+    # callbacks: every row is the one-point call's bits, G's columns are the
+    # products with the unit vectors, and a replace keeps the row loops
+    rng = np.random.default_rng(71)
+    base = {"sphere": lambda: sphere_cmap(5), "quadratic": lambda: quadratic_cmap(5, rng),
+            "fpca": lambda: fpca_stack_problem(2, "unequal").cmap}[case]()
+    cmap, shapes = one_point_calls(base)
+    n = 4 * 3 + 2 + 1 if case == "fpca" else 5  # fpca: P (4 by 3), y (2) and z
+    p, eye = cmap.p, np.eye(cmap.p)
+    for N in (1, 4):
+        X, V = rng.standard_normal((N, n)), rng.standard_normal((N, p))
+        X[0, 0], X[-1, -1], V[-1, 0] = -0.0, 0.0, -0.0
+        C, GV, G = cmap.value(X), cmap.jac_t_apply(X, V), cmap.jac_columns(X)
+        assert (C.shape, GV.shape, G.shape) == ((N, p), (N, n), (N, n, p))
+        for i, x in enumerate(X):
+            cols = np.column_stack([base.jac_t_apply(x, e) for e in eye])
+            assert same_bits(C[i], base.value(x)), i
+            assert same_bits(GV[i], base.jac_t_apply(x, V[i])), i
+            assert same_bits(G[i], cols) and same_bits(cmap.jac_columns(x), cols), i
+        Lam, D = rng.standard_normal((N, p)), rng.standard_normal((N, n))
+        Lam[0] = 0.0
+        H = cmap.hess_apply(X[0], Lam, D)
+        for j in range(N):
+            assert same_bits(H[j], base.hess_apply(X[0], Lam[j], D[j])), j
+    assert set(shapes) == {(n,)}  # the one-point callbacks saw rows only
+
+    calls = []
+
+    def count(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    wrapped = {"value": count("c", cmap.value), "jac_t_apply": count("Gv", cmap.jac_t_apply),
+               "hess_apply": count("H", cmap.hess_apply)}
+    counted = dataclasses.replace(cmap, **wrapped)
+    assert all(getattr(counted, name) is fn for name, fn in wrapped.items())
+    assert counted.jac_columns is cmap.jac_columns
+    counted.value(X)
+    counted.jac_t_apply(X, V)
+    counted.hess_apply(X[0], Lam, D)
+    assert calls == ["c", "Gv", "H"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 500, 1000, 4000])
+@pytest.mark.parametrize("centre", ["zero", "e1"])
+def test_sphere_closed_form_rows_are_the_one_point_formulas(n, centre):
+    # npca's map (d = 0) and qpb's (d = e_1 / 2), over one point and over a
+    # stack with a NaN row and signed zeros, against their one-point lambdas
+    if centre == "zero":
+        cmap = _sphere_cmap(0.0)
+        value = lambda x: np.array([x @ x - 1.0])  # noqa: E731
+        jac_t = lambda x, v: 2.0 * v[0] * x  # noqa: E731
+    else:
+        d = 0.5 * np.eye(1, n)[0]
+        cmap = _sphere_cmap(d)
+        value = lambda x: np.array([(x - d) @ (x - d) - 1.0])  # noqa: E731
+        jac_t = lambda x, v: 2.0 * v[0] * (x - d)  # noqa: E731
+    rng = np.random.default_rng(n)
+    X, V = rng.standard_normal((4, n)), rng.standard_normal((4, 1))
+    X[1, 0] = np.nan
+    X[2, 0], X[3, -1], V[2, 0] = -0.0, 0.0, -0.0
+    Lam, D = V.copy(), rng.standard_normal((4, n))
+    D[0, 0] = -0.0
+    C, GV, G = cmap.value(X), cmap.jac_t_apply(X, V), cmap.jac_columns(X)
+    H = cmap.hess_apply(X[0], Lam, D)
+    assert (C.shape, GV.shape, G.shape, H.shape) == ((4, 1), (4, n), (4, n, 1), (4, n))
+    for i, x in enumerate(X):
+        x = x.copy()
+        col = np.column_stack([jac_t(x, np.ones(1))])
+        hess = 2.0 * Lam[i, 0] * D[i]
+        for got, want in ((C[i], value(x)), (cmap.value(x), value(x)),
+                          (GV[i], jac_t(x, V[i])), (cmap.jac_t_apply(x, V[i]), jac_t(x, V[i])),
+                          (G[i], col), (cmap.jac_columns(x), col),
+                          (H[i], hess), (cmap.hess_apply(X[0], Lam[i], D[i]), hess)):
+            assert same_bits(got, want), i
 
 
 # ---------------------------------------------------------------- generic map
@@ -147,7 +245,7 @@ def test_vjp_kernel_on_feasible_points():
         inst, prob = gen(*dims, seed=0)
         rng = np.random.default_rng(9)
         for x in feasible_points(inst, 10, seed=1):
-            G = prob.cmap.jac_matrix(x)
+            G = prob.cmap.jac_columns(x)
             lam = rng.standard_normal(prob.cmap.p)
             v = prob.amap.vjp(x, G @ lam)
             assert np.linalg.norm(v) <= 1e-8 * max(1.0, np.linalg.norm(lam))
@@ -160,7 +258,7 @@ def test_tangent_identity_on_feasible_points():
         inst, prob = gen(*dims, seed=0)
         rng = np.random.default_rng(9)
         for x in feasible_points(inst, 10, seed=1):
-            G = prob.cmap.jac_matrix(x)
+            G = prob.cmap.jac_columns(x)
             U, s, _ = np.linalg.svd(G, full_matrices=True)
             rank = int(np.sum(s > 1e-10))
             tang = U[:, rank:]
@@ -178,7 +276,7 @@ def test_vjp_passes_through_directions_fixed_by_q():
     inst, prob = gen_qpb(6, seed=1)
     rng = np.random.default_rng(12)
     for x in feasible_points(inst, 5, seed=4):
-        G = prob.cmap.jac_matrix(x)
+        G = prob.cmap.jac_columns(x)
         basis = np.column_stack([G, x])
         w = rng.standard_normal(prob.n)
         w -= basis @ np.linalg.lstsq(basis, w, rcond=None)[0]
@@ -411,7 +509,7 @@ def test_fpca_batched_jacobian_matches_column_loop():
     for _ in range(10):
         x = rng.standard_normal(prob.n)
         loop = np.column_stack([cmap.jac_t_apply(x, e) for e in np.eye(cmap.p)])
-        assert same_bits(cmap.jac_matrix(x), loop)
+        assert same_bits(cmap.jac_columns(x), loop)
 
 
 def test_one_core_build_per_point(monkeypatch):
@@ -827,7 +925,7 @@ def per_point_build(prob, x):
     with numpy's own pinv: (c, G, QG, core_pinv, u, A)."""
     cmap, domain = prob.cmap, prob.domain
     c = cmap.value(x)
-    G = cmap.jac_matrix(x)
+    G = np.column_stack([cmap.jac_t_apply(x, e) for e in np.eye(cmap.p)])
     QG = np.column_stack([domain._q(x, G[:, j]) for j in range(cmap.p)])
     M = G.T @ QG
     core = 0.5 * (M + M.T) + prob.amap.sigma * float(c @ c) * np.eye(cmap.p)
@@ -871,7 +969,7 @@ def assert_stacked_build_matches_each_point(prob, X):
     parts = _aq_value_parts(prob.domain, prob.cmap, prob.amap.sigma, X,
                             np.eye(prob.cmap.p))
     A = prob.amap.value(X)
-    GC = prob.cmap.jac_t_stack(X, parts[0])
+    GC = prob.cmap.jac_t_apply(X, parts[0])
     for part in (*parts, A, GC):
         assert part.shape[0] == len(X)
     for i, x in enumerate(X):
@@ -889,30 +987,21 @@ def assert_stacked_build_matches_each_point(prob, X):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_stacked_fpca_build_matches_each_point_bit_for_bit(k, rows, N):
     prob = fpca_stack_problem(k, rows)
-    assert prob.cmap.stacked
+    assert prob.cmap.value.__name__ == "c_value"  # fpca's own, not a row loop
     assert_stacked_build_matches_each_point(prob, stack_points(prob, N, seed=N + k))
 
 
 @pytest.mark.parametrize("N", [1, 2, 60])
 @pytest.mark.parametrize("case", ["qpb", "box", "fpca per point"])
 def test_stacked_build_without_stacked_callbacks_matches_each_point(case, N):
-    # the stack loops over the per-point callbacks and the per-column Q
-    if case == "qpb":
-        prob = gen_qpb(6, seed=1)[1]
-    elif case == "box":
-        prob = box_sphere_problem()
-    else:
-        fpca = fpca_stack_problem(2, "unequal")
-        cmap = dataclasses.replace(fpca.cmap, stacked=False)
-        prob = dataclasses.replace(fpca, cmap=cmap, amap=build_aq(fpca.domain, cmap))
-    assert not prob.cmap.stacked
+    # the constructor's adapter loops the stack over the one-point callbacks
+    # and the per-column Q
+    prob = {"qpb": lambda: gen_qpb(6, seed=1)[1], "box": box_sphere_problem,
+            "fpca per point": lambda: fpca_stack_problem(2, "unequal")}[case]()
+    cmap, shapes = one_point_calls(prob.cmap)
+    prob = dataclasses.replace(prob, cmap=cmap, amap=build_aq(prob.domain, cmap))
     assert_stacked_build_matches_each_point(prob, stack_points(prob, N, seed=N))
-
-
-def test_stacked_map_needs_jac_columns():
-    cm = sphere_cmap(3)
-    with pytest.raises(ValueError, match="jac_columns"):
-        dataclasses.replace(cm, stacked=True)
+    assert set(shapes) == {(prob.n,)}
 
 
 STACKED_NON_FINITE_ROW = """
@@ -977,8 +1066,8 @@ def identity_case(n=5):
 
 @pytest.mark.parametrize("case", ["npca", "npca-500", "qpb", "fpca", "identity"])
 def test_point_row_is_the_one_point_dict(case):
-    # the sphere map, the generic map over a per-row and a stacked constraint
-    # map, and the p = 0 identity: row i of a stack's dict is the dict h_value
+    # the sphere map, the generic map over qpb's and fpca's constraint maps,
+    # and the p = 0 identity: row i of a stack's dict is the dict h_value
     # fills at x_i alone, and h_grad reads it to the same bits
     rng = np.random.default_rng(5)
     if case == "identity":
@@ -1007,8 +1096,8 @@ def test_point_row_is_the_one_point_dict(case):
 
 
 def quadratic_cmap(n, rng, p=2):
-    """c_i(x) = x^T M_i x / 2 - r_i for symmetric M_i: a map without stacked
-    callbacks, with exact Hessian products."""
+    """c_i(x) = x^T M_i x / 2 - r_i for symmetric M_i: a one-point map, which
+    its constructor wraps to take stacks, with exact Hessian products."""
     M = [B + B.T for B in rng.standard_normal((p, n, n))]
     r = rng.random(p)
     return ConstraintMap(
@@ -1020,9 +1109,9 @@ def quadratic_cmap(n, rng, p=2):
 
 
 def block_vjp_cases():
-    """(name, map, points): the generic map over every catalog set, fpca's
-    (stacked constraint map) and qpb's (not stacked), npca's sphere map and
-    the p = 0 identity."""
+    """(name, map, points): the generic map over every catalog set (with a
+    one-point constraint map), fpca's and qpb's, npca's sphere map and the
+    p = 0 identity."""
     rng = np.random.default_rng(43)
     for domain in make_catalog():
         yield (repr(domain), build_aq(domain, quadratic_cmap(domain.n, rng)),
@@ -1086,7 +1175,7 @@ def test_hess_stack_rows_are_the_one_row_products():
                 Lam[1, 0] = -0.0
                 D[0, 0] = np.inf  # behind zero multipliers only
             with np.errstate(invalid="ignore"):  # 0 * inf in the last term
-                got = prob.cmap.hess_stack(x, Lam, D)
+                got = prob.cmap.hess_apply(x, Lam, D)
                 rows = [prob.cmap.hess_apply(x, lam, d.copy()) for lam, d in zip(Lam, D)]
                 loops = ([fpca_hess_loop(inst.data, lam, d) for lam, d in zip(Lam, D)]
                          if prob is fpca else [])

@@ -398,7 +398,7 @@ def test_kkt_residual_matches_exact_bounded_least_squares():
     x = res.x_final
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-9  # this seed exits on the boundary
     g0 = prob.f_grad(x)
-    A = np.column_stack([prob.cmap.jac_matrix(x), x])
+    A = np.column_stack([prob.cmap.jac_columns(x), x])
     sol = lsq_linear(A, -g0, bounds=([-np.inf, 0.0], [np.inf, np.inf]))
     exact = np.linalg.norm(A @ sol.x + g0)
     mine = kkt_residual_original(prob, x)
