@@ -268,11 +268,12 @@ def build_parser():
     pb = sub.add_parser("bench", help="run a matrix of instances into a CSV table")
     pb.add_argument("--family", required=True, choices=tuple(problems.FAMILIES))
     pb.add_argument("--n", required=True, help="comma list of sizes")
-    pb.add_argument("--cols", type=int, default=50)
+    pb.add_argument("--cols", type=int, default=50, help=f"column count ({_used_by('cols')})")
     pb.add_argument("--rho", default="0.0", help=f"comma list ({_used_by('rho')})")
-    pb.add_argument("--edge-density", type=float, default=0.5)
-    pb.add_argument("--k", type=int, default=2)
-    pb.add_argument("--d", type=int, default=3)
+    pb.add_argument("--edge-density", type=float, default=0.5,
+                    help=f"graph density ({_used_by('edge_density')})")
+    pb.add_argument("--k", type=int, default=2, help=f"group count ({_used_by('k')})")
+    pb.add_argument("--d", type=int, default=3, help=f"target rank ({_used_by('d')})")
     pb.add_argument("--seeds", default=None, help="comma list")
     pb.add_argument("--beta", type=float, default=None,
                     help="fixed beta (defaults to the family's grid)")

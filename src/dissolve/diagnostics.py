@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .mappings import h_grad, h_value, point_row
-from .solvers import _norm
+from .sets import _dots, _norm
 
 __all__ = [
     "CheckReport",
@@ -157,8 +157,8 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
         # each sample's ||gradA G lam|| / max(1, ||lam||), a NaN norm scaling
         # by 1; the report takes the first largest, a NaN residual skipped
         Vk = V[:, :k].T.copy()
-        scale = np.fmax(_row_norms(Lam), 1.0)
-        resid = _row_norms(Vk) / scale
+        scale = np.fmax(np.sqrt(_dots(Lam, Lam)), 1.0)
+        resid = np.sqrt(_dots(Vk, Vk)) / scale
         resid = np.where(resid > 0.0, resid, 0.0)
         ker = ker_span_dist = 0.0
         if resid.any():
@@ -189,12 +189,6 @@ def assumption_a_check(amap, cmap, domain, feasible_points,
     if not details:
         raise ValueError("assumption_a_check needs at least one point")
     return CheckReport.build("assumption_a_check", len(details), worst, 1.0, details)
-
-
-def _row_norms(V):
-    """_norm of each row of V, each bit for bit: one stacked (1, n) @ (n, 1)
-    dot per row."""
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
 def pi_sigma(cmap, domain, x):
@@ -234,7 +228,7 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
     m = len(PROBE_RADII) * n_samples
     U = rng.standard_normal((m, x.size))
     frac = rng.random(m)
-    nu = _row_norms(U)
+    nu = np.sqrt(_dots(U, U))
     keep = nu != 0.0  # a zero direction is skipped
     radii = np.repeat(PROBE_RADII, n_samples)[keep]
     Y = x + (radii * frac[keep])[:, None] * U[keep] / nu[keep, None]
@@ -243,9 +237,10 @@ def local_error_bound_probe(cmap, domain, x_feasible, n_samples=200, seed=0):
     for start in range(0, len(Y), STACK_ROWS):
         rows = slice(start, start + STACK_ROWS)
         C[rows] = cmap.value(Y[rows])
-        lhs[rows] = _row_norms(cmap.jac_t_apply(Y[rows], C[rows]))
+        GC = cmap.jac_t_apply(Y[rows], C[rows])
+        lhs[rows] = np.sqrt(_dots(GC, GC))
     gap = np.zeros(m)
-    gap[keep] = 0.5 * pi_val * _row_norms(C) - lhs
+    gap[keep] = 0.5 * pi_val * np.sqrt(_dots(C, C)) - lhs
     # the running max from 0.0 that Python's max takes: a NaN is skipped
     gap[~(gap > 0.0)] = 0.0
     worst = gap.reshape(len(PROBE_RADII), n_samples).max(axis=1)

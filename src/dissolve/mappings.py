@@ -19,8 +19,9 @@ one.  Every constraint map takes stacks (see `ConstraintMap`; a one-point
 map is wrapped once, when it is built), so c and G come from one `value`
 and one `jac_columns` call over the stack, and the error-bound probe's G c
 from one `jac_t_apply` call.  Every product over the stack is a matmul
-whose slices keep the strides of the one-point product, and the N cores
-take one stacked SVD, so row i is bit-identical to a build at x_i alone.
+whose slices keep the strides of the one-point product (a row-wise dot is
+`sets._dots`), and the N cores take one stacked SVD, so row i is
+bit-identical to a build at x_i alone.
 `h_value(prob, X, point)` on an (N, n) stack returns the N penalty values
 from one build and fills `point` with the stacked parts, and
 `point_row(point, i)` hands out row i's one-point dict, bit for bit what
@@ -61,7 +62,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sets import ConvexSet
+from .sets import ConvexSet, _dots, _sym
 
 PINV_RCOND = 1e-12  # relative SVD cutoff for the dissolving core
 
@@ -225,16 +226,14 @@ def _core_pinv(core):
 def _aq_value_parts(domain, cmap, sigma, x, eye):
     """The generic map's parts at each row of the (N, n) stack x: c (N, p),
     G (N, n, p), Q G, the core pseudo-inverses (N, p, p) and u (N, p).  `eye`
-    is the p-by-p identity, which a map builds once.  Every product is a
-    stacked matmul, whose slices take the BLAS path of the one-point
-    product, so row i equals a build at x_i alone bit for bit."""
+    is the p-by-p identity, which a map builds once.  Row i equals a build
+    at x_i alone bit for bit (see the module docstring)."""
     x = np.asarray(x, dtype=float)
     c = cmap.value(x)
     G = cmap.jac_columns(x)
     QG = domain._q_cols(x, G)
     GtQG = G.swapaxes(-1, -2) @ QG
-    cc = c[:, None, :] @ c[:, :, None]  # c_i . c_i, as c @ c takes it
-    core = 0.5 * (GtQG + GtQG.swapaxes(-1, -2)) + sigma * cc * eye
+    core = _sym(GtQG) + sigma * _dots(c, c)[:, None, None] * eye
     core_pinv = _core_pinv(core)
     u = (core_pinv @ c[:, :, None])[:, :, 0]
     return c, G, QG, core_pinv, u
@@ -323,7 +322,7 @@ class _GenericMap:
         D[2 * m:] = domain._q_cols(x, GA.T).T
         Lam[:m] = Lam[2 * m:] = u
         Lam[m:2 * m] = A[:, :, 0]
-        au = (A.swapaxes(-1, -2) @ u[:, None])[:, 0, 0]  # a_j . u, as a @ u takes it
+        au = _dots(A[:, :, 0], u)
         DQ = domain._dq_form_cols(x, Gu, np.concatenate([R, GA]).T).T
         H = self.cmap.hess_apply(x, Lam, D)
         grad_phi = (DQ[:m]
@@ -344,12 +343,11 @@ def sphere_nonneg_map():
 
     def xx(x, point):
         # x^T x, which value and vjp share, kept in the point as the (N, 1)
-        # stack of each point's; for a stack, one stacked (1, n) @ (n, 1)
-        # matmul, whose slices keep the bits of x_i @ x_i
+        # stack of each point's
         if point is not None and "build" in point:
             out = point["build"][0]
         else:
-            out = (x @ x).reshape(1, 1) if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0]
+            out = (x @ x).reshape(1, 1) if x.ndim == 1 else _dots(x, x)[:, None]
             if point is not None:
                 point["build"] = (out,)
         return out[0, 0] if x.ndim == 1 else out
@@ -364,8 +362,7 @@ def sphere_nonneg_map():
         if np.ndim(w) == 1:
             return alpha * w - x * (x @ w)
         W = np.asfortranarray(w, dtype=float)
-        xw = (x @ W.T[:, :, None])[:, 0]  # x . w_j over the contiguous columns
-        return np.ascontiguousarray(alpha * W - x[:, None] * xw)
+        return np.ascontiguousarray(alpha * W - x[:, None] * _dots(x, W.T))
 
     return DissolvingMap(value=value, vjp=vjp, mode="closed_form", sigma=None)
 
@@ -408,7 +405,7 @@ def h_value(prob, x, point=None):
         return float(point["fa"] + 0.5 * prob.beta * point["cc"])
     point["fa"] = [prob.f_value(a) for a in point["a"]]
     c = _penalty_c(prob, x, point)
-    point["cc"] = (c[:, None, :] @ c[:, :, None])[:, 0, 0]  # c_i . c_i, as c @ c takes it
+    point["cc"] = _dots(c, c)
     return np.array([float(fa) for fa in point["fa"]]) + 0.5 * prob.beta * point["cc"]
 
 

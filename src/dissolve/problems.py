@@ -17,7 +17,7 @@ call with row i alone.  npca and qpb share the closed form `_sphere_cmap`.
 fpca's four callbacks take one product over the k stacked group matrices
 and all points, with the per-group arithmetic of a loop over the groups, so
 they are bit-identical to that loop; each point's P and each direction's is
-a view with the strides of a single one's.
+its `sets._mats` view.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .mappings import ConstraintMap, PenaltyProblem, build_aq, sphere_nonneg_map
-from .sets import Box, NonnegOrthant, NormBall, Product, SpectralBall
+from .sets import Box, NonnegOrthant, NormBall, Product, SpectralBall, _dots, _flats, _mats
 
 logger = logging.getLogger("dissolve")
 
@@ -137,13 +137,12 @@ def _rng(family, seed, tensor):
 
 def _sphere_cmap(d):
     """c(x) = ||x - d||^2 - 1, the unit sphere about d: npca's with d = 0,
-    qpb's about its centre.  Each dot product is a stacked (1, n) @ (n, 1)
-    matmul, whose slices keep the bits of the one-point (x - d) @ (x - d);
-    p = 1, so a multiplier v is its own v[..., :1]."""
+    qpb's about its centre, its dot products through `_dots`; p = 1, so a
+    multiplier v is its own v[..., :1]."""
 
     def value(x):
         r = x - d
-        return (r[..., None, :] @ r[..., :, None])[..., 0] - 1.0
+        return _dots(r, r)[..., None] - 1.0
 
     return ConstraintMap(p=1, value=value,
                          jac_t_apply=lambda x, v: 2.0 * v * (x - d),
@@ -289,11 +288,6 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
     g2_col = g2_arr[:, None, None]
     eye_k = np.eye(k)
 
-    def mat_p(x):
-        # P of one point (n, d) or of each point of a stack (N, n, d): the
-        # column-major view of x's first n*d entries
-        return x[..., :pe].reshape(x.shape[:-1] + (d, n)).swapaxes(-1, -2)
-
     def sum_last2(M):  # the sum over each (m, d) slice, in row-major order
         return (M * M).reshape(M.shape[:-2] + (-1,)).sum(axis=-1)
 
@@ -318,8 +312,8 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
     # c_value, jac_t and jac_columns take one point or a stack of points;
     # hess takes one point with one multiplier and direction or a stack of each
     def c_value(x):
-        P = mat_p(x)
         xp = x[..., :pe]
+        P = _mats(xp, n, d)
         out = np.empty(x.shape[:-1] + (k + 1,))
         out[..., :k] = (hat - group_sq(P)) / msz + x[..., pe:ye] - x[..., ye, None]
         out[..., k] = (xp * xp).sum(axis=-1) - d
@@ -336,7 +330,7 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
     def jac_columns(x):
         # column i is jac_t(x, e_i), with the same operations in the same
         # order: the zero start, the group term, then the Frobenius term
-        P = mat_p(x)[..., None, :, :]
+        P = _mats(x[..., :pe], n, d)[..., None, :, :]
         lead = x.shape[:-1]
         G = np.zeros(lead + (dim, k + 1))
         GP = (0.0 + g2_col * (AtA_stack @ P)) + 0.0 * P
@@ -349,7 +343,7 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
 
     def hess(x, lam, dd):
         # one (lam, dd) or, at the one point x, an (m, p) and (m, n) stack
-        DP = mat_p(dd)
+        DP = _mats(dd[..., :pe], n, d)
         coef = lam[..., :k] * g2_arr
         terms = coef[..., None, None] * (AtA_stack @ DP[..., None, :, :])
         if not (coef != 0.0).all():
@@ -360,7 +354,7 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
             HP += terms[..., i, :, :]
         HP += (lam[..., k] * 2.0)[..., None, None] * DP
         out = np.zeros(dd.shape)
-        out[..., :pe] = HP.swapaxes(-1, -2).reshape(dd.shape[:-1] + (pe,))
+        out[..., :pe] = _flats(HP)
         return out
 
     cmap = ConstraintMap(p=k + 1, value=c_value, jac_t_apply=jac_t,
@@ -402,7 +396,7 @@ def gen_fpca(n, k, d, seed=0, beta=None):
     g0 = np.array([(hat_sq[i] - np.sum((A_list[i] @ P0) ** 2)) / m_sizes[i]
                    for i in range(k)])
     y0 = z0 - g0  # slacks solve the group equalities; all >= 1 by choice of z0
-    x0 = np.concatenate([P0.reshape(-1, order="F"), y0, [z0]])
+    x0 = np.concatenate([_flats(P0), y0, [z0]])
     inst = ProblemInstance(family="fpca", seed=seed, x0=x0, data=data)
     return inst, build_fpca_problem(A_list, d, hat_sq=hat_sq, m_sizes=m_sizes,
                                     beta=beta)
@@ -447,7 +441,7 @@ def _fpca_feasible(data, rng):
                   / data["m"][i] for i in range(k)])
     z = float(np.max(g) + 0.5 + rng.random())
     y = z - g
-    return np.concatenate([P.reshape(-1, order="F"), y, [z]])
+    return np.concatenate([_flats(P), y, [z]])
 
 
 def _npca_oracle(data):

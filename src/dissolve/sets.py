@@ -26,7 +26,7 @@ normal cone at x, as `assumption_a_check` needs for v and -v; the public
 `normal_cone_project(x, z)` is its block of one.  The spectral ball takes
 one SVD of X for all columns and stacks each column's U1^T Z_j V1 and its
 `eigh`; the box masks rows and a norm ball takes each column's dot with
-the normal as one stacked matmul.
+the normal through `_dots`.
 `_q_cols(x, V)` applies Q(x) to every column of a matrix, at one point x
 with an n-by-m matrix or at an (N, n) stack of points with an (N, n, m)
 stack of matrices, as the dissolving-map build needs.  `_dq_form_cols(x, v,
@@ -34,9 +34,13 @@ W)` is the derivative kernel over the columns of an n-by-m W at one x and v,
 as the dissolving map's vjp over a block of directions needs.  A box scales
 all columns of all points at once, a product splits the points and the
 matrices once, the spectral ball takes each product once over the stack of
-all columns of all points, and a norm ball takes each column's dot products
-as one stacked (1, n) @ (n, 1) matmul.  Column j equals the kernel on that
-column alone bit for bit; `_q` and `_dq_form` are those one-column blocks.
+all columns of all points (`_mats`), and a norm ball takes each column's
+dot products through `_dots`.  Column j equals the kernel on that column
+alone bit for bit; `_q` and `_dq_form` are those one-column blocks.
+
+The bit-exact array rules every module shares live here: `_dots` for
+row-wise dot products, `_mats` and `_flats` for the column-major layout of
+a matrix variable, and `_norm` for the Euclidean norm of one vector.
 
 This module imports numpy only.  scipy is imported on first use, by the
 lq-ball projection of a point outside the ball (`brentq`), so
@@ -92,20 +96,31 @@ def _sym(M):
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _mat(x, shape):
-    # internal layout is column-major; kernels receive validated float arrays
-    return x.reshape(shape, order="F")
+def _norm(v):
+    """Euclidean norm of a 1-D array, bit for bit what np.linalg.norm gives."""
+    return math.sqrt(float(v @ v))
 
 
-def _flat(M):
-    return M.reshape(-1, order="F")
+def _dots(a, b):
+    """a_i . b_i over the last axis, broadcast over the leading axes: one
+    stacked (1, n) @ (n, 1) matmul, each slice of which keeps the bits of the
+    one-row a_i @ b_i (einsum, or a multiply followed by sum, would round
+    differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _col_dots(a, B):
-    """a @ B[..., :, j] for each column j of the (..., n, m) stack B, as a
-    (..., m) array: one stacked (1, n) @ (n, 1) matmul, whose slices keep the
-    bits of that one-column product."""
-    return (a[..., None, None, :] @ B.swapaxes(-1, -2)[..., None])[..., 0, 0]
+def _mats(v, m, s):
+    """The m-by-s matrix of each vector along the last axis of v, read
+    column-major, as a view: each matrix has the strides a lone contiguous
+    vector's would, so a product with it takes that vector's BLAS path."""
+    return v.reshape(v.shape[:-1] + (s, m)).swapaxes(-1, -2)
+
+
+def _flats(M):
+    """The inverse of `_mats`: each m-by-s matrix of M as its column-major
+    vector; the size is explicit, so a stack of no matrices reshapes too."""
+    m, s = M.shape[-2:]
+    return M.swapaxes(-1, -2).reshape(M.shape[:-2] + (m * s,))
 
 
 def _size(value, name):
@@ -302,20 +317,20 @@ class NormBall(ConvexSet):
         # each column's scalars come as rows (..., 1, m), x and its weights
         # as columns (..., n, 1)
         u, q = self.radius, self.exponent
-        xv = _col_dots(x, V)[..., None, :]
+        xv = _dots(x[..., None, :], V.swapaxes(-1, -2))[..., None, :]
         xc = x[..., None]
         if self._is_l2:
             return V - xc * xv / u ** 2
         w = np.sign(x) * np.abs(x) ** (q - 1.0)
         s = np.sum(np.abs(x) ** (2.0 * q - 2.0), axis=-1)[..., None, None]
-        wv = _col_dots(w, V)[..., None, :]
+        wv = _dots(w[..., None, :], V.swapaxes(-1, -2))[..., None, :]
         return (V - (w[..., None] * xv + xc * wv) / u ** q
                 + s * xc * xv / u ** (2.0 * q))
 
     def _dq_form_cols(self, x, v, W):
         u, q = self.radius, self.exponent
         vc = v[:, None]
-        xv, xw = x @ v, _col_dots(x, W)
+        xv, xw = x @ v, _dots(x, W.T)
         if self._is_l2:
             return -(xv * W + xw * vc) / u ** 2
         ax = np.abs(x)
@@ -327,7 +342,7 @@ class NormBall(ConvexSet):
         tau = ((2.0 * q - 2.0) * np.sign(x) * ax ** (2.0 * q - 3.0))[:, None]
         s = np.sum(ax ** (2.0 * q - 2.0))
         uq, u2q = u ** q, u ** (2.0 * q)
-        return (-(xv * kappa * W + _col_dots(wx, W) * vc + (wx @ v) * W + xw * kappa * vc) / uq
+        return (-(xv * kappa * W + _dots(wx, W.T) * vc + (wx @ v) * W + xw * kappa * vc) / uq
                 + (xv * xw * tau + s * (xv * W + xw * vc)) / u2q)
 
     def _normal_cone_project(self, x, Z):
@@ -342,7 +357,7 @@ class NormBall(ConvexSet):
         gg = g @ g
         if gg == 0.0:
             return np.zeros_like(Z)
-        t = _col_dots(g, Z) / gg
+        t = _dots(g, Z.T) / gg
         return g[:, None] * np.where(t > 0.0, t, 0.0)
 
     def _params(self):
@@ -413,59 +428,45 @@ class SpectralBall(ConvexSet):
     def n(self):
         return self.m * self.s
 
-    def _shape(self):
-        return (self.m, self.s)
-
     def _project(self, x):
         # LAPACK's SVD may never return on an infinite entry
         _require_finite(x, "spectral-ball projection")
-        X = _mat(x, self._shape())
-        U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+        U, sv, Vt = np.linalg.svd(_mats(x, self.m, self.s), full_matrices=False)
         if sv.size == 0 or sv[0] <= 1.0:
             return x.copy()
-        return _flat(U @ np.diag(np.minimum(sv, 1.0)) @ Vt)
+        return _flats(U @ np.diag(np.minimum(sv, 1.0)) @ Vt)
 
     def _q_cols(self, x, V):
         # Y - X sym(X^T Y) over the (..., p, m, s) stack of columns of every
-        # point: one X^T Y, one X S.  Each X and each column's Y is a view
-        # with the strides _mat gives x_i and V_i[:, j], so each product takes
-        # the BLAS path of that column alone
-        lead = x.shape[:-1]
-        X = x.reshape(lead + (self.s, self.m)).swapaxes(-1, -2)[..., None, :, :]
-        Y = V.swapaxes(-1, -2).reshape(lead + (V.shape[-1], self.s, self.m)).swapaxes(-1, -2)
+        # point (`_mats`): one X^T Y, one X S
+        X = _mats(x, self.m, self.s)[..., None, :, :]
+        Y = _mats(V.swapaxes(-1, -2), self.m, self.s)
         M = X.swapaxes(-1, -2) @ Y
         R = Y - X @ _sym(M)
         return np.ascontiguousarray(R.swapaxes(-1, -3).reshape(V.shape))
 
     def _dq_form_cols(self, x, v, W):
         # -W sym(X^T Y) - Y sym(X^T W) over the (k, m, s) stack of W's
-        # columns as matrices; with contiguous columns each is a view with the
-        # strides _mat gives a contiguous w, so each product takes the BLAS
-        # path of that column alone
-        X = _mat(x, self._shape())
-        Y = _mat(v, self._shape())
-        Ws = W.T.reshape(W.shape[1], self.s, self.m).swapaxes(-1, -2)
+        # columns as matrices (`_mats`)
+        X, Y, Ws = (_mats(a, self.m, self.s) for a in (x, v, W.T))
         M = X.T @ Ws
         R = -Ws @ _sym(X.T @ Y) - Y @ _sym(M)
-        return R.swapaxes(-1, -2).reshape(W.shape[1], self.n).T
+        return _flats(R).T
 
     def _normal_cone_project(self, x, Z):
         # U1 psd(sym(U1^T Z_j V1)) V1^T over the (k, m, s) stack of Z's columns
-        # as matrices, from one SVD of X; with the columns made contiguous, each
-        # matrix is a view with the strides _mat gives a contiguous z, so each
-        # product takes the BLAS path of that column alone
+        # as matrices (`_mats`, the columns made contiguous), from one SVD of X
         _require_finite(x, "spectral-ball normal cone")
-        X = _mat(x, self._shape())
-        U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+        U, sv, Vt = np.linalg.svd(_mats(x, self.m, self.s), full_matrices=False)
         top = sv >= 1.0 - DEFAULT_TOL
         if not np.any(top):
             return np.zeros(Z.shape)
         U1 = U[:, top]
         V1 = Vt[top, :].T
-        Zs = np.asfortranarray(Z).T.reshape(Z.shape[1], self.s, self.m).swapaxes(-1, -2)
+        Zs = _mats(np.asfortranarray(Z).T, self.m, self.s)
         M = U1.T @ Zs @ V1
         R = U1 @ _psd_part(_sym(M)) @ V1.T
-        return R.swapaxes(-1, -2).reshape(Z.shape[1], self.n).T
+        return _flats(R).T
 
     def _params(self):
         return {"m": self.m, "s": self.s}

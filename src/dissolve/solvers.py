@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mappings import h_grad, h_value
+from .sets import _norm
 
 __all__ = [
     "SolverConfig",
@@ -75,11 +76,6 @@ class SolveResult:
     wall_time_s: float
     status: str
     trace: list = field(default_factory=list)  # rows (h, feas, stat, step)
-
-
-def _norm(v):
-    """Euclidean norm of a 1-D array, bit for bit what np.linalg.norm gives."""
-    return math.sqrt(float(v @ v))
 
 
 def _pg_residual(prob, x, g, nx):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dissolve.sets import (DEFAULT_TOL, Box, DomainViolation, NonnegOrthant, NormBall,
-                           Product, SpectralBall, _flat, _mat, _sym)
+                           Product, SpectralBall, _sym)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -124,16 +124,16 @@ def _norm_ball_dq_form(self, x, v, w):
 
 
 def _spectral_ball_q(self, x, v):
-    X = _mat(x, self._shape())
-    Y = _mat(v, self._shape())
-    return _flat(Y - X @ _sym(X.T @ Y))
+    X = x.reshape((self.m, self.s), order="F")
+    Y = v.reshape((self.m, self.s), order="F")
+    return (Y - X @ _sym(X.T @ Y)).reshape(-1, order="F")
 
 
 def _spectral_ball_dq_form(self, x, v, w):
-    X = _mat(x, self._shape())
-    Y = _mat(v, self._shape())
-    W = _mat(w, self._shape())
-    return _flat(-W @ _sym(X.T @ Y) - Y @ _sym(X.T @ W))
+    X = x.reshape((self.m, self.s), order="F")
+    Y = v.reshape((self.m, self.s), order="F")
+    W = w.reshape((self.m, self.s), order="F")
+    return (-W @ _sym(X.T @ Y) - Y @ _sym(X.T @ W)).reshape(-1, order="F")
 
 
 # ... and the one-vector normal-cone projections, which the block kernel
@@ -164,8 +164,8 @@ def _norm_ball_normal_cone(self, x, z):
 
 
 def _spectral_ball_normal_cone(self, x, z):
-    X = _mat(x, self._shape())
-    Z = _mat(z, self._shape())
+    X = x.reshape((self.m, self.s), order="F")
+    Z = z.reshape((self.m, self.s), order="F")
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     top = sv >= 1.0 - DEFAULT_TOL
     if not np.any(top):
@@ -174,7 +174,7 @@ def _spectral_ball_normal_cone(self, x, z):
     V1 = Vt[top, :].T
     vals, vecs = np.linalg.eigh(_sym(U1.T @ Z @ V1))
     S = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-    return _flat(U1 @ S @ V1.T)
+    return (U1 @ S @ V1.T).reshape(-1, order="F")
 
 
 _ORACLES = {Box: (_box_q, _box_dq_form, _box_normal_cone),

@@ -78,6 +78,21 @@ def test_unknown_family_exits_2_without_files(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_solve_without_family_or_instance_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "none.csv"
+    assert main(["solve", "--n", "10", "--csv", str(csv_path)]) == 2
+    assert "--family is required unless --instance is given" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "check", "dump-instance"])
+def test_dim_flags_name_the_families_that_read_them(command):
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    helps = {a.dest: a.help for a in sub._actions}
+    for dest in ("cols", "rho", "edge_density", "k", "d"):
+        assert helps[dest].endswith(f"({cli._used_by(dest)})"), (dest, helps[dest])
+
+
 def test_solve_rerun_appends_identical_rows_except_time(tmp_path):
     csv_path = tmp_path / "runs.csv"
     args = ["solve", "--family", "qpb", "--n", "12", "--seed", "3",

@@ -10,6 +10,7 @@ from dissolve.problems import (
     build_fpca_problem,
     build_npca_problem,
     build_problem,
+    build_qpb_problem,
     feasible_points,
     gen_fpca,
     gen_npca,
@@ -56,6 +57,16 @@ def test_npca_oracle_scaled_identity():
                            data={"B": B, "rho": 0.0, "n": 2, "m_cols": 2})
     # analytic optimum: -max eigenvalue of B B^T / 2 at a coordinate vector
     assert reference_small_oracle(inst) == pytest.approx(-2.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("n,scale,optimum", [(1, 1.0, -0.5), (3, 3.0, -4.5)])
+def test_npca_oracle_scaled_identity_at_n_1_and_3(n, scale, optimum):
+    # the oracle's n = 1 point and n = 3 grid; the optimum is -scale^2 / 2
+    # at a coordinate vector, as at n = 2
+    B = scale * np.eye(n)  # spectral norm = column count
+    inst = ProblemInstance(family="npca", seed=0, x0=np.eye(1, n)[0],
+                           data={"B": B, "rho": 0.0, "n": n, "m_cols": n})
+    assert reference_small_oracle(inst) == pytest.approx(optimum, abs=1e-5)
 
 
 def test_npca_solver_reaches_tolerances():
@@ -128,6 +139,13 @@ def test_qpb_start_point_in_ball_but_infeasible():
         if feasibility_measure(prob, inst.x0) > 1e-6:
             hits += 1
     assert hits == 5  # generic start points miss the shifted sphere
+
+
+@pytest.mark.parametrize("d", [np.array([0.5]), np.zeros((3, 1)), np.zeros(4)])
+def test_qpb_rejects_a_centre_of_another_shape(d):
+    # a one-entry d would broadcast to another sphere
+    with pytest.raises(ValueError, match="centre d of shape"):
+        build_qpb_problem(-np.eye(3), np.ones(3) / np.sqrt(3.0), d)
 
 
 def test_qpb_indefinite_quadratic():

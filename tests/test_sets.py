@@ -552,7 +552,7 @@ def cone_points(domain, rng):
         corner = domain.radius * np.eye(1, domain.n)[0]
         near = (1.0 - 1e-9) * corner
     else:
-        m, s = domain._shape()
+        m, s = domain.m, domain.s
         r = min(m, s)
         U = np.linalg.qr(rng.standard_normal((m, r)))[0]
         V = np.linalg.qr(rng.standard_normal((s, r)))[0]
@@ -588,6 +588,29 @@ def test_normal_cone_block_columns_are_the_one_vector_projection(catalog):
                             domain, where, order, m, j)
                         assert same_bits(domain.normal_cone_project(x, z), want), (
                             domain, where, j)
+
+
+def test_array_rules_keep_the_one_row_bits():
+    # _dots: every entry is the one-row a_i @ b_i, with a row broadcast too;
+    # _mats: each row's column-major matrix as a view; _flats: its inverse,
+    # an empty stack included
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 3, 4, 1000))
+    for d, a_row in ((sets._dots(a, b), lambda i, j: a[i, j]),
+                     (sets._dots(a[0, 0], b), lambda i, j: a[0, 0])):
+        assert d.shape == (3, 4)
+        assert all(d[i, j] == a_row(i, j) @ b[i, j] for i in range(3) for j in range(4))
+    v = rng.standard_normal((5, 12))
+    M = sets._mats(v, 4, 3)
+    assert np.shares_memory(M, v)
+    assert all(np.array_equal(M[i], v[i].reshape((4, 3), order="F")) for i in range(5))
+    assert np.array_equal(sets._flats(M), v)
+    assert sets._flats(np.zeros((0, 4, 3))).shape == (0, 12)
+
+
+def test_product_of_no_factors_raises():
+    with pytest.raises(ValueError, match="zero factors"):
+        Product([])
 
 
 def test_box_pinned_coordinate():

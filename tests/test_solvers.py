@@ -107,6 +107,18 @@ def test_a_nan_gradient_ends_in_numerical_failure(gen, dims):
     assert res.feas == _norm(prob.cmap.value(x))
 
 
+def test_a_nan_start_ends_in_numerical_failure():
+    # the orthant's projection keeps a NaN entry, so the start itself is not
+    # finite: feas and stat are both NaN
+    inst, prob = gen_npca(10, 5, seed=0)
+    x0 = inst.x0.copy()
+    x0[3] = np.nan
+    res = solve(prob, x0)
+    assert (res.status, res.iters) == ("numerical_failure", 0)
+    assert np.isnan(res.feas) and np.isnan(res.stat)
+    assert np.isnan(res.x_final[3])
+
+
 # ---------------------------------------------------------------- pg-bb
 
 
