@@ -16,8 +16,12 @@ multipliers and directions for the Hessian product, is bit-identical to a
 call with row i alone.  npca and qpb share the closed form `_sphere_cmap`.
 fpca's four callbacks take one product over the k stacked group matrices
 and all points, with the per-group arithmetic of a loop over the groups, so
-they are bit-identical to that loop; each point's P and each direction's is
-its `sets._mats` view.
+they are bit-identical to that loop (but for the Hessian's group sum at a
+1-by-1 P, see `hess`); each point's P and each direction's is its
+`sets._mats` view.
+
+Every family's feasible sampler is one construction: each call returns an
+exactly feasible point, so `feasible_points` never redraws.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .mappings import ConstraintMap, PenaltyProblem, build_aq, sphere_nonneg_map
-from .sets import Box, NonnegOrthant, NormBall, Product, SpectralBall, _dots, _flats, _mats
+from .sets import Box, NonnegOrthant, NormBall, Product, SpectralBall, _dots, _flats, _mats, _size
 
 logger = logging.getLogger("dissolve")
 
@@ -349,9 +353,10 @@ def build_fpca_problem(A_list, d, hat_sq, m_sizes, beta=None):
         if not (coef != 0.0).all():
             # a zero multiplier adds nothing, even against a non-finite term
             terms = np.where(coef[..., None, None] != 0.0, terms, 0.0)
-        HP = np.zeros(DP.shape)
-        for i in range(k):
-            HP += terms[..., i, :, :]
+        # the groups added in order from a zero start, as a loop over them
+        # would; only a 1-by-1 P with k >= 8 groups makes the group axis the
+        # contiguous one, which numpy sums pairwise
+        HP = np.add.reduce(terms, axis=-3, initial=0.0)
         HP += (lam[..., k] * 2.0)[..., None, None] * DP
         out = np.zeros(dd.shape)
         out[..., :pe] = _flats(HP)
@@ -417,21 +422,15 @@ def _qpb_centre(data):  # the sampler's and the oracle's closed forms know only 
 
 
 def _qpb_feasible(data, rng):
+    # x = d + u on the cap u_1 = -s <= -1/4 of the unit sphere about d, where
+    # ||x||^2 = 5/4 - s <= 1 keeps x in the ball
     d = _qpb_centre(data)
-    for _ in range(200):  # rejection keeps the ball constraint
-        u = rng.standard_normal(d.size)
-        u /= np.linalg.norm(u)
-        if np.linalg.norm(d + u) <= 1.0:
-            return d + u
-    # the feasible cap needs u_1 <= -1/4, which a uniform sphere direction
-    # almost never hits at large n; build it directly
     s = 0.25 + 0.75 * rng.random()
     w = rng.standard_normal(d.size - 1)
-    w *= np.sqrt(max(0.0, 1.0 - s * s)) / np.linalg.norm(w)
+    w *= np.sqrt(1.0 - s * s) / np.linalg.norm(w)
     u = np.concatenate([[-s], w])
     u /= np.linalg.norm(u)
-    x = d + u
-    return x if np.linalg.norm(x) <= 1.0 else None
+    return d + u
 
 
 def _fpca_feasible(data, rng):
@@ -488,7 +487,7 @@ class Family:
     check: Callable         # (**dims) -> None; raises ValueError as generate does
     build: Callable         # (instance data, beta) -> problem
     arrays: tuple           # data fields that JSON holds as arrays
-    feasible: Callable      # (data, rng) -> a feasible point, or None to redraw
+    feasible: Callable      # (data, rng) -> an exactly feasible point
     subseed: int            # RNG sub-seed of the generator and the samplers
     cli_dims: dict          # generator keyword -> CLI option
     extra_dims: str         # CSV extra_dims column, formatted with the dims
@@ -547,15 +546,11 @@ def build_problem(instance, beta=None):
 
 
 def feasible_points(instance, count, seed=0):
-    """Exactly feasible samples for the structural checks, one list per call."""
+    """Exactly feasible samples for the structural checks, one list per call;
+    a `count` that is not a nonnegative integer raises ValueError."""
     fam = get_family(instance.family)
     rng = np.random.default_rng([int(seed), 77, fam.subseed])
-    out = []
-    while len(out) < count:
-        x = fam.feasible(instance.data, rng)
-        if x is not None:
-            out.append(x)
-    return out
+    return [fam.feasible(instance.data, rng) for _ in range(_size(count, "count"))]
 
 
 def near_feasible_points(instance, count, seed=0, scale=0.05):

@@ -549,6 +549,20 @@ def test_instance_whose_dims_disagree_with_its_arrays_exits_2(tmp_path, capsys, 
         ProblemInstance.from_json(obj)
 
 
+def test_instance_of_an_unknown_family_exits_2(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    csv_path = tmp_path / "runs.csv"
+    assert main(["dump-instance", "--family", "qpb", "--n", "6", "--out", str(inst_path)]) == 0
+    obj = json.loads(inst_path.read_text())
+    obj["family"] = "wat"
+    inst_path.write_text(json.dumps(obj))
+    assert main(["solve", "--instance", str(inst_path), "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
+    assert "unknown family 'wat'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown family 'wat'"):
+        ProblemInstance.from_json(obj)
+
+
 @pytest.mark.parametrize("family,dims,key,value,message", [
     # NaN solved to a numerical_failure row with exit 3; "0.5" and true exited 0
     # and printed 0.5 or True in the CSV row

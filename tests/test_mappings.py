@@ -1184,3 +1184,19 @@ def test_hess_stack_rows_are_the_one_row_products():
                 assert same_bits(got[j], row), j
             for j, loop in enumerate(loops):
                 assert same_bits(got[j], loop), j
+
+
+def test_fpca_hess_rows_at_a_one_entry_p_with_many_groups():
+    # n = d = 1 and k = 9: the group axis is the contiguous one, which numpy
+    # sums pairwise, so rows match the group loop to rounding only; a stack's
+    # rows still are the one-row products bit for bit
+    rng = np.random.default_rng(61)
+    inst, prob = gen_fpca(1, 9, 1, seed=0)
+    x = prob.domain.project(rng.standard_normal(prob.n))
+    Lam, D = rng.standard_normal((5, prob.cmap.p)), rng.standard_normal((5, prob.n))
+    Lam[0, :4] = 0.0
+    got = prob.cmap.hess_apply(x, Lam, D)
+    for j, (lam, d) in enumerate(zip(Lam, D)):
+        assert same_bits(got[j], prob.cmap.hess_apply(x, lam, d.copy())), j
+        loop = fpca_hess_loop(inst.data, lam, d)
+        assert np.abs(got[j] - loop).max() <= 1e-13 * np.abs(loop).max(), j

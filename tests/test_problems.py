@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dissolve import problems
 from dissolve.mappings import h_grad
 from dissolve.problems import (
     ProblemInstance,
@@ -330,6 +331,10 @@ def test_fpca_stacked_jacobian_and_hessian_products_match_group_loops(k, n, rows
         if trial == 1:
             v[0] = lam[-2] = 0.0     # a group that is skipped
             v[-1] = lam[0] = -0.0
+        if trial == 2:
+            # no P part: every term is -0.0, and the sum from a zero start +0.0
+            dd[:n * d] = 0.0
+            lam[:k], lam[k] = np.abs(lam[:k]), -abs(lam[k])
         if trial == 3:
             x[n + 1] = np.inf    # the skipped group's product is not formed
             v[0] = lam[0] = 0.0
@@ -397,11 +402,53 @@ def test_instance_json_roundtrip_solves_identically():
 
 
 def test_feasible_points_exactly_feasible():
-    for gen, dims in ((gen_npca, (12, 5)), (gen_qpb, (12,)), (gen_fpca, (6, 2, 2))):
+    # qpb at n = 200 and 1000: a uniform sphere direction about d almost never
+    # lands in the ball there, so only a direct construction keeps up
+    for gen, dims in ((gen_npca, (12, 5)), (gen_qpb, (12,)), (gen_qpb, (200,)),
+                      (gen_qpb, (1000,)), (gen_fpca, (6, 2, 2))):
         inst, prob = gen(*dims, seed=0)
         for x in feasible_points(inst, 10, seed=0):
             assert np.linalg.norm(prob.cmap.value(x)) <= 1e-10
             assert np.linalg.norm(x - prob.domain.project(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("family,gen,dims", [
+    ("npca", gen_npca, (12, 5)), ("qpb", gen_qpb, (12,)), ("fpca", gen_fpca, (6, 2, 2))])
+def test_feasible_points_call_the_sampler_once_per_point(monkeypatch, family, gen, dims):
+    fam = problems.FAMILIES[family]
+    got = []
+
+    def counting(data, rng):
+        got.append(fam.feasible(data, rng))
+        return got[-1]
+
+    monkeypatch.setitem(problems.FAMILIES, family, dataclasses.replace(fam, feasible=counting))
+    inst, _ = gen(*dims, seed=0)
+    points = feasible_points(inst, 7, seed=3)
+    assert len(got) == 7 and all(x is not None for x in got)
+    assert all(x is y for x, y in zip(points, got))
+
+
+@pytest.mark.parametrize("count", [2.5, True, -1, "3"])
+def test_sample_counts_that_are_not_whole_numbers_raise(count):
+    # 2.5 gave 3 points, True one and -1 none; near_feasible_points(1.5) gave 2
+    inst, _ = gen_qpb(6, seed=0)
+    for sample in (feasible_points, near_feasible_points):
+        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+            sample(inst, count)
+
+
+def test_instance_with_numpy_scalar_dims_dumps_and_loads_back():
+    inst, _ = gen_npca(6, 3, seed=1)
+    data = {**inst.data, "n": np.int64(6), "m_cols": np.int64(3), "rho": np.float64(0.25)}
+    obj = ProblemInstance(family="npca", seed=1, x0=inst.x0, data=data).to_json()
+    assert (obj["data"]["n"], obj["data"]["m_cols"], obj["data"]["rho"]) == (6, 3, 0.25)
+    assert type(obj["data"]["n"]) is int and type(obj["data"]["rho"]) is float
+    back = ProblemInstance.from_json(json.loads(json.dumps(obj)))
+    assert back.family == "npca" and back.seed == 1 and np.array_equal(back.x0, inst.x0)
+    assert np.array_equal(back.data["B"], inst.data["B"])
+    assert {key: back.data[key] for key in ("n", "m_cols", "rho")} == {
+        "n": 6, "m_cols": 3, "rho": 0.25}
 
 
 def test_near_feasible_points_stay_in_domain_off_manifold():
